@@ -29,8 +29,8 @@ from .liaison import (Construction, arrangement_product_hypotheses,
                       liaison_addition, radical_block, top_block,
                       verify_construction)
 from .polyring import (GF, GREVLEX, LEX, QQ, DEFAULT_PRIME, MonomialOrder,
-                       PolyRing, Polynomial, apply_linear_substitution,
-                       elimination_order, expand_product, gradient,
-                       mono_compare, parse_linear_expr)
+                       PolyRing, Polynomial, elimination_order,
+                       expand_product, gradient, mono_compare,
+                       parse_linear_expr)
 
 __version__ = "0.1.0"

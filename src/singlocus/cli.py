@@ -1,6 +1,6 @@
 """Command-line surface: load arrangements, run any pipeline stage.
 
-Every command accepts --field, --seed, --json and --order, and emits
+Every command accepts --field, --seed and --json, and emits
 either human-readable text (Betti diagrams in the fixed-width layout) or
 a versioned JSON report.  Exit codes: 0 success, 1 validation or parse
 error, 2 internal limit (saturation or reseed caps).
@@ -28,9 +28,7 @@ from .homology import (betti_json, betti_of, betti_text, dimensions, hilbert,
 from .liaison import (LiaisonStep, arrangement_product_hypotheses,
                       basic_double_link, construct_lr, construct_lr_radical,
                       liaison_addition, shifted_rao_sum, verify_construction)
-from .polyring import GF, QQ, DEFAULT_PRIME, GREVLEX, LEX, parse_linear_expr
-
-_ORDERS = {"grevlex": GREVLEX, "lex": LEX}
+from .polyring import GF, QQ, DEFAULT_PRIME, parse_linear_expr
 
 
 def _parse_field(text):
@@ -48,11 +46,10 @@ def _parse_field(text):
 class Report:
     """Envelope for one command run: echo, field, seed, artifact, timing."""
 
-    def __init__(self, argv, field_label, seed, order="grevlex"):
+    def __init__(self, argv, field_label, seed):
         self.argv = list(argv)
         self.field_label = field_label
         self.seed = seed
-        self.order = order
         self.artifact = {}
         self.lines = []
         self.started = time.monotonic()
@@ -67,7 +64,7 @@ class Report:
                 "command": self.argv,
                 "field": self.field_label,
                 "seed": self.seed,
-                "order": self.order,
+                "order": "grevlex",  # the order every command computes in
                 "artifact": self.artifact,
                 "elapsed_seconds": round(time.monotonic() - self.started, 3),
             }
@@ -222,7 +219,7 @@ def _cmd_selector(kind):
             report.artifact["betti"] = betti_json(table)
             report.say(betti_text(table))
         elif kind == "hilbert":
-            h = hilbert(ideal, order=_ORDERS[args.order])
+            h = hilbert(ideal)
             report.artifact["hilbert"] = _hilbert_payload(h)
             report.say(f"Hilbert polynomial: {h.hp_string()}")
             report.say(f"degree: {h.degree()}")
@@ -459,8 +456,6 @@ def _build_parser():
                         help="seed for any randomized choice (default 0)")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
-    common.add_argument("--order", choices=sorted(_ORDERS), default="grevlex",
-                        help="ambient monomial order (default grevlex)")
 
     parser = argparse.ArgumentParser(
         prog="sing",
@@ -570,7 +565,7 @@ def main(argv=None):
     except SingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = Report(argv, field_label, args.seed, args.order)
+    report = Report(argv, field_label, args.seed)
     try:
         args.run(args, field, report)
     except InternalLimitError as exc:

@@ -13,11 +13,11 @@ which is enough to keep every corpus computation within its budget.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
 
 from .errors import InternalLimitError, RingContextError, ValidationError
 from .polyring import (GREVLEX, WIDTH, MonomialOrder, PolyRing, Polynomial,
-                       QQ, elimination_order)
+                       elimination_order)
 
 _SATURATION_CAP = 64
 
@@ -131,6 +131,9 @@ class _Engine:
         self.keyf = ring.key_func(order)
         self.guard = _guard(ring.nvars)
         self.p = ring.field.p
+        # merge_sub(f, i0, g, c, mk, mw) = f[i0:] - c * x^m * g in this field
+        self.merge_sub = (_merge_sub_q if self.p is None
+                          else partial(_merge_sub_p, p=self.p))
 
     # -- reduction ---------------------------------------------------------
     def monic(self, terms):
@@ -146,7 +149,7 @@ class _Engine:
     def normal_form(self, terms, lt_ws, lt_keys, polys, full=True):
         """Reduce `terms` against the basis; full tail reduction if `full`."""
         guard = self.guard
-        p = self.p
+        merge_sub = self.merge_sub
         nbasis = len(lt_ws)
         prefix = []
         work = terms
@@ -166,13 +169,9 @@ class _Engine:
                 prefix.append(work[i0])
                 i0 += 1
             else:
-                g = polys[red]
-                mk = k - lt_keys[red]
-                mw = w - lt_ws[red]
-                if p:
-                    work = _merge_sub_p(work, i0, g, c, mk, mw, p)
-                else:
-                    work = _merge_sub_q(work, i0, g, c / g[0][2], mk, mw)
+                # every reducer list is monic: add() and the final pass make it so
+                work = merge_sub(work, i0, polys[red], c, k - lt_keys[red],
+                                 w - lt_ws[red])
                 i0 = 0
         return prefix
 
@@ -186,6 +185,7 @@ class _Engine:
         pairs = []  # [sugar, lcm_key, i, j, lcm_exps]
         nvars = self.ring.nvars
         keyf = self.keyf
+        one = self.ring.field.one
         found_unit = False
 
         def exps_of_w(w):
@@ -266,10 +266,7 @@ class _Engine:
             sp = [(k + mik, w + miw, c) for k, w, c in gi]
             mjk = lcm_key - lt_keys[j]
             mjw = _pack_plain(lcm) - lt_ws[j]
-            if self.p:
-                sp = _merge_sub_p(sp, 0, gj, 1, mjk, mjw, self.p)
-            else:
-                sp = _merge_sub_q(sp, 0, gj, Fraction(1), mjk, mjw)
+            sp = self.merge_sub(sp, 0, gj, one, mjk, mjw)
             if not sp:
                 continue
             nf = self.normal_form(sp, lt_ws, lt_keys, polys)
@@ -324,7 +321,7 @@ class GroebnerBasis:
         return iter(self.polys)
 
     def leading_exponents(self):
-        return [_unpack_in_ring(w, self.ring) for w in self._lt_ws]
+        return [_unpack_plain(w, self.ring.nvars) for w in self._lt_ws]
 
     def normal_form(self, f):
         if f.ring != self.ring:
@@ -339,10 +336,6 @@ class GroebnerBasis:
     def is_unit_ideal(self):
         return len(self._polys) == 1 and sum(_unpack_plain(self._polys[0][0][1],
                                                            self.ring.nvars)) == 0
-
-
-def _unpack_in_ring(w, ring):
-    return _unpack_plain(w, ring.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +510,15 @@ def exact_divide(f, g):
     gt = _to_internal(g, keyf)
     ft = _to_internal(f, keyf)
     lt_k, lt_w, lt_c = gt[0]
+    inv_lc = ring.field.inv(lt_c)
     guard = engine.guard
     q = []
-    p = engine.p
     while ft:
         k, w, c = ft[0]
         if ((w | guard) - lt_w) & guard != guard:
             raise ValidationError("inexact polynomial division")
-        if p:
-            cc = (c * ring.field.inv(lt_c)) % p
-            ft = _merge_sub_p(ft, 0, gt, cc, k - lt_k, w - lt_w, p)
-        else:
-            cc = c / lt_c
-            ft = _merge_sub_q(ft, 0, gt, cc, k - lt_k, w - lt_w)
+        cc = ring.field.mul(c, inv_lc)
+        ft = engine.merge_sub(ft, 0, gt, cc, k - lt_k, w - lt_w)
         q.append((k - lt_k, w - lt_w, cc))
     return _from_internal(q, ring)
 
@@ -564,25 +553,6 @@ def saturate(a, b):
         f"saturation did not stabilize within {_SATURATION_CAP} colon steps")
 
 
-def _grevlex_perm_order(perm):
-    # grevlex read through a permutation of the variables
-    class _PermOrder(MonomialOrder):
-        def __init__(self, perm):
-            self.kind = "grevlex_perm"
-            self.block = tuple(perm)
-
-        def key_func(self, nvars):
-            base = MonomialOrder("grevlex").key_func(nvars)
-            perm_t = self.block
-
-            def key(exps, base=base, perm_t=perm_t):
-                return base(tuple(exps[i] for i in perm_t))
-
-            return key
-
-    return _PermOrder(perm)
-
-
 def saturate_by_variable(a, i):
     """a : x_i^infinity via a Groebner basis with x_i as last variable.
 
@@ -592,7 +562,7 @@ def saturate_by_variable(a, i):
     """
     ring = a.ring
     perm = [j for j in range(ring.nvars) if j != i] + [i]
-    order = _grevlex_perm_order(tuple(perm))
+    order = MonomialOrder("grevlex", perm=perm)
     gb = a.groebner(order)
     out = []
     for g in gb.polys:
@@ -644,26 +614,7 @@ def eliminate(a, variables):
         return Ideal(ring, ())
 
     keep = [j for j in range(ring.nvars) if j not in to_drop]
-    perm = tuple(to_drop + keep)
-
-    class _BlockOrder(MonomialOrder):
-        def __init__(self):
-            self.kind = "block_perm"
-            self.block = (perm, len(to_drop))
-
-        def key_func(self, nvars):
-            k = len(to_drop)
-            front = MonomialOrder("grevlex").key_func(k)
-            back = MonomialOrder("grevlex").key_func(nvars - k)
-            shift = (nvars - k + 1) * WIDTH + 4
-
-            def key(exps):
-                pe = tuple(exps[i] for i in perm)
-                return (front(pe[:k]) << shift) | back(pe[k:])
-
-            return key
-
-    order = _BlockOrder()
+    order = MonomialOrder("elim", len(to_drop), perm=to_drop + keep)
     gb = a.groebner(order)
     out = [g for g in gb.polys if all(all(e[v] == 0 for v in to_drop)
                                       for e in g.terms)]

@@ -18,9 +18,8 @@ from math import comb
 
 from . import linalg
 from .errors import InternalLimitError, ValidationError
-from .groebner import (GREVLEX, Ideal, _Engine, _pack_plain, _to_internal,
-                       _unpack_plain)
-from .polyring import Polynomial
+from .groebner import GREVLEX, Ideal, _Engine, _pack_plain, _unpack_plain
+from .polyring import WIDTH, Polynomial
 
 _CB = 20
 _CMAX = (1 << _CB) - 1
@@ -28,136 +27,69 @@ _CMAX = (1 << _CB) - 1
 
 # ---------------------------------------------------------------------------
 # module engine: vectors over a free module with a Schreyer-style key
-
-def _vmerge_sub_p(f, i0, g, c, dk, dw, dv, p):
-    """f[i0:] - c * x^m * g for module vectors over F_p.
-
-    Terms are (vkey, comp, kk, mw, coeff); dk/dw/dv are the ring key,
-    packed-exponent and vkey increments of the multiplier monomial.
-    """
-    out = []
-    push = out.append
-    i, j = i0, 0
-    nf, ng = len(f), len(g)
-    while i < nf and j < ng:
-        fi = f[i]
-        gj = g[j]
-        kg = gj[0] + dv
-        kf = fi[0]
-        if kf > kg:
-            push(fi)
-            i += 1
-        elif kf < kg:
-            push((kg, gj[1], gj[2] + dk, gj[3] + dw, (-c * gj[4]) % p))
-            j += 1
-        else:
-            cc = (fi[4] - c * gj[4]) % p
-            if cc:
-                push((kf, fi[1], fi[2], fi[3], cc))
-            i += 1
-            j += 1
-    if i < nf:
-        out.extend(f[i:])
-    while j < ng:
-        gj = g[j]
-        push((gj[0] + dv, gj[1], gj[2] + dk, gj[3] + dw, (-c * gj[4]) % p))
-        j += 1
-    return out
-
-
-def _vmerge_sub_q(f, i0, g, c, dk, dw, dv):
-    out = []
-    push = out.append
-    i, j = i0, 0
-    nf, ng = len(f), len(g)
-    while i < nf and j < ng:
-        fi = f[i]
-        gj = g[j]
-        kg = gj[0] + dv
-        kf = fi[0]
-        if kf > kg:
-            push(fi)
-            i += 1
-        elif kf < kg:
-            push((kg, gj[1], gj[2] + dk, gj[3] + dw, -c * gj[4]))
-            j += 1
-        else:
-            cc = fi[4] - c * gj[4]
-            if cc:
-                push((kf, fi[1], fi[2], fi[3], cc))
-            i += 1
-            j += 1
-    if i < nf:
-        out.extend(f[i:])
-    while j < ng:
-        gj = g[j]
-        push((gj[0] + dv, gj[1], gj[2] + dk, gj[3] + dw, -c * gj[4]))
-        j += 1
-    return out
+#
+# A module term m*e_c has the ring engine's term shape (vkey, cw, coeff),
+# with the component packed above the exponent fields:
+# cw = (c << WIDTH*nvars) | packed(m).  As in the ring engine, exponents
+# stay below MAX_DEGREE, so adding a multiplier's packed exponents never
+# carries into the component, and the guard-bit divisibility test holds
+# unchanged between terms of one component.  The ring merge kernels
+# therefore reduce module vectors too.
 
 
 class _SyzygyLevel:
     """Generators of one step of the resolution, in engine form.
 
-    vectors[i] lives in the free module one level down; lt data mirror the
-    ring engine.  `mult` scales a ring key into a vkey increment at this
-    level's coordinates.
+    vectors[i] lives in the free module one level down, sorted by
+    descending vkey.  `mult` scales a ring key into a vkey increment at
+    this level's coordinates.
     """
 
-    def __init__(self, vectors, lt_comp, lt_kk, lt_w, lt_vkey, degrees, mult):
+    def __init__(self, vectors, degrees, mult):
         self.vectors = vectors
-        self.lt_comp = lt_comp
-        self.lt_kk = lt_kk
-        self.lt_w = lt_w
-        self.lt_vkey = lt_vkey
+        self.lt_cw = [v[0][1] for v in vectors]
+        self.lt_vkey = [v[0][0] for v in vectors]
         self.degrees = degrees
         self.mult = mult
 
-    def __len__(self):
-        return len(self.vectors)
 
-
-def _level_from_ring_gb(internal_gb, engine, degrees):
+def _level_from_ring_gb(internal_gb, degrees):
     """Wrap a reduced ring GB as vectors in F_0 = R (single component 0)."""
-    vectors = []
-    for terms in internal_gb:
-        vec = [((k << _CB) | _CMAX, 0, k, w, c) for k, w, c in terms]
-        vectors.append(vec)
-    lt_comp = [0] * len(vectors)
-    lt_kk = [v[0][2] for v in vectors]
-    lt_w = [v[0][3] for v in vectors]
-    lt_vkey = [v[0][0] for v in vectors]
-    return _SyzygyLevel(vectors, lt_comp, lt_kk, lt_w, lt_vkey, list(degrees),
-                        mult=1 << _CB)
+    vectors = [[((k << _CB) | _CMAX, w, c) for k, w, c in terms]
+               for terms in internal_gb]
+    return _SyzygyLevel(vectors, list(degrees), mult=1 << _CB)
 
 
 def _schreyer_step(level, engine):
     """Syzygies of a module Groebner basis, with their matrix columns.
 
-    Returns (next_level, columns) where columns[j] maps component index ->
-    list of (exps, coeff) describing the matrix of the new map.
+    The basis vectors must be monic.  Returns (next_level, columns) where
+    columns[j] maps component index -> list of (exps, coeff) describing
+    the matrix of the new map.
     """
     ring = engine.ring
-    p = engine.p
     guard = engine.guard
+    merge_sub = engine.merge_sub
     nvars = ring.nvars
+    shift = WIDTH * nvars
     keyf = engine.keyf
     vectors = level.vectors
-    n = len(vectors)
+    lt_cw = level.lt_cw
+    lt_vkey = level.lt_vkey
     mult = level.mult
 
     by_comp = {}
-    for i in range(n):
-        by_comp.setdefault(level.lt_comp[i], []).append(i)
+    for i, cw in enumerate(lt_cw):
+        by_comp.setdefault(cw >> shift, []).append(i)
 
     # candidate pairs: per generator i, the minimal multipliers lcm/lt_i
     tasks = []
     for comp, idxs in by_comp.items():
         for a_pos, i in enumerate(idxs):
-            ei = _unpack_plain(level.lt_w[i], nvars)
+            ei = _unpack_plain(lt_cw[i], nvars)
             cand = {}
             for j in idxs[a_pos + 1:]:
-                ej = _unpack_plain(level.lt_w[j], nvars)
+                ej = _unpack_plain(lt_cw[j], nvars)
                 u = tuple(max(x, y) - x for x, y in zip(ei, ej))
                 if u not in cand:
                     cand[u] = j
@@ -173,73 +105,52 @@ def _schreyer_step(level, engine):
     tasks.sort(key=lambda t: (sum(t[2]) + level.degrees[t[0]], t[0], t[1]))
 
     next_vectors = []
-    next_lt = []
+    next_degrees = []
     columns = []
-    one = ring.field.one
+    field = ring.field
+    one = field.one
     for i, j, u in tasks:
-        ei = _unpack_plain(level.lt_w[i], nvars)
-        ej = _unpack_plain(level.lt_w[j], nvars)
+        ei = _unpack_plain(lt_cw[i], nvars)
+        ej = _unpack_plain(lt_cw[j], nvars)
         lcm = tuple(a + b for a, b in zip(u, ei))
         uj = tuple(a - b for a, b in zip(lcm, ej))
-        dk_i, dw_i = keyf(u), _pack_plain(u)
-        dk_j, dw_j = keyf(uj), _pack_plain(uj)
-        gi, gj = vectors[i], vectors[j]
-        sp = [(vk + dk_i * mult, cc, kk + dk_i, mw + dw_i, co)
-              for vk, cc, kk, mw, co in gi]
-        if p:
-            sp = _vmerge_sub_p(sp, 0, gj, 1, dk_j, dw_j, dk_j * mult, p)
-        else:
-            sp = _vmerge_sub_q(sp, 0, gj, Fraction(1), dk_j, dw_j, dk_j * mult)
+        mk_i, dw_i = keyf(u) * mult, _pack_plain(u)
+        sp = [(vk + mk_i, cw + dw_i, co) for vk, cw, co in vectors[i]]
+        sp = merge_sub(sp, 0, vectors[j], one, keyf(uj) * mult, _pack_plain(uj))
         # reduce to zero, recording quotients
-        quotients = [(i, u, one), (j, uj, -one if p is None else (p - 1))]
+        quotients = [(i, u, one), (j, uj, field.neg(one))]
         while sp:
-            vk, comp, kk, mw, co = sp[0]
+            vk, cw, co = sp[0]
             red = -1
-            wg = mw | guard
-            for idx in by_comp.get(comp, ()):
-                if (wg - level.lt_w[idx]) & guard == guard:
+            wg = cw | guard
+            for idx in by_comp.get(cw >> shift, ()):
+                if (wg - lt_cw[idx]) & guard == guard:
                     red = idx
                     break
             if red < 0:
                 raise AssertionError(
                     "input to the syzygy step was not a Groebner basis "
                     "(S-vector does not reduce to zero)")
-            dm = mw - level.lt_w[red]
-            dmk = kk - level.lt_kk[red]
-            if p:
-                sp = _vmerge_sub_p(sp, 0, vectors[red], co, dmk, dm, dmk * mult, p)
-            else:
-                sp = _vmerge_sub_q(sp, 0, vectors[red], co, dmk, dm, dmk * mult)
-            quotients.append((red, _unpack_plain(dm, nvars), ring.field.neg(co)))
+            dm = cw - lt_cw[red]
+            sp = merge_sub(sp, 0, vectors[red], co, vk - lt_vkey[red], dm)
+            quotients.append((red, _unpack_plain(dm, nvars), field.neg(co)))
         # assemble the syzygy as a vector in the new free module
-        new_mult = mult << _CB
         terms = []
         col = {}
         for comp, mexps, coeff in quotients:
-            dk = keyf(mexps)
-            vkey = ((level.lt_vkey[comp] + dk * mult) << _CB) | (_CMAX - comp)
-            terms.append((vkey, comp, dk, _pack_plain(mexps), coeff))
+            vkey = ((lt_vkey[comp] + keyf(mexps) * mult) << _CB) | (_CMAX - comp)
+            terms.append((vkey, (comp << shift) | _pack_plain(mexps), coeff))
             col.setdefault(comp, []).append((mexps, coeff))
         terms.sort(key=lambda t: -t[0])
-        assert terms[0][1] == i and terms[0][3] == _pack_plain(u), \
+        assert terms[0][1] == (i << shift) | dw_i, \
             "syzygy leading term does not match its predicted value"
         next_vectors.append(terms)
-        next_lt.append((i, dk_i, _pack_plain(u), terms[0][0],
-                        sum(u) + level.degrees[i]))
+        next_degrees.append(sum(u) + level.degrees[i])
         columns.append(col)
 
     if not next_vectors:
         return None, []
-    nxt = _SyzygyLevel(
-        next_vectors,
-        [t[0] for t in next_lt],
-        [t[1] for t in next_lt],
-        [t[2] for t in next_lt],
-        [t[3] for t in next_lt],
-        [t[4] for t in next_lt],
-        mult << _CB,
-    )
-    return nxt, columns
+    return _SyzygyLevel(next_vectors, next_degrees, mult << _CB), columns
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +501,8 @@ def schreyer_syzygies(gens, twists=None):
     equal-length polynomial vectors; `twists` gives the generator degrees
     of the ambient free module (all zero by default).  The input must be
     a Groebner basis: every S-vector has to reduce to zero against it,
-    otherwise this raises.  Returned vectors pair to zero against `gens`.
+    otherwise this raises.  Leading coefficients need not be 1.  Returned
+    vectors pair to zero against `gens`.
     """
     if not gens:
         return []
@@ -603,9 +515,13 @@ def schreyer_syzygies(gens, twists=None):
         twists = [0] * rank
     engine = _Engine(ring, GREVLEX)
     keyf = engine.keyf
-    # term-over-position order on the ambient module, grevlex on monomials
+    field = ring.field
+    shift = WIDTH * ring.nvars
+    # term-over-position order on the ambient module, grevlex on monomials;
+    # each vector is scaled to be monic, and its syzygy entries scaled back
     vectors = []
     degrees = []
+    inv_lcs = []
     for vec in vectors_in:
         terms = []
         deg = None
@@ -613,25 +529,18 @@ def schreyer_syzygies(gens, twists=None):
             if poly.ring != ring:
                 raise ValidationError("vector entries in mixed rings")
             for e, c in poly.terms.items():
-                k = keyf(e)
-                terms.append(((k << _CB) | (_CMAX - comp), comp, k,
-                              _pack_plain(e), c))
+                terms.append(((keyf(e) << _CB) | (_CMAX - comp),
+                              (comp << shift) | _pack_plain(e), c))
                 d = sum(e) + twists[comp]
                 deg = d if deg is None or d > deg else deg
         if not terms:
             raise ValidationError("zero vector among the generators")
         terms.sort(key=lambda t: -t[0])
-        vectors.append(terms)
+        inv = field.inv(terms[0][2])
+        vectors.append([(vk, cw, field.mul(c, inv)) for vk, cw, c in terms])
         degrees.append(deg)
-    level = _SyzygyLevel(
-        vectors,
-        [v[0][1] for v in vectors],
-        [v[0][2] for v in vectors],
-        [v[0][3] for v in vectors],
-        [v[0][0] for v in vectors],
-        degrees,
-        mult=1 << _CB,
-    )
+        inv_lcs.append(inv)
+    level = _SyzygyLevel(vectors, degrees, mult=1 << _CB)
     try:
         _, columns = _schreyer_step(level, engine)
     except AssertionError as exc:
@@ -641,7 +550,8 @@ def schreyer_syzygies(gens, twists=None):
         vec = []
         for c in range(len(gens)):
             if c in col:
-                vec.append(Polynomial(ring, {tuple(e): co for e, co in col[c]}))
+                vec.append(Polynomial(ring, {tuple(e): field.mul(co, inv_lcs[c])
+                                             for e, co in col[c]}))
             else:
                 vec.append(ring.zero())
         out.append(vec)
@@ -657,16 +567,15 @@ def _schreyer_resolution(ideal):
     """
     ring = ideal.ring
     gb = ideal.groebner(GREVLEX)
-    engine = _Engine(ring, GREVLEX)
     if not len(gb):
         return [[0]], []
     degrees = [p.total_degree() for p in gb.polys]
-    level = _level_from_ring_gb(gb._polys, engine, degrees)
+    level = _level_from_ring_gb(gb._polys, degrees)
 
     twist_lists = [[0], list(degrees)]
     maps = [{(0, c): p for c, p in enumerate(gb.polys)}]
     for _ in range(ring.nvars + 1):
-        nxt, columns = _schreyer_step(level, engine)
+        nxt, columns = _schreyer_step(level, gb._engine)
         if nxt is None:
             break
         entries = {}

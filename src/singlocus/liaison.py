@@ -14,7 +14,8 @@ import random
 from .arrangement import (Arrangement, apply_coordinate_change,
                           combinatorial_degrees, radical_comb,
                           random_coordinate_change, random_linear_form,
-                          standard_ring, top_comb)
+                          top_comb)
+from .corpus import load_arrangement
 from .errors import InternalLimitError, ValidationError
 from .groebner import Ideal, saturate_irrelevant
 from .homology import hilbert, rao_dimensions
@@ -23,37 +24,19 @@ from . import linalg
 
 _RESEED_CAP = 32
 
-#: 9-plane block: its height-two unmixed curve has degree 42 and a
-#: one-dimensional deficiency module concentrated in degree 8
-TOP_BLOCK_COEFFS = (
-    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-    (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1),
-    (1, 1, 1, 1),
-)
+#: degree of the one-dimensional deficiency module of each building
+#: block's curve: the height-two unmixed curve of the 9-plane `top_block`
+#: (degree 42) and the radical curve of the 8-plane `radical_block`
 TOP_BLOCK_RAO_DEGREE = 8
-
-#: 8-plane block: the radical of its Jacobian ideal has a one-dimensional
-#: deficiency module concentrated in degree 4
-RADICAL_BLOCK_COEFFS = (
-    (0, 1, 0, 0), (0, 0, 1, 0),
-    (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
-    (1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1),
-)
 RADICAL_BLOCK_RAO_DEGREE = 4
 
 
-def block_arrangement(coeffs, field=None, ring=None):
-    ring = ring if ring is not None else standard_ring(field)
-    return Arrangement(ring, [ring.linear_form(
-        [ring.field.from_int(c) for c in row]) for row in coeffs])
-
-
 def top_block(field=None):
-    return block_arrangement(TOP_BLOCK_COEFFS, field)
+    return load_arrangement("top_block", field)
 
 
 def radical_block(field=None):
-    return block_arrangement(RADICAL_BLOCK_COEFFS, field)
+    return load_arrangement("radical_block", field)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +150,13 @@ class Construction:
                 f"rao {self.predicted_rao}, degree {self.predicted_degree})")
 
 
-def _construct(r, h, seed, block_coeffs, base_rao_degree, curve_of, field):
+def _construct(r, h, seed, block, base_rao_degree, curve_of, field):
     if r < 1:
         raise ValidationError("need at least one building block copy")
     if h < 0:
         raise ValidationError("the shift count cannot be negative")
     rng = random.Random(seed)
-    base = block_arrangement(block_coeffs, field)
+    base = block(field)
     block_deg = base.d
     steps = []
 
@@ -251,14 +234,14 @@ def construct_lr(r, h=0, seed=0, field=None):
     Predicted deficiency table {8 + 9(r-1) + h: r}; the predicted degree
     follows the additivity deg Z = deg V1 + deg V2 + d1*d2 step by step.
     """
-    return _construct(r, h, seed, TOP_BLOCK_COEFFS, TOP_BLOCK_RAO_DEGREE,
-                      top_comb, field)
+    return _construct(r, h, seed, top_block, TOP_BLOCK_RAO_DEGREE, top_comb,
+                      field)
 
 
 def construct_lr_radical(r, h=0, seed=0, field=None):
     """Radical-curve analogue built from the 8-plane block."""
-    return _construct(r, h, seed, RADICAL_BLOCK_COEFFS,
-                      RADICAL_BLOCK_RAO_DEGREE, radical_comb, field)
+    return _construct(r, h, seed, radical_block, RADICAL_BLOCK_RAO_DEGREE,
+                      radical_comb, field)
 
 
 # ---------------------------------------------------------------------------

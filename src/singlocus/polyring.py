@@ -127,7 +127,6 @@ def GF(p):
 
 #: bits per packed exponent field; degrees must stay below 2**(WIDTH - 1)
 WIDTH = 16
-_FSIZE = 1 << WIDTH
 MAX_DEGREE = (1 << (WIDTH - 1)) - 1
 
 
@@ -137,21 +136,35 @@ class MonomialOrder:
     kind is one of 'grevlex', 'lex', 'elim'.  An elimination order puts a
     leading block of `block` variables in front (grevlex within each
     block), so a Groebner basis in it intersects to the subring on the
-    remaining variables.
+    remaining variables.  An optional `perm` reads the variables in the
+    order perm[0], perm[1], ... before the kind's key is applied.
     """
 
-    def __init__(self, kind, block=0):
+    def __init__(self, kind, block=0, perm=None):
         self.kind = kind
         self.block = block
+        self.perm = None if perm is None else tuple(perm)
 
     @property
     def tag(self):
-        return (self.kind, self.block)
+        if self.perm is None:
+            return (self.kind, self.block)
+        return (self.kind, self.block, self.perm)
 
     def key_func(self, nvars):
         """Return exps -> int with key(a*b) = key(a) + key(b)."""
+        key = self._unpermuted_key_func(nvars)
+        perm = self.perm
+        if perm is None:
+            return key
+        if sorted(perm) != list(range(nvars)):
+            raise ValidationError(
+                f"{perm} is not a permutation of {nvars} variables")
+        return lambda exps: key(tuple(exps[i] for i in perm))
+
+    def _unpermuted_key_func(self, nvars):
         if self.kind == "grevlex":
-            return _grevlex_key_func(nvars, 0)
+            return _grevlex_key_func(nvars)
         if self.kind == "lex":
             def key(exps):
                 k = 0
@@ -161,8 +174,8 @@ class MonomialOrder:
             return key
         if self.kind == "elim":
             b = self.block
-            front = _grevlex_key_func(b, 0)
-            back = _grevlex_key_func(nvars - b, 0)
+            front = _grevlex_key_func(b)
+            back = _grevlex_key_func(nvars - b)
             shift = (nvars - b + 1) * WIDTH + 4
             def key(exps, b=b, front=front, back=back, shift=shift):
                 return (front(exps[:b]) << shift) | back(exps[b:])
@@ -170,9 +183,8 @@ class MonomialOrder:
         raise ValidationError(f"unknown monomial order kind {self.kind!r}")
 
     def __repr__(self):
-        if self.kind == "elim":
-            return f"elim({self.block})"
-        return self.kind
+        name = f"elim({self.block})" if self.kind == "elim" else self.kind
+        return name if self.perm is None else f"{name}{list(self.perm)}"
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.tag == self.tag
@@ -181,7 +193,7 @@ class MonomialOrder:
         return hash(self.tag)
 
 
-def _grevlex_key_func(nvars, pad):
+def _grevlex_key_func(nvars):
     if nvars == 0:
         return lambda exps: 0
     topshift = (nvars - 1) * WIDTH
@@ -569,15 +581,6 @@ def expand_product(forms):
 
 def gradient(p):
     return [p.partial_derivative(i) for i in range(p.ring.nvars)]
-
-
-def apply_linear_substitution(f, images):
-    """Push f through the ring map x_i -> images[i].
-
-    Additive and multiplicative; degree-preserving on homogeneous input
-    when every image is a linear form.
-    """
-    return f.substitute(images)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,27 @@ class TestSyzygies:
         (a, b, c) = syz[0]
         assert (a * x + b * y).is_zero() and c.is_zero()
 
+    @pytest.mark.parametrize("ring_name", ["ring_p", "ring_q"])
+    def test_module_rank_three_twisted(self, ring_name, request):
+        ring = request.getfixturevalue(ring_name)
+        x, y, z, w = ring.variables()
+        zero = ring.zero()
+        basis = list(Ideal(ring, (x * y - z * z, y * w - z * x, x ** 3))
+                     .groebner().polys)
+        # g * (2, 0, 3x - 6y) spans components 0 and 2, leads in 2 with
+        # coefficient 3; the two vectors in component 1 are not monic either
+        gens = [[2 * g, zero, (3 * x - 6 * y) * g] for g in basis]
+        gens += [[zero, 2 * z, zero], [zero, 5 * w - 7 * y, zero]]
+        syz = schreyer_syzygies(gens, twists=[2, 1, 1])
+        assert len(syz) == len(schreyer_syzygies(basis)) + 1
+        for vec in syz:
+            assert not all(v.is_zero() for v in vec)
+            for comp in range(3):
+                acc = zero
+                for v, g in zip(vec, gens):
+                    acc = acc + v * g[comp]
+                assert acc.is_zero()
+
 
 class TestResolutions:
     def test_koszul_two(self, ring_p):

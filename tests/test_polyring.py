@@ -83,11 +83,27 @@ class TestMonomialOrders:
         assert mono_compare(order, (0, 2, 1), (1, 0, 0)) == -1
 
     def test_key_additivity(self):
-        for order in (GREVLEX, LEX, elimination_order(2)):
+        for order in (GREVLEX, LEX, elimination_order(2),
+                      MonomialOrder("grevlex", perm=(2, 0, 3, 1)),
+                      MonomialOrder("elim", 2, perm=(3, 1, 0, 2))):
             key = order.key_func(4)
             a, b = (1, 2, 0, 3), (4, 0, 5, 1)
             ab = tuple(x + y for x, y in zip(a, b))
             assert key(ab) == key(a) + key(b)
+
+    def test_permuted_orders(self):
+        perm = (2, 0, 3, 1)
+        monos = [m for d in range(4) for m in monomials_of_degree(4, d)]
+        for base in (GREVLEX, elimination_order(1)):
+            order = MonomialOrder(base.kind, base.block, perm=perm)
+            key, plain = order.key_func(4), base.key_func(4)
+            for m in monos:
+                assert key(m) == plain(tuple(m[i] for i in perm))
+            assert order.tag != base.tag
+            assert order.tag != MonomialOrder(base.kind, base.block,
+                                              perm=(1, 0, 2, 3)).tag
+        with pytest.raises(ValidationError):
+            MonomialOrder("grevlex", perm=(0, 0, 1, 2)).key_func(4)
 
 
 class TestArithmetic:
