@@ -22,7 +22,7 @@ from .groebner import (GroebnerBasis, Ideal, colon, eliminate, ideal_equal,
 from .homology import (BettiTable, GradedFreeModule, GradedMap, HilbertData,
                        Resolution, betti_json, betti_of, betti_table,
                        betti_text, dimensions, hilbert, is_cm,
-                       minimal_free_resolution, rao_dimensions,
+                       is_saturated, minimal_free_resolution, rao_dimensions,
                        schreyer_syzygies)
 from .liaison import (Construction, arrangement_product_hypotheses,
                       basic_double_link, construct_lr, construct_lr_radical,

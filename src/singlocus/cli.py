@@ -2,33 +2,36 @@
 
 Every command accepts --field, --seed and --json, and emits
 either human-readable text (Betti diagrams in the fixed-width layout) or
-a versioned JSON report.  Exit codes: 0 success, 1 validation or parse
-error, 2 internal limit (saturation or reseed caps).
+a versioned JSON report.  Exit codes: 0 success, 1 usage, validation or
+parse error, 2 internal limit (saturation or reseed caps).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
 from . import corpus
-from .arrangement import (combinatorial_degrees, generic_section,
-                          graphic_arrangement, hypothesis_check,
-                          jacobian_ideal, lattice_isomorphic,
-                          parse_arrangement, parse_graph, radical_comb,
-                          rule_powers, symbolic_intersection, top_comb,
-                          triangle_condition, uniform_powers,
-                          random_linear_form)
+from .arrangement import (_check_prime_safety, combinatorial_degrees,
+                          generic_section, graphic_arrangement,
+                          hypothesis_check, jacobian_ideal,
+                          lattice_isomorphic, parse_arrangement, parse_graph,
+                          radical_comb, rule_powers, symbolic_intersection,
+                          top_comb, triangle_condition, uniform_powers)
 from .errors import InternalLimitError, SingError, ValidationError
 from .groebner import saturate_irrelevant
 from .homology import (betti_json, betti_of, betti_text, dimensions, hilbert,
-                       is_cm, rao_dimensions)
-from .liaison import (LiaisonStep, arrangement_product_hypotheses,
-                      basic_double_link, construct_lr, construct_lr_radical,
-                      liaison_addition, shifted_rao_sum, verify_construction)
-from .polyring import GF, QQ, DEFAULT_PRIME, parse_linear_expr
+                       is_cm, is_saturated, rao_dimensions)
+from .liaison import (LiaisonStep, _fresh_linear,
+                      arrangement_product_hypotheses, basic_double_link,
+                      construct_lr, construct_lr_radical,
+                      hilbert_additivity_holds, liaison_addition,
+                      shifted_rao_sum, verify_construction)
+from .polyring import (GF, QQ, DEFAULT_PRIME, linear_coefficients,
+                       parse_linear_expr)
 
 
 def _parse_field(text):
@@ -84,7 +87,6 @@ def _load_arrangement(path, field, report):
     arr = parse_arrangement(text, field=field)
     if field.p is not None:
         try:
-            from .arrangement import _check_prime_safety
             _check_prime_safety(arr)
         except ValidationError:
             # characteristic too small for this input: fall back to exact QQ
@@ -118,42 +120,67 @@ def _hilbert_payload(h):
     }
 
 
-def _ideal_report(report, arr, ideal, name, args):
-    want_all = not (args.betti or args.hilbert or args.cm or args.rao)
-    h = hilbert(ideal)
-    krull, codim, pd = dimensions(ideal)
-    report.artifact["ideal"] = name
-    report.artifact["generators"] = len(ideal.gens)
-    report.say(f"{name}: {len(ideal.gens)} generators")
-    if args.hilbert or want_all:
-        report.artifact["hilbert"] = _hilbert_payload(h)
-        report.say(f"Hilbert polynomial: {h.hp_string()}")
-        report.say(f"degree: {h.degree()}")
-    if args.cm or want_all:
-        report.artifact["dimensions"] = {"krull": krull, "codim": codim,
-                                         "projective": pd}
-        report.artifact["cohen_macaulay"] = is_cm(ideal)
-        report.say(f"dimensions: krull {krull}, codim {codim}, pd {pd}")
-        report.say(f"Cohen-Macaulay: {is_cm(ideal)}")
-    if args.betti:
-        table = betti_of(ideal)
-        report.artifact["betti"] = betti_json(table)
-        report.say(betti_text(table))
-    if args.rao:
-        table = rao_dimensions(ideal)
-        report.artifact["rao"] = {str(k): v for k, v in sorted(table.items())}
-        report.say(f"deficiency table: {table if table else '{} (ACM)'}")
-
-
-def _add_ideal_flags(sub):
-    sub.add_argument("--betti", action="store_true")
-    sub.add_argument("--hilbert", action="store_true")
-    sub.add_argument("--cm", action="store_true")
-    sub.add_argument("--rao", action="store_true")
+def _degree_table(table):
+    return {str(k): v for k, v in sorted(table.items())}
 
 
 def _rao_text(table):
     return table if table else "{} (ACM)"
+
+
+# Each section of an ideal report has one writer, shared by the ideal
+# commands (jacobian, radical, top, symbolic) and the selector commands.
+
+
+def _hilbert_section(report, ideal):
+    h = hilbert(ideal)
+    report.artifact["hilbert"] = _hilbert_payload(h)
+    report.say(f"Hilbert polynomial: {h.hp_string()}")
+    report.say(f"degree: {h.degree()}")
+    report.say(f"regularity index: {h.regularity_index}")
+
+
+def _cm_section(report, ideal):
+    krull, codim, pd = dimensions(ideal)
+    verdict = is_cm(ideal)
+    report.artifact["dimensions"] = {"krull": krull, "codim": codim,
+                                     "projective": pd}
+    report.artifact["cohen_macaulay"] = verdict
+    report.say(f"dimensions: krull {krull}, codim {codim}, pd {pd}")
+    report.say(f"Cohen-Macaulay: {verdict}")
+
+
+def _betti_section(report, ideal):
+    table = betti_of(ideal)
+    report.artifact["betti"] = betti_json(table)
+    report.say(betti_text(table))
+
+
+def _rao_section(report, ideal):
+    table = rao_dimensions(ideal)
+    report.artifact["rao"] = _degree_table(table)
+    report.say(f"deficiency table: {_rao_text(table)}")
+
+
+_SECTIONS = {"hilbert": _hilbert_section, "cm": _cm_section,
+             "betti": _betti_section, "rao": _rao_section}
+
+
+def _ideal_report(report, ideal, name, args):
+    """Write the sections asked for (Hilbert data and CM by default);
+    returns their names."""
+    asked = [k for k in _SECTIONS if getattr(args, k)] or ["hilbert", "cm"]
+    report.artifact["ideal"] = name
+    report.artifact["generators"] = len(ideal.gens)
+    report.say(f"{name}: {len(ideal.gens)} generators")
+    for kind in asked:
+        _SECTIONS[kind](report, ideal)
+    return asked
+
+
+def _add_ideal_flags(sub):
+    for kind in _SECTIONS:
+        sub.add_argument(f"--{kind}", action="store_true")
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +215,14 @@ def _cmd_ideal(which):
     def run(args, field, report):
         arr = _load_arrangement(args.file, field, report)
         ideal = _build_ideal(arr, which)
-        _ideal_report(report, arr, ideal, which, args)
-        if which == "jacobian":
-            sat = saturate_irrelevant(ideal)
-            top = top_comb(arr)
-            report.artifact["saturated"] = sat.equals(ideal)
-            report.artifact["unmixed"] = sat.equals(top)
+        asked = _ideal_report(report, ideal, which, args)
+        if which == "jacobian" and "cm" in asked:
+            # J <= J^sat <= top, both saturated: equal Hilbert polynomials
+            # force J^sat = top, since top/J^sat then has finite length
+            # inside R/J^sat, which has positive depth
+            report.artifact["saturated"] = is_saturated(ideal)
+            report.artifact["unmixed"] = (hilbert(ideal).hp_coeffs
+                                          == hilbert(top_comb(arr)).hp_coeffs)
             report.say(f"saturated: {report.artifact['saturated']}")
             report.say(f"unmixed (saturation equals top part): "
                        f"{report.artifact['unmixed']}")
@@ -207,35 +236,13 @@ def _cmd_symbolic(args, field, report):
     else:
         powers = rule_powers(arr, args.rule if args.rule is not None else 2)
     ideal = symbolic_intersection(arr, powers, override=args.override)
-    _ideal_report(report, arr, ideal, "symbolic", args)
+    _ideal_report(report, ideal, "symbolic", args)
 
 
 def _cmd_selector(kind):
     def run(args, field, report):
         arr = _load_arrangement(args.file, field, report)
-        ideal = _build_ideal(arr, args.ideal)
-        if kind == "betti":
-            table = betti_of(ideal)
-            report.artifact["betti"] = betti_json(table)
-            report.say(betti_text(table))
-        elif kind == "hilbert":
-            h = hilbert(ideal)
-            report.artifact["hilbert"] = _hilbert_payload(h)
-            report.say(f"Hilbert polynomial: {h.hp_string()}")
-            report.say(f"degree: {h.degree()}")
-            report.say(f"regularity index: {h.regularity_index}")
-        elif kind == "cm":
-            krull, codim, pd = dimensions(ideal)
-            verdict = is_cm(ideal)
-            report.artifact["dimensions"] = {"krull": krull, "codim": codim,
-                                             "projective": pd}
-            report.artifact["cohen_macaulay"] = verdict
-            report.say(f"dimensions: krull {krull}, codim {codim}, pd {pd}")
-            report.say(f"Cohen-Macaulay: {verdict}")
-        elif kind == "rao":
-            table = rao_dimensions(ideal)
-            report.artifact["rao"] = {str(k): v for k, v in sorted(table.items())}
-            report.say(f"deficiency table: {_rao_text(table)}")
+        _SECTIONS[kind](report, _build_ideal(arr, args.ideal))
     return run
 
 
@@ -260,7 +267,6 @@ def _arr_to_text(arr):
     p = arr.ring.field.p
     for form in arr.forms:
         parts = []
-        from .polyring import linear_coefficients
         for name, c in zip(arr.ring.names, linear_coefficients(form)):
             if arr.ring.field.is_zero(c):
                 continue
@@ -326,6 +332,28 @@ def _curve_of(arr, which):
     return top_comb(arr) if which == "top" else radical_comb(arr)
 
 
+_STEP_NAMES = {"addition": "a liaison addition", "bdl": "a basic double link"}
+
+
+def _verify_step(report, step):
+    """Check Hilbert additivity and the shifted deficiency table of a step."""
+    additivity = hilbert_additivity_holds(step)
+    predicted = shifted_rao_sum(step)
+    computed = rao_dimensions(step.output)
+    report.artifact["verify"] = {
+        "hilbert_additivity": additivity,
+        "rao_predicted": _degree_table(predicted),
+        "rao_computed": _degree_table(computed),
+        "rao_ok": predicted == computed,
+    }
+    report.say(f"Hilbert additivity: {additivity}")
+    report.say(f"deficiency table: predicted {_rao_text(predicted)}, "
+               f"computed {_rao_text(computed)}")
+    if not (additivity and predicted == computed):
+        raise ValidationError(
+            f"verification failed on {_STEP_NAMES[step.kind]}")
+
+
 def _cmd_liaison_add(args, field, report):
     a = _load_arrangement(args.file1, field, report)
     b = _load_arrangement(args.file2, field, report)
@@ -347,22 +375,7 @@ def _cmd_liaison_add(args, field, report):
     report.say(f"liaison addition of {args.ideal} curves: degree {h.degree()}, "
                f"HP {h.hp_string()}")
     if args.verify:
-        step = LiaisonStep("addition", ia, fa, ib, fb, out)
-        from .liaison import hilbert_additivity_holds
-        additivity = hilbert_additivity_holds(step)
-        predicted = shifted_rao_sum(step)
-        computed = rao_dimensions(out)
-        report.artifact["verify"] = {
-            "hilbert_additivity": additivity,
-            "rao_predicted": {str(k): v for k, v in sorted(predicted.items())},
-            "rao_computed": {str(k): v for k, v in sorted(computed.items())},
-            "rao_ok": predicted == computed,
-        }
-        report.say(f"Hilbert additivity: {additivity}")
-        report.say(f"deficiency table: predicted {_rao_text(predicted)}, "
-                   f"computed {_rao_text(computed)}")
-        if not (additivity and predicted == computed):
-            raise ValidationError("verification failed on a liaison addition")
+        _verify_step(report, LiaisonStep("addition", ia, fa, ib, fb, out))
 
 
 def _cmd_bdl(args, field, report):
@@ -372,10 +385,7 @@ def _cmd_bdl(args, field, report):
     if args.form:
         ell = parse_linear_expr(arr.ring, args.form)
     else:
-        import random as _random
-        rng = _random.Random(args.seed)
-        from .liaison import _fresh_linear
-        ell = _fresh_linear(arr, rng)
+        ell = _fresh_linear(arr, random.Random(args.seed))
     out = basic_double_link(ideal, f1, ell)
     h = hilbert(out)
     report.artifact["link_form"] = str(ell)
@@ -383,22 +393,7 @@ def _cmd_bdl(args, field, report):
     report.say(f"basic double link by {ell}: degree {h.degree()}, "
                f"HP {h.hp_string()}")
     if args.verify:
-        step = LiaisonStep("bdl", ideal, f1, None, ell, out)
-        from .liaison import hilbert_additivity_holds
-        additivity = hilbert_additivity_holds(step)
-        predicted = shifted_rao_sum(step)
-        computed = rao_dimensions(out)
-        report.artifact["verify"] = {
-            "hilbert_additivity": additivity,
-            "rao_predicted": {str(k): v for k, v in sorted(predicted.items())},
-            "rao_computed": {str(k): v for k, v in sorted(computed.items())},
-            "rao_ok": predicted == computed,
-        }
-        report.say(f"Hilbert additivity: {additivity}")
-        report.say(f"deficiency table: predicted {_rao_text(predicted)}, "
-                   f"computed {_rao_text(computed)}")
-        if not (additivity and predicted == computed):
-            raise ValidationError("verification failed on a basic double link")
+        _verify_step(report, LiaisonStep("bdl", ideal, f1, None, ell, out))
 
 
 def _cmd_construct(radical):
@@ -406,8 +401,8 @@ def _cmd_construct(radical):
         build = construct_lr_radical if radical else construct_lr
         construction = build(args.r, h=args.h, seed=args.seed, field=field)
         report.artifact["planes"] = construction.arrangement.d
-        report.artifact["predicted_rao"] = {
-            str(k): v for k, v in sorted(construction.predicted_rao.items())}
+        report.artifact["predicted_rao"] = _degree_table(
+            construction.predicted_rao)
         report.artifact["predicted_degree"] = construction.predicted_degree
         report.say(f"constructed {construction.arrangement.d}-plane arrangement")
         report.say(f"predicted deficiency table: {construction.predicted_rao}")
@@ -415,8 +410,7 @@ def _cmd_construct(radical):
         if args.verify:
             outcome = verify_construction(construction, deep=args.deep)
             report.artifact["verify"] = {
-                k: ({str(kk): vv for kk, vv in sorted(v.items())}
-                    if isinstance(v, dict) else v)
+                k: _degree_table(v) if isinstance(v, dict) else v
                 for k, v in outcome.items()}
             report.say(f"computed deficiency table: {outcome['rao_computed']}")
             report.say(f"computed degree: {outcome['degree_computed']}")
@@ -558,8 +552,10 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: usage error (2) or --help (0)
+        return 1 if exc.code else 0
     try:
         field, field_label = _parse_field(args.field)
     except SingError as exc:

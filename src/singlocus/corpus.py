@@ -2,281 +2,52 @@
 
 Every entry reproduces a computed example from the literature on
 singular loci of plane arrangements; `run_regressions` recomputes each
-one and compares against the recorded values.
+one and compares against the recorded values.  The arrangement (`.arr`)
+and graph (`.graph`) files ship in the package's `arrangements`
+directory.
 """
 
 from __future__ import annotations
 
-from .arrangement import (combinatorial_degrees, graphic_arrangement,
-                          hypothesis_check, jacobian_ideal, lattice_isomorphic,
+from importlib.resources import files
+
+from .arrangement import (combinatorial_degrees, generic_section,
+                          graphic_arrangement, hypothesis_check,
+                          jacobian_ideal, lattice_isomorphic,
                           parse_arrangement, parse_graph, radical_comb,
                           rule_powers, symbolic_intersection, top_comb,
                           triangle_condition, uniform_powers)
-from .groebner import saturate_irrelevant
-from .homology import (betti_of, hilbert, is_cm, minimal_free_resolution,
-                       rao_dimensions)
+from .homology import (betti_of, hilbert, is_cm, is_saturated,
+                       minimal_free_resolution, rao_dimensions)
 
-ARRANGEMENTS = {
-    "fifteen_planes": """\
-# 15 planes whose height-two locus is unmixed but not arithmetically CM
-vars: x y z w
-x
-y
-z
-w
-x + y
-x + z
-x + w
-y + z
-y + w
-z + w
-x + y + z
-x + y + w
-x + z + w
-y + z + w
-x + y + z + w
-""",
-    "seven_planes": """\
-# three pencil flats share the plane x; everything is CM regardless
-vars: x y z w
-x
-y
-z
-w
-x + y
-x + z
-x + w
-""",
-    "four_planes_point": """\
-# four planes through one point; the Jacobian ideal has an embedded point
-vars: x y z w
-x
-y
-z
-x + y + z
-""",
-    "five_planes_point": """\
-# the previous cone plus a general fifth plane (a basic double link)
-vars: x y z w
-x
-y
-z
-x + y + z
-w
-""",
-    "eight_planes": """\
-# top-dimensional part CM, radical not CM
-vars: x y z w
-x
-y
-z
-w
-x + y
-y + z
-z + w
-w + x
-""",
-    "nine_planes": """\
-# neither the top-dimensional part nor the radical is CM
-vars: x y z w
-x
-y
-z
-w
-x + y
-y + z
-z + w
-w + x
-w + x + y + z
-""",
-    "free_not_cm": """\
-# free arrangement whose radical is not CM
-vars: x y z w
-x
-y
-z
-w
-x + y
-w + x
-y + z
-w + z
-w + y + z
-w + x + y + z
-""",
-    "same_lattice_a": """\
-# same incidence lattice as same_lattice_b, different Betti tables
-vars: x y z w
-x
-y
-z
-w
-x + y + z
-2x + y + z
-2x + 3y + z
-2x + 3y + 4z
-3x + 5z
-3x + 4y + 5z
-""",
-    "same_lattice_b": """\
-vars: x y z w
-x
-y
-z
-w
-x + y + z
-2x + y + z
-2x + 3y + z
-2x + 3y + 4z
-x + 3z
-x + 2y + 3z
-""",
-    "eleven_planes": """\
-# 11 planes whose height-two curve has a two-dimensional deficiency module
-vars: x y z w
-x
-y
-z
-w
-x + y
-x + z
-w + x
-y + z
-w + y
-w + z
-w + x + y + z
-""",
-    "top_block": """\
-# 9-plane building block: deficiency 1 in degree 8, curve degree 42
-vars: x y z w
-x
-y
-z
-w
-x + y
-y + z
-z + w
-w + x
-w + x + y + z
-""",
-    "radical_block": """\
-# 8-plane building block: radical deficiency 1 in degree 4
-vars: x y z w
-y
-z
-x + y
-x + z
-w + x
-x + y + z
-w + x + y
-w + x + z
-""",
-    "pencil_three": """\
-vars: x y z w
-x
-y
-x + y
-""",
-    "star_pencil": """\
-vars: x y z w
-x
-y
-x + y
-w + x + z
-""",
-    "star_four": """\
-vars: x y z w
-x
-y
-z
-w
-""",
-    "thirty_one_planes": """\
-# large arrangement whose deficiency modules spread over several degrees
-vars: x y z w
-w
-x
-y
-z
-w + 3x + 5y + 7z
-w + x
-w + y
-w + z
-2w + 3x + 5y + 7z
-x + y
-x + z
-w + 4x + 5y + 7z
-y + z
-w + 3x + 6y + 7z
-w + 3x + 5y + 8z
-w + x + y
-w + x + z
-2w + 4x + 5y + 7z
-w + y + z
-2w + 3x + 6y + 7z
-2w + 3x + 5y + 8z
-x + y + z
-w + 4x + 6y + 7z
-w + 4x + 5y + 8z
-w + 3x + 6y + 8z
-w + x + y + z
-2w + 4x + 6y + 7z
-2w + 4x + 5y + 8z
-2w + 3x + 6y + 8z
-w + 4x + 6y + 8z
-2w + 4x + 6y + 8z
-""",
-}
+_DATA = files(__package__) / "arrangements"
 
 
-def _octahedron():
-    lines = ["vertices: 6"]
-    skip = {(1, 6), (2, 4), (3, 5)}
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            if (i, j) not in skip:
-                lines.append(f"edge: {i} {j}")
-    return "\n".join(lines) + "\n"
-
-
-def _dodecahedron():
-    # generalized Petersen graph GP(10, 2): outer 10-cycle u1..u10,
-    # inner pentagram pair v11..v20, spokes u_i v_{i+10}
-    lines = ["vertices: 20"]
-    for i in range(10):
-        lines.append(f"edge: {i + 1} {(i + 1) % 10 + 1}")
-    for i in range(10):
-        lines.append(f"edge: {i + 1} {i + 11}")
-    for i in range(10):
-        lines.append(f"edge: {i + 11} {(i + 2) % 10 + 11}")
-    return "\n".join(lines) + "\n"
-
-
-GRAPHS = {
-    "octahedron": _octahedron(),
-    "dodecahedron": _dodecahedron(),
-    "square": "vertices: 4\nedge: 1 2\nedge: 2 3\nedge: 3 4\nedge: 4 1\n",
-    "triangle": "vertices: 3\nedge: 1 2\nedge: 2 3\nedge: 1 3\n",
-}
+def _names(suffix):
+    return sorted(entry.name[:-len(suffix)] for entry in _DATA.iterdir()
+                  if entry.name.endswith(suffix))
 
 
 def arrangement_names():
-    return sorted(ARRANGEMENTS)
+    return _names(".arr")
 
 
 def graph_names():
-    return sorted(GRAPHS)
+    return _names(".graph")
+
+
+def _read(name, suffix, kind):
+    if name not in _names(suffix):
+        raise KeyError(f"unknown corpus {kind} {name!r}")
+    return (_DATA / f"{name}{suffix}").read_text(encoding="utf-8")
 
 
 def load_arrangement(name, field=None):
-    if name not in ARRANGEMENTS:
-        raise KeyError(f"unknown corpus arrangement {name!r}")
-    return parse_arrangement(ARRANGEMENTS[name], field=field)
+    return parse_arrangement(_read(name, ".arr", "arrangement"), field=field)
 
 
 def load_graph(name):
-    if name not in GRAPHS:
-        raise KeyError(f"unknown corpus graph {name!r}")
-    return parse_graph(GRAPHS[name])
+    return parse_graph(_read(name, ".graph", "graph"))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +87,7 @@ def _fifteen_planes(field, results):
     J = jacobian_ideal(arr)
     top = top_comb(arr)
     _check(results, "fifteen_planes", "Jacobian ideal saturated",
-           saturate_irrelevant(J).equals(J), True)
+           is_saturated(J), True)
     _check(results, "fifteen_planes", "Jacobian ideal unmixed",
            J.equals(top), True)
     hj = hilbert(J)
@@ -375,7 +146,7 @@ def _emb_point(field, results):
     _check(results, "four_planes_point", "HP(R/J) = 6t - 1",
            hilbert(J).hp_string(), "6t - 1")
     _check(results, "four_planes_point", "J saturated",
-           saturate_irrelevant(J).equals(J), True)
+           is_saturated(J), True)
     top = top_comb(arr)
     _check(results, "four_planes_point", "HP(R/top) = 6t - 2",
            hilbert(top).hp_string(), "6t - 2")
@@ -462,7 +233,6 @@ def _rao_blocks(field, results):
 
 
 def _graphic(field, results):
-    from .arrangement import generic_section
     octa = load_graph("octahedron")
     holds, _ = triangle_condition(octa)
     _check(results, "octahedron", "shares a triangle edge", holds, False)

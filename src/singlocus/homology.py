@@ -558,12 +558,38 @@ def schreyer_syzygies(gens, twists=None):
     return out
 
 
+def _in_schreyer_order(level, entries, nvars):
+    """Relabel a level's generators, and the columns of the map into it.
+
+    Generators are sorted by component, then by leading monomial in
+    descending lex order with x_0 first.  For a pair i < j in one
+    component the multiplier lcm/lt_i then has exponent 0 wherever lt_i's
+    exponent is at least lt_j's, which includes the first variable the
+    level's leading terms still use.  So each level's leading terms avoid
+    one more variable than the last, and the resolution has length at
+    most nvars (Eisenbud, Commutative Algebra, Cor. 15.11).
+    """
+    shift = WIDTH * nvars
+
+    def key(i):
+        cw = level.lt_cw[i]
+        return cw >> shift, tuple(-e for e in _unpack_plain(cw, nvars))
+
+    perm = sorted(range(len(level.vectors)), key=key)
+    new_index = {old: new for new, old in enumerate(perm)}
+    ordered = _SyzygyLevel([level.vectors[i] for i in perm],
+                           [level.degrees[i] for i in perm], level.mult)
+    return ordered, {(r, new_index[c]): p for (r, c), p in entries.items()}
+
+
 def _schreyer_resolution(ideal):
     """Non-minimal resolution of R/I via iterated syzygy steps.
 
     Returns (twist_lists, map_entry_dicts): twist_lists[k] are the
     generator degrees of F_k (twist_lists[0] == [0]), and
     map_entry_dicts[k] holds {(r, c): Polynomial} for F_{k+1} -> F_k.
+    Each level is put in Schreyer's order before its syzygies are taken,
+    which bounds the length by the number of variables.
     """
     ring = ideal.ring
     gb = ideal.groebner(GREVLEX)
@@ -571,10 +597,14 @@ def _schreyer_resolution(ideal):
         return [[0]], []
     degrees = [p.total_degree() for p in gb.polys]
     level = _level_from_ring_gb(gb._polys, degrees)
+    entries = {(0, c): p for c, p in enumerate(gb.polys)}
 
-    twist_lists = [[0], list(degrees)]
-    maps = [{(0, c): p for c, p in enumerate(gb.polys)}]
+    twist_lists = [[0]]
+    maps = []
     for _ in range(ring.nvars + 1):
+        level, entries = _in_schreyer_order(level, entries, ring.nvars)
+        maps.append(entries)
+        twist_lists.append(level.degrees)
         nxt, columns = _schreyer_step(level, gb._engine)
         if nxt is None:
             break
@@ -583,8 +613,6 @@ def _schreyer_resolution(ideal):
             for r, terms in col.items():
                 entries[(r, c)] = Polynomial(
                     ring, {tuple(e): co for e, co in terms})
-        maps.append(entries)
-        twist_lists.append(list(nxt.degrees))
         level = nxt
     else:
         raise AssertionError("resolution exceeded the variable-count bound")
@@ -746,6 +774,18 @@ def is_cm(ideal):
     return pd == codim
 
 
+def is_saturated(ideal):
+    """Whether I equals its saturation by the irrelevant ideal.
+
+    By Auslander-Buchsbaum, a proper homogeneous I in N variables is
+    saturated exactly when depth R/I >= 1, that is pd(R/I) <= N - 1; the
+    projective dimension is read off the cached minimal resolution.
+    """
+    if ideal.is_unit():
+        return True
+    return minimal_free_resolution(ideal).length < ideal.ring.nvars
+
+
 def _monomials_of_degree(nvars, d):
     if d < 0:
         return []
@@ -774,7 +814,7 @@ def rao_dimensions(ideal):
     h = hilbert(ideal)
     if ring.nvars - h.dimension != 2:
         raise ValidationError("deficiency tables require codimension 2")
-    if res.length > 3:
+    if not is_saturated(ideal):
         raise ValidationError(
             "projective dimension exceeds 3 (ideal is not saturated)")
     if res.length <= 2:

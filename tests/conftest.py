@@ -7,6 +7,7 @@ through the constant strands of the raw (non-minimal) resolution.
 """
 
 import itertools
+from importlib.resources import files
 
 import pytest
 
@@ -14,6 +15,9 @@ from singlocus import linalg
 from singlocus.groebner import GREVLEX
 from singlocus.homology import _schreyer_resolution
 from singlocus.polyring import GF, QQ, DEFAULT_PRIME, PolyRing
+
+#: the corpus `.arr` and `.graph` files shipped with the package
+CORPUS_DIR = files("singlocus") / "arrangements"
 
 
 @pytest.fixture

@@ -24,7 +24,8 @@ from singlocus.corpus import load_arrangement, load_graph, run_regressions
 from singlocus.groebner import (Ideal, ideal_equal, radical_membership,
                                 saturate_irrelevant)
 from singlocus.homology import (betti_of, dimensions, hilbert, is_cm,
-                                minimal_free_resolution, rao_dimensions)
+                                is_saturated, minimal_free_resolution,
+                                rao_dimensions)
 from singlocus.liaison import (LiaisonStep, basic_double_link, construct_lr,
                                construct_lr_radical, hilbert_additivity_holds,
                                liaison_addition, shifted_rao_sum,
@@ -70,6 +71,7 @@ def test_criterion_1_fifteen_planes():
     J = jacobian_ideal(arr)
     top = top_comb(arr)
     assert saturate_irrelevant(J).equals(J)          # J = J^sat
+    assert is_saturated(J)                           # read off pd(R/J)
     assert J.equals(top)                             # J^sat = top part
     bj = betti_of(J)
     assert bj.totals() == [1, 4, 4, 1]

@@ -14,7 +14,8 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    standard_ring, symbolic_intersection,
                                    top_comb, triangle_condition,
                                    uniform_powers)
-from singlocus.corpus import ARRANGEMENTS, GRAPHS, load_arrangement, load_graph
+from conftest import CORPUS_DIR
+from singlocus.corpus import load_arrangement, load_graph
 from singlocus.errors import ParseError, ValidationError
 from singlocus.groebner import ideal_equal, Ideal, radical_membership
 from singlocus.homology import hilbert, is_cm
@@ -48,18 +49,10 @@ class TestParsing:
             parse_arrangement("vars: x y\nx\nx + 3\n")
         assert "line 3" in str(err.value)
 
-    def test_corpus_files_match_loader(self, tmp_path):
-        text = ARRANGEMENTS["fifteen_planes"]
-        arr = parse_arrangement(text)
+    def test_corpus_files_match_loader(self):
+        arr = parse_arrangement((CORPUS_DIR / "fifteen_planes.arr").read_text())
         assert arr.d == 15
-
-    def test_repo_files_in_sync_with_corpus(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent / "arrangements"
-        for name, text in ARRANGEMENTS.items():
-            assert (root / f"{name}.arr").read_text() == text
-        for name, text in GRAPHS.items():
-            assert (root / f"{name}.graph").read_text() == text
+        assert arr.forms == load_arrangement("fifteen_planes").forms
 
     def test_graph_parsing(self):
         g = parse_graph("vertices: 3\nedge: 1 2\nedge: 2 3\n")

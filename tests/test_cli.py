@@ -6,17 +6,13 @@ import sys
 
 import pytest
 
+from conftest import CORPUS_DIR
 from singlocus.cli import main
-from singlocus.corpus import ARRANGEMENTS, GRAPHS
 
 
 @pytest.fixture
-def arr_dir(tmp_path):
-    for name, text in ARRANGEMENTS.items():
-        (tmp_path / f"{name}.arr").write_text(text)
-    for name, text in GRAPHS.items():
-        (tmp_path / f"{name}.graph").write_text(text)
-    return tmp_path
+def arr_dir():
+    return CORPUS_DIR
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +53,15 @@ class TestIdealCommands:
                                str(arr_dir / "pencil_three.arr"))
         assert code == 0
         assert "degree: 4" in out
+        assert "regularity index:" in out
+        assert "Cohen-Macaulay" not in out
+
+    def test_jacobian_betti_skips_saturation(self, capsys, arr_dir):
+        code, out, _ = run_cli(capsys, "jacobian", "--betti",
+                               str(arr_dir / "four_planes_point.arr"))
+        assert code == 0
+        assert "Tot:" in out
+        assert "saturated" not in out and "unmixed" not in out
 
     def test_selector_commands(self, capsys, arr_dir):
         path = str(arr_dir / "seven_planes.arr")
@@ -218,6 +223,12 @@ class TestErrorPaths:
                                str(arr_dir / "star_four.arr"))
         assert code == 1
         assert "override" in err
+
+    def test_usage_error_exit_code(self, capsys, arr_dir):
+        code, _, err = run_cli(capsys, "hilbert", "--order", "lex",
+                               str(arr_dir / "seven_planes.arr"))
+        assert code == 1
+        assert "unrecognized arguments" in err
 
     def test_corpus_single_entry(self, capsys):
         code, out, _ = run_cli(capsys, "corpus", "--entry", "emb_point")

@@ -11,6 +11,7 @@ from singlocus.groebner import (GroebnerBasis, Ideal, buchberger_criterion_holds
                                 intersect_many, normal_form,
                                 radical_membership, reduced_groebner, saturate,
                                 saturate_by_variable, saturate_irrelevant)
+from singlocus.homology import is_saturated
 from singlocus.polyring import GF, LEX, QQ, GREVLEX, PolyRing
 
 
@@ -190,17 +191,20 @@ class TestColonAndSaturation:
         x, y, z, w = vars_p
         ideal = Ideal(ring_p, (x, y))
         assert ideal_equal(saturate_irrelevant(ideal), ideal)
+        assert is_saturated(ideal)
 
     def test_saturate_irrelevant_primary(self, ring_p, vars_p):
         x, y, z, w = vars_p
         m2 = Ideal(ring_p, (x, y, z, w)).power(2)
         assert saturate_irrelevant(m2).is_unit()
+        assert not is_saturated(m2)
 
     def test_variable_saturation_keeps_saturated_ideals(self, ring_p, vars_p):
         x, y, z, w = vars_p
         # (x^2) is saturated even though x-saturation alone would destroy it
         ideal = Ideal(ring_p, (x * x,))
         assert ideal_equal(saturate_irrelevant(ideal), ideal)
+        assert is_saturated(ideal)
         assert saturate_by_variable(ideal, 0).is_unit()
 
     def test_matches_iterated_colon_by_m(self, ring_p, vars_p):

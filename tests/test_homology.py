@@ -8,14 +8,37 @@ from hypothesis import given, settings, strategies as st
 from conftest import (betti_by_strand_homology, deficiency_by_ext,
                       membership_by_linear_algebra, monomials_of_degree,
                       standard_monomial_count)
+from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
+                                   top_comb)
+from singlocus.corpus import load_arrangement
 from singlocus.errors import ValidationError
-from singlocus.groebner import Ideal, intersect, intersect_many
+from singlocus.groebner import (Ideal, intersect, intersect_many,
+                                saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
-                                betti_json, betti_of, betti_table, betti_text,
-                                dimensions, hilbert, is_cm,
-                                minimal_free_resolution, rao_dimensions,
-                                schreyer_syzygies)
+                                _schreyer_resolution, betti_json, betti_of,
+                                betti_table, betti_text, dimensions, hilbert,
+                                is_cm, is_saturated, minimal_free_resolution,
+                                rao_dimensions, schreyer_syzygies)
 from singlocus.polyring import GF, QQ, PolyRing
+
+# Six planes from a random sweep: the Jacobian ideal has projective
+# dimension 4 (it is not saturated), and its resolution overran the
+# variable-count bound before the levels were put in Schreyer's order.
+SWEEP_SIX = """\
+vars: x y z w
+3*x + 3*y - 2*z - 3*w
+3*x - y - z - 3*w
+3*x - z + 2*w
+-3*x + y + 3*z + w
+-y - z + 3*w
+2*x - 3*y - 2*z - 2*w
+"""
+
+
+def _arrangement(name):
+    if name == "sweep_six":
+        return parse_arrangement(SWEEP_SIX)
+    return load_arrangement(name)
 
 
 class TestSyzygies:
@@ -345,3 +368,34 @@ class TestCoordinateChangeInvariance:
         moved = apply_coordinate_change(arr, matrix)
         assert betti_of(top_comb(arr)).entries == \
             betti_of(top_comb(moved)).entries
+
+
+class TestSchreyerOrder:
+    @pytest.mark.parametrize("name", ["eleven_planes", "sweep_six"])
+    def test_jacobian_resolves_within_the_bound(self, name):
+        J = jacobian_ideal(_arrangement(name))
+        _, raw_maps = _schreyer_resolution(J)
+        assert len(raw_maps) <= 4
+        assert betti_of(J).entries == betti_by_strand_homology(J)
+
+
+class TestSaturationFromResolution:
+    @pytest.mark.parametrize("name", ["four_planes_point", "seven_planes",
+                                      "eight_planes", "free_not_cm",
+                                      "sweep_six"])
+    def test_against_saturate_irrelevant(self, name):
+        arr = _arrangement(name)
+        J = jacobian_ideal(arr)
+        top = top_comb(arr)
+        sat = saturate_irrelevant(J)
+        assert is_saturated(J) == sat.equals(J)
+        assert is_saturated(top) == saturate_irrelevant(top).equals(top)
+        # J <= J^sat <= top with both saturated: unmixed iff equal HPs
+        assert (hilbert(J).hp_coeffs == hilbert(top).hp_coeffs) == \
+            sat.equals(top)
+
+    def test_unit_and_maximal_ideals(self, ring_p):
+        m = Ideal(ring_p, ring_p.variables())
+        assert is_saturated(Ideal(ring_p, (ring_p.one(),)))
+        assert not is_saturated(m)
+        assert not is_saturated(m.power(2))
