@@ -6,18 +6,31 @@ under monomial multiplication, so the inner reduction loop is pure
 integer arithmetic: no exponent tuples are touched until conversion back
 to the public Polynomial type.
 
+A polynomial under reduction lives in a `_Dividend`: a dict from order
+key to coefficient, a dict from order key to packed exponents and a heap
+of the keys.  Subtracting c * x^m * g touches only the terms of g, so a
+reduction step costs O(len(g) log n) however long the dividend is; the
+goal is that of Yan's geobuckets (1998, "The geobucket data structure
+for polynomials"), with a heap in place of the buckets.  The same
+dividend serves normal forms, S-polynomials, exact division and the
+Schreyer syzygy step, over F_p and over Q alike.
+
 Buchberger completion uses the Gebauer-Moller pair criteria with
 sugar-degree selection (ties by the pair lcm under the ambient order),
 which is enough to keep every corpus computation within its budget.
+Inputs that are already Groebner bases can be fed as blocks, whose
+internal pairs are never formed; `intersect` feeds t*G_a and (1-t)*G_b
+this way and keeps the reduced basis of the intersection it finds.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from heapq import heappop, heappush
+from itertools import islice
 
 from .errors import InternalLimitError, RingContextError, ValidationError
-from .polyring import (GREVLEX, WIDTH, MonomialOrder, PolyRing, Polynomial,
-                       elimination_order)
+from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, MonomialOrder, PolyRing,
+                       Polynomial, elimination_order)
 
 _SATURATION_CAP = 64
 
@@ -49,6 +62,10 @@ def _guard(nvars):
 
 
 def _to_internal(poly, keyf):
+    if poly.terms and max(map(sum, poly.terms)) > MAX_DEGREE:
+        raise InternalLimitError(
+            f"a term of degree above {MAX_DEGREE} does not fit the packed "
+            "exponent fields")
     items = [(keyf(e), _pack_plain(e), c) for e, c in poly.terms.items()]
     items.sort(reverse=True)
     return items
@@ -58,68 +75,59 @@ def _from_internal(terms, ring):
     return Polynomial(ring, {_unpack_plain(w, ring.nvars): c for _, w, c in terms})
 
 
-def _merge_sub_p(f, i0, g, c, mk, mw, p):
-    """f[i0:] - c * x^m * g over F_p, merged by descending key."""
-    out = []
-    push = out.append
-    i, j = i0, 0
-    nf, ng = len(f), len(g)
-    while i < nf and j < ng:
-        fi = f[i]
-        gj = g[j]
-        kg = gj[0] + mk
-        kf = fi[0]
-        if kf > kg:
-            push(fi)
-            i += 1
-        elif kf < kg:
-            push((kg, gj[1] + mw, (-c * gj[2]) % p))
-            j += 1
-        else:
-            cc = (fi[2] - c * gj[2]) % p
-            if cc:
-                push((kf, fi[1], cc))
-            i += 1
-            j += 1
-    if i < nf:
-        out.extend(f[i:])
-    while j < ng:
-        gj = g[j]
-        push((gj[0] + mk, gj[1] + mw, (-c * gj[2]) % p))
-        j += 1
-    return out
+class _Dividend:
+    """A polynomial under reduction, in descending key order on demand.
 
+    `coeffs` maps key -> coefficient, `exps` maps key -> packed exponents
+    and `heap` holds each live key once, negated.  Over F_p coefficients
+    are left unreduced until their term is popped, so the subtraction
+    loop is the same for both fields; a coefficient that cancels stays
+    until its key leaves the heap and is then skipped.
+    """
 
-def _merge_sub_q(f, i0, g, c, mk, mw):
-    """Rational-coefficient variant of _merge_sub_p."""
-    out = []
-    push = out.append
-    i, j = i0, 0
-    nf, ng = len(f), len(g)
-    while i < nf and j < ng:
-        fi = f[i]
-        gj = g[j]
-        kg = gj[0] + mk
-        kf = fi[0]
-        if kf > kg:
-            push(fi)
-            i += 1
-        elif kf < kg:
-            push((kg, gj[1] + mw, -c * gj[2]))
-            j += 1
-        else:
-            cc = fi[2] - c * gj[2]
-            if cc:
-                push((kf, fi[1], cc))
-            i += 1
-            j += 1
-    if i < nf:
-        out.extend(f[i:])
-    while j < ng:
-        gj = g[j]
-        push((gj[0] + mk, gj[1] + mw, -c * gj[2]))
-        j += 1
-    return out
+    __slots__ = ("coeffs", "exps", "heap", "p")
+
+    def __init__(self, terms, p):
+        """`terms` is sorted by descending key, so the negated keys form a heap."""
+        self.coeffs = {k: c for k, _, c in terms}
+        self.exps = {k: w for k, w, _ in terms}
+        self.heap = [-k for k, _, _ in terms]
+        self.p = p
+
+    def sub(self, g, c, mk, mw):
+        """Subtract c * x^m * g without its leading term.
+
+        The caller has already removed the term that c * x^m * g[0]
+        cancels (a popped leading term, or the other half of an
+        S-polynomial).
+        """
+        coeffs = self.coeffs
+        exps = self.exps
+        heap = self.heap
+        for gk, gw, gc in islice(g, 1, None):
+            k = gk + mk
+            v = coeffs.get(k)
+            if v is None:
+                coeffs[k] = -c * gc
+                exps[k] = gw + mw
+                heappush(heap, -k)
+            else:
+                coeffs[k] = v - c * gc
+
+    def pop(self):
+        """Remove and return the leading nonzero term, or None when zero."""
+        heap = self.heap
+        coeffs = self.coeffs
+        p = self.p
+        while heap:
+            k = -heappop(heap)
+            c = coeffs.pop(k)
+            w = self.exps.pop(k)
+            if p:
+                c %= p
+            if c:
+                return k, w, c
+        return None
 
 
 class _Engine:
@@ -131,9 +139,6 @@ class _Engine:
         self.keyf = ring.key_func(order)
         self.guard = _guard(ring.nvars)
         self.p = ring.field.p
-        # merge_sub(f, i0, g, c, mk, mw) = f[i0:] - c * x^m * g in this field
-        self.merge_sub = (_merge_sub_q if self.p is None
-                          else partial(_merge_sub_p, p=self.p))
 
     # -- reduction ---------------------------------------------------------
     def monic(self, terms):
@@ -146,52 +151,66 @@ class _Engine:
             return [(k, w, (cc * ic) % p) for k, w, cc in terms]
         return [(k, w, cc / c) for k, w, cc in terms]
 
-    def normal_form(self, terms, lt_ws, lt_keys, polys, full=True):
-        """Reduce `terms` against the basis; full tail reduction if `full`."""
+    def s_dividend(self, gi, gj, lcm_key, lcm_w):
+        """The S-polynomial of two monic terms lists, as a dividend."""
+        mik = lcm_key - gi[0][0]
+        miw = lcm_w - gi[0][1]
+        acc = _Dividend([(k + mik, w + miw, c) for k, w, c in islice(gi, 1, None)],
+                        self.p)
+        acc.sub(gj, self.ring.field.one, lcm_key - gj[0][0], lcm_w - gj[0][1])
+        return acc
+
+    def reduce(self, acc, lt_ws, lt_keys, polys):
+        """Full normal form of a dividend against a list of monic polys.
+
+        Each leading term is reduced by the first basis element whose
+        leading monomial divides it; irreducible terms are emitted in
+        descending key order.
+        """
         guard = self.guard
-        merge_sub = self.merge_sub
         nbasis = len(lt_ws)
-        prefix = []
-        work = terms
-        i0 = 0
-        while i0 < len(work):
-            k, w, c = work[i0]
+        out = []
+        while True:
+            term = acc.pop()
+            if term is None:
+                return out
+            k, w, c = term
             wg = w | guard
-            red = -1
             for idx in range(nbasis):
                 if (wg - lt_ws[idx]) & guard == guard:
-                    red = idx
+                    acc.sub(polys[idx], c, k - lt_keys[idx], w - lt_ws[idx])
                     break
-            if red < 0:
-                if not full:
-                    prefix.extend(work[i0:])
-                    return prefix
-                prefix.append(work[i0])
-                i0 += 1
             else:
-                # every reducer list is monic: add() and the final pass make it so
-                work = merge_sub(work, i0, polys[red], c, k - lt_keys[red],
-                                 w - lt_ws[red])
-                i0 = 0
-        return prefix
+                out.append(term)
+
+    def normal_form(self, terms, lt_ws, lt_keys, polys):
+        return self.reduce(_Dividend(terms, self.p), lt_ws, lt_keys, polys)
 
     # -- Buchberger --------------------------------------------------------
-    def buchberger(self, gens_internal, stop_on_unit=False):
+    def buchberger(self, gens_internal, stop_on_unit=False, blocks=()):
+        """Reduced Groebner basis of the generators and blocks.
+
+        Each generator is reduced against the basis so far before it
+        joins.  Each block must already be a Groebner basis of the ideal
+        it generates, in this order; its elements join as they are, and
+        no pair inside one block is formed: its S-polynomial already has
+        a standard representation in the block.
+        """
         polys = []
         lt_keys = []
         lt_ws = []
         lt_exps = []
         sugars = []
+        block_of = []
         pairs = []  # [sugar, lcm_key, i, j, lcm_exps]
         nvars = self.ring.nvars
         keyf = self.keyf
-        one = self.ring.field.one
         found_unit = False
 
         def exps_of_w(w):
             return _unpack_plain(w, nvars)
 
-        def add(terms, sugar):
+        def add(terms, sugar, block=None):
             nonlocal found_unit
             terms = self.monic(terms)
             t = len(polys)
@@ -225,6 +244,8 @@ class _Engine:
                 if coprime:
                     continue  # B1: the surviving pair has coprime lts, drop it
                 i = min(idxs)
+                if block is not None and block_of[i] == block:
+                    continue  # standard representation inside the block
                 s = max(sugars[i] + sum(lcm) - sum(lt_exps[i]),
                         sugar + sum(lcm) - sum(e_new))
                 new_pairs.append([s, keyf(lcm), i, t, lcm])
@@ -245,31 +266,34 @@ class _Engine:
             lt_ws.append(terms[0][1])
             lt_exps.append(e_new)
             sugars.append(sugar)
+            block_of.append(block)
+
+        def sugar_of(terms):
+            return max(sum(exps_of_w(w)) for _, w, _ in terms)
 
         for terms in sorted(gens_internal, key=lambda t: t[0][0]):
             if not terms:
                 continue
-            sugar = max(sum(exps_of_w(w)) for _, w, _ in terms)
             nf = self.normal_form(terms, lt_ws, lt_keys, polys)
             if nf:
-                add(nf, sugar)
+                add(nf, sugar_of(terms))
             if found_unit and stop_on_unit:
                 return self._unit_basis()
+        for b, block in enumerate(blocks):
+            for terms in block:
+                add(terms, sugar_of(terms), b)
 
         while pairs:
             best = min(range(len(pairs)), key=lambda ix: (pairs[ix][0], pairs[ix][1],
                                                           pairs[ix][2], pairs[ix][3]))
             sugar, lcm_key, i, j, lcm = pairs.pop(best)
-            gi, gj = polys[i], polys[j]
-            mik = lcm_key - lt_keys[i]
-            miw = _pack_plain(lcm) - lt_ws[i]
-            sp = [(k + mik, w + miw, c) for k, w, c in gi]
-            mjk = lcm_key - lt_keys[j]
-            mjw = _pack_plain(lcm) - lt_ws[j]
-            sp = self.merge_sub(sp, 0, gj, one, mjk, mjw)
-            if not sp:
-                continue
-            nf = self.normal_form(sp, lt_ws, lt_keys, polys)
+            if sugar > MAX_DEGREE:
+                # the sugar bounds the degree of every term of this reduction
+                raise InternalLimitError(
+                    f"an S-polynomial of degree above {MAX_DEGREE} does not fit "
+                    "the packed exponent fields")
+            acc = self.s_dividend(polys[i], polys[j], lcm_key, _pack_plain(lcm))
+            nf = self.reduce(acc, lt_ws, lt_keys, polys)
             if nf:
                 add(nf, sugar)
                 if found_unit and stop_on_unit:
@@ -305,14 +329,16 @@ class _Engine:
 class GroebnerBasis:
     """Reduced Groebner basis of an ideal for a fixed monomial order."""
 
-    def __init__(self, ring, order, internal):
+    def __init__(self, ring, order, internal, polys=None):
+        """`polys`, when given, are the public forms of `internal`."""
         self.ring = ring
         self.order = order
         self._engine = _Engine(ring, order)
         self._polys = internal
         self._lt_keys = [t[0][0] for t in internal]
         self._lt_ws = [t[0][1] for t in internal]
-        self.polys = tuple(_from_internal(t, ring) for t in internal)
+        self.polys = (tuple(_from_internal(t, ring) for t in internal)
+                      if polys is None else tuple(polys))
 
     def __len__(self):
         return len(self.polys)
@@ -363,13 +389,17 @@ class Ideal:
             engine = _Engine(self.ring, order)
             internal = engine.buchberger([_to_internal(g, engine.keyf)
                                           for g in self.gens])
-            gb = GroebnerBasis(self.ring, order, internal)
-            for g in self.gens:
-                if not gb.contains(g):
-                    raise AssertionError(
-                        "Groebner cache verification failed: generator does not "
-                        "reduce to zero against its own basis")
-            self._cache[order.tag] = gb
+            gb = self._keep(GroebnerBasis(self.ring, order, internal))
+        return gb
+
+    def _keep(self, gb):
+        """Cache a basis once every generator reduces to zero against it."""
+        for g in self.gens:
+            if not gb.contains(g):
+                raise AssertionError(
+                    "Groebner cache verification failed: generator does not "
+                    "reduce to zero against its own basis")
+        self._cache[gb.order.tag] = gb
         return gb
 
     def normal_form(self, f, order=GREVLEX):
@@ -451,38 +481,39 @@ def _t_var(ext):
     return ext.variable(0)
 
 
-def homogeneous_components(poly):
-    """Split a polynomial into its homogeneous graded pieces."""
-    by_deg = {}
-    for e, c in poly.terms.items():
-        by_deg.setdefault(sum(e), {})[e] = c
-    return [Polynomial(poly.ring, t) for _, t in sorted(by_deg.items())]
-
-
 def intersect(a, b):
-    """Ideal intersection via elimination of one auxiliary variable."""
+    """Ideal intersection via elimination of one auxiliary variable.
+
+    The elimination starts from t * G_a and (1 - t) * G_b, where G_a and
+    G_b are the reduced grevlex bases of a and b, fed as two blocks.  The
+    t-free part of the reduced elimination basis is the reduced grevlex
+    basis of the intersection; it becomes the result's generators and
+    its cached basis.
+    """
     if a.ring != b.ring:
         raise RingContextError("ideals in different rings")
     if a.is_zero() or b.is_unit():
         return Ideal(a.ring, a.gens)
     if b.is_zero() or a.is_unit():
         return Ideal(a.ring, b.gens)
-    ext, _ = _extend_ring(a.ring)
+    ring = a.ring
+    ext, _ = _extend_ring(ring)
     t = _t_var(ext)
-    one = ext.one()
-    gens = [t * _lift(g, ext) for g in a.gens]
-    gens += [(one - t) * _lift(g, ext) for g in b.gens]
     engine = _Engine(ext, elimination_order(1))
-    basis = engine.buchberger([_to_internal(g, engine.keyf) for g in gens])
-    out = []
-    for terms in basis:
-        poly = _from_internal(terms, ext)
-        if all(e[0] == 0 for e in poly.terms):
-            dropped = Polynomial(a.ring, {e[1:]: c for e, c in poly.terms.items()})
-            # elements of the (homogeneous) intersection may come out as sums
-            # of graded pieces; each piece lies in the intersection as well
-            out.extend(homogeneous_components(dropped))
-    return Ideal(a.ring, out)
+    blocks = [[_to_internal(m * _lift(g, ext), engine.keyf) for g in ideal.groebner()]
+              for m, ideal in ((t, a), (ext.one() - t, b))]
+    basis = engine.buchberger([], blocks=blocks)
+    # t comes first in the elimination order, so an element with a t-free
+    # leading term is t-free; t is the lowest packed field, and the
+    # elimination key of a t-free monomial is its grevlex key in `ring`
+    t_mask = (1 << WIDTH) - 1
+    internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis
+                if not terms[0][1] & t_mask]
+    out = [_from_internal(terms, ring) for terms in internal]
+    result = Ideal(ring, out,
+                   allow_inhomogeneous=not all(g.is_homogeneous() for g in out))
+    result._keep(GroebnerBasis(ring, GREVLEX, internal, out))
+    return result
 
 
 def intersect_many(ideals):
@@ -512,13 +543,14 @@ def exact_divide(f, g):
     lt_k, lt_w, lt_c = gt[0]
     inv_lc = ring.field.inv(lt_c)
     guard = engine.guard
+    acc = _Dividend(ft, engine.p)
     q = []
-    while ft:
-        k, w, c = ft[0]
+    while (term := acc.pop()) is not None:
+        k, w, c = term
         if ((w | guard) - lt_w) & guard != guard:
             raise ValidationError("inexact polynomial division")
         cc = ring.field.mul(c, inv_lc)
-        ft = engine.merge_sub(ft, 0, gt, cc, k - lt_k, w - lt_w)
+        acc.sub(gt, cc, k - lt_k, w - lt_w)
         q.append((k - lt_k, w - lt_w, cc))
     return _from_internal(q, ring)
 

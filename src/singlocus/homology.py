@@ -33,8 +33,8 @@ _CMAX = (1 << _CB) - 1
 # cw = (c << WIDTH*nvars) | packed(m).  As in the ring engine, exponents
 # stay below MAX_DEGREE, so adding a multiplier's packed exponents never
 # carries into the component, and the guard-bit divisibility test holds
-# unchanged between terms of one component.  The ring merge kernels
-# therefore reduce module vectors too.
+# unchanged between terms of one component.  The ring engine's dividend
+# therefore reduces module vectors too.
 
 
 class _SyzygyLevel:
@@ -69,7 +69,6 @@ def _schreyer_step(level, engine):
     """
     ring = engine.ring
     guard = engine.guard
-    merge_sub = engine.merge_sub
     nvars = ring.nvars
     shift = WIDTH * nvars
     keyf = engine.keyf
@@ -114,13 +113,13 @@ def _schreyer_step(level, engine):
         ej = _unpack_plain(lt_cw[j], nvars)
         lcm = tuple(a + b for a, b in zip(u, ei))
         uj = tuple(a - b for a, b in zip(lcm, ej))
-        mk_i, dw_i = keyf(u) * mult, _pack_plain(u)
-        sp = [(vk + mk_i, cw + dw_i, co) for vk, cw, co in vectors[i]]
-        sp = merge_sub(sp, 0, vectors[j], one, keyf(uj) * mult, _pack_plain(uj))
+        dw_i = _pack_plain(u)
+        lcm_vkey = lt_vkey[i] + keyf(u) * mult
+        sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lt_cw[i] + dw_i)
         # reduce to zero, recording quotients
         quotients = [(i, u, one), (j, uj, field.neg(one))]
-        while sp:
-            vk, cw, co = sp[0]
+        while (term := sp.pop()) is not None:
+            vk, cw, co = term
             red = -1
             wg = cw | guard
             for idx in by_comp.get(cw >> shift, ()):
@@ -132,7 +131,7 @@ def _schreyer_step(level, engine):
                     "input to the syzygy step was not a Groebner basis "
                     "(S-vector does not reduce to zero)")
             dm = cw - lt_cw[red]
-            sp = merge_sub(sp, 0, vectors[red], co, vk - lt_vkey[red], dm)
+            sp.sub(vectors[red], co, vk - lt_vkey[red], dm)
             quotients.append((red, _unpack_plain(dm, nvars), field.neg(co)))
         # assemble the syzygy as a vector in the new free module
         terms = []

@@ -61,11 +61,44 @@ class RationalField:
         return hash("QQ")
 
 
+#: Miller-Rabin with these bases decides primality exactly below the bound
+#: (Sorenson and Webster 2017, "Strong pseudoprimes to twelve prime bases")
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin test, exact for 0 <= n < _MR_BOUND."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """F_p for an odd prime p, elements stored as ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 3 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise ValidationError(
+                f"field characteristic {p} is too large to certify as a prime")
+        if p < 3 or not _is_prime(p):
             raise ValidationError(f"field characteristic {p} is not an odd prime")
         self.p = p
         self.zero = 0

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own fast paths: ideal
 membership goes through a Macaulay-style matrix, Hilbert values through
 standard-monomial counting, Betti numbers and deficiency dimensions
-through the constant strands of the raw (non-minimal) resolution.
+through the constant strands of the raw (non-minimal) resolution, and
+normal forms through the copy-the-dividend merge the engine used before
+its dividend accumulator.
 """
 
 import itertools
@@ -72,6 +74,98 @@ def membership_by_linear_algebra(f, ideal, order=GREVLEX):
     if not rows:
         return all(field.is_zero(c) for c in target)
     return linalg.solve_in_span(target, rows, field) is not None
+
+
+def merge_sub_p(f, i0, g, c, mk, mw, p):
+    """f[i0:] - c * x^m * g over F_p, merged by descending key."""
+    out = []
+    push = out.append
+    i, j = i0, 0
+    nf, ng = len(f), len(g)
+    while i < nf and j < ng:
+        fi = f[i]
+        gj = g[j]
+        kg = gj[0] + mk
+        kf = fi[0]
+        if kf > kg:
+            push(fi)
+            i += 1
+        elif kf < kg:
+            push((kg, gj[1] + mw, (-c * gj[2]) % p))
+            j += 1
+        else:
+            cc = (fi[2] - c * gj[2]) % p
+            if cc:
+                push((kf, fi[1], cc))
+            i += 1
+            j += 1
+    if i < nf:
+        out.extend(f[i:])
+    while j < ng:
+        gj = g[j]
+        push((gj[0] + mk, gj[1] + mw, (-c * gj[2]) % p))
+        j += 1
+    return out
+
+
+def merge_sub_q(f, i0, g, c, mk, mw):
+    """Rational-coefficient variant of merge_sub_p."""
+    out = []
+    push = out.append
+    i, j = i0, 0
+    nf, ng = len(f), len(g)
+    while i < nf and j < ng:
+        fi = f[i]
+        gj = g[j]
+        kg = gj[0] + mk
+        kf = fi[0]
+        if kf > kg:
+            push(fi)
+            i += 1
+        elif kf < kg:
+            push((kg, gj[1] + mw, -c * gj[2]))
+            j += 1
+        else:
+            cc = fi[2] - c * gj[2]
+            if cc:
+                push((kf, fi[1], cc))
+            i += 1
+            j += 1
+    if i < nf:
+        out.extend(f[i:])
+    while j < ng:
+        gj = g[j]
+        push((gj[0] + mk, gj[1] + mw, -c * gj[2]))
+        j += 1
+    return out
+
+
+def merge_normal_form(terms, lt_ws, lt_keys, polys, guard, p):
+    """Full normal form of engine terms against monic engine polys.
+
+    Reduces the largest reducible term by the first basis element whose
+    leading monomial divides it, rebuilding the remaining dividend by a
+    merge at every step (p is None over Q).
+    """
+    prefix = []
+    work = terms
+    i0 = 0
+    while i0 < len(work):
+        k, w, c = work[i0]
+        red = next((idx for idx, lw in enumerate(lt_ws)
+                    if ((w | guard) - lw) & guard == guard), -1)
+        if red < 0:
+            prefix.append(work[i0])
+            i0 += 1
+        elif p is None:
+            work = merge_sub_q(work, i0, polys[red], c, k - lt_keys[red],
+                               w - lt_ws[red])
+            i0 = 0
+        else:
+            work = merge_sub_p(work, i0, polys[red], c, k - lt_keys[red],
+                               w - lt_ws[red], p)
+            i0 = 0
+    return prefix
 
 
 def standard_monomial_count(ideal, d):

@@ -1,18 +1,22 @@
 """Groebner engine and ideal toolbox."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import membership_by_linear_algebra, monomials_of_degree
+from conftest import (membership_by_linear_algebra, merge_normal_form,
+                      monomials_of_degree, standard_monomial_count)
 from singlocus.errors import InternalLimitError, ValidationError
-from singlocus.groebner import (GroebnerBasis, Ideal, buchberger_criterion_holds,
-                                colon, eliminate, exact_divide,
-                                homogeneous_components, ideal_equal, intersect,
+from singlocus.groebner import (GroebnerBasis, Ideal, _Engine, _to_internal,
+                                buchberger_criterion_holds, colon, eliminate,
+                                exact_divide, ideal_equal, intersect,
                                 intersect_many, normal_form,
                                 radical_membership, reduced_groebner, saturate,
                                 saturate_by_variable, saturate_irrelevant)
 from singlocus.homology import is_saturated
-from singlocus.polyring import GF, LEX, QQ, GREVLEX, PolyRing
+from singlocus.polyring import (GF, LEX, QQ, GREVLEX, PolyRing,
+                                elimination_order)
 
 
 @pytest.fixture
@@ -143,6 +147,28 @@ class TestIntersection:
         x, y, z, w = ring_q.variables()
         got = intersect(Ideal(ring_q, (x, y)), Ideal(ring_q, (z, w)))
         assert ideal_equal(got, Ideal(ring_q, (x * z, x * w, y * z, y * w)))
+
+    def test_inhomogeneous_input(self):
+        ring = PolyRing(("x", "y"), GF(32003))
+        x, y = ring.variables()
+        a = Ideal(ring, (x - 1,), allow_inhomogeneous=True)
+        got = intersect(a, Ideal(ring, (y,)))
+        assert not got.contains(y)
+        assert got.contains(x * y - y)
+        assert ideal_equal(got, Ideal(ring, (x * y - y,), allow_inhomogeneous=True))
+
+    @pytest.mark.parametrize("ring", ["ring_p", "ring_q"])
+    def test_cached_basis_matches_a_fresh_one(self, ring, request):
+        ring = request.getfixturevalue(ring)
+        x, y, z, w = ring.variables()
+        a = Ideal(ring, (x * x - y * z, x * w))
+        b = Ideal(ring, (y * y, 2 * x * y + z * w, w * w * w))
+        got = intersect(a, b)
+        cached = got.groebner()
+        assert list(cached.polys) == list(got.gens)
+        fresh = Ideal(ring, got.gens).groebner()
+        assert fresh.polys == cached.polys
+        assert fresh._polys == cached._polys
 
 
 class TestColonAndSaturation:
@@ -289,17 +315,107 @@ class TestExactDivision:
             exact_divide(x * x + y, x)
 
 
-class TestHomogeneousComponents:
-    def test_split(self, ring_p, vars_p):
-        x, y, z, w = vars_p
-        f = x + x * y + z * w + w * w * w
-        comps = homogeneous_components(f)
-        assert [c.total_degree() for c in comps] == [1, 2, 3]
-        total = ring_p.zero()
-        for c in comps:
-            assert c.is_homogeneous()
-            total = total + c
-        assert total == f
+class TestPackedLimits:
+    """Degrees above MAX_DEGREE do not fit the packed exponent fields."""
+
+    @pytest.fixture
+    def xy(self):
+        ring = PolyRing(("x", "y"), GF(32003))
+        return ring.variables()
+
+    def test_query_above_the_limit(self, xy):
+        x, y = xy
+        with pytest.raises(InternalLimitError):
+            Ideal(x.ring, (x ** 20000, y)).contains(x ** 40000)
+
+    def test_generator_above_the_limit(self, xy):
+        x, y = xy
+        with pytest.raises(InternalLimitError):
+            Ideal(x.ring, (x ** 32768, y)).groebner()
+
+    def test_pair_sugar_above_the_limit(self, xy):
+        x, y = xy
+        with pytest.raises(InternalLimitError):
+            Ideal(x.ring, (x ** 20000 * y, x * y ** 20000)).groebner()
+
+    def test_at_the_limit(self, xy):
+        x, y = xy
+        ideal = Ideal(x.ring, (x ** 32767, y))
+        assert ideal.contains(x ** 32767 + y ** 32767)
+        assert not ideal.contains(x ** 32766)
+
+
+def _random_poly(rng, ring, nterms, maxdeg):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, maxdeg)):
+            exps[rng.randrange(ring.nvars)] += 1
+        if ring.field.p is None:
+            terms[tuple(exps)] = QQ.from_int(rng.randint(-9, 9)) / rng.randint(1, 4)
+        else:
+            terms[tuple(exps)] = rng.randrange(ring.field.p)
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+def test_normal_form_matches_merge_oracle(field):
+    """The dividend accumulator reduces exactly like the merge kernel.
+
+    The bases are random (not Groebner bases) and the dividends carry
+    multiples of basis elements, so reductions cancel terms often.
+    """
+    rng = random.Random(f"normal form {field}")
+    ring = PolyRing(("x", "y", "z", "w"), field)
+    orders = [GREVLEX, LEX, elimination_order(1), elimination_order(2)]
+    reductions = 0
+    for _ in range(200):
+        engine = _Engine(ring, rng.choice(orders))
+        gens = [g for g in (_random_poly(rng, ring, rng.randint(1, 4), 3)
+                            for _ in range(rng.randint(1, 4)))
+                if g.total_degree()]  # a constant would reduce everything
+        f = _random_poly(rng, ring, rng.randint(0, 6), 5)
+        for g in gens:
+            f = f + _random_poly(rng, ring, 1, 2) * g
+        basis = [engine.monic(_to_internal(g, engine.keyf)) for g in gens]
+        terms = _to_internal(f, engine.keyf)
+        lt_ws = [t[0][1] for t in basis]
+        lt_keys = [t[0][0] for t in basis]
+        got = engine.normal_form(terms, lt_ws, lt_keys, basis)
+        want = merge_normal_form(terms, lt_ws, lt_keys, basis, engine.guard,
+                                 field.p)
+        assert got == want
+        reductions += got != terms
+    assert reductions > 150
+
+
+def test_intersect_random_homogeneous():
+    """Generators lie in both inputs; HF(a∩b) = HF(a) + HF(b) - HF(a+b)."""
+    rng = random.Random("intersect")
+    ring = PolyRing(("x", "y", "z", "w"), GF(32003))
+
+    def random_ideal():
+        gens = []
+        while not gens or (len(gens) < 3 and rng.random() < 0.6):
+            d = rng.randint(1, 3)
+            g = ring.from_terms({m: rng.randint(-4, 4)
+                                 for m in monomials_of_degree(4, d)
+                                 if rng.random() < 0.4})
+            if not g.is_zero():
+                gens.append(g)
+        return Ideal(ring, gens)
+
+    for _ in range(60):
+        a, b = random_ideal(), random_ideal()
+        inter = intersect(a, b)
+        for g in inter.gens:
+            assert membership_by_linear_algebra(g, a)
+            assert membership_by_linear_algebra(g, b)
+        both = a.sum(b)
+        for d in range(max(g.total_degree() for g in inter.gens) + 1):
+            assert standard_monomial_count(inter, d) == (
+                standard_monomial_count(a, d) + standard_monomial_count(b, d)
+                - standard_monomial_count(both, d))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Polynomial layer: orders, arithmetic, derivatives, parsing."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import monomials_of_degree
 from singlocus.errors import ParseError, RingContextError, ValidationError
 from singlocus.polyring import (GF, GREVLEX, LEX, QQ, MonomialOrder, PolyRing,
-                                elimination_order, expand_product, gradient,
+                                _is_prime, elimination_order, expand_product, gradient,
                                 mono_compare, parse_linear_expr,
                                 validate_linear_form)
 
@@ -24,6 +25,30 @@ def grevlex_reference(a, b):
             # smaller trailing exponent means larger monomial
             return 1 if x < y else -1
     return 0
+
+
+def is_prime_by_trial_division(n):
+    return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+class TestPrimeField:
+    def test_agrees_with_trial_division(self):
+        for n in range(-2, 20000):
+            assert _is_prime(n) == is_prime_by_trial_division(n), n
+
+    def test_large_prime_is_quick(self):
+        start = time.perf_counter()
+        field = GF(2 ** 61 - 1)
+        assert time.perf_counter() - start < 0.5
+        assert field.mul(field.inv(12345), 12345) == 1
+
+    @pytest.mark.parametrize("n", [2, 561, 3215031751, 2 ** 61 + 1,
+                                   3317044064679887385961981])
+    def test_rejected(self, n):
+        # 561 is a Carmichael number and 3215031751 a strong pseudoprime
+        # to the bases 2, 3, 5 and 7; the last one is beyond the exact bound
+        with pytest.raises(ValidationError):
+            GF(n)
 
 
 class TestMonomialOrders:
