@@ -170,10 +170,7 @@ class _Engine:
         guard = self.guard
         nbasis = len(lt_ws)
         out = []
-        while True:
-            term = acc.pop()
-            if term is None:
-                return out
+        while (term := acc.pop()) is not None:
             k, w, c = term
             wg = w | guard
             for idx in range(nbasis):
@@ -182,6 +179,7 @@ class _Engine:
                     break
             else:
                 out.append(term)
+        return out
 
     def normal_form(self, terms, lt_ws, lt_keys, polys):
         return self.reduce(_Dividend(terms, self.p), lt_ws, lt_keys, polys)

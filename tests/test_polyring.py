@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import monomials_of_degree
 from singlocus.errors import ParseError, RingContextError, ValidationError
 from singlocus.polyring import (GF, GREVLEX, LEX, QQ, MonomialOrder, PolyRing,
-                                _is_prime, elimination_order, expand_product, gradient,
-                                mono_compare, parse_linear_expr,
+                                _is_prime, elimination_order, expand_product,
+                                gradient, mono_compare, parse_linear_expr,
                                 validate_linear_form)
 
 
