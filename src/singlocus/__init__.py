@@ -13,8 +13,8 @@ from .arrangement import (Arrangement, Flat, Graph, combinatorial_degrees,
                           parse_arrangement, parse_graph, radical_comb,
                           rule_powers, standard_ring, symbolic_intersection,
                           top_comb, triangle_condition, uniform_powers)
-from .errors import (InternalLimitError, ParseError, RingContextError,
-                     SingError, ValidationError)
+from .errors import (InternalLimitError, InvariantError, ParseError,
+                     RingContextError, SingError, ValidationError)
 from .groebner import (GroebnerBasis, Ideal, colon, eliminate, ideal_equal,
                        intersect, intersect_many, normal_form,
                        radical_membership, reduced_groebner, saturate,

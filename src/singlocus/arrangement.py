@@ -14,7 +14,8 @@ import random
 from collections import Counter
 
 from . import linalg
-from .errors import InternalLimitError, ParseError, ValidationError
+from .errors import (InternalLimitError, InvariantError, ParseError,
+                     ValidationError)
 from .groebner import Ideal, intersect_many
 from .polyring import (GF, QQ, DEFAULT_PRIME, PolyRing, Polynomial,
                        expand_product, gradient, linear_coefficients,
@@ -276,7 +277,7 @@ def intersection_flats(arr):
         flats.append(Flat(basis, mem))
         pair_count += len(mem) * (len(mem) - 1) // 2
     if pair_count != d * (d - 1) // 2:
-        raise AssertionError("pair-counting identity failed on the flats")
+        raise InvariantError("pair-counting identity failed on the flats")
     return flats
 
 
@@ -307,7 +308,7 @@ def jacobian_ideal(arr):
     from .homology import hilbert
     codim = arr.ring.nvars - hilbert(ideal).dimension
     if codim != 2:
-        raise AssertionError(f"Jacobian ideal has height {codim}, expected 2")
+        raise InvariantError(f"Jacobian ideal has height {codim}, expected 2")
     return ideal
 
 
@@ -337,7 +338,7 @@ def pencil_component(flat, ring, vecs=None):
     for k in flat.members:
         coords = linalg.solve_in_span(vecs[k], basis_rows, field)
         if coords is None:
-            raise AssertionError("member form fell out of its flat's span")
+            raise InvariantError("member form fell out of its flat's span")
         g = g * pencil.linear_form(coords)
     gs = g.partial_derivative(0).substitute([b1, b2])
     gt = g.partial_derivative(1).substitute([b1, b2])

@@ -3,7 +3,8 @@
 Every command accepts --field, --seed and --json, and emits
 either human-readable text (Betti diagrams in the fixed-width layout) or
 a versioned JSON report.  Exit codes: 0 success, 1 usage, validation or
-parse error, 2 internal limit (saturation or reseed caps).
+parse error, 2 internal limit (packed-exponent degree, saturation or
+reseed caps), 3 internal invariant failure (a bug; please report it).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .arrangement import (_check_prime_safety, combinatorial_degrees,
                           lattice_isomorphic, parse_arrangement, parse_graph,
                           radical_comb, rule_powers, symbolic_intersection,
                           top_comb, triangle_condition, uniform_powers)
-from .errors import InternalLimitError, SingError, ValidationError
+from .errors import (InternalLimitError, InvariantError, SingError,
+                     ValidationError)
 from .groebner import saturate_irrelevant
 from .homology import (betti_json, betti_of, betti_text, dimensions, hilbert,
                        is_cm, is_saturated, rao_dimensions)
@@ -568,6 +570,10 @@ def main(argv=None):
         report.emit(args.json)
         print(f"internal limit: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        report.emit(args.json)
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 3
     except SingError as exc:
         report.emit(args.json)
         print(f"error: {exc}", file=sys.stderr)

@@ -25,3 +25,7 @@ class ValidationError(SingError):
 
 class InternalLimitError(SingError):
     """A hard internal cap was exceeded (saturation loop, reseed retries)."""
+
+
+class InvariantError(SingError):
+    """An internal invariant failed: a bug, never a property of the input."""

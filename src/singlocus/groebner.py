@@ -13,14 +13,28 @@ reduction step costs O(len(g) log n) however long the dividend is; the
 goal is that of Yan's geobuckets (1998, "The geobucket data structure
 for polynomials"), with a heap in place of the buckets.  The same
 dividend serves normal forms, S-polynomials, exact division and the
-Schreyer syzygy step, over F_p and over Q alike.
+Schreyer syzygy step, over F_p and over Q alike.  A popped term whose
+exponents reach a guard bit raises `InternalLimitError`.
 
 Buchberger completion uses the Gebauer-Moller pair criteria with
 sugar-degree selection (ties by the pair lcm under the ambient order),
 which is enough to keep every corpus computation within its budget.
-Inputs that are already Groebner bases can be fed as blocks, whose
-internal pairs are never formed; `intersect` feeds t*G_a and (1-t)*G_b
-this way and keeps the reduced basis of the intersection it finds.
+Within one completion the basis only grows by appending, so each
+monomial's first divisor is remembered (or how far the scan got without
+one) and never searched twice.  Inputs that are already Groebner bases
+can be fed as blocks, whose internal pairs are never formed; `intersect`
+feeds t*G_a and (1-t)*G_b this way and keeps the reduced basis of the
+intersection it finds.
+
+For homogeneous inputs `intersect` is Hilbert-driven (Traverso 1996,
+"Hilbert functions and the Buchberger algorithm"): with t of weight 0,
+the elimination works in a graded module whose degree-d dimension is
+dim a_d + dim b_d, known from the inputs' leading monomials before any
+pair is reduced.  Pairs are taken by the degree of their lcm, and once
+the leading terms in degree d fill that dimension, the remaining pairs
+of degree d are dropped unreduced.  Only the t-free elements, the answer,
+are minimalized and tail-reduced.  Inhomogeneous inputs take the plain
+elimination, since the grading argument does not hold for them.
 """
 
 from __future__ import annotations
@@ -28,7 +42,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import islice
 
-from .errors import InternalLimitError, RingContextError, ValidationError
+from .errors import (InternalLimitError, InvariantError, RingContextError,
+                     ValidationError)
 from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, MonomialOrder, PolyRing,
                        Polynomial, elimination_order)
 
@@ -83,16 +98,22 @@ class _Dividend:
     are left unreduced until their term is popped, so the subtraction
     loop is the same for both fields; a coefficient that cancels stays
     until its key leaves the heap and is then skipped.
+
+    Every popped term is checked against the guard bits: the reducers'
+    fields are guard-free, so one subtraction can set a guard bit but not
+    carry past it, and a degree above MAX_DEGREE raises instead of
+    wrapping around (lex and elimination orders can raise degrees).
     """
 
-    __slots__ = ("coeffs", "exps", "heap", "p")
+    __slots__ = ("coeffs", "exps", "heap", "p", "guard")
 
-    def __init__(self, terms, p):
+    def __init__(self, terms, p, guard):
         """`terms` is sorted by descending key, so the negated keys form a heap."""
         self.coeffs = {k: c for k, _, c in terms}
         self.exps = {k: w for k, w, _ in terms}
         self.heap = [-k for k, _, _ in terms]
         self.p = p
+        self.guard = guard
 
     def sub(self, g, c, mk, mw):
         """Subtract c * x^m * g without its leading term.
@@ -119,10 +140,15 @@ class _Dividend:
         heap = self.heap
         coeffs = self.coeffs
         p = self.p
+        guard = self.guard
         while heap:
             k = -heappop(heap)
             c = coeffs.pop(k)
             w = self.exps.pop(k)
+            if w & guard:
+                raise InternalLimitError(
+                    f"a reduction reached a degree above {MAX_DEGREE}, which "
+                    "does not fit the packed exponent fields")
             if p:
                 c %= p
             if c:
@@ -156,36 +182,52 @@ class _Engine:
         mik = lcm_key - gi[0][0]
         miw = lcm_w - gi[0][1]
         acc = _Dividend([(k + mik, w + miw, c) for k, w, c in islice(gi, 1, None)],
-                        self.p)
+                        self.p, self.guard)
         acc.sub(gj, self.ring.field.one, lcm_key - gj[0][0], lcm_w - gj[0][1])
         return acc
 
-    def reduce(self, acc, lt_ws, lt_keys, polys):
+    def reduce(self, acc, lt_ws, lt_keys, polys, memo=None):
         """Full normal form of a dividend against a list of monic polys.
 
         Each leading term is reduced by the first basis element whose
         leading monomial divides it; irreducible terms are emitted in
-        descending key order.
+        descending key order.  `memo`, when given, maps packed exponents
+        to the index of their first divisor, or to ~n for "no divisor
+        among the first n"; it stays exact while the basis only grows by
+        appending, so the scan resumes where it stopped.
         """
         guard = self.guard
         nbasis = len(lt_ws)
         out = []
         while (term := acc.pop()) is not None:
             k, w, c = term
+            start = 0
+            if memo is not None:
+                idx = memo.get(w)
+                if idx is not None:
+                    if idx >= 0:
+                        acc.sub(polys[idx], c, k - lt_keys[idx], w - lt_ws[idx])
+                        continue
+                    start = ~idx
             wg = w | guard
-            for idx in range(nbasis):
+            for idx in range(start, nbasis):
                 if (wg - lt_ws[idx]) & guard == guard:
                     acc.sub(polys[idx], c, k - lt_keys[idx], w - lt_ws[idx])
                     break
             else:
+                idx = ~nbasis
                 out.append(term)
+            if memo is not None:
+                memo[w] = idx
         return out
 
-    def normal_form(self, terms, lt_ws, lt_keys, polys):
-        return self.reduce(_Dividend(terms, self.p), lt_ws, lt_keys, polys)
+    def normal_form(self, terms, lt_ws, lt_keys, polys, memo=None):
+        return self.reduce(_Dividend(terms, self.p, self.guard), lt_ws, lt_keys,
+                           polys, memo)
 
     # -- Buchberger --------------------------------------------------------
-    def buchberger(self, gens_internal, stop_on_unit=False, blocks=()):
+    def buchberger(self, gens_internal, stop_on_unit=False, blocks=(), drive=None,
+                   eliminate=0):
         """Reduced Groebner basis of the generators and blocks.
 
         Each generator is reduced against the basis so far before it
@@ -193,6 +235,14 @@ class _Engine:
         it generates, in this order; its elements join as they are, and
         no pair inside one block is formed: its S-polynomial already has
         a standard representation in the block.
+
+        With a `drive` (a `_HilbertDrive`), pairs are taken by the degree
+        the drive gives their lcm, and once `drive.full(d)` holds, the
+        remaining pairs of degree d are dropped unreduced.  `eliminate`
+        is a packed mask of variables that the order eliminates: elements
+        whose leading monomial meets it are left out of the result, and
+        out of its minimalization and tail reduction (they can neither
+        divide nor reduce a monomial that avoids the mask).
         """
         polys = []
         lt_keys = []
@@ -200,7 +250,8 @@ class _Engine:
         lt_exps = []
         sugars = []
         block_of = []
-        pairs = []  # [sugar, lcm_key, i, j, lcm_exps]
+        pairs = []  # (degree, sugar, lcm_key, i, j, lcm_exps)
+        memo = {}
         nvars = self.ring.nvars
         keyf = self.keyf
         found_unit = False
@@ -246,14 +297,15 @@ class _Engine:
                     continue  # standard representation inside the block
                 s = max(sugars[i] + sum(lcm) - sum(lt_exps[i]),
                         sugar + sum(lcm) - sum(e_new))
-                new_pairs.append([s, keyf(lcm), i, t, lcm])
+                degree = 0 if drive is None else drive.degree(lcm)
+                new_pairs.append((degree, s, keyf(lcm), i, t, lcm))
             # B criterion on old pairs
             kept_old = []
             for pr in pairs:
-                lcm = pr[4]
+                lcm = pr[5]
                 if all(a <= b for a, b in zip(e_new, lcm)):
-                    l1 = tuple(a if a > b else b for a, b in zip(lt_exps[pr[2]], e_new))
-                    l2 = tuple(a if a > b else b for a, b in zip(lt_exps[pr[3]], e_new))
+                    l1 = tuple(a if a > b else b for a, b in zip(lt_exps[pr[3]], e_new))
+                    l2 = tuple(a if a > b else b for a, b in zip(lt_exps[pr[4]], e_new))
                     if l1 != lcm and l2 != lcm:
                         continue
                 kept_old.append(pr)
@@ -265,6 +317,8 @@ class _Engine:
             lt_exps.append(e_new)
             sugars.append(sugar)
             block_of.append(block)
+            if drive is not None:
+                drive.note(e_new)
 
         def sugar_of(terms):
             return max(sum(exps_of_w(w)) for _, w, _ in terms)
@@ -272,7 +326,7 @@ class _Engine:
         for terms in sorted(gens_internal, key=lambda t: t[0][0]):
             if not terms:
                 continue
-            nf = self.normal_form(terms, lt_ws, lt_keys, polys)
+            nf = self.normal_form(terms, lt_ws, lt_keys, polys, memo)
             if nf:
                 add(nf, sugar_of(terms))
             if found_unit and stop_on_unit:
@@ -281,24 +335,34 @@ class _Engine:
             for terms in block:
                 add(terms, sugar_of(terms), b)
 
+        counting = full = None  # degrees where the drive counts / is full
         while pairs:
-            best = min(range(len(pairs)), key=lambda ix: (pairs[ix][0], pairs[ix][1],
-                                                          pairs[ix][2], pairs[ix][3]))
-            sugar, lcm_key, i, j, lcm = pairs.pop(best)
+            pair = min(pairs)
+            pairs.remove(pair)
+            degree, sugar, lcm_key, i, j, lcm = pair
+            if degree == full:
+                drive.dropped += 1
+                continue
             if sugar > MAX_DEGREE:
                 # the sugar bounds the degree of every term of this reduction
                 raise InternalLimitError(
                     f"an S-polynomial of degree above {MAX_DEGREE} does not fit "
                     "the packed exponent fields")
             acc = self.s_dividend(polys[i], polys[j], lcm_key, _pack_plain(lcm))
-            nf = self.reduce(acc, lt_ws, lt_keys, polys)
+            nf = self.reduce(acc, lt_ws, lt_keys, polys, memo)
             if nf:
                 add(nf, sugar)
                 if found_unit and stop_on_unit:
                     return self._unit_basis()
+            elif drive is not None:
+                counting = degree  # count only where a zero reduction was seen
+            if degree == counting and drive.full(degree):
+                full = degree
 
         # minimalize: drop elements whose lt is divisible by another kept lt
-        order_ix = sorted(range(len(polys)), key=lambda ix: lt_keys[ix])
+        order_ix = sorted((ix for ix in range(len(polys))
+                           if not lt_ws[ix] & eliminate),
+                          key=lambda ix: lt_keys[ix])
         kept = []
         kept_ws = []
         guard = self.guard
@@ -394,7 +458,7 @@ class Ideal:
         """Cache a basis once every generator reduces to zero against it."""
         for g in self.gens:
             if not gb.contains(g):
-                raise AssertionError(
+                raise InvariantError(
                     "Groebner cache verification failed: generator does not "
                     "reduce to zero against its own basis")
         self._cache[gb.order.tag] = gb
@@ -479,14 +543,108 @@ def _t_var(ext):
     return ext.variable(0)
 
 
+class _DegreeCounter:
+    """dim I_d for a monomial ideal I, one degree at a time.
+
+    The degree-d part of I is kept as a set of packed monomials and grown
+    by I_{d+1} = x * I_d + (generators of degree d + 1).  Degrees must be
+    asked for in increasing order; a generator may join at the current
+    degree or above.
+    """
+
+    def __init__(self, nvars, gens=()):
+        self.steps = [1 << (i * WIDTH) for i in range(nvars)]
+        self.pending = {}  # degree -> packed generators above `degree`
+        self.degree = -1
+        self.part = set()
+        for e in gens:
+            self.add(_pack_plain(e), sum(e))
+
+    def add(self, w, d):
+        if d > self.degree:
+            self.pending.setdefault(d, []).append(w)
+        elif d == self.degree:
+            self.part.add(w)
+        else:
+            raise InvariantError(f"a generator of degree {d} joined a monomial "
+                                 f"ideal already counted in degree {self.degree}")
+
+    def count(self, d):
+        if d < self.degree:
+            raise InvariantError(f"degree {d} asked after degree {self.degree}")
+        while self.degree < d:
+            if not self.part:
+                # nothing below the lowest pending generator: skip to it
+                low = min(self.pending, default=d + 1)
+                if low > d:
+                    return 0
+                self.degree = low
+                self.part = set(self.pending.pop(low))
+                continue
+            self.degree += 1
+            steps = self.steps
+            self.part = {w + s for w in self.part for s in steps}
+            self.part.update(self.pending.pop(self.degree, ()))
+        return len(self.part)
+
+
+class _HilbertDrive:
+    """Traverso's stopping rule for the elimination in `intersect`.
+
+    Give t weight 0.  Every element met while eliminating t from
+    t * G_a + (1 - t) * G_b has the form A * t + B, and these elements
+    form the graded module N = {A * t + B : B in b, A + B in a}, which is
+    isomorphic to a + b as a vector space in each degree:
+    dim N_d = dim a_d + dim b_d, read off the inputs' leading monomials.
+    The leading terms of the basis so far span t * T_d + O_d, where T is
+    generated by the x-parts of all leading monomials (t * B lies in N
+    when B is t-free) and O by those of the t-free elements.  When
+    |T_d| + |O_d| reaches dim N_d, every remaining pair of degree d
+    reduces to zero.  Exact only for homogeneous a and b.
+    """
+
+    def __init__(self, nvars, leads_a, leads_b):
+        self.targets = (_DegreeCounter(nvars, leads_a),
+                        _DegreeCounter(nvars, leads_b))
+        self.t_part = _DegreeCounter(nvars)
+        self.free_part = _DegreeCounter(nvars)
+        self.dropped = 0
+
+    @staticmethod
+    def degree(lcm):
+        """The x-degree of a monomial of the extended ring (t first)."""
+        return sum(lcm) - lcm[0]
+
+    def note(self, e):
+        """Record the leading exponents `e` of a new basis element."""
+        if e[0] > 1:
+            raise InvariantError("a leading term of t-degree above 1 in an "
+                                 "intersection")
+        w = _pack_plain(e[1:])
+        d = sum(e) - e[0]
+        self.t_part.add(w, d)
+        if not e[0]:
+            self.free_part.add(w, d)
+
+    def full(self, d):
+        """Whether the leading terms fill the degree-d part of N."""
+        have = self.t_part.count(d) + self.free_part.count(d)
+        want = sum(target.count(d) for target in self.targets)
+        if have > want:
+            raise InvariantError(f"leading terms span {have} dimensions in "
+                                 f"degree {d}, above the Hilbert function {want}")
+        return have == want
+
+
 def intersect(a, b):
     """Ideal intersection via elimination of one auxiliary variable.
 
     The elimination starts from t * G_a and (1 - t) * G_b, where G_a and
-    G_b are the reduced grevlex bases of a and b, fed as two blocks.  The
-    t-free part of the reduced elimination basis is the reduced grevlex
-    basis of the intersection; it becomes the result's generators and
-    its cached basis.
+    G_b are the reduced grevlex bases of a and b, fed as two blocks.  For
+    homogeneous inputs a `_HilbertDrive` drops the pairs that the inputs'
+    Hilbert functions prove redundant.  Only the t-free part of the
+    elimination basis is finished: it is the reduced grevlex basis of the
+    intersection, and becomes the result's generators and cached basis.
     """
     if a.ring != b.ring:
         raise RingContextError("ideals in different rings")
@@ -498,15 +656,19 @@ def intersect(a, b):
     ext, _ = _extend_ring(ring)
     t = _t_var(ext)
     engine = _Engine(ext, elimination_order(1))
-    blocks = [[_to_internal(m * _lift(g, ext), engine.keyf) for g in ideal.groebner()]
-              for m, ideal in ((t, a), (ext.one() - t, b))]
-    basis = engine.buchberger([], blocks=blocks)
+    ga, gb = a.groebner(), b.groebner()
+    blocks = [[_to_internal(m * _lift(g, ext), engine.keyf) for g in basis]
+              for m, basis in ((t, ga), (ext.one() - t, gb))]
+    drive = None
+    if all(g.is_homogeneous() for g in ga.polys + gb.polys):
+        drive = _HilbertDrive(ring.nvars, ga.leading_exponents(),
+                              gb.leading_exponents())
     # t comes first in the elimination order, so an element with a t-free
     # leading term is t-free; t is the lowest packed field, and the
     # elimination key of a t-free monomial is its grevlex key in `ring`
     t_mask = (1 << WIDTH) - 1
-    internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis
-                if not terms[0][1] & t_mask]
+    basis = engine.buchberger([], blocks=blocks, drive=drive, eliminate=t_mask)
+    internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out,
                    allow_inhomogeneous=not all(g.is_homogeneous() for g in out))
@@ -541,7 +703,7 @@ def exact_divide(f, g):
     lt_k, lt_w, lt_c = gt[0]
     inv_lc = ring.field.inv(lt_c)
     guard = engine.guard
-    acc = _Dividend(ft, engine.p)
+    acc = _Dividend(ft, engine.p, guard)
     q = []
     while (term := acc.pop()) is not None:
         k, w, c = term

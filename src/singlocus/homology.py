@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .errors import InternalLimitError, ValidationError
+from .errors import InternalLimitError, InvariantError, ValidationError
 from .groebner import GREVLEX, Ideal, _Engine, _pack_plain, _unpack_plain
 from .polyring import WIDTH, Polynomial
 
@@ -127,7 +127,7 @@ def _schreyer_step(level, engine):
                     red = idx
                     break
             if red < 0:
-                raise AssertionError(
+                raise InvariantError(
                     "input to the syzygy step was not a Groebner basis "
                     "(S-vector does not reduce to zero)")
             dm = cw - lt_cw[red]
@@ -542,7 +542,7 @@ def schreyer_syzygies(gens, twists=None):
     level = _SyzygyLevel(vectors, degrees, mult=1 << _CB)
     try:
         _, columns = _schreyer_step(level, engine)
-    except AssertionError as exc:
+    except InvariantError as exc:
         raise ValidationError(str(exc)) from exc
     out = []
     for col in columns:
@@ -614,7 +614,7 @@ def _schreyer_resolution(ideal):
                     ring, {tuple(e): co for e, co in terms})
         level = nxt
     else:
-        raise AssertionError("resolution exceeded the variable-count bound")
+        raise InvariantError("resolution exceeded the variable-count bound")
     return twist_lists, maps
 
 
@@ -741,7 +741,7 @@ def minimal_free_resolution(ideal):
         graded_maps.append(GradedMap(modules[k + 1], modules[k], entries))
     res = Resolution(ideal.ring, modules, graded_maps)
     if not res.is_minimal():
-        raise AssertionError("pruning left a constant entry in the resolution")
+        raise InvariantError("pruning left a constant entry in the resolution")
     ideal._resolution_cache = res
     return res
 

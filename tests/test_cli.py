@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from conftest import CORPUS_DIR
+from singlocus import cli
 from singlocus.cli import main
+from singlocus.errors import InvariantError
 
 
 @pytest.fixture
@@ -229,6 +231,16 @@ class TestErrorPaths:
                                str(arr_dir / "seven_planes.arr"))
         assert code == 1
         assert "unrecognized arguments" in err
+
+    def test_invariant_failure_exit_code(self, capsys, arr_dir, monkeypatch):
+        def broken(arr):
+            raise InvariantError("planted failure")
+        monkeypatch.setattr(cli, "radical_comb", broken)
+        code, out, err = run_cli(capsys, "radical", "--json",
+                                 str(arr_dir / "seven_planes.arr"))
+        assert code == 3
+        assert "planted failure" in err
+        assert json.loads(out)["command"][0] == "radical"  # report still emitted
 
     def test_corpus_single_entry(self, capsys):
         code, out, _ = run_cli(capsys, "corpus", "--entry", "emb_point")

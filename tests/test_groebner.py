@@ -7,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (membership_by_linear_algebra, merge_normal_form,
                       monomials_of_degree, standard_monomial_count)
-from singlocus.errors import InternalLimitError, ValidationError
-from singlocus.groebner import (GroebnerBasis, Ideal, _Engine, _to_internal,
+from singlocus import groebner
+from singlocus.errors import InternalLimitError, InvariantError, ValidationError
+from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter, _Engine,
+                                _HilbertDrive, _to_internal,
                                 buchberger_criterion_holds, colon, eliminate,
                                 exact_divide, ideal_equal, intersect,
                                 intersect_many, normal_form,
                                 radical_membership, reduced_groebner, saturate,
                                 saturate_by_variable, saturate_irrelevant)
 from singlocus.homology import is_saturated
-from singlocus.polyring import (GF, LEX, QQ, GREVLEX, PolyRing,
+from singlocus.polyring import (GF, LEX, QQ, GREVLEX, WIDTH, PolyRing,
                                 elimination_order)
 
 
@@ -338,6 +340,13 @@ class TestPackedLimits:
         with pytest.raises(InternalLimitError):
             Ideal(x.ring, (x ** 20000 * y, x * y ** 20000)).groebner()
 
+    def test_lex_reduction_above_the_limit(self):
+        ring = PolyRing(("x", "y", "z"), GF(32003))
+        x, y, z = ring.variables()
+        ideal = Ideal(ring, (x - y ** 20000,), allow_inhomogeneous=True)
+        with pytest.raises(InternalLimitError):
+            ideal.normal_form(x ** 4, LEX)  # would be y^80000
+
     def test_at_the_limit(self, xy):
         x, y = xy
         ideal = Ideal(x.ring, (x ** 32767, y))
@@ -389,6 +398,30 @@ def test_normal_form_matches_merge_oracle(field):
     assert reductions > 150
 
 
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+def test_first_divisor_memo_matches_the_scan(field):
+    """A memo shared while the basis grows by appending picks the same
+    divisors as a fresh scan, so every normal form is the same."""
+    rng = random.Random(f"divisor memo {field}")
+    ring = PolyRing(("x", "y", "z", "w"), field)
+    for _ in range(40):
+        engine = _Engine(ring, rng.choice([GREVLEX, LEX, elimination_order(1)]))
+        basis, lt_ws, lt_keys, memo = [], [], [], {}
+        for _ in range(8):
+            g = _random_poly(rng, ring, rng.randint(1, 3), 3)
+            if g.total_degree():
+                terms = engine.monic(_to_internal(g, engine.keyf))
+                basis.append(terms)
+                lt_ws.append(terms[0][1])
+                lt_keys.append(terms[0][0])
+            for _ in range(3):
+                f = _random_poly(rng, ring, rng.randint(1, 6), 5)
+                terms = _to_internal(f, engine.keyf)
+                assert (engine.normal_form(terms, lt_ws, lt_keys, basis, memo)
+                        == engine.normal_form(terms, lt_ws, lt_keys, basis))
+        assert memo
+
+
 def test_intersect_random_homogeneous():
     """Generators lie in both inputs; HF(a∩b) = HF(a) + HF(b) - HF(a+b)."""
     rng = random.Random("intersect")
@@ -416,6 +449,112 @@ def test_intersect_random_homogeneous():
             assert standard_monomial_count(inter, d) == (
                 standard_monomial_count(a, d) + standard_monomial_count(b, d)
                 - standard_monomial_count(both, d))
+
+
+def _undriven_intersection(a, b):
+    """The t-free part of the plain block elimination: the path that the
+    Hilbert drive and the t-free finish replace, as engine terms."""
+    ring = a.ring
+    ext = PolyRing(("t",) + ring.names, ring.field)
+    t = ext.variable(0)
+    engine = _Engine(ext, elimination_order(1))
+    blocks = [[_to_internal(m * ext.from_terms({(0,) + e: c
+                                                for e, c in g.terms.items()}),
+                            engine.keyf)
+               for g in ideal.groebner()]
+              for m, ideal in ((t, a), (ext.one() - t, b))]
+    t_mask = (1 << WIDTH) - 1
+    return [[(k, w >> WIDTH, c) for k, w, c in terms]
+            for terms in engine.buchberger([], blocks=blocks)
+            if not terms[0][1] & t_mask]
+
+
+def _random_homogeneous_ideal(rng, ring):
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        mons = monomials_of_degree(ring.nvars, rng.randint(1, 3))
+        picked = rng.sample(mons, min(len(mons), rng.randint(1, 4)))
+        coeffs = (-3, -2, -1, 1, 2, 5)
+        gens.append(ring.from_terms({m: ring.field.from_int(rng.choice(coeffs))
+                                     for m in picked}))
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("field, trials", [(GF(32003), 200), (QQ, 50)],
+                         ids=["p", "q"])
+def test_intersect_matches_undriven_elimination(field, trials, monkeypatch):
+    """The Hilbert-driven intersection equals the plain block elimination.
+
+    Random homogeneous pairs in 3-5 variables; the test also checks that
+    the drive did drop pairs, so the fast path was exercised.
+    """
+    drives = []
+
+    class Recorded(_HilbertDrive):
+        def __init__(self, *args):
+            super().__init__(*args)
+            drives.append(self)
+
+    monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
+    rng = random.Random(f"driven intersect {field}")
+    for _ in range(trials):
+        ring = PolyRing(("x", "y", "z", "w", "v")[:rng.randint(3, 5)], field)
+        a = _random_homogeneous_ideal(rng, ring)
+        b = _random_homogeneous_ideal(rng, ring)
+        assert intersect(a, b).groebner()._polys == _undriven_intersection(a, b)
+    assert len(drives) == trials
+    assert sum(1 for d in drives if d.dropped) > trials // 2
+
+
+def test_intersect_inhomogeneous_is_not_driven():
+    """An inhomogeneous pair that the degree count would get wrong."""
+    ring = PolyRing(("x", "y", "z"), GF(32003))
+    x, y, z = ring.variables()
+    a = Ideal(ring, (4 * y ** 2 * z + 3 * z ** 2 + 1,), allow_inhomogeneous=True)
+    b = Ideal(ring, (3 * x * y + 3, 4 * z + 4), allow_inhomogeneous=True)
+    got = intersect(a, b)
+    assert len(got.gens) == 2
+    assert got.groebner()._polys == _undriven_intersection(a, b)
+    for g in got.gens:
+        assert a.contains(g) and b.contains(g)
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 4])
+def test_degree_counter_matches_standard_monomials(nvars):
+    """dim I_d from the counter equals C(n+d-1, d) - dim (R/I)_d, from 0 up,
+    so also 0 in the degrees below the lowest generator degree."""
+    ring = PolyRing(("x", "y", "z", "w")[:nvars], GF(32003))
+    rng = random.Random(f"degree counter {nvars}")
+    for _ in range(20):
+        leads = {rng.choice(monomials_of_degree(nvars, rng.randint(2, 5)))
+                 for _ in range(rng.randint(1, 4))}
+        ideal = Ideal(ring, [ring.from_terms({e: 1}) for e in leads])
+        counter = _DegreeCounter(nvars, list(leads))
+        for d in range(9):
+            want = (len(monomials_of_degree(nvars, d))
+                    - standard_monomial_count(ideal, d))
+            assert counter.count(d) == want
+
+
+def test_degree_counter_takes_generators_at_the_current_degree():
+    counter = _DegreeCounter(2)
+    assert counter.count(1) == 0
+    counter.add(groebner._pack_plain((1, 1)), 2)
+    assert counter.count(2) == 1
+    counter.add(groebner._pack_plain((2, 0)), 2)  # joins the counted degree
+    assert counter.count(2) == 2
+    assert counter.count(3) == 3  # x^3, x^2 y, x y^2
+    with pytest.raises(InvariantError):
+        counter.add(groebner._pack_plain((0, 2)), 2)
+
+
+def test_hilbert_count_above_its_target_is_an_invariant_error():
+    drive = _HilbertDrive(2, [(1, 0)], [(1, 0)])  # a = b = (x): dim N_1 = 2
+    drive.note((0, 1, 0))  # a t-free lead x counts as x and as t * x
+    assert drive.full(1)
+    drive.note((1, 0, 1))  # a lead t * y cannot exist in N as well
+    with pytest.raises(InvariantError):
+        drive.full(1)
 
 
 # ---------------------------------------------------------------------------
