@@ -313,11 +313,31 @@ def jacobian_ideal(arr):
 
 
 def radical_comb(arr):
-    """Intersection of all flat primes: the reduced singular locus."""
+    """Intersection of all flat primes: the reduced singular locus.
+
+    The flats are grouped by their first member plane H.  If a group's
+    flats are (H, L_1), ..., (H, L_k), each L_i another member plane, their
+    primes intersect to the complete intersection (H, L_1 * ... * L_k):
+    modulo H the ring is a polynomial ring, distinct flats in H give
+    non-proportional linear forms L_i there, and principal ideals of
+    pairwise coprime elements intersect to their product.  So only the
+    groups are intersected, at most one per plane instead of one per
+    flat.  A group of one flat is its prime, so a single flat comes back
+    as its prime, unchanged.
+    """
     _check_prime_safety(arr)
     ring = arr.ring
-    primes = [f.prime(ring) for f in arr.flats()]
-    return intersect_many(primes)
+    groups = {}
+    for f in arr.flats():
+        groups.setdefault(f.members[0], []).append(f)
+    comps = []
+    for h, flats in groups.items():
+        if len(flats) == 1:
+            comps.append(flats[0].prime(ring))
+        else:
+            product = expand_product([arr.forms[f.members[1]] for f in flats])
+            comps.append(Ideal(ring, (arr.forms[h], product)))
+    return intersect_many(comps)
 
 
 def pencil_component(flat, ring, vecs=None):

@@ -19,12 +19,16 @@ exponents reach a guard bit raises `InternalLimitError`.
 Buchberger completion uses the Gebauer-Moller pair criteria with
 sugar-degree selection (ties by the pair lcm under the ambient order),
 which is enough to keep every corpus computation within its budget.
+The pair bookkeeping never unpacks an exponent tuple: the lcm, the
+divisibility tests of the M, F and B criteria, the coprimality test and
+the degrees behind the sugar are guard-bit arithmetic on the packed
+words (`_lcm`, `_divides`, `_degree_func`), and the pairs wait in a heap.
 Within one completion the basis only grows by appending, so each
 monomial's first divisor is remembered (or how far the scan got without
 one) and never searched twice.  Inputs that are already Groebner bases
 can be fed as blocks, whose internal pairs are never formed; `intersect`
-feeds t*G_a and (1-t)*G_b this way and keeps the reduced basis of the
-intersection it finds.
+builds t*G_a and (1-t)*G_b this way straight from the inputs' cached
+internal terms, and keeps the reduced basis of the intersection it finds.
 
 For homogeneous inputs `intersect` is Hilbert-driven (Traverso 1996,
 "Hilbert functions and the Buchberger algorithm"): with t of weight 0,
@@ -39,7 +43,7 @@ elimination, since the grading argument does not hold for them.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import islice
 
 from .errors import (InternalLimitError, InvariantError, RingContextError,
@@ -70,6 +74,36 @@ def _guard(nvars):
     for i in range(nvars):
         g |= (1 << (WIDTH - 1)) << (i * WIDTH)
     return g
+
+
+def _degree_func(nvars):
+    """Total degree of a packed monomial whose fields are below 2**WIDTH.
+
+    The even and the odd fields are masked apart, so each lands in its own
+    2*WIDTH-bit chunk; since 2**(2*WIDTH) is 1 modulo 2**(2*WIDTH) - 1,
+    the remainder is the sum of the chunks, which stays below the modulus
+    for any ring of fewer than 2**WIDTH variables.
+    """
+    even = 0
+    for i in range(0, nvars, 2):
+        even |= ((1 << WIDTH) - 1) << (i * WIDTH)
+    mod = (1 << (2 * WIDTH)) - 1
+
+    def degree(w):
+        return (w & even) % mod + ((w >> WIDTH) & even) % mod
+
+    return degree
+
+
+def _lcm(a, b, guard):
+    """lcm of two guard-free packed monomials: the larger field of each."""
+    m = ((((a | guard) - b) & guard) >> (WIDTH - 1)) * ((1 << WIDTH) - 1)
+    return (a & m) | (b & ~m)
+
+
+def _divides(a, b, guard):
+    """Whether the packed monomial a divides b (both guard-free)."""
+    return ((b | guard) - a) & guard == guard
 
 
 # ---------------------------------------------------------------------------
@@ -247,81 +281,72 @@ class _Engine:
         polys = []
         lt_keys = []
         lt_ws = []
-        lt_exps = []
+        lt_degs = []
         sugars = []
         block_of = []
-        pairs = []  # (degree, sugar, lcm_key, i, j, lcm_exps)
+        pairs = []  # a heap of (degree, sugar, lcm_key, i, j, lcm_w)
         memo = {}
         nvars = self.ring.nvars
         keyf = self.keyf
+        guard = self.guard
+        degree_of = _degree_func(nvars)
         found_unit = False
-
-        def exps_of_w(w):
-            return _unpack_plain(w, nvars)
 
         def add(terms, sugar, block=None):
             nonlocal found_unit
             terms = self.monic(terms)
             t = len(polys)
-            e_new = exps_of_w(terms[0][1])
-            if sum(e_new) == 0:
+            w_new = terms[0][1]
+            d_new = degree_of(w_new)
+            if not w_new:
                 found_unit = True
-            # candidate pairs with every existing element
-            cand = []
-            for i in range(t):
-                e_i = lt_exps[i]
-                lcm = tuple(a if a > b else b for a, b in zip(e_i, e_new))
-                cand.append((i, lcm))
-            # M criterion: drop (i, t) when another new lcm properly divides it
-            keep = []
-            for i, lcm in cand:
-                drop = False
-                for j, lcm2 in cand:
-                    if lcm2 != lcm and all(a <= b for a, b in zip(lcm2, lcm)):
-                        drop = True
-                        break
-                if not drop:
-                    keep.append((i, lcm))
-            # F criterion: one pair per lcm value, preferring a coprime one
-            bylcm = {}
-            for i, lcm in keep:
-                bylcm.setdefault(lcm, []).append(i)
+            lcms = [_lcm(w, w_new, guard) for w in lt_ws]
+            # M criterion: drop (i, t) when another new lcm properly divides
+            # its lcm; a proper divisor is also a smaller packed integer
+            minimal = []
+            for lcm in sorted(set(lcms)):
+                if not any(_divides(m, lcm, guard) for m in minimal):
+                    minimal.append(lcm)
+            # F criterion: one pair per lcm value, from the first index
+            first = {}
+            coprime = set()
+            minimal = set(minimal)
+            for i, lcm in enumerate(lcms):
+                if lcm in minimal:
+                    first.setdefault(lcm, i)
+                    if lcm == lt_ws[i] + w_new:
+                        coprime.add(lcm)
             new_pairs = []
-            for lcm, idxs in bylcm.items():
-                coprime = [i for i in idxs
-                           if all(min(a, b) == 0 for a, b in zip(lt_exps[i], e_new))]
-                if coprime:
+            for lcm, i in first.items():
+                if lcm in coprime:
                     continue  # B1: the surviving pair has coprime lts, drop it
-                i = min(idxs)
                 if block is not None and block_of[i] == block:
                     continue  # standard representation inside the block
-                s = max(sugars[i] + sum(lcm) - sum(lt_exps[i]),
-                        sugar + sum(lcm) - sum(e_new))
+                d = degree_of(lcm)
+                s = max(sugars[i] + d - lt_degs[i], sugar + d - d_new)
                 degree = 0 if drive is None else drive.degree(lcm)
-                new_pairs.append((degree, s, keyf(lcm), i, t, lcm))
-            # B criterion on old pairs
-            kept_old = []
-            for pr in pairs:
-                lcm = pr[5]
-                if all(a <= b for a, b in zip(e_new, lcm)):
-                    l1 = tuple(a if a > b else b for a, b in zip(lt_exps[pr[3]], e_new))
-                    l2 = tuple(a if a > b else b for a, b in zip(lt_exps[pr[4]], e_new))
-                    if l1 != lcm and l2 != lcm:
-                        continue
-                kept_old.append(pr)
-            pairs[:] = kept_old
-            pairs.extend(new_pairs)
+                new_pairs.append((degree, s, keyf(_unpack_plain(lcm, nvars)),
+                                  i, t, lcm))
+            # B criterion on old pairs: lcms[i] is lcm(lt_i, lt_new)
+            kept_old = [pr for pr in pairs
+                        if not _divides(w_new, pr[5], guard)
+                        or lcms[pr[3]] == pr[5] or lcms[pr[4]] == pr[5]]
+            if len(kept_old) < len(pairs):
+                pairs[:] = kept_old
+                heapify(pairs)
+            for pr in new_pairs:
+                heappush(pairs, pr)
             polys.append(terms)
             lt_keys.append(terms[0][0])
-            lt_ws.append(terms[0][1])
-            lt_exps.append(e_new)
+            lt_ws.append(w_new)
+            lt_degs.append(d_new)
             sugars.append(sugar)
             block_of.append(block)
             if drive is not None:
-                drive.note(e_new)
+                drive.note(w_new)
 
         def sugar_of(terms):
-            return max(sum(exps_of_w(w)) for _, w, _ in terms)
+            return max(degree_of(w) for _, w, _ in terms)
 
         for terms in sorted(gens_internal, key=lambda t: t[0][0]):
             if not terms:
@@ -333,13 +358,16 @@ class _Engine:
                 return self._unit_basis()
         for b, block in enumerate(blocks):
             for terms in block:
-                add(terms, sugar_of(terms), b)
+                sugar = sugar_of(terms)
+                if sugar > MAX_DEGREE:
+                    raise InternalLimitError(
+                        f"a term of degree above {MAX_DEGREE} does not fit the "
+                        "packed exponent fields")
+                add(terms, sugar, b)
 
         counting = full = None  # degrees where the drive counts / is full
         while pairs:
-            pair = min(pairs)
-            pairs.remove(pair)
-            degree, sugar, lcm_key, i, j, lcm = pair
+            degree, sugar, lcm_key, i, j, lcm_w = heappop(pairs)
             if degree == full:
                 drive.dropped += 1
                 continue
@@ -348,7 +376,7 @@ class _Engine:
                 raise InternalLimitError(
                     f"an S-polynomial of degree above {MAX_DEGREE} does not fit "
                     "the packed exponent fields")
-            acc = self.s_dividend(polys[i], polys[j], lcm_key, _pack_plain(lcm))
+            acc = self.s_dividend(polys[i], polys[j], lcm_key, lcm_w)
             nf = self.reduce(acc, lt_ws, lt_keys, polys, memo)
             if nf:
                 add(nf, sugar)
@@ -365,10 +393,8 @@ class _Engine:
                           key=lambda ix: lt_keys[ix])
         kept = []
         kept_ws = []
-        guard = self.guard
         for ix in order_ix:
-            w = lt_ws[ix] | guard
-            if any((w - kw) & guard == guard for kw in kept_ws):
+            if any(_divides(kw, lt_ws[ix], guard) for kw in kept_ws):
                 continue
             kept.append(ix)
             kept_ws.append(lt_ws[ix])
@@ -539,10 +565,6 @@ def _lift(poly, ext):
     return Polynomial(ext, {(0,) + e: c for e, c in poly.terms.items()})
 
 
-def _t_var(ext):
-    return ext.variable(0)
-
-
 class _DegreeCounter:
     """dim I_d for a monomial ideal I, one degree at a time.
 
@@ -604,27 +626,29 @@ class _HilbertDrive:
     """
 
     def __init__(self, nvars, leads_a, leads_b):
+        self.x_degree = _degree_func(nvars)
         self.targets = (_DegreeCounter(nvars, leads_a),
                         _DegreeCounter(nvars, leads_b))
         self.t_part = _DegreeCounter(nvars)
         self.free_part = _DegreeCounter(nvars)
         self.dropped = 0
 
-    @staticmethod
-    def degree(lcm):
-        """The x-degree of a monomial of the extended ring (t first)."""
-        return sum(lcm) - lcm[0]
+    def degree(self, w):
+        """The x-degree of a packed monomial of the extended ring: t is the
+        lowest field."""
+        return self.x_degree(w >> WIDTH)
 
-    def note(self, e):
-        """Record the leading exponents `e` of a new basis element."""
-        if e[0] > 1:
+    def note(self, w):
+        """Record the packed leading monomial `w` of a new basis element."""
+        t_exp = w & ((1 << WIDTH) - 1)
+        if t_exp > 1:
             raise InvariantError("a leading term of t-degree above 1 in an "
                                  "intersection")
-        w = _pack_plain(e[1:])
-        d = sum(e) - e[0]
-        self.t_part.add(w, d)
-        if not e[0]:
-            self.free_part.add(w, d)
+        x = w >> WIDTH
+        d = self.x_degree(x)
+        self.t_part.add(x, d)
+        if not t_exp:
+            self.free_part.add(x, d)
 
     def full(self, d):
         """Whether the leading terms fill the degree-d part of N."""
@@ -654,20 +678,27 @@ def intersect(a, b):
         return Ideal(a.ring, b.gens)
     ring = a.ring
     ext, _ = _extend_ring(ring)
-    t = _t_var(ext)
     engine = _Engine(ext, elimination_order(1))
     ga, gb = a.groebner(), b.groebner()
-    blocks = [[_to_internal(m * _lift(g, ext), engine.keyf) for g in basis]
-              for m, basis in ((t, ga), (ext.one() - t, gb))]
+    # t comes first in the elimination order and is the lowest packed
+    # field: the elimination key of a t-free monomial is its grevlex key in
+    # `ring`, and t * m has key key(t) + key(m), above every t-free key
+    t_key = engine.keyf((1,) + (0,) * ring.nvars)
+    neg = ring.field.neg
+    t_block = [[(k + t_key, (w << WIDTH) | 1, c) for k, w, c in terms]
+               for terms in ga._polys]
+    one_minus_t_block = [
+        [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
+        + [(k, w << WIDTH, c) for k, w, c in terms]
+        for terms in gb._polys]
     drive = None
     if all(g.is_homogeneous() for g in ga.polys + gb.polys):
         drive = _HilbertDrive(ring.nvars, ga.leading_exponents(),
                               gb.leading_exponents())
-    # t comes first in the elimination order, so an element with a t-free
-    # leading term is t-free; t is the lowest packed field, and the
-    # elimination key of a t-free monomial is its grevlex key in `ring`
+    # an element with a t-free leading term is t-free
     t_mask = (1 << WIDTH) - 1
-    basis = engine.buchberger([], blocks=blocks, drive=drive, eliminate=t_mask)
+    basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
+                              drive=drive, eliminate=t_mask)
     internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out,
@@ -784,7 +815,7 @@ def radical_membership(f, a):
     if f.is_zero():
         return True
     ext, _ = _extend_ring(a.ring, "s0")
-    t = _t_var(ext)
+    t = ext.variable(0)
     gens = [_lift(g, ext) for g in a.gens]
     gens.append(ext.one() - t * _lift(f, ext))
     engine = _Engine(ext, GREVLEX)

@@ -141,8 +141,9 @@ def _schreyer_step(level, engine):
             terms.append((vkey, (comp << shift) | _pack_plain(mexps), coeff))
             col.setdefault(comp, []).append((mexps, coeff))
         terms.sort(key=lambda t: -t[0])
-        assert terms[0][1] == (i << shift) | dw_i, \
-            "syzygy leading term does not match its predicted value"
+        if terms[0][1] != (i << shift) | dw_i:
+            raise InvariantError(
+                "syzygy leading term does not match its predicted value")
         next_vectors.append(terms)
         next_degrees.append(sum(u) + level.degrees[i])
         columns.append(col)

@@ -3,9 +3,12 @@
 The oracles here deliberately avoid the library's own fast paths: ideal
 membership goes through a Macaulay-style matrix, Hilbert values through
 standard-monomial counting, Betti numbers and deficiency dimensions
-through the constant strands of the raw (non-minimal) resolution, and
+through the constant strands of the raw (non-minimal) resolution,
 normal forms through the copy-the-dividend merge the engine used before
-its dividend accumulator.
+its dividend accumulator, the monomial lcm, divisibility and
+coprimality through exponent tuples (the engine's Gebauer-Moller
+bookkeeping works on packed words), and the radical of an arrangement
+through one intersection per flat prime.
 """
 
 import itertools
@@ -14,7 +17,7 @@ from importlib.resources import files
 import pytest
 
 from singlocus import linalg
-from singlocus.groebner import GREVLEX
+from singlocus.groebner import GREVLEX, intersect_many
 from singlocus.homology import _schreyer_resolution
 from singlocus.polyring import GF, QQ, DEFAULT_PRIME, PolyRing
 
@@ -74,6 +77,23 @@ def membership_by_linear_algebra(f, ideal, order=GREVLEX):
     if not rows:
         return all(field.is_zero(c) for c in target)
     return linalg.solve_in_span(target, rows, field) is not None
+
+
+def lcm_exps(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def divides_exps(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def coprime_exps(a, b):
+    return all(min(x, y) == 0 for x, y in zip(a, b))
+
+
+def radical_by_flat_primes(arr):
+    """The intersection of the flat primes, taken flat by flat."""
+    return intersect_many([f.prime(arr.ring) for f in arr.flats()])
 
 
 def merge_sub_p(f, i0, g, c, mk, mw, p):

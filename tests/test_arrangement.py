@@ -10,12 +10,14 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    intersection_flats, jacobian_ideal,
                                    lattice_isomorphic, parse_arrangement,
                                    parse_graph, pencil_component, radical_comb,
-                                   random_coordinate_change, rule_powers,
+                                   random_coordinate_change,
+                                   random_linear_form, rule_powers,
                                    standard_ring, symbolic_intersection,
                                    top_comb, triangle_condition,
                                    uniform_powers)
-from conftest import CORPUS_DIR
-from singlocus.corpus import load_arrangement, load_graph
+from conftest import CORPUS_DIR, radical_by_flat_primes
+from singlocus import linalg
+from singlocus.corpus import arrangement_names, load_arrangement, load_graph
 from singlocus.errors import ParseError, ValidationError
 from singlocus.groebner import ideal_equal, Ideal, radical_membership
 from singlocus.homology import hilbert, is_cm
@@ -139,6 +141,63 @@ class TestRadicalComb:
         gbr = rad.groebner()
         assert all(gbr.contains(g) for g in J.gens)
         assert all(radical_membership(g, J) for g in rad.groebner().polys)
+
+
+def _random_arrangement(rng, field, nvars, planes):
+    """Seeded pairwise independent forms, half of them on an earlier flat."""
+    ring = PolyRing(("x", "y", "z", "w", "v", "u")[:nvars], field)
+    rows = []
+    while len(rows) < planes:
+        if len(rows) >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(len(rows)), 2)
+            a, b = rng.randint(1, 3), rng.choice((-2, -1, 1, 2))
+            cand = [a * u + b * v for u, v in zip(rows[i], rows[j])]
+        else:
+            cand = [rng.randint(-3, 3) for _ in range(nvars)]
+        cand = [field.from_int(c) for c in cand]
+        if all(field.is_zero(c) for c in cand) or any(
+                linalg.rank([r, cand], field) < 2 for r in rows):
+            continue
+        rows.append(cand)
+    return Arrangement(ring, [ring.linear_form(r) for r in rows])
+
+
+class TestRadicalByPlanes:
+    """`radical_comb` intersects per-plane complete intersections; the
+    flat-by-flat intersection of the flat primes is its oracle."""
+
+    @pytest.mark.parametrize("name", [n for n in arrangement_names()
+                                      if n != "thirty_one_planes"])
+    def test_corpus(self, name):
+        arr = load_arrangement(name)
+        assert radical_comb(arr).gens == radical_by_flat_primes(arr).gens
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_random_arrangements(self, field):
+        rng = random.Random(f"radical by planes {field}")
+        seen_vars = set()
+        for _ in range(12):
+            nvars = rng.randint(3, 6)
+            arr = _random_arrangement(rng, field, nvars,
+                                      rng.randint(3, 7 if nvars < 5 else 6))
+            seen_vars.add(nvars)
+            assert radical_comb(arr).gens == radical_by_flat_primes(arr).gens
+        assert max(seen_vars) >= 5
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_one_group_pencils(self, field):
+        """Planes through one line form one group: the flat prime comes
+        back with the same generators."""
+        rng = random.Random(f"pencil {field}")
+        for nvars in (3, 4, 5):
+            ring = PolyRing(("x", "y", "z", "w", "v")[:nvars], field)
+            u, v = (random_linear_form(ring, rng) for _ in range(2))
+            slopes = rng.sample(range(-5, 6), rng.randint(1, 4))
+            arr = Arrangement(ring, [u, v] + [u + s * v for s in slopes if s])
+            (flat,) = arr.flats()
+            got = radical_comb(arr)
+            assert got.gens == flat.prime(ring).gens
+            assert got.gens == radical_by_flat_primes(arr).gens
 
 
 class TestTopComb:

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (membership_by_linear_algebra, merge_normal_form,
+from conftest import (coprime_exps, divides_exps, lcm_exps,
+                      membership_by_linear_algebra, merge_normal_form,
                       monomials_of_degree, standard_monomial_count)
 from singlocus import groebner
 from singlocus.errors import InternalLimitError, InvariantError, ValidationError
@@ -17,8 +18,8 @@ from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter, _Engine,
                                 radical_membership, reduced_groebner, saturate,
                                 saturate_by_variable, saturate_irrelevant)
 from singlocus.homology import is_saturated
-from singlocus.polyring import (GF, LEX, QQ, GREVLEX, WIDTH, PolyRing,
-                                elimination_order)
+from singlocus.polyring import (GF, LEX, QQ, GREVLEX, MAX_DEGREE, WIDTH,
+                                PolyRing, elimination_order)
 
 
 @pytest.fixture
@@ -550,9 +551,11 @@ def test_degree_counter_takes_generators_at_the_current_degree():
 
 def test_hilbert_count_above_its_target_is_an_invariant_error():
     drive = _HilbertDrive(2, [(1, 0)], [(1, 0)])  # a = b = (x): dim N_1 = 2
-    drive.note((0, 1, 0))  # a t-free lead x counts as x and as t * x
+    # a t-free lead x counts as x and as t * x
+    drive.note(groebner._pack_plain((0, 1, 0)))
     assert drive.full(1)
-    drive.note((1, 0, 1))  # a lead t * y cannot exist in N as well
+    # a lead t * y cannot exist in N as well
+    drive.note(groebner._pack_plain((1, 0, 1)))
     with pytest.raises(InvariantError):
         drive.full(1)
 
@@ -601,3 +604,41 @@ def test_buchberger_criterion_property(data):
     ring = PolyRing(("x", "y", "z", "w"), GF(32003))
     ideal = data.draw(small_homogeneous_ideal(ring))
     assert buchberger_criterion_holds(ideal.groebner())
+
+
+# an exponent field: mostly small, so that zeros and divisibility occur,
+# and sometimes at the top of the packed range
+_FIELD = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE),
+                   st.sampled_from((MAX_DEGREE - 1, MAX_DEGREE)))
+
+
+@st.composite
+def exponent_pair(draw):
+    """Two exponent tuples of 1 to 9 fields: an 8-variable file plus t."""
+    nvars = draw(st.integers(1, 9))
+    a = tuple(draw(_FIELD) for _ in range(nvars))
+    if draw(st.booleans()):
+        b = tuple(min(MAX_DEGREE, x + draw(_FIELD)) for x in a)
+        if draw(st.booleans()):
+            a, b = b, a
+    else:
+        b = tuple(draw(_FIELD) for _ in range(nvars))
+    return a, b
+
+
+@given(exponent_pair())
+@settings(max_examples=400, deadline=None)
+def test_packed_monomial_helpers_match_tuple_oracle(pair):
+    """The packed lcm, divisibility, coprimality and degree used by the
+    Gebauer-Moller bookkeeping agree with their exponent-tuple formulas."""
+    a, b = pair
+    nvars = len(a)
+    guard = groebner._guard(nvars)
+    wa, wb = groebner._pack_plain(a), groebner._pack_plain(b)
+    lcm = groebner._lcm(wa, wb, guard)
+    assert lcm == groebner._pack_plain(lcm_exps(a, b))
+    assert groebner._divides(wa, wb, guard) == divides_exps(a, b)
+    assert groebner._divides(wb, wa, guard) == divides_exps(b, a)
+    assert (lcm == wa + wb) == coprime_exps(a, b)
+    degree = groebner._degree_func(nvars)
+    assert degree(wa) == sum(a) and degree(lcm) == sum(lcm_exps(a, b))
