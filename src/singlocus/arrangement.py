@@ -608,25 +608,13 @@ def random_linear_form(ring, rng):
 
 
 def random_coordinate_change(rng, size=4, bound=9):
-    """Invertible integer matrix with entries in [-bound, bound]."""
-    from fractions import Fraction
+    """Integer matrix with entries in [-bound, bound], invertible mod
+    DEFAULT_PRIME and hence over Q."""
+    field = GF(DEFAULT_PRIME)
     while True:
         M = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
-        mm = [[Fraction(c) for c in row] for row in M]
-        det = Fraction(1)
-        ok = True
-        for c in range(size):
-            piv = next((r for r in range(c, size) if mm[r][c]), None)
-            if piv is None:
-                ok = False
-                break
-            mm[c], mm[piv] = mm[piv], mm[c]
-            det *= mm[c][c] * (-1 if piv != c else 1)
-            for r in range(size):
-                if r != c and mm[r][c]:
-                    f = mm[r][c] / mm[c][c]
-                    mm[r] = [x - f * y for x, y in zip(mm[r], mm[c])]
-        if ok and det != 0 and det.numerator % DEFAULT_PRIME != 0:
+        if linalg.rank([[field.from_int(c) for c in row] for row in M],
+                       field) == size:
             return M
 
 

@@ -198,9 +198,7 @@ def _cmd_lattice(args, field, report):
         report.say(f"incidence lattices isomorphic: {same}")
         return
     flats = arr.flats()
-    counts = {}
-    for f in flats:
-        counts[f.multiplicity] = counts.get(f.multiplicity, 0) + 1
+    counts = arr.flat_multiset()
     deg_red, deg_top = combinatorial_degrees(arr)
     report.artifact["flats"] = [
         {"multiplicity": f.multiplicity, "members": [m + 1 for m in f.members]}

@@ -11,10 +11,15 @@ key to coefficient, a dict from order key to packed exponents and a heap
 of the keys.  Subtracting c * x^m * g touches only the terms of g, so a
 reduction step costs O(len(g) log n) however long the dividend is; the
 goal is that of Yan's geobuckets (1998, "The geobucket data structure
-for polynomials"), with a heap in place of the buckets.  The same
-dividend serves normal forms, S-polynomials, exact division and the
-Schreyer syzygy step, over F_p and over Q alike.  A popped term whose
-exponents reach a guard bit raises `InternalLimitError`.
+for polynomials"), with a heap in place of the buckets.  A popped term
+whose exponents reach a guard bit raises `InternalLimitError`.
+
+`_Engine.reduce` is the one divisor search: normal forms, S-polynomials,
+exact division and the Schreyer syzygy step all run through it, over F_p
+and over Q alike, and an optional sink records each step's quotient.  A
+module term carries its component above the exponent fields; the
+divisor test masks those bits in, so it fails across components and is
+unchanged for ring terms.
 
 Buchberger completion uses the Gebauer-Moller pair criteria with
 sugar-degree selection (ties by the pair lcm under the ambient order),
@@ -23,6 +28,8 @@ The pair bookkeeping never unpacks an exponent tuple: the lcm, the
 divisibility tests of the M, F and B criteria, the coprimality test and
 the degrees behind the sugar are guard-bit arithmetic on the packed
 words (`_lcm`, `_divides`, `_degree_func`), and the pairs wait in a heap.
+`_minimal_lcms` applies the M and F criteria, for Buchberger and for the
+Schreyer step alike.
 Within one completion the basis only grows by appending, so each
 monomial's first divisor is remembered (or how far the scan got without
 one) and never searched twice.  Inputs that are already Groebner bases
@@ -104,6 +111,28 @@ def _lcm(a, b, guard):
 def _divides(a, b, guard):
     """Whether the packed monomial a divides b (both guard-free)."""
     return ((b | guard) - a) & guard == guard
+
+
+def _minimal_lcms(lt_ws, w_new, guard):
+    """The pairs of `w_new` that survive the Gebauer-Moller M and F criteria.
+
+    Returns the lcm of `w_new` with each of `lt_ws`, and a dict from each
+    minimal lcm (properly divided by no other) to the first index that
+    has it.  The words may carry a module component above the exponent
+    fields as long as they all carry the same one.
+    """
+    lcms = [_lcm(w, w_new, guard) for w in lt_ws]
+    # a proper divisor is also a smaller packed integer
+    minimal = []
+    for lcm in sorted(set(lcms)):
+        if not any(_divides(m, lcm, guard) for m in minimal):
+            minimal.append(lcm)
+    minimal = set(minimal)
+    first = {}
+    for i, lcm in enumerate(lcms):
+        if lcm in minimal:
+            first.setdefault(lcm, i)
+    return lcms, first
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +227,11 @@ class _Engine:
         self.order = order
         self.keyf = ring.key_func(order)
         self.guard = _guard(ring.nvars)
+        # the bits above the exponent fields hold a module component:
+        # (w | guard) - lt keeps their difference there, so a divisor test
+        # through this mask fails across components and is unchanged for
+        # ring terms
+        self.mask = self.guard | (-1 << WIDTH * ring.nvars)
         self.p = ring.field.p
 
     # -- reduction ---------------------------------------------------------
@@ -220,39 +254,42 @@ class _Engine:
         acc.sub(gj, self.ring.field.one, lcm_key - gj[0][0], lcm_w - gj[0][1])
         return acc
 
-    def reduce(self, acc, lt_ws, lt_keys, polys, memo=None):
+    def reduce(self, acc, lt_ws, lt_keys, polys, memo=None, quotients=None):
         """Full normal form of a dividend against a list of monic polys.
 
         Each leading term is reduced by the first basis element whose
-        leading monomial divides it; irreducible terms are emitted in
-        descending key order.  `memo`, when given, maps packed exponents
-        to the index of their first divisor, or to ~n for "no divisor
-        among the first n"; it stays exact while the basis only grows by
-        appending, so the scan resumes where it stopped.
+        leading term divides it in the same module component; irreducible
+        terms are emitted in descending key order.  `memo`, when given,
+        maps packed exponents to the index of their first divisor, or to
+        ~n for "no divisor among the first n"; it stays exact while the
+        basis only grows by appending, so the scan resumes where it
+        stopped.  `quotients`, when given, receives (index, multiplier
+        key, multiplier word, coefficient) for each reduction step.
         """
         guard = self.guard
+        mask = self.mask
         nbasis = len(lt_ws)
         out = []
         while (term := acc.pop()) is not None:
             k, w, c = term
-            start = 0
-            if memo is not None:
-                idx = memo.get(w)
-                if idx is not None:
-                    if idx >= 0:
-                        acc.sub(polys[idx], c, k - lt_keys[idx], w - lt_ws[idx])
-                        continue
-                    start = ~idx
-            wg = w | guard
-            for idx in range(start, nbasis):
-                if (wg - lt_ws[idx]) & guard == guard:
-                    acc.sub(polys[idx], c, k - lt_keys[idx], w - lt_ws[idx])
-                    break
-            else:
-                idx = ~nbasis
-                out.append(term)
-            if memo is not None:
-                memo[w] = idx
+            idx = None if memo is None else memo.get(w)
+            if idx is None or idx < 0:
+                wg = w | guard
+                for idx in range(0 if idx is None else ~idx, nbasis):
+                    if (wg - lt_ws[idx]) & mask == guard:
+                        break
+                else:
+                    idx = ~nbasis
+                if memo is not None:
+                    memo[w] = idx
+                if idx < 0:
+                    out.append(term)
+                    continue
+            mk = k - lt_keys[idx]
+            mw = w - lt_ws[idx]
+            acc.sub(polys[idx], c, mk, mw)
+            if quotients is not None:
+                quotients.append((idx, mk, mw, c))
         return out
 
     def normal_form(self, terms, lt_ws, lt_keys, polys, memo=None):
@@ -300,26 +337,13 @@ class _Engine:
             d_new = degree_of(w_new)
             if not w_new:
                 found_unit = True
-            lcms = [_lcm(w, w_new, guard) for w in lt_ws]
-            # M criterion: drop (i, t) when another new lcm properly divides
-            # its lcm; a proper divisor is also a smaller packed integer
-            minimal = []
-            for lcm in sorted(set(lcms)):
-                if not any(_divides(m, lcm, guard) for m in minimal):
-                    minimal.append(lcm)
-            # F criterion: one pair per lcm value, from the first index
-            first = {}
-            coprime = set()
-            minimal = set(minimal)
-            for i, lcm in enumerate(lcms):
-                if lcm in minimal:
-                    first.setdefault(lcm, i)
-                    if lcm == lt_ws[i] + w_new:
-                        coprime.add(lcm)
+            lcms, first = _minimal_lcms(lt_ws, w_new, guard)
+            # B1: an lcm that some pair reaches with coprime lts is dropped
+            coprime = {lcm for lcm, w in zip(lcms, lt_ws) if lcm == w + w_new}
             new_pairs = []
             for lcm, i in first.items():
                 if lcm in coprime:
-                    continue  # B1: the surviving pair has coprime lts, drop it
+                    continue
                 if block is not None and block_of[i] == block:
                     continue  # standard representation inside the block
                 d = degree_of(lcm)
@@ -728,22 +752,16 @@ def exact_divide(f, g):
         raise ValidationError("division by the zero polynomial")
     ring = f.ring
     engine = _Engine(ring, GREVLEX)
-    keyf = engine.keyf
-    gt = _to_internal(g, keyf)
-    ft = _to_internal(f, keyf)
-    lt_k, lt_w, lt_c = gt[0]
-    inv_lc = ring.field.inv(lt_c)
-    guard = engine.guard
-    acc = _Dividend(ft, engine.p, guard)
-    q = []
-    while (term := acc.pop()) is not None:
-        k, w, c = term
-        if ((w | guard) - lt_w) & guard != guard:
-            raise ValidationError("inexact polynomial division")
-        cc = ring.field.mul(c, inv_lc)
-        acc.sub(gt, cc, k - lt_k, w - lt_w)
-        q.append((k - lt_k, w - lt_w, cc))
-    return _from_internal(q, ring)
+    gt = _to_internal(g, engine.keyf)
+    inv_lc = ring.field.inv(gt[0][2])
+    gt = engine.monic(gt)
+    quotients = []
+    acc = _Dividend(_to_internal(f, engine.keyf), engine.p, engine.guard)
+    if engine.reduce(acc, [gt[0][1]], [gt[0][0]], [gt], quotients=quotients):
+        raise ValidationError("inexact polynomial division")
+    mul = ring.field.mul
+    return _from_internal([(k, w, mul(c, inv_lc)) for _, k, w, c in quotients],
+                          ring)
 
 
 def colon(a, b):

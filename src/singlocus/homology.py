@@ -18,7 +18,8 @@ from math import comb
 
 from . import linalg
 from .errors import InternalLimitError, InvariantError, ValidationError
-from .groebner import GREVLEX, Ideal, _Engine, _pack_plain, _unpack_plain
+from .groebner import (GREVLEX, Ideal, _degree_func, _Engine, _minimal_lcms,
+                       _pack_plain, _unpack_plain)
 from .polyring import WIDTH, Polynomial
 
 _CB = 20
@@ -32,9 +33,10 @@ _CMAX = (1 << _CB) - 1
 # with the component packed above the exponent fields:
 # cw = (c << WIDTH*nvars) | packed(m).  As in the ring engine, exponents
 # stay below MAX_DEGREE, so adding a multiplier's packed exponents never
-# carries into the component, and the guard-bit divisibility test holds
-# unchanged between terms of one component.  The ring engine's dividend
-# therefore reduces module vectors too.
+# carries into the component.  The engine's divisor test keeps the
+# component difference in its mask, so `_Engine.reduce` reduces module
+# vectors as they are, with its first-divisor memo and quotient sink, and
+# `_minimal_lcms` selects the pairs within each component.
 
 
 class _SyzygyLevel:
@@ -61,16 +63,17 @@ def _level_from_ring_gb(internal_gb, degrees):
 
 
 def _schreyer_step(level, engine):
-    """Syzygies of a module Groebner basis, with their matrix columns.
+    """The next level: the syzygies of a module Groebner basis of monic vectors.
 
-    The basis vectors must be monic.  Returns (next_level, columns) where
-    columns[j] maps component index -> list of (exps, coeff) describing
-    the matrix of the new map.
+    Each component's pairs are the ones `_minimal_lcms` keeps, and each
+    S-vector is reduced to zero by the engine; the syzygy's term m*e_c
+    comes straight from the S-vector's halves and the reduction's
+    quotients.  Returns None when there are no syzygies.
     """
-    ring = engine.ring
     guard = engine.guard
-    nvars = ring.nvars
+    nvars = engine.ring.nvars
     shift = WIDTH * nvars
+    degree_of = _degree_func(nvars)
     keyf = engine.keyf
     vectors = level.vectors
     lt_cw = level.lt_cw
@@ -80,77 +83,60 @@ def _schreyer_step(level, engine):
     by_comp = {}
     for i, cw in enumerate(lt_cw):
         by_comp.setdefault(cw >> shift, []).append(i)
-
-    # candidate pairs: per generator i, the minimal multipliers lcm/lt_i
+    # per generator i, one pair for each minimal multiplier lcm/lt_i, in
+    # order of degree, then index
     tasks = []
-    for comp, idxs in by_comp.items():
-        for a_pos, i in enumerate(idxs):
-            ei = _unpack_plain(lt_cw[i], nvars)
-            cand = {}
-            for j in idxs[a_pos + 1:]:
-                ej = _unpack_plain(lt_cw[j], nvars)
-                u = tuple(max(x, y) - x for x, y in zip(ei, ej))
-                if u not in cand:
-                    cand[u] = j
-            # minimal generators of the multiplier monomial ideal
-            kept = []
-            for u in sorted(cand, key=sum):
-                if not any(all(a <= b for a, b in zip(v, u)) for v in kept):
-                    kept.append(u)
-            for u in kept:
-                tasks.append((i, cand[u], u))
+    for idxs in by_comp.values():
+        for pos, i in enumerate(idxs, 1):
+            _, first = _minimal_lcms([lt_cw[j] for j in idxs[pos:]], lt_cw[i],
+                                     guard)
+            for lcm, j in first.items():
+                u = lcm - lt_cw[i]
+                tasks.append((degree_of(u) + level.degrees[i], i, idxs[pos + j],
+                              u))
+    tasks.sort()
 
-    # deterministic processing order: by degree then index
-    tasks.sort(key=lambda t: (sum(t[2]) + level.degrees[t[0]], t[0], t[1]))
-
+    one = engine.ring.field.one
+    neg = engine.ring.field.neg
+    minus_one = neg(one)
+    memo = {}  # exact: the level is fixed
     next_vectors = []
     next_degrees = []
-    columns = []
-    field = ring.field
-    one = field.one
-    for i, j, u in tasks:
-        ei = _unpack_plain(lt_cw[i], nvars)
-        ej = _unpack_plain(lt_cw[j], nvars)
-        lcm = tuple(a + b for a, b in zip(u, ei))
-        uj = tuple(a - b for a, b in zip(lcm, ej))
-        dw_i = _pack_plain(u)
-        lcm_vkey = lt_vkey[i] + keyf(u) * mult
-        sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lt_cw[i] + dw_i)
-        # reduce to zero, recording quotients
-        quotients = [(i, u, one), (j, uj, field.neg(one))]
-        while (term := sp.pop()) is not None:
-            vk, cw, co = term
-            red = -1
-            wg = cw | guard
-            for idx in by_comp.get(cw >> shift, ()):
-                if (wg - lt_cw[idx]) & guard == guard:
-                    red = idx
-                    break
-            if red < 0:
-                raise InvariantError(
-                    "input to the syzygy step was not a Groebner basis "
-                    "(S-vector does not reduce to zero)")
-            dm = cw - lt_cw[red]
-            sp.sub(vectors[red], co, vk - lt_vkey[red], dm)
-            quotients.append((red, _unpack_plain(dm, nvars), field.neg(co)))
-        # assemble the syzygy as a vector in the new free module
-        terms = []
-        col = {}
-        for comp, mexps, coeff in quotients:
-            vkey = ((lt_vkey[comp] + keyf(mexps) * mult) << _CB) | (_CMAX - comp)
-            terms.append((vkey, (comp << shift) | _pack_plain(mexps), coeff))
-            col.setdefault(comp, []).append((mexps, coeff))
-        terms.sort(key=lambda t: -t[0])
-        if terms[0][1] != (i << shift) | dw_i:
+    for degree, i, j, u in tasks:
+        lcm = lt_cw[i] + u
+        lcm_vkey = lt_vkey[i] + keyf(_unpack_plain(u, nvars)) * mult
+        sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lcm)
+        # sp = x^u v_i - x^v v_j, so the halves join the quotients as if
+        # they had reduced sp, and the syzygy is minus the sum of them all
+        quotients = [(i, lcm_vkey - lt_vkey[i], u, minus_one),
+                     (j, lcm_vkey - lt_vkey[j], lcm - lt_cw[j], one)]
+        if engine.reduce(sp, lt_cw, lt_vkey, vectors, memo, quotients):
+            raise InvariantError(
+                "input to the syzygy step was not a Groebner basis "
+                "(S-vector does not reduce to zero)")
+        # m*e_c has the key of m*lt_c, tagged by c
+        terms = sorted(((((lt_vkey[c] + mk) << _CB) | (_CMAX - c),
+                         (c << shift) | mw, neg(co))
+                        for c, mk, mw, co in quotients), reverse=True)
+        if terms[0][1] != (i << shift) | u:
             raise InvariantError(
                 "syzygy leading term does not match its predicted value")
         next_vectors.append(terms)
-        next_degrees.append(sum(u) + level.degrees[i])
-        columns.append(col)
+        next_degrees.append(degree)
 
     if not next_vectors:
-        return None, []
-    return _SyzygyLevel(next_vectors, next_degrees, mult << _CB), columns
+        return None
+    return _SyzygyLevel(next_vectors, next_degrees, mult << _CB)
+
+
+def _components(vector, nvars):
+    """{component: {exps: coeff}} of an engine-form vector, in term order."""
+    shift = WIDTH * nvars
+    low = (1 << shift) - 1
+    out = {}
+    for _, cw, co in vector:
+        out.setdefault(cw >> shift, {})[_unpack_plain(cw & low, nvars)] = co
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +177,7 @@ class GradedMap:
                     f"entry ({r},{c}) has degree {p.total_degree()}, expected {want}")
 
     def entry(self, r, c):
-        got = self.entries.get((r, c))
-        if got is not None:
-            return got
-        return None
+        return self.entries.get((r, c))
 
     def apply(self, column_vector):
         """Image of a source-coordinate vector of polynomials."""
@@ -542,19 +525,15 @@ def schreyer_syzygies(gens, twists=None):
         inv_lcs.append(inv)
     level = _SyzygyLevel(vectors, degrees, mult=1 << _CB)
     try:
-        _, columns = _schreyer_step(level, engine)
+        nxt = _schreyer_step(level, engine)
     except InvariantError as exc:
         raise ValidationError(str(exc)) from exc
     out = []
-    for col in columns:
-        vec = []
-        for c in range(len(gens)):
-            if c in col:
-                vec.append(Polynomial(ring, {tuple(e): field.mul(co, inv_lcs[c])
-                                             for e, co in col[c]}))
-            else:
-                vec.append(ring.zero())
-        out.append(vec)
+    for syz in nxt.vectors if nxt else ():
+        comps = _components(syz, ring.nvars)
+        out.append([Polynomial(ring, {e: field.mul(co, inv_lcs[c])
+                                      for e, co in comps.get(c, {}).items()})
+                    for c in range(len(gens))])
     return out
 
 
@@ -605,15 +584,12 @@ def _schreyer_resolution(ideal):
         level, entries = _in_schreyer_order(level, entries, ring.nvars)
         maps.append(entries)
         twist_lists.append(level.degrees)
-        nxt, columns = _schreyer_step(level, gb._engine)
-        if nxt is None:
+        level = _schreyer_step(level, gb._engine)
+        if level is None:
             break
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, terms in col.items():
-                entries[(r, c)] = Polynomial(
-                    ring, {tuple(e): co for e, co in terms})
-        level = nxt
+        entries = {(r, c): Polynomial(ring, terms)
+                   for c, vec in enumerate(level.vectors)
+                   for r, terms in _components(vec, ring.nvars).items()}
     else:
         raise InvariantError("resolution exceeded the variable-count bound")
     return twist_lists, maps

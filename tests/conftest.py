@@ -8,7 +8,9 @@ normal forms through the copy-the-dividend merge the engine used before
 its dividend accumulator, the monomial lcm, divisibility and
 coprimality through exponent tuples (the engine's Gebauer-Moller
 bookkeeping works on packed words), and the radical of an arrangement
-through one intersection per flat prime.
+through one intersection per flat prime, and the raw resolution through
+the Schreyer step with its own pair selection and divisor search, as it
+was before the step ran on the Buchberger kernel.
 """
 
 import itertools
@@ -17,9 +19,12 @@ from importlib.resources import files
 import pytest
 
 from singlocus import linalg
-from singlocus.groebner import GREVLEX, intersect_many
-from singlocus.homology import _schreyer_resolution
-from singlocus.polyring import GF, QQ, DEFAULT_PRIME, PolyRing
+from singlocus.errors import InvariantError
+from singlocus.groebner import GREVLEX, _pack_plain, _unpack_plain, intersect_many
+from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
+                                _level_from_ring_gb, _schreyer_resolution,
+                                _SyzygyLevel)
+from singlocus.polyring import GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing, Polynomial
 
 #: the corpus `.arr` and `.graph` files shipped with the package
 CORPUS_DIR = files("singlocus") / "arrangements"
@@ -296,3 +301,109 @@ def deficiency_by_ext(ideal):
             break
         t += 1
     return table
+
+
+def schreyer_step_by_tuples(level, engine):
+    """One syzygy step with tuple pair selection and a per-component scan.
+
+    Returns (next_level, columns), where columns[j] maps a component
+    index to the (exps, coeff) list of the new map's column j.
+    """
+    ring = engine.ring
+    guard = engine.guard
+    nvars = ring.nvars
+    shift = WIDTH * nvars
+    keyf = engine.keyf
+    vectors = level.vectors
+    lt_cw = level.lt_cw
+    lt_vkey = level.lt_vkey
+    mult = level.mult
+
+    by_comp = {}
+    for i, cw in enumerate(lt_cw):
+        by_comp.setdefault(cw >> shift, []).append(i)
+
+    # candidate pairs: per generator i, the minimal multipliers lcm/lt_i
+    tasks = []
+    for comp, idxs in by_comp.items():
+        for a_pos, i in enumerate(idxs):
+            ei = _unpack_plain(lt_cw[i], nvars)
+            cand = {}
+            for j in idxs[a_pos + 1:]:
+                ej = _unpack_plain(lt_cw[j], nvars)
+                u = tuple(max(x, y) - x for x, y in zip(ei, ej))
+                if u not in cand:
+                    cand[u] = j
+            kept = []
+            for u in sorted(cand, key=sum):
+                if not any(all(a <= b for a, b in zip(v, u)) for v in kept):
+                    kept.append(u)
+            for u in kept:
+                tasks.append((i, cand[u], u))
+    tasks.sort(key=lambda t: (sum(t[2]) + level.degrees[t[0]], t[0], t[1]))
+
+    next_vectors = []
+    next_degrees = []
+    columns = []
+    field = ring.field
+    one = field.one
+    for i, j, u in tasks:
+        ei = _unpack_plain(lt_cw[i], nvars)
+        ej = _unpack_plain(lt_cw[j], nvars)
+        lcm = tuple(a + b for a, b in zip(u, ei))
+        uj = tuple(a - b for a, b in zip(lcm, ej))
+        dw_i = _pack_plain(u)
+        lcm_vkey = lt_vkey[i] + keyf(u) * mult
+        sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lt_cw[i] + dw_i)
+        quotients = [(i, u, one), (j, uj, field.neg(one))]
+        while (term := sp.pop()) is not None:
+            vk, cw, co = term
+            red = -1
+            wg = cw | guard
+            for idx in by_comp.get(cw >> shift, ()):
+                if (wg - lt_cw[idx]) & guard == guard:
+                    red = idx
+                    break
+            if red < 0:
+                raise InvariantError("S-vector does not reduce to zero")
+            dm = cw - lt_cw[red]
+            sp.sub(vectors[red], co, vk - lt_vkey[red], dm)
+            quotients.append((red, _unpack_plain(dm, nvars), field.neg(co)))
+        terms = []
+        col = {}
+        for comp, mexps, coeff in quotients:
+            vkey = ((lt_vkey[comp] + keyf(mexps) * mult) << _CB) | (_CMAX - comp)
+            terms.append((vkey, (comp << shift) | _pack_plain(mexps), coeff))
+            col.setdefault(comp, []).append((mexps, coeff))
+        terms.sort(key=lambda t: -t[0])
+        assert terms[0][1] == (i << shift) | dw_i
+        next_vectors.append(terms)
+        next_degrees.append(sum(u) + level.degrees[i])
+        columns.append(col)
+
+    if not next_vectors:
+        return None, []
+    return _SyzygyLevel(next_vectors, next_degrees, mult << _CB), columns
+
+
+def schreyer_resolution_by_tuples(ideal):
+    """`_schreyer_resolution`, with each step taken by the oracle step."""
+    ring = ideal.ring
+    gb = ideal.groebner(GREVLEX)
+    if not len(gb):
+        return [[0]], []
+    level = _level_from_ring_gb(gb._polys,
+                                [p.total_degree() for p in gb.polys])
+    entries = {(0, c): p for c, p in enumerate(gb.polys)}
+    twist_lists = [[0]]
+    maps = []
+    for _ in range(ring.nvars + 1):
+        level, entries = _in_schreyer_order(level, entries, ring.nvars)
+        maps.append(entries)
+        twist_lists.append(level.degrees)
+        level, columns = schreyer_step_by_tuples(level, gb._engine)
+        if level is None:
+            return twist_lists, maps
+        entries = {(r, c): Polynomial(ring, {tuple(e): co for e, co in terms})
+                   for c, col in enumerate(columns) for r, terms in col.items()}
+    raise AssertionError("resolution exceeded the variable-count bound")

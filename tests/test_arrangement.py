@@ -21,7 +21,7 @@ from singlocus.corpus import arrangement_names, load_arrangement, load_graph
 from singlocus.errors import ParseError, ValidationError
 from singlocus.groebner import ideal_equal, Ideal, radical_membership
 from singlocus.homology import hilbert, is_cm
-from singlocus.polyring import GF, QQ, PolyRing
+from singlocus.polyring import DEFAULT_PRIME, GF, QQ, PolyRing
 
 
 class TestParsing:
@@ -404,6 +404,36 @@ class TestCoordinateChanges:
         moved = apply_coordinate_change(arr, random_coordinate_change(rng))
         assert arr.flat_multiset() == moved.flat_multiset()
         assert lattice_isomorphic(arr, moved)
+
+    @staticmethod
+    def _by_determinant(rng, size, bound):
+        """The draw loop with its determinant taken by Fraction elimination."""
+        from fractions import Fraction
+        while True:
+            M = [[rng.randint(-bound, bound) for _ in range(size)]
+                 for _ in range(size)]
+            mm = [[Fraction(c) for c in row] for row in M]
+            det = Fraction(1)
+            for c in range(size):
+                piv = next((r for r in range(c, size) if mm[r][c]), None)
+                if piv is None:
+                    det = Fraction(0)
+                    break
+                mm[c], mm[piv] = mm[piv], mm[c]
+                det *= mm[c][c] * (-1 if piv != c else 1)
+                for r in range(c + 1, size):
+                    f = mm[r][c] / mm[c][c]
+                    mm[r] = [x - f * y for x, y in zip(mm[r], mm[c])]
+            if det.numerator % DEFAULT_PRIME:
+                return M
+
+    @pytest.mark.parametrize("size,bound", [(4, 9), (4, 1), (3, 2)])
+    def test_same_draws_as_the_determinant_rule(self, size, bound):
+        for seed in range(40):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_coordinate_change(rng, size, bound) == \
+                    self._by_determinant(oracle, size, bound)
 
     def test_prime_safety_check(self):
         small = GF(5)

@@ -317,6 +317,27 @@ class TestExactDivision:
         with pytest.raises(ValidationError):
             exact_divide(x * x + y, x)
 
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_random_products(self, field):
+        rng = random.Random(f"exact division {field}")
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        non_monic = 0
+        for _ in range(60):
+            f = _random_poly(rng, ring, rng.randint(0, 6), 4)
+            g = _random_poly(rng, ring, rng.randint(1, 5), 3)
+            if g.is_zero():
+                continue
+            non_monic += g.leading_term()[1] != field.one
+            assert exact_divide(f * g, g) == f
+            if g.total_degree():
+                # a nonzero remainder of lower degree than g is never a multiple
+                r = _random_poly(rng, ring, rng.randint(1, 3),
+                                 g.total_degree() - 1)
+                if not r.is_zero():
+                    with pytest.raises(ValidationError):
+                        exact_divide(f * g + r, g)
+        assert non_monic > 40
+
 
 class TestPackedLimits:
     """Degrees above MAX_DEGREE do not fit the packed exponent fields."""
