@@ -33,11 +33,17 @@ Schreyer step alike.
 Within one completion the basis only grows by appending, so each
 monomial's first divisor is remembered (or how far the scan got without
 one) and never searched twice.  Inputs that are already Groebner bases
-can be fed as blocks, whose internal pairs are never formed; `intersect`
-builds t*G_a and (1-t)*G_b this way straight from the inputs' cached
-internal terms, and keeps the reduced basis of the intersection it finds.
+can be fed as blocks, whose internal pairs are never formed.
+`_intersect_bases` maps two internal reduced grevlex bases to that of
+their intersection: it builds t*G_a and (1-t)*G_b this way, with G_a the
+basis whose highest leading degree is lower (the first on a tie), since
+that orientation subtracts fewer terms for the same answer.  `intersect`
+wraps it for two public ideals.  `intersect_many` folds its balanced tree
+on internal bases, drops each pair as soon as it is intersected, checks
+only that each intermediate basis has minimal leading terms, and builds
+one public `Ideal`, checked against its basis, at the end.
 
-For homogeneous inputs `intersect` is Hilbert-driven (Traverso 1996,
+For homogeneous inputs the intersection is Hilbert-driven (Traverso 1996,
 "Hilbert functions and the Buchberger algorithm"): with t of weight 0,
 the elimination works in a graded module whose degree-d dimension is
 dim a_d + dim b_d, known from the inputs' leading monomials before any
@@ -599,12 +605,14 @@ class _DegreeCounter:
     """
 
     def __init__(self, nvars, gens=()):
+        """`gens` are packed monomials."""
         self.steps = [1 << (i * WIDTH) for i in range(nvars)]
         self.pending = {}  # degree -> packed generators above `degree`
         self.degree = -1
         self.part = set()
-        for e in gens:
-            self.add(_pack_plain(e), sum(e))
+        degree_of = _degree_func(nvars)
+        for w in gens:
+            self.add(w, degree_of(w))
 
     def add(self, w, d):
         if d > self.degree:
@@ -650,6 +658,8 @@ class _HilbertDrive:
     """
 
     def __init__(self, nvars, leads_a, leads_b):
+        """`leads_a` and `leads_b` are the packed leading monomials of G_a
+        and G_b."""
         self.x_degree = _degree_func(nvars)
         self.targets = (_DegreeCounter(nvars, leads_a),
                         _DegreeCounter(nvars, leads_b))
@@ -684,46 +694,71 @@ class _HilbertDrive:
         return have == want
 
 
-def intersect(a, b):
-    """Ideal intersection via elimination of one auxiliary variable.
+def _top_lead_degree(basis, degree_of):
+    return max(degree_of(terms[0][1]) for terms in basis)
 
-    The elimination starts from t * G_a and (1 - t) * G_b, where G_a and
-    G_b are the reduced grevlex bases of a and b, fed as two blocks.  For
-    homogeneous inputs a `_HilbertDrive` drops the pairs that the inputs'
-    Hilbert functions prove redundant.  Only the t-free part of the
-    elimination basis is finished: it is the reduced grevlex basis of the
-    intersection, and becomes the result's generators and cached basis.
+
+def _is_homogeneous(basis, degree_of):
+    """Whether every element of an internal grevlex basis is homogeneous:
+    grevlex sorts by degree first, so its first and last terms tell."""
+    return all(degree_of(terms[0][1]) == degree_of(terms[-1][1])
+               for terms in basis)
+
+
+def _intersect_bases(ring, pa, pb):
+    """The internal reduced grevlex basis of a ∩ b, from those of a and b.
+
+    The elimination starts from t * G_a and (1 - t) * G_b, fed as two
+    blocks.  The basis whose highest leading degree is lower goes into
+    the t-block (the first one on a tie): the answer is the same, but its
+    reductions subtract fewer terms.  For homogeneous inputs a
+    `_HilbertDrive` drops the pairs that the inputs' Hilbert functions
+    prove redundant.  Only the t-free part of the elimination basis is
+    finished: it is the reduced grevlex basis of the intersection.  Both
+    inputs must be proper and nonzero.
     """
-    if a.ring != b.ring:
-        raise RingContextError("ideals in different rings")
-    if a.is_zero() or b.is_unit():
-        return Ideal(a.ring, a.gens)
-    if b.is_zero() or a.is_unit():
-        return Ideal(a.ring, b.gens)
-    ring = a.ring
+    degree_of = _degree_func(ring.nvars)
+    if _top_lead_degree(pb, degree_of) < _top_lead_degree(pa, degree_of):
+        pa, pb = pb, pa
     ext, _ = _extend_ring(ring)
     engine = _Engine(ext, elimination_order(1))
-    ga, gb = a.groebner(), b.groebner()
     # t comes first in the elimination order and is the lowest packed
     # field: the elimination key of a t-free monomial is its grevlex key in
     # `ring`, and t * m has key key(t) + key(m), above every t-free key
     t_key = engine.keyf((1,) + (0,) * ring.nvars)
     neg = ring.field.neg
     t_block = [[(k + t_key, (w << WIDTH) | 1, c) for k, w, c in terms]
-               for terms in ga._polys]
+               for terms in pa]
     one_minus_t_block = [
         [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
         + [(k, w << WIDTH, c) for k, w, c in terms]
-        for terms in gb._polys]
+        for terms in pb]
     drive = None
-    if all(g.is_homogeneous() for g in ga.polys + gb.polys):
-        drive = _HilbertDrive(ring.nvars, ga.leading_exponents(),
-                              gb.leading_exponents())
+    if _is_homogeneous(pa, degree_of) and _is_homogeneous(pb, degree_of):
+        drive = _HilbertDrive(ring.nvars, [t[0][1] for t in pa],
+                              [t[0][1] for t in pb])
     # an element with a t-free leading term is t-free
     t_mask = (1 << WIDTH) - 1
     basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
                               drive=drive, eliminate=t_mask)
-    internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
+    return [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
+
+
+def _check_minimal(basis, nvars):
+    """Raise `InvariantError` if a leading word of an internal basis
+    divides another: a reduced basis has minimal leading terms."""
+    guard = _guard(nvars)
+    leads = [terms[0][1] for terms in basis]
+    for i, u in enumerate(leads):
+        for j, v in enumerate(leads):
+            if i != j and _divides(u, v, guard):
+                raise InvariantError("an intersection basis has a leading "
+                                     "term that divides another")
+
+
+def _ideal_from_basis(ring, internal):
+    """The public ideal generated by, and caching, an internal reduced
+    grevlex basis."""
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out,
                    allow_inhomogeneous=not all(g.is_homogeneous() for g in out))
@@ -731,19 +766,54 @@ def intersect(a, b):
     return result
 
 
+def intersect(a, b):
+    """Ideal intersection via elimination of one auxiliary variable.
+
+    The reduced grevlex bases of a and b go to `_intersect_bases`; its
+    answer becomes the result's generators and cached basis.
+    """
+    if a.ring != b.ring:
+        raise RingContextError("ideals in different rings")
+    if a.is_zero() or b.is_unit():
+        return Ideal(a.ring, a.gens)
+    if b.is_zero() or a.is_unit():
+        return Ideal(a.ring, b.gens)
+    return _ideal_from_basis(a.ring, _intersect_bases(
+        a.ring, a.groebner()._polys, b.groebner()._polys))
+
+
 def intersect_many(ideals):
-    """Balanced pairwise intersection of a nonempty list of ideals."""
+    """Balanced pairwise intersection of a nonempty list of ideals.
+
+    A single ideal comes back as it is; a zero ideal makes the answer
+    zero, and unit ideals are dropped.  The tree is folded on internal
+    bases: a pair leaves the fold as soon as it is intersected, and each
+    intermediate basis only has its leading terms checked for
+    minimality; the answer alone becomes a public `Ideal`.
+    """
     items = list(ideals)
     if not items:
         raise ValidationError("empty intersection")
-    while len(items) > 1:
+    if len(items) == 1:
+        return items[0]
+    ring = items[0].ring
+    if any(ideal.ring != ring for ideal in items):
+        raise RingContextError("ideals in different rings")
+    if any(ideal.is_zero() for ideal in items):
+        return Ideal(ring, ())
+    proper = [ideal for ideal in items if not ideal.is_unit()]
+    if len(proper) < 2:
+        return Ideal(ring, (proper or items)[0].gens)
+    level = [ideal.groebner()._polys for ideal in proper]
+    while len(level) > 1:
+        level.reverse()  # pop the pairs in list order
         nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(intersect(items[i], items[i + 1]))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+        while len(level) > 1:
+            basis = _intersect_bases(ring, level.pop(), level.pop())
+            _check_minimal(basis, ring.nvars)
+            nxt.append(basis)
+        level = nxt + level
+    return _ideal_from_basis(ring, level[0])
 
 
 def exact_divide(f, g):

@@ -777,11 +777,53 @@ def _monomials_of_degree(nvars, d):
     return out
 
 
+def _maximal_minors(sigma, ring):
+    """The nonzero r x r minors of a map with r source generators.
+
+    Expanded one column at a time: after column k, `minors` maps each
+    (k + 1)-subset of the target rows to its minor on columns 0..k.
+    """
+    nrows = sigma.target.rank
+    minors = {(): ring.one()}
+    for k in range(sigma.source.rank):
+        nxt = {}
+        for rows in itertools.combinations(range(nrows), k + 1):
+            acc = ring.zero()
+            for i, r in enumerate(rows):
+                entry = sigma.entries.get((r, k))
+                sub = minors.get(rows[:i] + rows[i + 1:])
+                if entry is None or sub is None:
+                    continue
+                acc = acc - entry * sub if (i + k) % 2 else acc + entry * sub
+            if not acc.is_zero():
+                nxt[rows] = acc
+        minors = nxt
+    return list(minors.values())
+
+
+def _require_finite_length(sigma, ring):
+    """Raise unless coker(sigma^T) = Ext^3(R/I, R) has finite length.
+
+    By Fitting's lemma the support of a cokernel with r generators is cut
+    out by the r x r minors of its presentation, so the cokernel has
+    finite length exactly when those minors generate an m-primary ideal.
+    For a saturated codimension-2 ideal that fails exactly when I is not
+    unmixed, and then the deficiency scan would never end.
+    """
+    if hilbert(Ideal(ring, _maximal_minors(sigma, ring))).dimension:
+        raise ValidationError(
+            "Ext^3(R/I, R) does not have finite length (ideal is not unmixed)")
+
+
 def rao_dimensions(ideal):
     """Graded dimensions of the deficiency module of a curve in P^3.
 
     Requires a saturated unmixed codimension-2 ideal in 4 variables.  The
-    table is empty exactly when the quotient is Cohen-Macaulay.
+    table is empty exactly when the quotient is Cohen-Macaulay.  The scan
+    stops at the first zero cokernel from degree -min(F_3) on; if it
+    passes that degree with a nonzero cokernel, the ideal is checked once
+    to be unmixed (`_require_finite_length`), so a mixed one raises
+    instead of scanning for ever.
     """
     ring = ideal.ring
     if ring.nvars != 4:
@@ -803,6 +845,7 @@ def rao_dimensions(ideal):
     table = {}
     t = -max(f3)
     iterations = 0
+    checked = False
     while True:
         iterations += 1
         if iterations > 400:
@@ -838,6 +881,9 @@ def rao_dimensions(ideal):
         dim_coker = dim_target - rk
         if dim_coker:
             table[-t - 4] = dim_coker
+            if t > -min(f3) and not checked:
+                _require_finite_length(sigma, ring)
+                checked = True
         elif t >= -min(f3):
             break
         t += 1

@@ -8,9 +8,11 @@ normal forms through the copy-the-dividend merge the engine used before
 its dividend accumulator, the monomial lcm, divisibility and
 coprimality through exponent tuples (the engine's Gebauer-Moller
 bookkeeping works on packed words), and the radical of an arrangement
-through one intersection per flat prime, and the raw resolution through
+through one intersection per flat prime, the raw resolution through
 the Schreyer step with its own pair selection and divisor search, as it
-was before the step ran on the Buchberger kernel.
+was before the step ran on the Buchberger kernel, and ideal intersections
+through public `Ideal`s at every step of the tree, with the first input
+always in the t-block.
 """
 
 import itertools
@@ -19,12 +21,15 @@ from importlib.resources import files
 import pytest
 
 from singlocus import linalg
-from singlocus.errors import InvariantError
-from singlocus.groebner import GREVLEX, _pack_plain, _unpack_plain, intersect_many
+from singlocus.errors import InvariantError, RingContextError, ValidationError
+from singlocus.groebner import (GREVLEX, GroebnerBasis, Ideal, _Engine,
+                                _extend_ring, _from_internal, _HilbertDrive,
+                                _pack_plain, _unpack_plain, intersect_many)
 from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
                                 _level_from_ring_gb, _schreyer_resolution,
                                 _SyzygyLevel)
-from singlocus.polyring import GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing, Polynomial
+from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing,
+                                Polynomial, elimination_order)
 
 #: the corpus `.arr` and `.graph` files shipped with the package
 CORPUS_DIR = files("singlocus") / "arrangements"
@@ -99,6 +104,55 @@ def coprime_exps(a, b):
 def radical_by_flat_primes(arr):
     """The intersection of the flat primes, taken flat by flat."""
     return intersect_many([f.prime(arr.ring) for f in arr.flats()])
+
+
+def intersect_by_ideals(a, b):
+    """a ∩ b with t * G_a and (1 - t) * G_b as the elimination blocks,
+    whatever the degrees, and the answer checked back as a public Ideal."""
+    if a.ring != b.ring:
+        raise RingContextError("ideals in different rings")
+    if a.is_zero() or b.is_unit():
+        return Ideal(a.ring, a.gens)
+    if b.is_zero() or a.is_unit():
+        return Ideal(a.ring, b.gens)
+    ring = a.ring
+    ext, _ = _extend_ring(ring)
+    engine = _Engine(ext, elimination_order(1))
+    ga, gb = a.groebner(), b.groebner()
+    t_key = engine.keyf((1,) + (0,) * ring.nvars)
+    neg = ring.field.neg
+    t_block = [[(k + t_key, (w << WIDTH) | 1, c) for k, w, c in terms]
+               for terms in ga._polys]
+    one_minus_t_block = [
+        [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
+        + [(k, w << WIDTH, c) for k, w, c in terms]
+        for terms in gb._polys]
+    drive = None
+    if all(g.is_homogeneous() for g in ga.polys + gb.polys):
+        drive = _HilbertDrive(ring.nvars, ga._lt_ws, gb._lt_ws)
+    t_mask = (1 << WIDTH) - 1
+    basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
+                              drive=drive, eliminate=t_mask)
+    internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
+    out = [_from_internal(terms, ring) for terms in internal]
+    result = Ideal(ring, out,
+                   allow_inhomogeneous=not all(g.is_homogeneous() for g in out))
+    result._keep(GroebnerBasis(ring, GREVLEX, internal, out))
+    return result
+
+
+def intersect_many_by_ideals(ideals):
+    """The balanced tree of `intersect_by_ideals`, level by level."""
+    items = list(ideals)
+    if not items:
+        raise ValidationError("empty intersection")
+    while len(items) > 1:
+        nxt = [intersect_by_ideals(items[i], items[i + 1])
+               for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
 
 
 def merge_sub_p(f, i0, g, c, mk, mw, p):

@@ -15,8 +15,9 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    standard_ring, symbolic_intersection,
                                    top_comb, triangle_condition,
                                    uniform_powers)
-from conftest import CORPUS_DIR, radical_by_flat_primes
-from singlocus import linalg
+from conftest import (CORPUS_DIR, intersect_many_by_ideals,
+                      radical_by_flat_primes)
+from singlocus import arrangement, linalg
 from singlocus.corpus import arrangement_names, load_arrangement, load_graph
 from singlocus.errors import ParseError, ValidationError
 from singlocus.groebner import ideal_equal, Ideal, radical_membership
@@ -198,6 +199,26 @@ class TestRadicalByPlanes:
             got = radical_comb(arr)
             assert got.gens == flat.prime(ring).gens
             assert got.gens == radical_by_flat_primes(arr).gens
+
+
+class TestIntersectionTree:
+    """`intersect_many` folds on internal bases and orients each pair by
+    degree; the Ideal-by-Ideal tree with the first input always in the
+    t-block is its oracle."""
+
+    @pytest.mark.parametrize("name", [n for n in arrangement_names()
+                                      if n != "thirty_one_planes"])
+    def test_corpus(self, name, monkeypatch):
+        arr = load_arrangement(name)
+        builds = (top_comb, radical_comb,
+                  lambda a: symbolic_intersection(a, rule_powers(a, 2)))
+        got = [build(arr) for build in builds]
+        monkeypatch.setattr(arrangement, "intersect_many",
+                            intersect_many_by_ideals)
+        for ideal, build in zip(got, builds):
+            want = build(arr)
+            assert ideal.gens == want.gens
+            assert ideal.groebner()._polys == want.groebner()._polys
 
 
 class TestTopComb:

@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (coprime_exps, divides_exps, lcm_exps,
-                      membership_by_linear_algebra, merge_normal_form,
-                      monomials_of_degree, standard_monomial_count)
+from conftest import (coprime_exps, divides_exps, intersect_by_ideals,
+                      lcm_exps, membership_by_linear_algebra,
+                      merge_normal_form, monomials_of_degree,
+                      standard_monomial_count)
 from singlocus import groebner
-from singlocus.errors import InternalLimitError, InvariantError, ValidationError
+from singlocus.errors import (InternalLimitError, InvariantError,
+                              RingContextError, ValidationError)
 from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter, _Engine,
                                 _HilbertDrive, _to_internal,
                                 buchberger_criterion_holds, colon, eliminate,
@@ -444,10 +446,10 @@ def test_first_divisor_memo_matches_the_scan(field):
         assert memo
 
 
-def test_intersect_random_homogeneous():
-    """Generators lie in both inputs; HF(a∩b) = HF(a) + HF(b) - HF(a+b)."""
+def _random_intersect_pairs(field):
+    """60 seeded pairs of homogeneous ideals in 4 variables."""
     rng = random.Random("intersect")
-    ring = PolyRing(("x", "y", "z", "w"), GF(32003))
+    ring = PolyRing(("x", "y", "z", "w"), field)
 
     def random_ideal():
         gens = []
@@ -461,7 +463,12 @@ def test_intersect_random_homogeneous():
         return Ideal(ring, gens)
 
     for _ in range(60):
-        a, b = random_ideal(), random_ideal()
+        yield random_ideal(), random_ideal()
+
+
+def test_intersect_random_homogeneous():
+    """Generators lie in both inputs; HF(a∩b) = HF(a) + HF(b) - HF(a+b)."""
+    for a, b in _random_intersect_pairs(GF(32003)):
         inter = intersect(a, b)
         for g in inter.gens:
             assert membership_by_linear_algebra(g, a)
@@ -471,6 +478,77 @@ def test_intersect_random_homogeneous():
             assert standard_monomial_count(inter, d) == (
                 standard_monomial_count(a, d) + standard_monomial_count(b, d)
                 - standard_monomial_count(both, d))
+
+
+def _highest_lead_degree(ideal):
+    return max(sum(e) for e in ideal.groebner().leading_exponents())
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+def test_intersect_matches_the_ideal_oracle(field):
+    """The degree-oriented kernel returns the reduced basis of the oracle,
+    which always puts its first input into the t-block, in both argument
+    orders; both orientations occur."""
+    swapped = kept = 0
+    for a, b in _random_intersect_pairs(field):
+        for u, v in ((a, b), (b, a)):
+            got = intersect(u, v)
+            want = intersect_by_ideals(u, v)
+            assert got.gens == want.gens
+            assert got.groebner()._polys == want.groebner()._polys
+            if _highest_lead_degree(v) < _highest_lead_degree(u):
+                swapped += 1
+            else:
+                kept += 1
+    assert swapped and kept
+
+
+class TestIntersectMany:
+    """Edge cases of the fold, as the Ideal-by-Ideal tree had them."""
+
+    def test_empty(self):
+        with pytest.raises(ValidationError):
+            intersect_many([])
+
+    def test_single_ideal_is_returned(self, ring_p, vars_p):
+        x, y, z, w = vars_p
+        a = Ideal(ring_p, (x * y, z))
+        assert intersect_many([a]) is a
+
+    def test_zero_ideal(self, ring_p, vars_p):
+        x, y, z, w = vars_p
+        a, b = Ideal(ring_p, (x, y)), Ideal(ring_p, (z,))
+        for items in ([a, Ideal(ring_p, ()), b], [a, b, Ideal(ring_p, ())],
+                      [Ideal(ring_p, ()), Ideal(ring_p, (ring_p.one(),))]):
+            assert intersect_many(items).is_zero()
+
+    def test_unit_ideals_are_dropped(self, ring_p, vars_p):
+        x, y, z, w = vars_p
+        unit = Ideal(ring_p, (ring_p.one(),))
+        a, b = Ideal(ring_p, (x * y, z * z + x * w)), Ideal(ring_p, (y, w))
+        assert intersect_many([a, unit]).gens == a.gens
+        assert intersect_many([unit, a]).gens == a.gens
+        both = intersect(a, b)
+        assert intersect_many([a, unit, b]).gens == both.gens
+        assert intersect_many([unit, a, b, unit]).gens == both.gens
+        assert intersect_many([unit, unit]).gens == unit.gens
+
+    def test_mixed_rings(self, ring_p, ring_q, vars_p):
+        x, y, z, w = vars_p
+        other = Ideal(ring_q, ring_q.variables()[:2])
+        for items in ([Ideal(ring_p, (x,)), other],
+                      [Ideal(ring_p, (x,)), Ideal(ring_p, (y,)), other],
+                      [Ideal(ring_p, ()), other]):
+            with pytest.raises(RingContextError):
+                intersect_many(items)
+
+    def test_non_minimal_basis_is_an_invariant_error(self, ring_p, vars_p):
+        x, y, z, w = vars_p
+        keyf = ring_p.key_func(GREVLEX)
+        basis = [_to_internal(g, keyf) for g in (x * y, y * z, x * y * w)]
+        with pytest.raises(InvariantError):
+            groebner._check_minimal(basis, ring_p.nvars)
+        groebner._check_minimal(basis[:2], ring_p.nvars)
 
 
 def _undriven_intersection(a, b):
@@ -539,6 +617,9 @@ def test_intersect_inhomogeneous_is_not_driven():
     assert got.groebner()._polys == _undriven_intersection(a, b)
     for g in got.gens:
         assert a.contains(g) and b.contains(g)
+    for u, v in ((a, b), (b, a)):
+        assert (intersect(u, v).groebner()._polys
+                == intersect_by_ideals(u, v).groebner()._polys)
 
 
 @pytest.mark.parametrize("nvars", [1, 3, 4])
@@ -551,7 +632,8 @@ def test_degree_counter_matches_standard_monomials(nvars):
         leads = {rng.choice(monomials_of_degree(nvars, rng.randint(2, 5)))
                  for _ in range(rng.randint(1, 4))}
         ideal = Ideal(ring, [ring.from_terms({e: 1}) for e in leads])
-        counter = _DegreeCounter(nvars, list(leads))
+        counter = _DegreeCounter(nvars,
+                                 [groebner._pack_plain(e) for e in leads])
         for d in range(9):
             want = (len(monomials_of_degree(nvars, d))
                     - standard_monomial_count(ideal, d))
@@ -571,7 +653,8 @@ def test_degree_counter_takes_generators_at_the_current_degree():
 
 
 def test_hilbert_count_above_its_target_is_an_invariant_error():
-    drive = _HilbertDrive(2, [(1, 0)], [(1, 0)])  # a = b = (x): dim N_1 = 2
+    x = groebner._pack_plain((1, 0))
+    drive = _HilbertDrive(2, [x], [x])  # a = b = (x): dim N_1 = 2
     # a t-free lead x counts as x and as t * x
     drive.note(groebner._pack_plain((0, 1, 0)))
     assert drive.full(1)

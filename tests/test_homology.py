@@ -16,10 +16,11 @@ from singlocus.errors import ValidationError
 from singlocus.groebner import (Ideal, intersect, intersect_many,
                                 saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
-                                _schreyer_resolution, betti_json, betti_of,
-                                betti_table, betti_text, dimensions, hilbert,
-                                is_cm, is_saturated, minimal_free_resolution,
-                                rao_dimensions, schreyer_syzygies)
+                                _maximal_minors, _schreyer_resolution,
+                                betti_json, betti_of, betti_table, betti_text,
+                                dimensions, hilbert, is_cm, is_saturated,
+                                minimal_free_resolution, rao_dimensions,
+                                schreyer_syzygies)
 from singlocus.polyring import GF, QQ, PolyRing
 
 # Six planes from a random sweep: the Jacobian ideal has projective
@@ -312,6 +313,21 @@ class TestRaoDimensions:
         unsat = intersect(Ideal(ring_p, (x, y)), m.power(2))
         with pytest.raises(ValidationError):
             rao_dimensions(unsat)
+
+    def test_mixed_ideal_rejected(self):
+        """J of four planes through a point is saturated, but its Hilbert
+        polynomial 6t - 1 exceeds the 6t - 2 of its top part: Ext^3 has
+        infinite length and the scan would never end."""
+        J = jacobian_ideal(load_arrangement("four_planes_point"))
+        with pytest.raises(ValidationError, match="not unmixed"):
+            rao_dimensions(J)
+
+    def test_maximal_minors(self, ring_p):
+        x, y, z, w = ring_p.variables()
+        sigma = GradedMap(GradedFreeModule((1, 1)), GradedFreeModule((0, 0, 0)),
+                          {(0, 0): x, (0, 1): y, (1, 0): z, (1, 1): w,
+                           (2, 1): x})
+        assert _maximal_minors(sigma, ring_p) == [x * w - y * z, x * x, z * x]
 
     def test_against_ext_homology(self, ring_p):
         x, y, z, w = ring_p.variables()
