@@ -340,13 +340,14 @@ def radical_comb(arr):
     return intersect_many(comps)
 
 
-def pencil_component(flat, ring, vecs=None):
+def pencil_component(flat, ring, vecs):
     """The complete intersection cut out at one flat.
 
     For multiplicity 2 this is the flat prime.  Otherwise the member
-    forms are rewritten in the flat's echelon basis (s, t), their product
-    g is differentiated, and (g_s, g_t) is pushed back through s, t; the
-    result is primary to the flat prime with degree (e-1)^2.
+    forms, whose coefficient rows `vecs` holds, are rewritten in the
+    flat's echelon basis (s, t), their product g is differentiated, and
+    (g_s, g_t) is pushed back through s, t; the result is primary to the
+    flat prime with degree (e-1)^2.
     """
     b1, b2 = flat.basis_forms(ring)
     if flat.multiplicity == 2:

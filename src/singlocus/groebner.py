@@ -38,7 +38,7 @@ can be fed as blocks, whose internal pairs are never formed.
 their intersection: it builds t*G_a and (1-t)*G_b this way, with G_a the
 basis whose highest leading degree is lower (the first on a tie), since
 that orientation subtracts fewer terms for the same answer.  `intersect`
-wraps it for two public ideals.  `intersect_many` folds its balanced tree
+is the two-ideal case of `intersect_many`, which folds its balanced tree
 on internal bases, drops each pair as soon as it is intersected, checks
 only that each intermediate basis has minimal leading terms, and builds
 one public `Ideal`, checked against its basis, at the end.
@@ -767,19 +767,9 @@ def _ideal_from_basis(ring, internal):
 
 
 def intersect(a, b):
-    """Ideal intersection via elimination of one auxiliary variable.
-
-    The reduced grevlex bases of a and b go to `_intersect_bases`; its
-    answer becomes the result's generators and cached basis.
-    """
-    if a.ring != b.ring:
-        raise RingContextError("ideals in different rings")
-    if a.is_zero() or b.is_unit():
-        return Ideal(a.ring, a.gens)
-    if b.is_zero() or a.is_unit():
-        return Ideal(a.ring, b.gens)
-    return _ideal_from_basis(a.ring, _intersect_bases(
-        a.ring, a.groebner()._polys, b.groebner()._polys))
+    """Ideal intersection via elimination of one auxiliary variable: the
+    two-ideal case of `intersect_many`."""
+    return intersect_many((a, b))
 
 
 def intersect_many(ideals):

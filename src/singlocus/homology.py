@@ -8,17 +8,24 @@ additive under monomial multiplication, exactly as in the ring engine.
 The resulting resolution is generally non-minimal; repeatedly pivoting on
 nonzero-constant entries prunes it to the minimal one, whose twists are
 the graded Betti numbers.
+
+The deficiency (Rao) table of a curve in P^3 is the Hilbert function of
+Ext^3(R/I, R) = coker(F_2^dual -> F_3^dual), up to the re-indexing
+t -> -t - 4.  The columns of the dual of the last minimal map are
+completed to a module Groebner basis on the same kernel, and the
+cokernel's Hilbert series is read from the leading words in each
+component.  Its dimension is 0 exactly when I is unmixed, so a mixed
+ideal is rejected by the same computation.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import comb
 
-from . import linalg
-from .errors import InternalLimitError, InvariantError, ValidationError
-from .groebner import (GREVLEX, Ideal, _degree_func, _Engine, _minimal_lcms,
+from .errors import InvariantError, ValidationError
+from .groebner import (GREVLEX, _degree_func, _Engine, _minimal_lcms,
                        _pack_plain, _unpack_plain)
 from .polyring import WIDTH, Polynomial
 
@@ -53,6 +60,18 @@ class _SyzygyLevel:
         self.lt_vkey = [v[0][0] for v in vectors]
         self.degrees = degrees
         self.mult = mult
+
+
+def _module_vector(entries, keyf, shift):
+    """Engine form of sum_c p_c * e_c from (c, p_c) pairs, with no twist.
+
+    Term over position: monomials compare by `keyf` first and component
+    c before c + 1 on a tie.  The terms come sorted by descending vkey.
+    """
+    terms = [((keyf(e) << _CB) | (_CMAX - c), (c << shift) | _pack_plain(e), co)
+             for c, poly in entries for e, co in poly.terms.items()]
+    terms.sort(reverse=True)
+    return terms
 
 
 def _level_from_ring_gb(internal_gb, degrees):
@@ -127,6 +146,60 @@ def _schreyer_step(level, engine):
     if not next_vectors:
         return None
     return _SyzygyLevel(next_vectors, next_degrees, mult << _CB)
+
+
+def _module_leads(vectors, degrees, engine):
+    """Leading words of a module Groebner basis of the span of `vectors`.
+
+    `vectors` are nonzero homogeneous `_module_vector`s and `degrees`
+    their degrees.  Each component's pairs are the ones `_minimal_lcms`
+    keeps, taken by degree, and each S-vector is reduced by the engine.
+    The product criterion does not hold for vectors: x*e_0 + z*e_1 and
+    y*e_0 + w*e_1 have coprime leading monomials, but their S-vector
+    y*z*e_1 - x*w*e_1 is not zero.  Only the leading words are wanted, so
+    the basis is neither minimalized nor tail-reduced.
+    """
+    guard = engine.guard
+    nvars = engine.ring.nvars
+    shift = WIDTH * nvars
+    degree_of = _degree_func(nvars)
+    keyf = engine.keyf
+    basis = []
+    lt_ws = []
+    lt_vkeys = []
+    basis_degrees = []
+    by_comp = {}
+    pairs = []  # a heap of (degree, lcm vkey, i, j, lcm)
+    memo = {}  # exact: the basis only grows by appending
+
+    def add(terms, degree):
+        terms = engine.monic(terms)
+        w_new = terms[0][1]
+        idxs = by_comp.setdefault(w_new >> shift, [])
+        _, first = _minimal_lcms([lt_ws[i] for i in idxs], w_new, guard)
+        for lcm, pos in first.items():
+            i = idxs[pos]
+            u = lcm - lt_ws[i]
+            heappush(pairs, (degree_of(u) + basis_degrees[i],
+                             lt_vkeys[i] + (keyf(_unpack_plain(u, nvars)) << _CB),
+                             i, len(basis), lcm))
+        idxs.append(len(basis))
+        basis.append(terms)
+        lt_ws.append(w_new)
+        lt_vkeys.append(terms[0][0])
+        basis_degrees.append(degree)
+
+    for terms, degree in zip(vectors, degrees):
+        nf = engine.normal_form(terms, lt_ws, lt_vkeys, basis, memo)
+        if nf:
+            add(nf, degree)
+    while pairs:
+        degree, lcm_vkey, i, j, lcm = heappop(pairs)
+        sp = engine.s_dividend(basis[i], basis[j], lcm_vkey, lcm)
+        nf = engine.reduce(sp, lt_ws, lt_vkeys, basis, memo)
+        if nf:
+            add(nf, degree)
+    return lt_ws
 
 
 def _components(vector, nvars):
@@ -464,12 +537,12 @@ def _minimalize(gens):
 # public operations
 
 
-def hilbert(ideal, order=GREVLEX):
-    """Hilbert data of R/I from the leading-term ideal."""
+def hilbert(ideal):
+    """Hilbert data of R/I from the grevlex leading-term ideal."""
     cached = getattr(ideal, "_hilbert_cache", None)
     if cached is not None:
         return cached
-    gb = ideal.groebner(order)
+    gb = ideal.groebner()
     lead = [tuple(e) for e in gb.leading_exponents()]
     num = _series_numerator(_minimalize(lead), ideal.ring.nvars, {})
     data = HilbertData(_trim(list(num)), ideal.ring.nvars)
@@ -506,22 +579,15 @@ def schreyer_syzygies(gens, twists=None):
     degrees = []
     inv_lcs = []
     for vec in vectors_in:
-        terms = []
-        deg = None
-        for comp, poly in enumerate(vec):
-            if poly.ring != ring:
-                raise ValidationError("vector entries in mixed rings")
-            for e, c in poly.terms.items():
-                terms.append(((keyf(e) << _CB) | (_CMAX - comp),
-                              (comp << shift) | _pack_plain(e), c))
-                d = sum(e) + twists[comp]
-                deg = d if deg is None or d > deg else deg
+        if any(poly.ring != ring for poly in vec):
+            raise ValidationError("vector entries in mixed rings")
+        terms = _module_vector(enumerate(vec), keyf, shift)
         if not terms:
             raise ValidationError("zero vector among the generators")
-        terms.sort(key=lambda t: -t[0])
         inv = field.inv(terms[0][2])
         vectors.append([(vk, cw, field.mul(c, inv)) for vk, cw, c in terms])
-        degrees.append(deg)
+        degrees.append(max(sum(e) + twists[comp] for comp, poly in enumerate(vec)
+                           for e in poly.terms))
         inv_lcs.append(inv)
     level = _SyzygyLevel(vectors, degrees, mult=1 << _CB)
     try:
@@ -762,68 +828,17 @@ def is_saturated(ideal):
     return minimal_free_resolution(ideal).length < ideal.ring.nvars
 
 
-def _monomials_of_degree(nvars, d):
-    if d < 0:
-        return []
-    out = []
-    for bars in itertools.combinations(range(d + nvars - 1), nvars - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + nvars - 2 - prev)
-        out.append(tuple(exps))
-    return out
-
-
-def _maximal_minors(sigma, ring):
-    """The nonzero r x r minors of a map with r source generators.
-
-    Expanded one column at a time: after column k, `minors` maps each
-    (k + 1)-subset of the target rows to its minor on columns 0..k.
-    """
-    nrows = sigma.target.rank
-    minors = {(): ring.one()}
-    for k in range(sigma.source.rank):
-        nxt = {}
-        for rows in itertools.combinations(range(nrows), k + 1):
-            acc = ring.zero()
-            for i, r in enumerate(rows):
-                entry = sigma.entries.get((r, k))
-                sub = minors.get(rows[:i] + rows[i + 1:])
-                if entry is None or sub is None:
-                    continue
-                acc = acc - entry * sub if (i + k) % 2 else acc + entry * sub
-            if not acc.is_zero():
-                nxt[rows] = acc
-        minors = nxt
-    return list(minors.values())
-
-
-def _require_finite_length(sigma, ring):
-    """Raise unless coker(sigma^T) = Ext^3(R/I, R) has finite length.
-
-    By Fitting's lemma the support of a cokernel with r generators is cut
-    out by the r x r minors of its presentation, so the cokernel has
-    finite length exactly when those minors generate an m-primary ideal.
-    For a saturated codimension-2 ideal that fails exactly when I is not
-    unmixed, and then the deficiency scan would never end.
-    """
-    if hilbert(Ideal(ring, _maximal_minors(sigma, ring))).dimension:
-        raise ValidationError(
-            "Ext^3(R/I, R) does not have finite length (ideal is not unmixed)")
-
-
 def rao_dimensions(ideal):
     """Graded dimensions of the deficiency module of a curve in P^3.
 
     Requires a saturated unmixed codimension-2 ideal in 4 variables.  The
-    table is empty exactly when the quotient is Cohen-Macaulay.  The scan
-    stops at the first zero cokernel from degree -min(F_3) on; if it
-    passes that degree with a nonzero cokernel, the ideal is checked once
-    to be unmixed (`_require_finite_length`), so a mixed one raises
-    instead of scanning for ever.
+    table is empty exactly when the quotient is Cohen-Macaulay.  It is the
+    Hilbert function of Ext^3(R/I, R) = coker(tau: F_2^dual -> F_3^dual),
+    re-indexed by t -> -t - 4: the standard monomials of a module Groebner
+    basis of the image of tau are a basis of the cokernel (Eisenbud,
+    Commutative Algebra, 15.10), so its Hilbert series is the sum over
+    the components of their monomial quotients' series.  Ext^3 has finite
+    length exactly when I is unmixed; otherwise this raises.
     """
     ring = ideal.ring
     if ring.nvars != 4:
@@ -840,51 +855,30 @@ def rao_dimensions(ideal):
     sigma = res.maps[2]  # F_3 -> F_2
     f3 = res.modules[3].twists
     f2 = res.modules[2].twists
-    field = ring.field
-    # dual map tau: F_2^dual -> F_3^dual; column r has entries sigma[r][c]
-    table = {}
-    t = -max(f3)
-    iterations = 0
-    checked = False
-    while True:
-        iterations += 1
-        if iterations > 400:
-            raise InternalLimitError("deficiency dimension scan did not terminate")
-        target_basis = []  # (component c, exps)
-        for c, b in enumerate(f3):
-            target_basis.extend((c, m) for m in _monomials_of_degree(4, t + b))
-        dim_target = len(target_basis)
-        if dim_target == 0:
-            if t >= -min(f3):
-                break
-            t += 1
-            continue
-        index = {cm: ix for ix, cm in enumerate(target_basis)}
-        rows = []
-        for r, a in enumerate(f2):
-            gen_entries = [(c, sigma.entries.get((r, c))) for c in range(len(f3))]
-            if all(p is None for _, p in gen_entries):
-                continue
-            for m in _monomials_of_degree(4, t + a):
-                row = [field.zero] * dim_target
-                nonzero = False
-                for c, p in gen_entries:
-                    if p is None:
-                        continue
-                    for e, co in p.terms.items():
-                        me = tuple(x + y for x, y in zip(e, m))
-                        row[index[(c, me)]] = co
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-        rk = linalg.rank(rows, field) if rows else 0
-        dim_coker = dim_target - rk
-        if dim_coker:
-            table[-t - 4] = dim_coker
-            if t > -min(f3) and not checked:
-                _require_finite_length(sigma, ring)
-                checked = True
-        elif t >= -min(f3):
-            break
-        t += 1
-    return table
+    engine = _Engine(ring, GREVLEX)
+    shift = WIDTH * ring.nvars
+    # column r of tau is sum_c sigma(r, c) * e_c, of degree -f2[r], with
+    # e_c of degree -f3[c]
+    columns = {}
+    for (r, c), p in sorted(sigma.entries.items()):
+        columns.setdefault(r, []).append((c, p))
+    leads = _module_leads(
+        [_module_vector(col, engine.keyf, shift) for col in columns.values()],
+        [-f2[r] for r in columns], engine)
+    by_comp = {}
+    for w in leads:
+        by_comp.setdefault(w >> shift, []).append(_unpack_plain(w, ring.nvars))
+    # the series is t^(-max f3) * num(t) / (1 - t)^4
+    top = max(f3)
+    memo = {}
+    num = []
+    for c, b in enumerate(f3):
+        part = _series_numerator(_minimalize(by_comp.get(c, ())), ring.nvars,
+                                 memo)
+        num = _poly_add(num, _poly_mul_shift(part, top - b, 1))
+    ext = HilbertData(_trim(num), ring.nvars)
+    if ext.dimension:
+        raise ValidationError(
+            "Ext^3(R/I, R) does not have finite length (ideal is not unmixed)")
+    return {top - k - 4: dim for k, dim in enumerate(ext.reduced_numerator)
+            if dim}

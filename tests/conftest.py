@@ -4,6 +4,9 @@ The oracles here deliberately avoid the library's own fast paths: ideal
 membership goes through a Macaulay-style matrix, Hilbert values through
 standard-monomial counting, Betti numbers and deficiency dimensions
 through the constant strands of the raw (non-minimal) resolution,
+deficiency dimensions also by a dense rank per degree of the dual of
+the minimal resolution's last map (the scan `rao_dimensions` ran before
+it read the Hilbert series of Ext^3),
 normal forms through the copy-the-dividend merge the engine used before
 its dividend accumulator, the monomial lcm, divisibility and
 coprimality through exponent tuples (the engine's Gebauer-Moller
@@ -27,7 +30,7 @@ from singlocus.groebner import (GREVLEX, GroebnerBasis, Ideal, _Engine,
                                 _pack_plain, _unpack_plain, intersect_many)
 from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
                                 _level_from_ring_gb, _schreyer_resolution,
-                                _SyzygyLevel)
+                                _SyzygyLevel, minimal_free_resolution)
 from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing,
                                 Polynomial, elimination_order)
 
@@ -349,6 +352,35 @@ def deficiency_by_ext(ideal):
         r4 = (_dual_strand_rank(maps[3], twist_lists[4], twist_lists[3], t, field)
               if len(maps) > 3 else 0)
         dim = dim_f3 - r3 - r4
+        if dim:
+            table[-t - 4] = dim
+        elif t >= -min(f3):
+            break
+        t += 1
+    return table
+
+
+def rao_by_degree_scan(ideal):
+    """Deficiency table by a dense rank in each degree of the dual of the
+    minimal resolution's last map, as `rao_dimensions` computed it before
+    it read the table from the Hilbert series of Ext^3.
+
+    dim Ext^3(R/I, R)_t = dim(F_3^dual)_t - rank(sigma^dual)_t, from
+    t = -max(F_3) up to the first zero at or above -min(F_3), re-indexed
+    by t -> -t-4.  The scan never stops if Ext^3 has infinite length, so
+    it gives up 60 degrees past -min(F_3).
+    """
+    res = minimal_free_resolution(ideal)
+    if res.length <= 2:
+        return {}
+    f3 = res.modules[3].twists
+    f2 = res.modules[2].twists
+    entries = res.maps[2].entries
+    table = {}
+    t = -max(f3)
+    while t <= -min(f3) + 60:
+        dim = (sum(len(monomials_of_degree(4, t + b)) for b in f3)
+               - _dual_strand_rank(entries, f3, f2, t, ideal.ring.field))
         if dim:
             table[-t - 4] = dim
         elif t >= -min(f3):

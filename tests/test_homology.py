@@ -7,21 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (betti_by_strand_homology, deficiency_by_ext,
                       membership_by_linear_algebra, monomials_of_degree,
-                      schreyer_resolution_by_tuples, standard_monomial_count)
+                      rao_by_degree_scan, schreyer_resolution_by_tuples,
+                      standard_monomial_count)
 from singlocus import linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
 from singlocus.corpus import arrangement_names, load_arrangement
 from singlocus.errors import ValidationError
-from singlocus.groebner import (Ideal, intersect, intersect_many,
-                                saturate_irrelevant)
+from singlocus.groebner import (GREVLEX, Ideal, _Engine, _unpack_plain,
+                                intersect, intersect_many, saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
-                                _maximal_minors, _schreyer_resolution,
-                                betti_json, betti_of, betti_table, betti_text,
-                                dimensions, hilbert, is_cm, is_saturated,
-                                minimal_free_resolution, rao_dimensions,
-                                schreyer_syzygies)
-from singlocus.polyring import GF, QQ, PolyRing
+                                _module_leads, _module_vector,
+                                _schreyer_resolution, betti_json, betti_of,
+                                betti_table, betti_text, dimensions, hilbert,
+                                is_cm, is_saturated, minimal_free_resolution,
+                                rao_dimensions, schreyer_syzygies)
+from singlocus.liaison import construct_lr, construct_lr_radical
+from singlocus.polyring import GF, QQ, WIDTH, PolyRing
 
 # Six planes from a random sweep: the Jacobian ideal has projective
 # dimension 4 (it is not saturated), and its resolution overran the
@@ -317,29 +319,64 @@ class TestRaoDimensions:
     def test_mixed_ideal_rejected(self):
         """J of four planes through a point is saturated, but its Hilbert
         polynomial 6t - 1 exceeds the 6t - 2 of its top part: Ext^3 has
-        infinite length and the scan would never end."""
-        J = jacobian_ideal(load_arrangement("four_planes_point"))
-        with pytest.raises(ValidationError, match="not unmixed"):
-            rao_dimensions(J)
+        infinite length.  The same holds for six more corpus J."""
+        for name in ("four_planes_point", "five_planes_point", "eight_planes",
+                     "eleven_planes", "radical_block", "same_lattice_a",
+                     "same_lattice_b"):
+            J = jacobian_ideal(load_arrangement(name))
+            with pytest.raises(ValidationError, match="not unmixed"):
+                rao_dimensions(J)
 
-    def test_maximal_minors(self, ring_p):
-        x, y, z, w = ring_p.variables()
-        sigma = GradedMap(GradedFreeModule((1, 1)), GradedFreeModule((0, 0, 0)),
-                          {(0, 0): x, (0, 1): y, (1, 0): z, (1, 1): w,
-                           (2, 1): x})
-        assert _maximal_minors(sigma, ring_p) == [x * w - y * z, x * x, z * x]
+    @pytest.mark.parametrize("ring_name", ["ring_p", "ring_q"])
+    def test_product_criterion_does_not_hold_for_vectors(self, ring_name,
+                                                         request):
+        """x*e0 + z*e1 and y*e0 + w*e1 lead with the coprime x*e0 and y*e0,
+        yet their S-vector y*z*e1 - x*w*e1 is a new leading term."""
+        ring = request.getfixturevalue(ring_name)
+        x, y, z, w = ring.variables()
+        engine = _Engine(ring, GREVLEX)
+        shift = WIDTH * ring.nvars
+        vectors = [_module_vector([(0, x), (1, z)], engine.keyf, shift),
+                   _module_vector([(0, y), (1, w)], engine.keyf, shift)]
+        leads = _module_leads(vectors, [1, 1], engine)
+        assert [(lead >> shift, _unpack_plain(lead, 4)) for lead in leads] == [
+            (0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)), (1, (0, 1, 1, 0))]
 
-    def test_against_ext_homology(self, ring_p):
-        x, y, z, w = ring_p.variables()
-        skew = intersect(Ideal(ring_p, (x, y)), Ideal(ring_p, (z, w)))
-        assert deficiency_by_ext(skew) == rao_dimensions(skew) == {0: 1}
-        three = intersect_many([Ideal(ring_p, (x, y)), Ideal(ring_p, (z, w)),
-                                Ideal(ring_p, (x - z, y - w))])
-        assert deficiency_by_ext(three) == rao_dimensions(three)
+    def test_against_ext_homology(self, ring_p, ring_q):
+        for ring in (ring_p, ring_q):
+            x, y, z, w = ring.variables()
+            skew = intersect(Ideal(ring, (x, y)), Ideal(ring, (z, w)))
+            assert (rao_dimensions(skew) == rao_by_degree_scan(skew)
+                    == deficiency_by_ext(skew) == {0: 1})
+            three = intersect_many([Ideal(ring, (x, y)), Ideal(ring, (z, w)),
+                                    Ideal(ring, (x - z, y - w))])
+            assert (rao_dimensions(three) == rao_by_degree_scan(three)
+                    == deficiency_by_ext(three) == {1: 2, 0: 2})
+
+    @pytest.mark.parametrize("field", ["p", "q"])
+    @pytest.mark.parametrize("name", ["top_block", "radical_block",
+                                      "nine_planes", "eleven_planes"])
+    def test_corpus_against_oracles(self, name, field):
+        arr = load_arrangement(name, field=QQ if field == "q" else None)
+        for ideal in (top_comb(arr), radical_comb(arr)):
+            assert (rao_dimensions(ideal) == rao_by_degree_scan(ideal)
+                    == deficiency_by_ext(ideal))
+
+    @pytest.mark.parametrize("build,field,want", [
+        (lambda f: construct_lr(1, h=1, seed=7, field=f), None, {9: 1}),
+        (lambda f: construct_lr(1, h=1, seed=7, field=f), QQ, {9: 1}),
+        (lambda f: construct_lr(2, seed=7, field=f), None, {17: 2}),
+        (lambda f: construct_lr_radical(2, seed=7, field=f), None, {12: 2}),
+    ], ids=["lr1_h1_p", "lr1_h1_q", "lr2_p", "lr_radical2_p"])
+    def test_constructions_against_oracles(self, build, field, want):
+        """The C9 curves and the liaison benchmark's radical curve; the
+        r = 2 curve of C9 takes over a minute to resolve over Q, so it runs
+        over F_32003 only."""
+        ideal = build(field).ideal
+        assert (rao_dimensions(ideal) == rao_by_degree_scan(ideal)
+                == deficiency_by_ext(ideal) == want)
 
     def test_building_block_against_ext(self):
-        from singlocus.arrangement import top_comb
-        from singlocus.corpus import load_arrangement
         top9 = top_comb(load_arrangement("top_block"))
         assert rao_dimensions(top9) == deficiency_by_ext(top9) == {8: 1}
 
