@@ -15,9 +15,9 @@ from .arrangement import (Arrangement, Flat, Graph, combinatorial_degrees,
                           top_comb, triangle_condition, uniform_powers)
 from .errors import (InternalLimitError, InvariantError, ParseError,
                      RingContextError, SingError, ValidationError)
-from .groebner import (GroebnerBasis, Ideal, colon, eliminate, ideal_equal,
+from .groebner import (GroebnerBasis, Ideal, eliminate, ideal_equal,
                        intersect, intersect_many, normal_form,
-                       radical_membership, reduced_groebner, saturate,
+                       radical_membership, reduced_groebner,
                        saturate_irrelevant)
 from .homology import (BettiTable, GradedFreeModule, GradedMap, HilbertData,
                        Resolution, betti_json, betti_of, betti_table,

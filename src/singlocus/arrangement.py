@@ -44,9 +44,6 @@ class Flat:
     def multiplicity(self):
         return len(self.members)
 
-    def is_reduced(self):
-        return self.multiplicity == 2
-
     def basis_forms(self, ring):
         return (ring.linear_form(list(self.basis[0])),
                 ring.linear_form(list(self.basis[1])))
@@ -386,7 +383,8 @@ def symbolic_intersection(arr, powers, override=False):
     `powers` maps each flat to an exponent.  Without `override`, flats of
     multiplicity 2 must get exponent 1 and flats of multiplicity e >= 3
     any exponent between 0 and e; zero exponents contribute the unit
-    ideal (and are skipped).
+    ideal (and are skipped).  `override` lifts these bounds, but a
+    negative exponent is refused either way.
     """
     _check_prime_safety(arr)
     ring = arr.ring
@@ -394,6 +392,10 @@ def symbolic_intersection(arr, powers, override=False):
     missing = [f for f in flats if f not in powers]
     if missing:
         raise ValidationError(f"no exponent for flat {missing[0]!r}")
+    negative = [f for f in flats if powers[f] < 0]
+    if negative:
+        raise ValidationError(f"negative exponent {powers[negative[0]]} for "
+                              f"flat {negative[0]!r}")
     if not override:
         for f in flats:
             b = powers[f]

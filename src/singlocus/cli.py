@@ -3,7 +3,7 @@
 Every command accepts --field, --seed and --json, and emits
 either human-readable text (Betti diagrams in the fixed-width layout) or
 a versioned JSON report.  Exit codes: 0 success, 1 usage, validation or
-parse error, 2 internal limit (packed-exponent degree, saturation or
+parse error, 2 internal limit (packed-exponent degree, saturation retries or
 reseed caps), 3 internal invariant failure (a bug; please report it).
 """
 

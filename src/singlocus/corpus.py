@@ -32,10 +32,6 @@ def arrangement_names():
     return _names(".arr")
 
 
-def graph_names():
-    return _names(".graph")
-
-
 def _read(name, suffix, kind):
     if name not in _names(suffix):
         raise KeyError(f"unknown corpus {kind} {name!r}")

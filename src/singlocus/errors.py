@@ -24,7 +24,7 @@ class ValidationError(SingError):
 
 
 class InternalLimitError(SingError):
-    """A hard internal cap was exceeded (saturation loop, reseed retries)."""
+    """A hard internal cap was exceeded (saturation or reseed retries)."""
 
 
 class InvariantError(SingError):

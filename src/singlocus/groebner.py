@@ -14,9 +14,9 @@ goal is that of Yan's geobuckets (1998, "The geobucket data structure
 for polynomials"), with a heap in place of the buckets.  A popped term
 whose exponents reach a guard bit raises `InternalLimitError`.
 
-`_Engine.reduce` is the one divisor search: normal forms, S-polynomials,
-exact division and the Schreyer syzygy step all run through it, over F_p
-and over Q alike, and an optional sink records each step's quotient.  A
+`_Engine.reduce` is the one divisor search: normal forms, S-polynomials
+and the Schreyer syzygy step all run through it, over F_p and over Q
+alike, and an optional sink records each step's quotient.  A
 module term carries its component above the exponent fields; the
 divisor test masks those bits in, so it fails across components and is
 unchanged for ring terms.
@@ -56,6 +56,7 @@ elimination, since the grading argument does not hold for them.
 
 from __future__ import annotations
 
+import random
 from heapq import heapify, heappop, heappush
 from itertools import islice
 
@@ -64,7 +65,7 @@ from .errors import (InternalLimitError, InvariantError, RingContextError,
 from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, MonomialOrder, PolyRing,
                        Polynomial, elimination_order)
 
-_SATURATION_CAP = 64
+_SATURATION_RETRIES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +557,6 @@ class Ideal:
             out = out.product(self)
         return out
 
-    def multiply(self, f):
-        """The ideal f * I."""
-        return Ideal(self.ring, tuple(f * g for g in self.gens))
-
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens[:6])
         if len(self.gens) > 6:
@@ -806,84 +803,90 @@ def intersect_many(ideals):
     return _ideal_from_basis(ring, level[0])
 
 
-def exact_divide(f, g):
-    """Quotient f / g when g divides f exactly."""
-    if g.is_zero():
-        raise ValidationError("division by the zero polynomial")
-    ring = f.ring
-    engine = _Engine(ring, GREVLEX)
-    gt = _to_internal(g, engine.keyf)
-    inv_lc = ring.field.inv(gt[0][2])
-    gt = engine.monic(gt)
-    quotients = []
-    acc = _Dividend(_to_internal(f, engine.keyf), engine.p, engine.guard)
-    if engine.reduce(acc, [gt[0][1]], [gt[0][0]], [gt], quotients=quotients):
-        raise ValidationError("inexact polynomial division")
-    mul = ring.field.mul
-    return _from_internal([(k, w, mul(c, inv_lc)) for _, k, w, c in quotients],
-                          ring)
-
-
-def colon(a, b):
-    """Ideal quotient a : b."""
-    if a.ring != b.ring:
-        raise RingContextError("ideals in different rings")
-    result = None
-    for g in b.gens:
-        if g.is_zero():
-            continue
-        gi = Ideal(a.ring, (g,))
-        inter = intersect(a, gi)
-        quot = Ideal(a.ring, tuple(exact_divide(h, g) for h in inter.gens))
-        result = quot if result is None else intersect(result, quot)
-    if result is None:
-        # b = (0): a : (0) = (1)
-        return Ideal(a.ring, (a.ring.one(),))
-    return result
-
-
-def saturate(a, b):
-    """(a : b^infinity, number of strictly growing colon steps)."""
-    current = a
-    for step in range(_SATURATION_CAP):
-        nxt = colon(current, b)
-        if nxt.equals(current):
-            return current, step
-        current = nxt
-    raise InternalLimitError(
-        f"saturation did not stabilize within {_SATURATION_CAP} colon steps")
-
-
-def saturate_by_variable(a, i):
-    """a : x_i^infinity via a Groebner basis with x_i as last variable.
-
-    For a homogeneous ideal in a degree-reverse-lex order whose last
-    variable is x_i, dividing every basis element by its x_i power
-    generates (and is a basis of) the saturation with respect to x_i.
-    """
-    ring = a.ring
-    perm = [j for j in range(ring.nvars) if j != i] + [i]
-    order = MonomialOrder("grevlex", perm=perm)
-    gb = a.groebner(order)
-    out = []
-    for g in gb.polys:
-        k = min(e[i] for e in g.terms)
-        if k == 0:
-            out.append(g)
-        else:
-            out.append(Polynomial(ring, {
-                e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in g.terms.items()}))
-    return Ideal(ring, out)
+def _shift_last(terms, coeffs, engine):
+    """Internal terms with the last variable x_n replaced by
+    x_n + sum(coeffs[i] * x_i), by Horner's rule in x_n: keys and words add
+    under multiplication."""
+    nvars = engine.ring.nvars
+    shift = WIDTH * (nvars - 1)
+    steps = [(engine.keyf(tuple(int(j == i) for j in range(nvars))),
+              1 << (WIDTH * i), c)
+             for i, c in enumerate(coeffs + [1]) if c]
+    by_power = {}
+    for k, w, c in terms:
+        e = w >> shift
+        by_power.setdefault(e, []).append((k - e * steps[-1][0],
+                                           w - (e << shift), c))
+    p = engine.p
+    words = {}
+    acc = {}
+    for e in range(max(by_power), -1, -1):
+        nxt = {}
+        for k, c in acc.items():
+            w = words[k]
+            for sk, sw, a in steps:
+                nxt[k + sk] = nxt.get(k + sk, 0) + a * c
+                words[k + sk] = w + sw
+        for k, w, c in by_power.get(e, ()):
+            nxt[k] = nxt.get(k, 0) + c
+            words[k] = w
+        acc = {k: c % p for k, c in nxt.items()} if p else nxt
+    return sorted(((k, words[k], c) for k, c in acc.items() if c),
+                  reverse=True)
 
 
 def saturate_irrelevant(a):
     """a : m^infinity for the irrelevant maximal ideal m = (x_0..x_n).
 
-    Computed as the intersection over all variables of a : x_i^infinity,
-    which equals the m-saturation for any homogeneous ideal.
+    Saturates by one linear form l = x_n - sum c_i * x_i with seeded
+    random c_i (Bayer and Stillman 1987, "A criterion for detecting
+    m-regularity").  The substitution phi: x_n -> x_n + sum c_i * x_i sends
+    l to x_n, and dividing each element of the grevlex basis of phi(a) by
+    its largest power of x_n gives a basis of phi(a) : x_n^infinity; the
+    elements with minimal leading terms are mapped back by phi^-1 to
+    generate a : l^infinity.  Always a <= a^sat <= a : l^infinity with the
+    last two saturated, so equal Hilbert polynomials prove
+    a : l^infinity = a^sat; otherwise l lies in an associated prime, and
+    new coefficients are drawn, up to `_SATURATION_RETRIES` times.  The
+    generators of the answer are its reduced grevlex basis.
     """
-    parts = [saturate_by_variable(a, i) for i in range(a.ring.nvars)]
-    return intersect_many(parts)
+    if not all(g.is_homogeneous() for g in a.gens):
+        raise ValidationError("saturation needs homogeneous generators")
+    if a.is_zero() or a.is_unit():
+        return a
+    from .homology import hilbert
+    target = hilbert(a).hp_coeffs
+    ring = a.ring
+    engine = _Engine(ring, GREVLEX)
+    last = ring.nvars - 1
+    shift = WIDTH * last
+    x_key = engine.keyf((0,) * last + (1,))
+    gens = [_to_internal(g, engine.keyf) for g in a.gens]
+    rng = random.Random(0)
+    for _ in range(_SATURATION_RETRIES):
+        coeffs = [rng.randint(-30, 30) for _ in range(last)]
+        basis = engine.buchberger([_shift_last(g, coeffs, engine)
+                                   for g in gens])
+        divided = []
+        for terms in basis:
+            k = min(w >> shift for _, w, _ in terms)
+            divided.append([(key - k * x_key, w - (k << shift), c)
+                            for key, w, c in terms])
+        # a proper divisor of a grevlex leading term has a smaller key
+        divided.sort(key=lambda t: t[0][0])
+        kept_ws = []
+        back = []
+        for terms in divided:
+            w = terms[0][1]
+            if not any(_divides(kw, w, engine.guard) for kw in kept_ws):
+                kept_ws.append(w)
+                back.append(_shift_last(terms, [-c for c in coeffs], engine))
+        result = _ideal_from_basis(ring, engine.buchberger(back))
+        if hilbert(result).hp_coeffs == target:
+            return result
+    raise InternalLimitError(
+        "saturation by a generic linear form failed its Hilbert check "
+        f"{_SATURATION_RETRIES} times")
 
 
 def radical_membership(f, a):

@@ -383,9 +383,6 @@ class Polynomial:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)
 
-    def num_terms(self):
-        return len(self.terms)
-
     def leading_term(self, order=GREVLEX):
         """(exps, coeff) of the largest monomial under `order`."""
         if not self.terms:

@@ -15,7 +15,11 @@ through one intersection per flat prime, the raw resolution through
 the Schreyer step with its own pair selection and divisor search, as it
 was before the step ran on the Buchberger kernel, and ideal intersections
 through public `Ideal`s at every step of the tree, with the first input
-always in the t-block.
+always in the t-block.  Saturation by the irrelevant ideal is checked
+against the per-variable path it replaced: one Groebner basis per
+variable, in a grevlex order with that variable last, divided by its
+powers, and the n results intersected; ideal quotients and saturations by
+other ideals go through exact division of the generators of a ∩ (g).
 """
 
 import itertools
@@ -24,15 +28,18 @@ from importlib.resources import files
 import pytest
 
 from singlocus import linalg
-from singlocus.errors import InvariantError, RingContextError, ValidationError
-from singlocus.groebner import (GREVLEX, GroebnerBasis, Ideal, _Engine,
-                                _extend_ring, _from_internal, _HilbertDrive,
-                                _pack_plain, _unpack_plain, intersect_many)
+from singlocus.errors import (InternalLimitError, InvariantError,
+                              RingContextError, ValidationError)
+from singlocus.groebner import (GREVLEX, GroebnerBasis, Ideal, _Dividend,
+                                _Engine, _extend_ring, _from_internal,
+                                _HilbertDrive, _pack_plain, _to_internal,
+                                _unpack_plain, intersect, intersect_many)
 from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
                                 _level_from_ring_gb, _schreyer_resolution,
                                 _SyzygyLevel, minimal_free_resolution)
-from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing,
-                                Polynomial, elimination_order)
+from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH,
+                                MonomialOrder, PolyRing, Polynomial,
+                                elimination_order)
 
 #: the corpus `.arr` and `.graph` files shipped with the package
 CORPUS_DIR = files("singlocus") / "arrangements"
@@ -156,6 +163,87 @@ def intersect_many_by_ideals(ideals):
             nxt.append(items[-1])
         items = nxt
     return items[0]
+
+
+_SATURATION_CAP = 64
+
+
+def exact_divide(f, g):
+    """Quotient f / g when g divides f exactly."""
+    if g.is_zero():
+        raise ValidationError("division by the zero polynomial")
+    ring = f.ring
+    engine = _Engine(ring, GREVLEX)
+    gt = _to_internal(g, engine.keyf)
+    inv_lc = ring.field.inv(gt[0][2])
+    gt = engine.monic(gt)
+    quotients = []
+    acc = _Dividend(_to_internal(f, engine.keyf), engine.p, engine.guard)
+    if engine.reduce(acc, [gt[0][1]], [gt[0][0]], [gt], quotients=quotients):
+        raise ValidationError("inexact polynomial division")
+    mul = ring.field.mul
+    return _from_internal([(k, w, mul(c, inv_lc)) for _, k, w, c in quotients],
+                          ring)
+
+
+def colon(a, b):
+    """Ideal quotient a : b."""
+    if a.ring != b.ring:
+        raise RingContextError("ideals in different rings")
+    result = None
+    for g in b.gens:
+        if g.is_zero():
+            continue
+        gi = Ideal(a.ring, (g,))
+        inter = intersect(a, gi)
+        quot = Ideal(a.ring, tuple(exact_divide(h, g) for h in inter.gens))
+        result = quot if result is None else intersect(result, quot)
+    if result is None:
+        # b = (0): a : (0) = (1)
+        return Ideal(a.ring, (a.ring.one(),))
+    return result
+
+
+def saturate(a, b):
+    """(a : b^infinity, number of strictly growing colon steps)."""
+    current = a
+    for step in range(_SATURATION_CAP):
+        nxt = colon(current, b)
+        if nxt.equals(current):
+            return current, step
+        current = nxt
+    raise InternalLimitError(
+        f"saturation did not stabilize within {_SATURATION_CAP} colon steps")
+
+
+def saturate_by_variable(a, i):
+    """a : x_i^infinity via a Groebner basis with x_i as last variable.
+
+    For a homogeneous ideal in a degree-reverse-lex order whose last
+    variable is x_i, dividing every basis element by its x_i power
+    generates (and is a basis of) the saturation with respect to x_i.
+    """
+    ring = a.ring
+    perm = [j for j in range(ring.nvars) if j != i] + [i]
+    order = MonomialOrder("grevlex", perm=perm)
+    gb = a.groebner(order)
+    out = []
+    for g in gb.polys:
+        k = min(e[i] for e in g.terms)
+        if k == 0:
+            out.append(g)
+        else:
+            out.append(Polynomial(ring, {
+                e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in g.terms.items()}))
+    return Ideal(ring, out)
+
+
+def saturate_by_variables(a):
+    """a : m^infinity as the intersection over all variables of
+    a : x_i^infinity, which equals the m-saturation for any homogeneous
+    ideal."""
+    return intersect_many([saturate_by_variable(a, i)
+                           for i in range(a.ring.nvars)])
 
 
 def merge_sub_p(f, i0, g, c, mk, mw, p):

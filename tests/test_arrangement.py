@@ -308,6 +308,16 @@ class TestSymbolicIntersection:
         with pytest.raises(ValidationError):
             symbolic_intersection(arr, powers)
 
+    @pytest.mark.parametrize("override", [False, True])
+    def test_negative_exponent_rejected(self, override):
+        arr = load_arrangement("nine_planes")
+        with pytest.raises(ValidationError, match="negative exponent"):
+            symbolic_intersection(arr, uniform_powers(arr, -1),
+                                  override=override)
+        # -2 on the triple flats only, the doubles keeping their rule exponent
+        with pytest.raises(ValidationError, match="negative exponent"):
+            symbolic_intersection(arr, rule_powers(arr, -2), override=override)
+
     def test_zero_exponent_contributes_unit(self):
         arr = load_arrangement("pencil_three")
         powers = {arr.flats()[0]: 0}

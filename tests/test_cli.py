@@ -226,6 +226,14 @@ class TestErrorPaths:
         assert code == 1
         assert "override" in err
 
+    def test_symbolic_negative_exponent(self, capsys, arr_dir):
+        code, out, err = run_cli(capsys, "symbolic", "--uniform", "-1",
+                                 "--override", "--hilbert",
+                                 str(arr_dir / "nine_planes.arr"))
+        assert code == 1
+        assert "negative exponent -1" in err
+        assert "Hilbert polynomial" not in out
+
     def test_usage_error_exit_code(self, capsys, arr_dir):
         code, _, err = run_cli(capsys, "hilbert", "--order", "lex",
                                str(arr_dir / "seven_planes.arr"))

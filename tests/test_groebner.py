@@ -1,24 +1,30 @@
 """Groebner engine and ideal toolbox."""
 
+import importlib.util
+import itertools
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (coprime_exps, divides_exps, intersect_by_ideals,
-                      lcm_exps, membership_by_linear_algebra,
-                      merge_normal_form, monomials_of_degree,
-                      standard_monomial_count)
-from singlocus import groebner
+from conftest import (colon, coprime_exps, divides_exps, exact_divide,
+                      intersect_by_ideals, lcm_exps,
+                      membership_by_linear_algebra, merge_normal_form,
+                      monomials_of_degree, saturate, saturate_by_variable,
+                      saturate_by_variables, standard_monomial_count)
+from singlocus import groebner, homology
+from singlocus.arrangement import jacobian_ideal, parse_arrangement, top_comb
+from singlocus.corpus import arrangement_names, load_arrangement
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter, _Engine,
                                 _HilbertDrive, _to_internal,
-                                buchberger_criterion_holds, colon, eliminate,
-                                exact_divide, ideal_equal, intersect,
-                                intersect_many, normal_form,
-                                radical_membership, reduced_groebner, saturate,
-                                saturate_by_variable, saturate_irrelevant)
+                                buchberger_criterion_holds, eliminate,
+                                ideal_equal, intersect, intersect_many,
+                                normal_form, radical_membership,
+                                reduced_groebner, saturate_irrelevant)
 from singlocus.homology import is_saturated
 from singlocus.polyring import (GF, LEX, QQ, GREVLEX, MAX_DEGREE, WIDTH,
                                 PolyRing, elimination_order)
@@ -247,6 +253,92 @@ class TestColonAndSaturation:
             fast = saturate_irrelevant(ideal)
             slow, _ = saturate(ideal, m)
             assert ideal_equal(fast, slow)
+
+
+def _sweep_texts():
+    """The `.arr` texts of the benchmark's 16-arrangement `sweep` pool."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [gen.arr_text(rows) for rows in gen.pool(gen.POOL_SEED, 16)]
+
+
+class TestSaturateIrrelevant:
+    """One saturation by a generic linear form gives the reduced grevlex
+    basis of the per-variable oracle, generator for generator."""
+
+    @staticmethod
+    def _check(ideal):
+        got = saturate_irrelevant(ideal)
+        want = saturate_by_variables(ideal).groebner().polys
+        assert got.gens == want
+        assert got.groebner().polys == want
+        return got
+
+    @pytest.mark.parametrize("name", [n for n in arrangement_names()
+                                      if n != "thirty_one_planes"])
+    def test_corpus(self, name):
+        arr = load_arrangement(name)
+        self._check(jacobian_ideal(arr))
+        self._check(top_comb(arr))
+
+    def test_sweep_pool(self):
+        for text in _sweep_texts():
+            arr = parse_arrangement(text)
+            self._check(jacobian_ideal(arr))
+            self._check(top_comb(arr))
+
+    @pytest.mark.parametrize("name,field", [
+        pytest.param(name, field, id=f"{name}-{tag}")
+        for name, field, tag in [
+            ("seven_planes", GF(32003), "p"),
+            ("four_planes_point", GF(32003), "p"),
+            ("nine_planes", GF(32003), "p"), ("top_block", GF(32003), "p"),
+            ("seven_planes", QQ, "q"), ("four_planes_point", QQ, "q")]])
+    def test_embedded_point(self, name, field):
+        """top ∩ m^k has an embedded component at the irrelevant ideal
+        once k is above top's lowest generator degree, and saturating
+        removes it."""
+        top = top_comb(load_arrangement(name, field=field))
+        low = min(g.total_degree() for g in top.gens)
+        for k in (2, 5, low + 1):
+            m_k = Ideal(top.ring, [top.ring.from_terms({e: 1}) for e in
+                                   monomials_of_degree(top.ring.nvars, k)])
+            ideal = intersect(top, m_k)
+            assert ideal.equals(top) == (k <= low)
+            assert self._check(ideal).equals(top)
+
+    def test_small_ideals(self, ring_p, vars_p):
+        x, y, z, w = vars_p
+        for gens in [(x * x,), (x * x, x * y, y * y * z),
+                     (x * z - y * y, w * w * x), (x * x * y - x * y * y,)]:
+            self._check(Ideal(ring_p, gens))
+        self._check(Ideal(ring_p, vars_p).power(2))
+
+    def test_zero_and_unit_unchanged(self, ring_p):
+        zero = Ideal(ring_p, ())
+        unit = Ideal(ring_p, (ring_p.one(),))
+        assert saturate_irrelevant(zero) is zero
+        assert saturate_irrelevant(unit) is unit
+
+    def test_inhomogeneous_rejected(self, ring_p, vars_p):
+        x, y, z, w = vars_p
+        ideal = Ideal(ring_p, (x * y + z,), allow_inhomogeneous=True)
+        with pytest.raises(ValidationError):
+            saturate_irrelevant(ideal)
+
+    def test_retry_cap(self, ring_p, vars_p, monkeypatch):
+        x, y, z, w = vars_p
+        # every Hilbert polynomial differs from every other: each check fails
+        fresh = itertools.count()
+        monkeypatch.setattr(
+            homology, "hilbert",
+            lambda ideal: SimpleNamespace(hp_coeffs=next(fresh)))
+        with pytest.raises(InternalLimitError):
+            saturate_irrelevant(Ideal(ring_p, (x * y, x * z)))
+        # the input's check, then one per attempt
+        assert next(fresh) == 1 + groebner._SATURATION_RETRIES
 
 
 class TestRadicalMembership:
