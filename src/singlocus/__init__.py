@@ -15,10 +15,8 @@ from .arrangement import (Arrangement, Flat, Graph, combinatorial_degrees,
                           top_comb, triangle_condition, uniform_powers)
 from .errors import (InternalLimitError, InvariantError, ParseError,
                      RingContextError, SingError, ValidationError)
-from .groebner import (GroebnerBasis, Ideal, eliminate, ideal_equal,
-                       intersect, intersect_many, normal_form,
-                       radical_membership, reduced_groebner,
-                       saturate_irrelevant)
+from .groebner import (GroebnerBasis, Ideal, intersect, intersect_many,
+                       radical_membership, saturate_irrelevant)
 from .homology import (BettiTable, GradedFreeModule, GradedMap, HilbertData,
                        Resolution, betti_json, betti_of, betti_table,
                        betti_text, dimensions, hilbert, is_cm,
@@ -28,9 +26,8 @@ from .liaison import (Construction, arrangement_product_hypotheses,
                       basic_double_link, construct_lr, construct_lr_radical,
                       liaison_addition, radical_block, top_block,
                       verify_construction)
-from .polyring import (GF, GREVLEX, LEX, QQ, DEFAULT_PRIME, MonomialOrder,
+from .polyring import (GF, GREVLEX, QQ, DEFAULT_PRIME, MonomialOrder,
                        PolyRing, Polynomial, elimination_order,
-                       expand_product, gradient, mono_compare,
-                       parse_linear_expr)
+                       expand_product, gradient, parse_linear_expr)
 
 __version__ = "0.1.0"

@@ -84,16 +84,11 @@ def _read(path):
         return fh.read()
 
 
-def _load_arrangement(path, field, report):
-    text = _read(path)
-    arr = parse_arrangement(text, field=field)
-    if field.p is not None:
-        try:
-            _check_prime_safety(arr)
-        except ValidationError:
-            # characteristic too small for this input: fall back to exact QQ
-            report.field_label = "q (fallback)"
-            arr = parse_arrangement(text, field=QQ)
+def _load_arrangement(path, field):
+    """Parse an arrangement file; a characteristic too small for it is a
+    `ValidationError`."""
+    arr = parse_arrangement(_read(path), field=field)
+    _check_prime_safety(arr)
     return arr
 
 
@@ -190,9 +185,9 @@ def _add_ideal_flags(sub):
 
 
 def _cmd_lattice(args, field, report):
-    arr = _load_arrangement(args.file, field, report)
+    arr = _load_arrangement(args.file, field)
     if args.other:
-        other = _load_arrangement(args.other, field, report)
+        other = _load_arrangement(args.other, field)
         same = lattice_isomorphic(arr, other)
         report.artifact["isomorphic"] = same
         report.say(f"incidence lattices isomorphic: {same}")
@@ -213,7 +208,7 @@ def _cmd_lattice(args, field, report):
 
 def _cmd_ideal(which):
     def run(args, field, report):
-        arr = _load_arrangement(args.file, field, report)
+        arr = _load_arrangement(args.file, field)
         ideal = _build_ideal(arr, which)
         asked = _ideal_report(report, ideal, which, args)
         if which == "jacobian" and "cm" in asked:
@@ -230,7 +225,7 @@ def _cmd_ideal(which):
 
 
 def _cmd_symbolic(args, field, report):
-    arr = _load_arrangement(args.file, field, report)
+    arr = _load_arrangement(args.file, field)
     if args.uniform is not None:
         powers = uniform_powers(arr, args.uniform)
     else:
@@ -241,13 +236,13 @@ def _cmd_symbolic(args, field, report):
 
 def _cmd_selector(kind):
     def run(args, field, report):
-        arr = _load_arrangement(args.file, field, report)
+        arr = _load_arrangement(args.file, field)
         _SECTIONS[kind](report, _build_ideal(arr, args.ideal))
     return run
 
 
 def _cmd_hypothesis(args, field, report):
-    arr = _load_arrangement(args.file, field, report)
+    arr = _load_arrangement(args.file, field)
     holds, witnesses = hypothesis_check(arr)
     report.artifact["holds"] = holds
     report.artifact["witnesses"] = [
@@ -316,7 +311,7 @@ def _cmd_triangles(args, field, report):
 
 
 def _cmd_section(args, field, report):
-    arr = _load_arrangement(args.file, field, report)
+    arr = _load_arrangement(args.file, field)
     sectioned = generic_section(arr, seed=args.seed)
     text = _arr_to_text(sectioned)
     report.artifact["arrangement"] = text
@@ -355,8 +350,8 @@ def _verify_step(report, step):
 
 
 def _cmd_liaison_add(args, field, report):
-    a = _load_arrangement(args.file1, field, report)
-    b = _load_arrangement(args.file2, field, report)
+    a = _load_arrangement(args.file1, field)
+    b = _load_arrangement(args.file2, field)
     if a.ring != b.ring:
         raise ValidationError("the two arrangements use different variables")
     ok, witnesses = arrangement_product_hypotheses(a, b)
@@ -379,7 +374,7 @@ def _cmd_liaison_add(args, field, report):
 
 
 def _cmd_bdl(args, field, report):
-    arr = _load_arrangement(args.file, field, report)
+    arr = _load_arrangement(args.file, field)
     ideal = _curve_of(arr, args.ideal)
     f1 = arr.defining_polynomial()
     if args.form:

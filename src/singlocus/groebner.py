@@ -62,8 +62,8 @@ from itertools import islice
 
 from .errors import (InternalLimitError, InvariantError, RingContextError,
                      ValidationError)
-from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, MonomialOrder, PolyRing,
-                       Polynomial, elimination_order)
+from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, PolyRing, Polynomial,
+                       elimination_order)
 
 _SATURATION_RETRIES = 8
 
@@ -172,7 +172,7 @@ class _Dividend:
     Every popped term is checked against the guard bits: the reducers'
     fields are guard-free, so one subtraction can set a guard bit but not
     carry past it, and a degree above MAX_DEGREE raises instead of
-    wrapping around (lex and elimination orders can raise degrees).
+    wrapping around (an elimination order can raise degrees).
     """
 
     __slots__ = ("coeffs", "exps", "heap", "p", "guard")
@@ -304,8 +304,7 @@ class _Engine:
                            polys, memo)
 
     # -- Buchberger --------------------------------------------------------
-    def buchberger(self, gens_internal, stop_on_unit=False, blocks=(), drive=None,
-                   eliminate=0):
+    def buchberger(self, gens_internal, blocks=(), drive=None, eliminate=0):
         """Reduced Groebner basis of the generators and blocks.
 
         Each generator is reduced against the basis so far before it
@@ -334,16 +333,12 @@ class _Engine:
         keyf = self.keyf
         guard = self.guard
         degree_of = _degree_func(nvars)
-        found_unit = False
 
         def add(terms, sugar, block=None):
-            nonlocal found_unit
             terms = self.monic(terms)
             t = len(polys)
             w_new = terms[0][1]
             d_new = degree_of(w_new)
-            if not w_new:
-                found_unit = True
             lcms, first = _minimal_lcms(lt_ws, w_new, guard)
             # B1: an lcm that some pair reaches with coprime lts is dropped
             coprime = {lcm for lcm, w in zip(lcms, lt_ws) if lcm == w + w_new}
@@ -385,8 +380,6 @@ class _Engine:
             nf = self.normal_form(terms, lt_ws, lt_keys, polys, memo)
             if nf:
                 add(nf, sugar_of(terms))
-            if found_unit and stop_on_unit:
-                return self._unit_basis()
         for b, block in enumerate(blocks):
             for terms in block:
                 sugar = sugar_of(terms)
@@ -411,8 +404,6 @@ class _Engine:
             nf = self.reduce(acc, lt_ws, lt_keys, polys, memo)
             if nf:
                 add(nf, sugar)
-                if found_unit and stop_on_unit:
-                    return self._unit_basis()
             elif drive is not None:
                 counting = degree  # count only where a zero reduction was seen
             if degree == counting and drive.full(degree):
@@ -439,10 +430,6 @@ class _Engine:
             reduced.append(self.monic(nf))
         reduced.sort(key=lambda t: t[0][0])
         return reduced
-
-    def _unit_basis(self):
-        one = self.ring.field.one
-        return [[(self.keyf((0,) * self.ring.nvars), 0, one)]]
 
 
 class GroebnerBasis:
@@ -479,8 +466,7 @@ class GroebnerBasis:
         return self.normal_form(f).is_zero()
 
     def is_unit_ideal(self):
-        return len(self._polys) == 1 and sum(_unpack_plain(self._polys[0][0][1],
-                                                           self.ring.nvars)) == 0
+        return len(self._lt_ws) == 1 and self._lt_ws[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +489,8 @@ class Ideal:
 
     # -- Groebner machinery -------------------------------------------------
     def groebner(self, order=GREVLEX):
+        """The cached reduced basis.  Every caller takes grevlex; the
+        argument stays because `perfbench/layertrace.py` reads it."""
         gb = self._cache.get(order.tag)
         if gb is None:
             engine = _Engine(self.ring, order)
@@ -521,11 +509,11 @@ class Ideal:
         self._cache[gb.order.tag] = gb
         return gb
 
-    def normal_form(self, f, order=GREVLEX):
-        return self.groebner(order).normal_form(f)
+    def normal_form(self, f):
+        return self.groebner().normal_form(f)
 
-    def contains(self, f, order=GREVLEX):
-        return self.groebner(order).contains(f)
+    def contains(self, f):
+        return self.groebner().contains(f)
 
     def is_zero(self):
         return not self.gens
@@ -533,29 +521,10 @@ class Ideal:
     def is_unit(self):
         return self.groebner().is_unit_ideal()
 
-    def equals(self, other, order=GREVLEX):
+    def equals(self, other):
         if self.ring != other.ring:
             raise RingContextError("ideals in different rings")
-        a = self.groebner(order).polys
-        b = other.groebner(order).polys
-        return a == b
-
-    # -- constructions -------------------------------------------------------
-    def sum(self, other):
-        return Ideal(self.ring, self.gens + other.gens)
-
-    def product(self, other):
-        return Ideal(self.ring, tuple(a * b for a in self.gens for b in other.gens))
-
-    def power(self, k):
-        if k < 0:
-            raise ValidationError("negative ideal power")
-        if k == 0:
-            return Ideal(self.ring, (self.ring.one(),))
-        out = self
-        for _ in range(k - 1):
-            out = out.product(self)
-        return out
+        return self.groebner().polys == other.groebner().polys
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens[:6])
@@ -566,19 +535,6 @@ class Ideal:
 
 # ---------------------------------------------------------------------------
 # ideal operations
-
-
-def reduced_groebner(ideal, order=GREVLEX):
-    """The unique reduced Groebner basis, as a list of Polynomials."""
-    return list(ideal.groebner(order).polys)
-
-
-def normal_form(f, gb):
-    return gb.normal_form(f)
-
-
-def ideal_equal(a, b):
-    return a.equals(b)
 
 
 def _extend_ring(ring, extra="t0"):
@@ -900,52 +856,6 @@ def radical_membership(f, a):
     gens = [_lift(g, ext) for g in a.gens]
     gens.append(ext.one() - t * _lift(f, ext))
     engine = _Engine(ext, GREVLEX)
-    basis = engine.buchberger([_to_internal(g, engine.keyf) for g in gens],
-                              stop_on_unit=True)
-    return (len(basis) == 1
-            and sum(_unpack_plain(basis[0][0][1], ext.nvars)) == 0)
+    basis = engine.buchberger([_to_internal(g, engine.keyf) for g in gens])
+    return len(basis) == 1 and basis[0][0][1] == 0
 
-
-def eliminate(a, variables):
-    """a intersected with the subring omitting `variables`."""
-    ring = a.ring
-    to_drop = sorted(set(variables))
-    if not to_drop:
-        return Ideal(ring, a.gens)
-    if any(not 0 <= v < ring.nvars for v in to_drop):
-        raise ValidationError(f"variable indices {to_drop} out of range")
-    if len(to_drop) == ring.nvars:
-        return Ideal(ring, ())
-
-    keep = [j for j in range(ring.nvars) if j not in to_drop]
-    order = MonomialOrder("elim", len(to_drop), perm=to_drop + keep)
-    gb = a.groebner(order)
-    out = [g for g in gb.polys if all(all(e[v] == 0 for v in to_drop)
-                                      for e in g.terms)]
-    return Ideal(ring, out,
-                 allow_inhomogeneous=not all(g.is_homogeneous() for g in out))
-
-
-# ---------------------------------------------------------------------------
-# helpers for tests and invariants
-
-
-def s_polynomial(f, g, order=GREVLEX):
-    ring = f.ring
-    ef, cf = f.leading_term(order)
-    eg, cg = g.leading_term(order)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = Polynomial(ring, {tuple(l - a for l, a in zip(lcm, ef)): ring.field.inv(cf)})
-    mg = Polynomial(ring, {tuple(l - a for l, a in zip(lcm, eg)): ring.field.inv(cg)})
-    return mf * f - mg * g
-
-
-def buchberger_criterion_holds(gb):
-    """Every S-polynomial of the basis reduces to zero."""
-    polys = gb.polys
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            sp = s_polynomial(polys[i], polys[j], gb.order)
-            if not gb.normal_form(sp).is_zero():
-                return False
-    return True

@@ -637,7 +637,7 @@ def _schreyer_resolution(ideal):
     which bounds the length by the number of variables.
     """
     ring = ideal.ring
-    gb = ideal.groebner(GREVLEX)
+    gb = ideal.groebner()
     if not len(gb):
         return [[0]], []
     degrees = [p.total_degree() for p in gb.polys]

@@ -166,58 +166,38 @@ MAX_DEGREE = (1 << (WIDTH - 1)) - 1
 class MonomialOrder:
     """Total multiplicative well-order on monomials.
 
-    kind is one of 'grevlex', 'lex', 'elim'.  An elimination order puts a
-    leading block of `block` variables in front (grevlex within each
-    block), so a Groebner basis in it intersects to the subring on the
-    remaining variables.  An optional `perm` reads the variables in the
-    order perm[0], perm[1], ... before the kind's key is applied.
+    kind is 'grevlex' or 'elim'.  An elimination order puts a leading
+    block of `block` variables in front (grevlex within each block), so a
+    Groebner basis in it intersects to the subring on the remaining
+    variables.
     """
 
-    def __init__(self, kind, block=0, perm=None):
+    def __init__(self, kind, block=0):
+        if kind not in ("grevlex", "elim"):
+            raise ValidationError(f"unknown monomial order kind {kind!r}")
         self.kind = kind
         self.block = block
-        self.perm = None if perm is None else tuple(perm)
 
     @property
     def tag(self):
-        if self.perm is None:
-            return (self.kind, self.block)
-        return (self.kind, self.block, self.perm)
+        return (self.kind, self.block)
 
     def key_func(self, nvars):
         """Return exps -> int with key(a*b) = key(a) + key(b)."""
-        key = self._unpermuted_key_func(nvars)
-        perm = self.perm
-        if perm is None:
-            return key
-        if sorted(perm) != list(range(nvars)):
-            raise ValidationError(
-                f"{perm} is not a permutation of {nvars} variables")
-        return lambda exps: key(tuple(exps[i] for i in perm))
-
-    def _unpermuted_key_func(self, nvars):
         if self.kind == "grevlex":
             return _grevlex_key_func(nvars)
-        if self.kind == "lex":
-            def key(exps):
-                k = 0
-                for e in exps:
-                    k = (k << WIDTH) | e
-                return k
-            return key
-        if self.kind == "elim":
-            b = self.block
-            front = _grevlex_key_func(b)
-            back = _grevlex_key_func(nvars - b)
-            shift = (nvars - b + 1) * WIDTH + 4
-            def key(exps, b=b, front=front, back=back, shift=shift):
-                return (front(exps[:b]) << shift) | back(exps[b:])
-            return key
-        raise ValidationError(f"unknown monomial order kind {self.kind!r}")
+        b = self.block
+        front = _grevlex_key_func(b)
+        back = _grevlex_key_func(nvars - b)
+        shift = (nvars - b + 1) * WIDTH + 4
+
+        def key(exps, b=b, front=front, back=back, shift=shift):
+            return (front(exps[:b]) << shift) | back(exps[b:])
+
+        return key
 
     def __repr__(self):
-        name = f"elim({self.block})" if self.kind == "elim" else self.kind
-        return name if self.perm is None else f"{name}{list(self.perm)}"
+        return f"elim({self.block})" if self.kind == "elim" else self.kind
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.tag == self.tag
@@ -243,22 +223,11 @@ def _grevlex_key_func(nvars):
 
 
 GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
 
 
 def elimination_order(block):
     """Order eliminating the first `block` variables."""
     return MonomialOrder("elim", block)
-
-
-def mono_compare(order, a, b):
-    """Compare monomials under `order`: -1, 0 or 1."""
-    if len(a) != len(b):
-        raise RingContextError(
-            f"monomials live in different rings ({len(a)} vs {len(b)} variables)")
-    key = order.key_func(len(a))
-    ka, kb = key(a), key(b)
-    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +349,11 @@ class Polynomial:
     def constant_coefficient(self):
         return self.terms.get(self.ring._zero_exps, self.ring.field.zero)
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
-
-    def leading_term(self, order=GREVLEX):
-        """(exps, coeff) of the largest monomial under `order`."""
+    def leading_term(self):
+        """(exps, coeff) of the largest monomial in grevlex."""
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
-        key = self.ring.key_func(order)
+        key = self.ring.key_func(GREVLEX)
         exps = max(self.terms, key=key)
         return exps, self.terms[exps]
 
@@ -474,12 +440,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def monic(self, order=GREVLEX):
-        if not self.terms:
-            return self
-        _, c = self.leading_term(order)
-        return self.scale(self.ring.field.inv(c))
 
     # calculus and substitution ---------------------------------------------
     def partial_derivative(self, i):

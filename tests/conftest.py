@@ -37,9 +37,8 @@ from singlocus.groebner import (GREVLEX, GroebnerBasis, Ideal, _Dividend,
 from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
                                 _level_from_ring_gb, _schreyer_resolution,
                                 _SyzygyLevel, minimal_free_resolution)
-from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH,
-                                MonomialOrder, PolyRing, Polynomial,
-                                elimination_order)
+from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing,
+                                Polynomial, elimination_order)
 
 #: the corpus `.arr` and `.graph` files shipped with the package
 CORPUS_DIR = files("singlocus") / "arrangements"
@@ -71,7 +70,35 @@ def poly_from_exps(ring, exps, coeff=1):
     return ring.from_terms({exps: coeff})
 
 
-def membership_by_linear_algebra(f, ideal, order=GREVLEX):
+def power_of_variables(ring, k):
+    """m^k for the ideal m of all variables, generated by its monomials of
+    degree k."""
+    return Ideal(ring, [ring.from_terms({e: 1})
+                        for e in monomials_of_degree(ring.nvars, k)])
+
+
+def s_polynomial(f, g):
+    ring = f.ring
+    ef, cf = f.leading_term()
+    eg, cg = g.leading_term()
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    mf = Polynomial(ring, {tuple(l - a for l, a in zip(lcm, ef)): ring.field.inv(cf)})
+    mg = Polynomial(ring, {tuple(l - a for l, a in zip(lcm, eg)): ring.field.inv(cg)})
+    return mf * f - mg * g
+
+
+def buchberger_criterion_holds(gb):
+    """Every S-polynomial of the basis reduces to zero."""
+    polys = gb.polys
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            sp = s_polynomial(polys[i], polys[j])
+            if not gb.normal_form(sp).is_zero():
+                return False
+    return True
+
+
+def membership_by_linear_algebra(f, ideal):
     """Degree-graded Macaulay-matrix membership test for homogeneous f."""
     ring = f.ring
     field = ring.field
@@ -222,19 +249,22 @@ def saturate_by_variable(a, i):
     For a homogeneous ideal in a degree-reverse-lex order whose last
     variable is x_i, dividing every basis element by its x_i power
     generates (and is a basis of) the saturation with respect to x_i.
+    The order is grevlex on a copy of the ring whose variables are
+    renamed so that x_i comes last.
     """
     ring = a.ring
     perm = [j for j in range(ring.nvars) if j != i] + [i]
-    order = MonomialOrder("grevlex", perm=perm)
-    gb = a.groebner(order)
+    inverse = [perm.index(j) for j in range(ring.nvars)]
+    moved = PolyRing([ring.names[j] for j in perm], ring.field)
+    gb = Ideal(moved, [Polynomial(moved, {tuple(e[j] for j in perm): c
+                                          for e, c in g.terms.items()})
+                       for g in a.gens]).groebner()
     out = []
     for g in gb.polys:
-        k = min(e[i] for e in g.terms)
-        if k == 0:
-            out.append(g)
-        else:
-            out.append(Polynomial(ring, {
-                e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in g.terms.items()}))
+        k = min(e[-1] for e in g.terms)
+        out.append(Polynomial(ring, {
+            tuple((e[:-1] + (e[-1] - k,))[pos] for pos in inverse): c
+            for e, c in g.terms.items()}))
     return Ideal(ring, out)
 
 
@@ -563,7 +593,7 @@ def schreyer_step_by_tuples(level, engine):
 def schreyer_resolution_by_tuples(ideal):
     """`_schreyer_resolution`, with each step taken by the oracle step."""
     ring = ideal.ring
-    gb = ideal.groebner(GREVLEX)
+    gb = ideal.groebner()
     if not len(gb):
         return [[0]], []
     level = _level_from_ring_gb(gb._polys,

@@ -21,8 +21,7 @@ from singlocus.arrangement import (Arrangement, combinatorial_degrees,
                                    top_comb, triangle_condition,
                                    uniform_powers)
 from singlocus.corpus import load_arrangement, load_graph, run_regressions
-from singlocus.groebner import (Ideal, ideal_equal, radical_membership,
-                                saturate_irrelevant)
+from singlocus.groebner import Ideal, radical_membership, saturate_irrelevant
 from singlocus.homology import (betti_of, dimensions, hilbert, is_cm,
                                 is_saturated, minimal_free_resolution,
                                 rao_dimensions)

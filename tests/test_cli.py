@@ -220,6 +220,20 @@ class TestErrorPaths:
                                str(arr_dir / "star_four.arr"))
         assert code == 1
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_small_prime_is_refused(self, capsys, arr_dir, as_json):
+        """A characteristic at most the number of planes is an error, not a
+        silent switch to Q."""
+        argv = ["hilbert", "--field", "p:5", str(arr_dir / "seven_planes.arr")]
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 1
+        assert "too small for degree 7; use QQ" in err
+        assert "Hilbert polynomial" not in out
+        if as_json:
+            payload = json.loads(out)
+            assert payload["field"] == "p:5"
+            assert payload["artifact"] == {}
+
     def test_symbolic_rule_violation(self, capsys, arr_dir):
         code, _, err = run_cli(capsys, "symbolic", "--uniform", "2",
                                str(arr_dir / "star_four.arr"))

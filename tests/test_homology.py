@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (betti_by_strand_homology, deficiency_by_ext,
                       membership_by_linear_algebra, monomials_of_degree,
-                      rao_by_degree_scan, schreyer_resolution_by_tuples,
+                      power_of_variables, rao_by_degree_scan, schreyer_resolution_by_tuples,
                       standard_monomial_count)
 from singlocus import linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
@@ -256,13 +256,13 @@ class TestHilbert:
         x, y, z, w = ring_p.variables()
         h = hilbert(Ideal(ring_p, (x, y)))
         assert h.regularity_index == 0
-        hm2 = hilbert(Ideal(ring_p, (x, y, z, w)).power(2))
+        hm2 = hilbert(power_of_variables(ring_p, 2))
         # function 1, 4, 0, 0...; polynomial 0
         assert hm2.regularity_index == 2
 
     def test_degree_of_thick_point(self, ring_p):
         x, y, z, w = ring_p.variables()
-        h = hilbert(Ideal(ring_p, (x, y, z)).power(2))
+        h = hilbert(Ideal(ring_p, (x * x, x * y, x * z, y * y, y * z, z * z)))
         assert h.dimension == 1
         assert h.degree() == 4
 
@@ -311,8 +311,7 @@ class TestRaoDimensions:
 
     def test_unsaturated_rejected(self, ring_p):
         x, y, z, w = ring_p.variables()
-        m = Ideal(ring_p, (x, y, z, w))
-        unsat = intersect(Ideal(ring_p, (x, y)), m.power(2))
+        unsat = intersect(Ideal(ring_p, (x, y)), power_of_variables(ring_p, 2))
         with pytest.raises(ValidationError):
             rao_dimensions(unsat)
 
@@ -510,4 +509,4 @@ class TestSaturationFromResolution:
         m = Ideal(ring_p, ring_p.variables())
         assert is_saturated(Ideal(ring_p, (ring_p.one(),)))
         assert not is_saturated(m)
-        assert not is_saturated(m.power(2))
+        assert not is_saturated(power_of_variables(ring_p, 2))
