@@ -1,10 +1,13 @@
 """Command-line surface: load arrangements, run any pipeline stage.
 
-Every command accepts --field, --seed and --json, and emits
-either human-readable text (Betti diagrams in the fixed-width layout) or
-a versioned JSON report.  Exit codes: 0 success, 1 usage, validation or
-parse error, 2 internal limit (packed-exponent degree, saturation retries or
-reseed caps), 3 internal invariant failure (a bug; please report it).
+Every command accepts --field and --json, and emits either
+human-readable text (Betti diagrams in the fixed-width layout) or a
+versioned JSON report.  Only the commands that make a random choice
+(section, bdl, construct-lr, construct-lr-radical) accept --seed; the
+report's seed is null for the others.  Exit codes: 0 success, 1 usage,
+validation or parse error, 2 internal limit (packed-exponent degree,
+saturation retries or reseed caps), 3 internal invariant failure (a bug;
+please report it).
 """
 
 from __future__ import annotations
@@ -416,8 +419,7 @@ def _cmd_construct(radical):
 
 
 def _cmd_corpus(args, field, report):
-    names = args.entry if args.entry else None
-    results = corpus.run_regressions(field=field, names=names,
+    results = corpus.run_regressions(field=field, names=args.entry,
                                      quick=args.quick)
     failed = [r for r in results if not r.ok]
     report.artifact["results"] = [
@@ -441,10 +443,12 @@ def _build_parser():
     common.add_argument("--field", default=f"p:{DEFAULT_PRIME}",
                         help="coefficient field: q or p:<prime> "
                              f"(default p:{DEFAULT_PRIME})")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized choice (default 0)")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for the command's random choices "
+                             "(default 0)")
 
     parser = argparse.ArgumentParser(
         prog="sing",
@@ -501,7 +505,7 @@ def _build_parser():
     sp.add_argument("file")
     sp.set_defaults(run=_cmd_triangles)
 
-    sp = sub.add_parser("section", parents=[common],
+    sp = sub.add_parser("section", parents=[common, seeded],
                         help="generic hyperplane section down to 4 variables")
     sp.add_argument("file")
     sp.add_argument("-o", "--output", default=None)
@@ -515,7 +519,7 @@ def _build_parser():
     sp.add_argument("--verify", action="store_true")
     sp.set_defaults(run=_cmd_liaison_add)
 
-    sp = sub.add_parser("bdl", parents=[common],
+    sp = sub.add_parser("bdl", parents=[common, seeded],
                         help="basic double link of an arrangement curve")
     sp.add_argument("file")
     sp.add_argument("--form", default=None,
@@ -526,7 +530,7 @@ def _build_parser():
 
     for name, radical in (("construct-lr", False),
                           ("construct-lr-radical", True)):
-        sp = sub.add_parser(name, parents=[common],
+        sp = sub.add_parser(name, parents=[common, seeded],
                             help="build a curve with prescribed deficiency")
         sp.add_argument("--r", type=int, required=True)
         sp.add_argument("--h", type=int, default=0)
@@ -537,9 +541,12 @@ def _build_parser():
 
     sp = sub.add_parser("corpus", parents=[common],
                         help="run the regression corpus")
-    sp.add_argument("--quick", action="store_true")
-    sp.add_argument("--entry", action="append", default=None,
-                    help="run a single named entry (repeatable)")
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--quick", action="store_true",
+                       help="run the quick subset of entries")
+    group.add_argument("--entry", action="append", default=None,
+                       choices=corpus.entry_names(), metavar="NAME",
+                       help="run a single named entry (repeatable)")
     sp.set_defaults(run=_cmd_corpus)
 
     return parser
@@ -556,7 +563,8 @@ def main(argv=None):
     except SingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = Report(argv, field_label, args.seed)
+    # commands without a random choice take no --seed; their seed is null
+    report = Report(argv, field_label, getattr(args, "seed", None))
     try:
         args.run(args, field, report)
     except InternalLimitError as exc:

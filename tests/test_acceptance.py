@@ -13,22 +13,18 @@ import time
 import pytest
 
 from conftest import monomials_of_degree
-from singlocus.arrangement import (Arrangement, combinatorial_degrees,
-                                   generic_section, graphic_arrangement,
-                                   hypothesis_check, jacobian_ideal,
-                                   lattice_isomorphic, radical_comb,
-                                   standard_ring, symbolic_intersection,
-                                   top_comb, triangle_condition,
-                                   uniform_powers)
-from singlocus.corpus import load_arrangement, load_graph, run_regressions
+from singlocus.arrangement import (Arrangement, generic_section,
+                                   graphic_arrangement, hypothesis_check,
+                                   jacobian_ideal, radical_comb,
+                                   standard_ring, top_comb,
+                                   triangle_condition)
+from singlocus.corpus import (entry_names, load_arrangement, load_graph,
+                              run_regressions)
 from singlocus.groebner import Ideal, radical_membership, saturate_irrelevant
-from singlocus.homology import (betti_of, dimensions, hilbert, is_cm,
-                                is_saturated, minimal_free_resolution,
-                                rao_dimensions)
+from singlocus.homology import betti_of, hilbert, is_cm, rao_dimensions
 from singlocus.liaison import (LiaisonStep, basic_double_link, construct_lr,
-                               construct_lr_radical, hilbert_additivity_holds,
-                               liaison_addition, shifted_rao_sum,
-                               verify_construction)
+                               hilbert_additivity_holds, liaison_addition,
+                               shifted_rao_sum, verify_construction)
 from singlocus.polyring import QQ, expand_product, gradient
 
 
@@ -63,144 +59,90 @@ def _assert_field_agreement(name):
     assert is_cm(tp) == is_cm(tq)
 
 
+# Criteria 1-9 each run their corpus entries, which hold the expected
+# values, and add only the checks the corpus does not carry: the
+# saturation of J, the Q cross-checks and the liaison constructions.
+_CRITERION_ENTRIES = {
+    "C1": ("fifteen_planes",),
+    "C2": ("seven_planes",),
+    "C3": ("emb_point",),
+    "C4": ("catalogue",),
+    "C5": ("fat_nine",),
+    "C6": ("free_not_cm",),
+    "C7": ("same_lattice",),
+    "C8": ("graphic",),
+    "C9": ("rao_blocks",),
+}
+
+
+def _run_corpus(criterion):
+    """Run the criterion's corpus entries; every check must pass."""
+    results = run_regressions(names=_CRITERION_ENTRIES[criterion])
+    failed = [r for r in results if not r.ok]
+    for r in failed:
+        print(r.line())
+    assert results and not failed, \
+        f"{criterion}: {len(failed)} of {len(results)} corpus checks failed"
+    return f"{len(results)} corpus checks"
+
+
+def test_criteria_run_every_corpus_entry():
+    named = [n for names in _CRITERION_ENTRIES.values() for n in names]
+    assert sorted(named) == sorted(entry_names())
+
+
 def test_criterion_1_fifteen_planes():
     budget = _Budget("C1 15-plane example", 600)
-    arr = load_arrangement("fifteen_planes")
-    assert dict(arr.flat_multiset()) == {3: 25, 2: 30}
-    J = jacobian_ideal(arr)
-    top = top_comb(arr)
+    checked = _run_corpus("C1")
+    J = jacobian_ideal(load_arrangement("fifteen_planes"))
     assert saturate_irrelevant(J).equals(J)          # J = J^sat
-    assert is_saturated(J)                           # read off pd(R/J)
-    assert J.equals(top)                             # J^sat = top part
-    bj = betti_of(J)
-    assert bj.totals() == [1, 4, 4, 1]
-    assert tuple(bj.row(13)) == (0, 4, 0, 0)
-    assert tuple(bj.row(17)) == (0, 0, 4, 1)
-    assert hilbert(J).hp_string() == "130t - 1150"
-    rad = radical_comb(arr)
-    br = betti_of(rad)
-    assert br.totals() == [1, 11, 10]
-    assert tuple(br.row(9)) == (0, 11, 10)
-    assert hilbert(rad).hp_string() == "55t - 275"
-    assert is_cm(rad) is True
-    assert is_cm(J) is False
-    budget.done("lattice 25+30, HP 130t-1150 / 55t-275")
+    budget.done(checked)
 
 
 def test_criterion_2_seven_planes():
     budget = _Budget("C2 7-plane example (with QQ cross-check)", 30)
-    arr = load_arrangement("seven_planes")
-    J = jacobian_ideal(arr)
-    bj = betti_of(J)
-    assert tuple(bj.row(5)) == (0, 4, 0)
-    assert tuple(bj.row(6)) == (0, 0, 3)
-    assert hilbert(J).hp_string() == "24t - 64"
-    rad = radical_comb(arr)
-    assert tuple(betti_of(rad).row(4)) == (0, 6, 5)
-    assert hilbert(rad).hp_string() == "15t - 25"
-    assert is_cm(J) and is_cm(rad)
-    holds, witnesses = hypothesis_check(arr)
-    assert holds is False
-    assert witnesses and all(w[0] == 0 for w in witnesses)  # plane x
+    checked = _run_corpus("C2")
     _assert_field_agreement("seven_planes")
-    budget.done("HP 24t-64 / 15t-25, witness plane x")
+    budget.done(checked)
 
 
 def test_criterion_3_embedded_point():
     budget = _Budget("C3 embedded-point example (with QQ cross-check)", 30)
-    arr = load_arrangement("four_planes_point")
-    J = jacobian_ideal(arr)
-    assert betti_of(J).totals() == [1, 3, 3, 1]
-    assert hilbert(J).hp_string() == "6t - 1"
-    top = top_comb(arr)
-    assert hilbert(top).hp_string() == "6t - 2"
+    checked = _run_corpus("C3")
+    J = jacobian_ideal(load_arrangement("four_planes_point"))
     assert saturate_irrelevant(J).equals(J)
-    assert not J.equals(top)                 # embedded point detected
-    arr5 = load_arrangement("five_planes_point")
-    assert hilbert(jacobian_ideal(arr5)).hp_string() == "10t - 9"
-    assert hilbert(top_comb(arr5)).hp_string() == "10t - 10"
     _assert_field_agreement("four_planes_point")
     _assert_field_agreement("five_planes_point")
-    budget.done("6t-1 vs 6t-2; 10t-9 vs 10t-10")
+    budget.done(checked)
 
 
 def test_criterion_4_catalogue():
     budget = _Budget("C4 8/9-plane catalogue and stars", 120)
-    arr8 = load_arrangement("eight_planes")
-    assert is_cm(top_comb(arr8)) is True
-    assert is_cm(radical_comb(arr8)) is False
-    arr9 = load_arrangement("nine_planes")
-    assert is_cm(top_comb(arr9)) is False
-    assert is_cm(radical_comb(arr9)) is False
-    for name in ("pencil_three", "star_pencil", "star_four"):
-        arr = load_arrangement(name)
-        assert is_cm(top_comb(arr)) and is_cm(radical_comb(arr))
+    checked = _run_corpus("C4")
+    for name in ("pencil_three", "star_pencil", "star_four", "eight_planes",
+                 "nine_planes", "radical_block"):
         _assert_field_agreement(name)
-    _assert_field_agreement("eight_planes")
-    _assert_field_agreement("nine_planes")
-    _assert_field_agreement("radical_block")
-    budget.done("(c) True/False, (d) False/False, stars True/True")
+    budget.done(checked)
 
 
 def test_criterion_5_symbolic_square():
     budget = _Budget("C5 symbolic square of the 9-plane radical", 300)
-    arr = load_arrangement("nine_planes")
-    assert is_cm(top_comb(arr)) is False
-    assert is_cm(radical_comb(arr)) is False
-    sym2 = symbolic_intersection(arr, uniform_powers(arr, 2), override=True)
-    assert is_cm(sym2) is True
-    budget.done("symbolic square CM while top and radical are not")
+    budget.done(_run_corpus("C5"))
 
 
 def test_criterion_6_free_not_cm():
     budget = _Budget("C6 free-but-radical-not-CM 10 planes", 300)
-    arr = load_arrangement("free_not_cm")
-    rad = radical_comb(arr)
-    assert tuple(betti_of(rad).row(6)) == (0, 9, 9, 1)
-    assert is_cm(rad) is False
-    J = jacobian_ideal(arr)
-    bj = betti_of(J)
-    assert tuple(bj.row(8)) == (0, 4, 0)
-    assert tuple(bj.row(10)) == (0, 0, 3)
-    assert is_cm(J) is True
-    assert minimal_free_resolution(J).length == 2
-    budget.done("radical row 6 = (9,9,1); J CM with pd 2")
+    budget.done(_run_corpus("C6"))
 
 
 def test_criterion_7_same_lattice_different_betti():
     budget = _Budget("C7 equal lattices, different Betti tables", 600)
-    a = load_arrangement("same_lattice_a")
-    b = load_arrangement("same_lattice_b")
-    assert lattice_isomorphic(a, b) is True
-    assert betti_of(top_comb(a)).totals() == [1, 8, 7]
-    assert betti_of(top_comb(b)).totals() == [1, 6, 5]
-    assert betti_of(radical_comb(a)).totals() == [1, 5, 4]
-    assert betti_of(radical_comb(b)).totals() == [1, 6, 5]
-    assert hilbert(jacobian_ideal(a)).hp_string() == "51t - 223"
-    assert hilbert(jacobian_ideal(b)).hp_string() == "51t - 222"
-    budget.done("51t-223 vs 51t-222")
+    budget.done(_run_corpus("C7"))
 
 
 def test_criterion_8_octahedron():
     budget = _Budget("C8 octahedron graphic arrangement", 600)
-    octa = load_graph("octahedron")
-    holds, _ = triangle_condition(octa)
-    assert holds is False
-    arr = generic_section(graphic_arrangement(octa), seed=11)
-    rad = radical_comb(arr)
-    assert tuple(betti_of(rad).row(9)) == (0, 16, 20, 5)
-    assert hilbert(rad).hp_string() == "50t - 230"
-    top = top_comb(arr)
-    bt = betti_of(top)
-    assert bt.totals() == [1, 6, 6, 1]
-    assert tuple(bt.row(10)) == (0, 5, 0, 0)
-    assert tuple(bt.row(11)) == (0, 1, 2, 0)
-    assert tuple(bt.row(12)) == (0, 0, 4, 1)
-    assert hilbert(top).hp_string() == "74t - 454"
-    dodeca = load_graph("dodecahedron")
-    holds, _ = triangle_condition(dodeca)
-    assert holds is True
-    budget.done("rows match; dodecahedron triangle condition holds")
+    budget.done(_run_corpus("C8"))
 
 
 @pytest.mark.skipif(not os.environ.get("SINGLOCUS_STRETCH"),
@@ -215,22 +157,12 @@ def test_criterion_8_stretch_dodecahedron_cm():
 
 def test_criterion_9_deficiency_constructions():
     budget = _Budget("C9 deficiency-module constructions", 1800)
-    # 9-plane building block
-    top9 = top_comb(load_arrangement("top_block"))
-    assert rao_dimensions(top9) == {8: 1}
-    assert hilbert(top9).degree() == 42
-    # 8-plane radical building block
-    rad8 = radical_comb(load_arrangement("radical_block"))
-    assert rao_dimensions(rad8) == {4: 1}
+    checked = _run_corpus("C9")
     # one extra double link shifts the support degree by one
     c_h1 = construct_lr(1, h=1, seed=7)
     assert c_h1.predicted_rao == {9: 1}
     report_h1 = verify_construction(c_h1)
     assert report_h1["ok"], report_h1
-    # 11-plane arrangement in the same liaison class as the r=2 curve
-    top11 = top_comb(load_arrangement("eleven_planes"))
-    assert betti_of(top11).totals() == [1, 7, 8, 2]
-    assert rao_dimensions(top11) == {10: 2}
     # the heaviest run: two glued blocks, verified end to end
     c2 = construct_lr(2, seed=7)
     assert c2.predicted_rao == {17: 2}
@@ -240,7 +172,7 @@ def test_criterion_9_deficiency_constructions():
     assert report["degree_computed"] == 165, report
     assert report["ok"], report
     assert all(hilbert_additivity_holds(s) for s in c2.steps)
-    budget.done("blocks {8:1}/{4:1}; r=2 gives {17:2} at degree 165")
+    budget.done(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +413,6 @@ def test_criterion_10h_additivity_and_shift():
         assert hilbert_additivity_holds(step)
         done += 1
     print("ACCEPT C10 additivity and shift: PASS")
-
-
-def test_criterion_corpus_regressions():
-    """The full corpus command passes (exercised via the library API)."""
-    results = run_regressions()
-    failed = [r for r in results if not r.ok]
-    for r in results:
-        print(r.line())
-    assert not failed, f"{len(failed)} corpus checks failed"
 
 
 @pytest.mark.skipif(not os.environ.get("SINGLOCUS_STRETCH"),

@@ -67,10 +67,6 @@ class TestParsing:
 
 
 class TestFlats:
-    def test_fifteen_plane_lattice(self):
-        arr = load_arrangement("fifteen_planes")
-        assert dict(arr.flat_multiset()) == {3: 25, 2: 30}
-
     def test_generic_four(self):
         arr = load_arrangement("star_four")
         flats = arr.flats()

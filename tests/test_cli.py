@@ -92,7 +92,7 @@ class TestJsonReports:
         payload = json.loads(out)
         assert payload["schema"] == 1
         assert payload["field"] == "p:32003"
-        assert payload["seed"] == 0
+        assert payload["seed"] is None  # hilbert makes no random choice
         assert payload["artifact"]["hilbert"]["hilbert_polynomial"] == "24t - 64"
         assert json.loads(json.dumps(payload)) == payload
 
@@ -202,6 +202,12 @@ class TestLiaisonCommands:
         assert code == 0
         assert "verification: ok" in out
 
+    def test_construct_lr_seed_echo(self, capsys):
+        code, out, _ = run_cli(capsys, "construct-lr", "--r", "1",
+                               "--seed", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["seed"] == 3
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -268,6 +274,21 @@ class TestErrorPaths:
         code, out, _ = run_cli(capsys, "corpus", "--entry", "emb_point")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("argv", [["--entry", "bogus"],
+                                      ["--quick", "--entry", "emb_point"]],
+                             ids=["unknown", "with-quick"])
+    def test_corpus_entry_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "corpus", *argv)
+        assert code == 1
+        assert "usage:" in err and "Traceback" not in err
+        assert "PASS" not in out
+
+    def test_seed_only_where_it_is_read(self, capsys, arr_dir):
+        code, _, err = run_cli(capsys, "jacobian", "--seed", "3",
+                               str(arr_dir / "seven_planes.arr"))
+        assert code == 1
+        assert "unrecognized arguments: --seed" in err
 
 
 def test_console_script_runs():
