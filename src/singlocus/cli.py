@@ -1,13 +1,14 @@
 """Command-line surface: load arrangements, run any pipeline stage.
 
-Every command accepts --field and --json, and emits either
-human-readable text (Betti diagrams in the fixed-width layout) or a
-versioned JSON report.  Only the commands that make a random choice
-(section, bdl, construct-lr, construct-lr-radical) accept --seed; the
-report's seed is null for the others.  Exit codes: 0 success, 1 usage,
-validation or parse error, 2 internal limit (packed-exponent degree,
-saturation retries or reseed caps), 3 internal invariant failure (a bug;
-please report it).
+Every command accepts --json, and emits either human-readable text
+(Betti diagrams in the fixed-width layout) or a versioned JSON report.
+Every command but the graph-only ones (graphic, triangles) accepts
+--field; their report's field is null.  Only the commands that make a
+random choice (section, bdl without --form, construct-lr,
+construct-lr-radical) accept --seed; the report's seed is null for the
+others.  Exit codes: 0 success, 1 usage, validation or parse error, 2
+internal limit (packed-exponent degree, saturation retries or reseed
+caps), 3 internal invariant failure (a bug; please report it).
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _arr_to_text(arr):
 
 def _cmd_graphic(args, field, report):
     graph = parse_graph(_read(args.file))
-    arr = graphic_arrangement(graph, field)
+    arr = graphic_arrangement(graph)
     text = _arr_to_text(arr)
     report.artifact["variables"] = list(arr.ring.names)
     report.artifact["forms"] = arr.d
@@ -405,7 +406,7 @@ def _cmd_construct(radical):
         report.say(f"constructed {construction.arrangement.d}-plane arrangement")
         report.say(f"predicted deficiency table: {construction.predicted_rao}")
         report.say(f"predicted curve degree: {construction.predicted_degree}")
-        if args.verify:
+        if args.verify or args.deep:
             outcome = verify_construction(construction, deep=args.deep)
             report.artifact["verify"] = {
                 k: _degree_table(v) if isinstance(v, dict) else v
@@ -438,17 +439,20 @@ def _cmd_corpus(args, field, report):
 # argument wiring
 
 
+def _add_seed(target):
+    target.add_argument("--seed", type=int, default=0,
+                        help="seed for the command's random choices "
+                             "(default 0)")
+
+
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true",
+                        help="emit a JSON report instead of text")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--field", default=f"p:{DEFAULT_PRIME}",
                         help="coefficient field: q or p:<prime> "
                              f"(default p:{DEFAULT_PRIME})")
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of text")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
-                        help="seed for the command's random choices "
-                             "(default 0)")
 
     parser = argparse.ArgumentParser(
         prog="sing",
@@ -494,20 +498,21 @@ def _build_parser():
     sp.add_argument("file")
     sp.set_defaults(run=_cmd_hypothesis)
 
-    sp = sub.add_parser("graphic", parents=[common],
+    sp = sub.add_parser("graphic", parents=[output],
                         help="arrangement of a graph")
     sp.add_argument("file")
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(run=_cmd_graphic)
 
-    sp = sub.add_parser("triangles", parents=[common],
+    sp = sub.add_parser("triangles", parents=[output],
                         help="3-cycle sharing condition of a graph")
     sp.add_argument("file")
     sp.set_defaults(run=_cmd_triangles)
 
-    sp = sub.add_parser("section", parents=[common, seeded],
+    sp = sub.add_parser("section", parents=[common],
                         help="generic hyperplane section down to 4 variables")
     sp.add_argument("file")
+    _add_seed(sp)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(run=_cmd_section)
 
@@ -519,24 +524,29 @@ def _build_parser():
     sp.add_argument("--verify", action="store_true")
     sp.set_defaults(run=_cmd_liaison_add)
 
-    sp = sub.add_parser("bdl", parents=[common, seeded],
+    sp = sub.add_parser("bdl", parents=[common],
                         help="basic double link of an arrangement curve")
     sp.add_argument("file")
-    sp.add_argument("--form", default=None,
-                    help="linear form to link with (seeded random if absent)")
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--form", default=None,
+                       help="linear form to link with (seeded random if "
+                            "absent)")
+    _add_seed(group)
     sp.add_argument("--ideal", choices=("top", "radical"), default="top")
     sp.add_argument("--verify", action="store_true")
     sp.set_defaults(run=_cmd_bdl)
 
     for name, radical in (("construct-lr", False),
                           ("construct-lr-radical", True)):
-        sp = sub.add_parser(name, parents=[common, seeded],
+        sp = sub.add_parser(name, parents=[common],
                             help="build a curve with prescribed deficiency")
+        _add_seed(sp)
         sp.add_argument("--r", type=int, required=True)
         sp.add_argument("--h", type=int, default=0)
         sp.add_argument("--verify", action="store_true")
         sp.add_argument("--deep", action="store_true",
-                        help="also recheck every intermediate step")
+                        help="verify, and also recheck every intermediate "
+                             "step")
         sp.set_defaults(run=_cmd_construct(radical))
 
     sp = sub.add_parser("corpus", parents=[common],
@@ -558,12 +568,15 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: usage error (2) or --help (0)
         return 1 if exc.code else 0
-    try:
-        field, field_label = _parse_field(args.field)
-    except SingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    # commands without a random choice take no --seed; their seed is null
+    # the graph-only commands take no --field and commands without a
+    # random choice no --seed; their report has null there
+    field = field_label = None
+    if hasattr(args, "field"):
+        try:
+            field, field_label = _parse_field(args.field)
+        except SingError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     report = Report(argv, field_label, getattr(args, "seed", None))
     try:
         args.run(args, field, report)

@@ -43,15 +43,14 @@ on internal bases, drops each pair as soon as it is intersected, checks
 only that each intermediate basis has minimal leading terms, and builds
 one public `Ideal`, checked against its basis, at the end.
 
-For homogeneous inputs the intersection is Hilbert-driven (Traverso 1996,
-"Hilbert functions and the Buchberger algorithm"): with t of weight 0,
-the elimination works in a graded module whose degree-d dimension is
-dim a_d + dim b_d, known from the inputs' leading monomials before any
-pair is reduced.  Pairs are taken by the degree of their lcm, and once
-the leading terms in degree d fill that dimension, the remaining pairs
-of degree d are dropped unreduced.  Only the t-free elements, the answer,
-are minimalized and tail-reduced.  Inhomogeneous inputs take the plain
-elimination, since the grading argument does not hold for them.
+Every `Ideal` is homogeneous, so the intersection is Hilbert-driven
+(Traverso 1996, "Hilbert functions and the Buchberger algorithm"): with
+t of weight 0, the elimination works in a graded module whose degree-d
+dimension is dim a_d + dim b_d, known from the inputs' leading monomials
+before any pair is reduced.  Pairs are taken by the degree of their lcm,
+and once the leading terms in degree d fill that dimension, the remaining
+pairs of degree d are dropped unreduced.  Only the t-free elements, the
+answer, are minimalized and tail-reduced.
 """
 
 from __future__ import annotations
@@ -465,9 +464,6 @@ class GroebnerBasis:
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
-    def is_unit_ideal(self):
-        return len(self._lt_ws) == 1 and self._lt_ws[0] == 0
-
 
 # ---------------------------------------------------------------------------
 # the public Ideal type
@@ -476,12 +472,12 @@ class GroebnerBasis:
 class Ideal:
     """Homogeneous ideal with cached reduced Groebner bases per order."""
 
-    def __init__(self, ring, gens, allow_inhomogeneous=False):
+    def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
         for g in gens:
             if g.ring != ring:
                 raise RingContextError("generator from a different ring")
-            if not allow_inhomogeneous and not g.is_homogeneous():
+            if not g.is_homogeneous():
                 raise ValidationError(f"inhomogeneous generator: {g}")
         self.ring = ring
         self.gens = gens
@@ -519,7 +515,9 @@ class Ideal:
         return not self.gens
 
     def is_unit(self):
-        return self.groebner().is_unit_ideal()
+        """A graded ideal's degree-0 part is spanned by its constant
+        generators: it is the unit ideal exactly when one is nonzero."""
+        return any(g.is_constant() for g in self.gens)
 
     def equals(self, other):
         if self.ring != other.ring:
@@ -651,24 +649,16 @@ def _top_lead_degree(basis, degree_of):
     return max(degree_of(terms[0][1]) for terms in basis)
 
 
-def _is_homogeneous(basis, degree_of):
-    """Whether every element of an internal grevlex basis is homogeneous:
-    grevlex sorts by degree first, so its first and last terms tell."""
-    return all(degree_of(terms[0][1]) == degree_of(terms[-1][1])
-               for terms in basis)
-
-
 def _intersect_bases(ring, pa, pb):
     """The internal reduced grevlex basis of a ∩ b, from those of a and b.
 
     The elimination starts from t * G_a and (1 - t) * G_b, fed as two
     blocks.  The basis whose highest leading degree is lower goes into
     the t-block (the first one on a tie): the answer is the same, but its
-    reductions subtract fewer terms.  For homogeneous inputs a
-    `_HilbertDrive` drops the pairs that the inputs' Hilbert functions
-    prove redundant.  Only the t-free part of the elimination basis is
-    finished: it is the reduced grevlex basis of the intersection.  Both
-    inputs must be proper and nonzero.
+    reductions subtract fewer terms.  A `_HilbertDrive` drops the pairs
+    that the inputs' Hilbert functions prove redundant.  Only the t-free
+    part of the elimination basis is finished: it is the reduced grevlex
+    basis of the intersection.  Both inputs must be proper and nonzero.
     """
     degree_of = _degree_func(ring.nvars)
     if _top_lead_degree(pb, degree_of) < _top_lead_degree(pa, degree_of):
@@ -686,10 +676,8 @@ def _intersect_bases(ring, pa, pb):
         [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
         + [(k, w << WIDTH, c) for k, w, c in terms]
         for terms in pb]
-    drive = None
-    if _is_homogeneous(pa, degree_of) and _is_homogeneous(pb, degree_of):
-        drive = _HilbertDrive(ring.nvars, [t[0][1] for t in pa],
-                              [t[0][1] for t in pb])
+    drive = _HilbertDrive(ring.nvars, [t[0][1] for t in pa],
+                          [t[0][1] for t in pb])
     # an element with a t-free leading term is t-free
     t_mask = (1 << WIDTH) - 1
     basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
@@ -713,8 +701,7 @@ def _ideal_from_basis(ring, internal):
     """The public ideal generated by, and caching, an internal reduced
     grevlex basis."""
     out = [_from_internal(terms, ring) for terms in internal]
-    result = Ideal(ring, out,
-                   allow_inhomogeneous=not all(g.is_homogeneous() for g in out))
+    result = Ideal(ring, out)
     result._keep(GroebnerBasis(ring, GREVLEX, internal, out))
     return result
 
@@ -806,8 +793,6 @@ def saturate_irrelevant(a):
     new coefficients are drawn, up to `_SATURATION_RETRIES` times.  The
     generators of the answer are its reduced grevlex basis.
     """
-    if not all(g.is_homogeneous() for g in a.gens):
-        raise ValidationError("saturation needs homogeneous generators")
     if a.is_zero() or a.is_unit():
         return a
     from .homology import hilbert

@@ -461,7 +461,8 @@ class Polynomial:
     def substitute(self, images):
         """Ring homomorphism sending x_i to images[i].
 
-        Images must all live in one ring, which becomes the result ring.
+        Images must all live in one ring over this polynomial's field,
+        which becomes the result ring.
         """
         if len(images) != self.ring.nvars:
             raise RingContextError(
@@ -470,6 +471,9 @@ class Polynomial:
         for im in images:
             if im.ring != target:
                 raise RingContextError("substitution images in mixed rings")
+        if target.field != self.ring.field:
+            raise RingContextError(
+                f"substitution from {self.ring.field} into {target.field}")
         # cache variable powers as needed
         powers = [{0: target.one()} for _ in images]
         def power(i, k):
@@ -481,8 +485,7 @@ class Polynomial:
             return got
         out = target.zero()
         for e, c in self.terms.items():
-            term = target.constant(c if target.field == self.ring.field
-                                   else _convert_coeff(c, self.ring.field, target.field))
+            term = target.constant(c)
             for i, k in enumerate(e):
                 if k:
                     term = term * power(i, k)
@@ -522,14 +525,6 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self.ring, frozenset(self.terms.items())))
         return self._hash
-
-
-def _convert_coeff(c, src, dst):
-    if isinstance(src, RationalField) and isinstance(dst, PrimeField):
-        return dst.from_int(c)
-    if isinstance(src, PrimeField) and isinstance(dst, RationalField):
-        return Fraction(c)
-    return c
 
 
 # ---------------------------------------------------------------------------

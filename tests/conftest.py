@@ -172,8 +172,7 @@ def intersect_by_ideals(a, b):
                               drive=drive, eliminate=t_mask)
     internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
     out = [_from_internal(terms, ring) for terms in internal]
-    result = Ideal(ring, out,
-                   allow_inhomogeneous=not all(g.is_homogeneous() for g in out))
+    result = Ideal(ring, out)
     result._keep(GroebnerBasis(ring, GREVLEX, internal, out))
     return result
 

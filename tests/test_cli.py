@@ -1,8 +1,10 @@
 """Command-line surface: report formats, exit codes, golden text."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +171,21 @@ class TestGraphCommands:
         assert "multiplicity 3: 8 flats" in out
         assert "multiplicity 2: 42 flats" in out
 
+    @pytest.mark.parametrize("command, graph",
+                             [("graphic", "octahedron.graph"),
+                              ("triangles", "dodecahedron.graph")])
+    def test_graph_commands_take_no_field(self, capsys, arr_dir, command,
+                                          graph):
+        """A graph's output does not depend on a field: no --field, and
+        the report's field is null."""
+        path = str(arr_dir / graph)
+        code, _, err = run_cli(capsys, command, "--field", "p:7", path)
+        assert code == 1
+        assert "unrecognized arguments: --field" in err
+        code, out, _ = run_cli(capsys, command, "--json", path)
+        assert code == 0
+        assert json.loads(out)["field"] is None
+
 
 class TestLiaisonCommands:
     def test_liaison_add_verify(self, capsys, arr_dir, tmp_path):
@@ -196,6 +213,14 @@ class TestLiaisonCommands:
         assert code == 0
         assert "Hilbert additivity: True" in out
 
+    def test_bdl_form_excludes_seed(self, capsys, arr_dir):
+        """A given form leaves nothing for a seed to choose."""
+        code, out, err = run_cli(capsys, "bdl", str(arr_dir / "star_four.arr"),
+                                 "--form", "x + y + z + w", "--seed", "3")
+        assert code == 1
+        assert "--seed: not allowed with argument --form" in err
+        assert out == ""
+
     def test_construct_lr_verify(self, capsys):
         code, out, _ = run_cli(capsys, "construct-lr-radical", "--r", "1",
                                "--verify", "--seed", "3")
@@ -207,6 +232,13 @@ class TestLiaisonCommands:
                                "--seed", "3", "--json")
         assert code == 0
         assert json.loads(out)["seed"] == 3
+
+    def test_construct_lr_deep_alone_verifies(self, capsys):
+        code, out, _ = run_cli(capsys, "construct-lr", "--r", "1", "--deep",
+                               "--json")
+        assert code == 0
+        verify = json.loads(out)["artifact"]["verify"]
+        assert verify["ok"] and verify["hilbert_additivity_ok"]
 
 
 class TestErrorPaths:
@@ -289,6 +321,31 @@ class TestErrorPaths:
                                str(arr_dir / "seven_planes.arr"))
         assert code == 1
         assert "unrecognized arguments: --seed" in err
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line tool", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("sing ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    """Every `sing` line of the README parses, and every line but the one
+    naming placeholder files runs in a fresh directory and exits 0."""
+    commands = _readme_commands()
+    assert len(commands) > 10
+    (tmp_path / "src" / "singlocus").mkdir(parents=True)
+    (tmp_path / "src" / "singlocus" / "arrangements").symlink_to(
+        str(CORPUS_DIR), target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+        if argv[0] == "liaison-add":  # a.arr and b.arr are placeholders
+            continue
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_console_script_runs():

@@ -16,7 +16,9 @@ from conftest import (buchberger_criterion_holds, colon, coprime_exps,
                       power_of_variables, saturate, saturate_by_variable,
                       saturate_by_variables, standard_monomial_count)
 from singlocus import groebner, homology
-from singlocus.arrangement import jacobian_ideal, parse_arrangement, top_comb
+from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
+                                   radical_comb, rule_powers,
+                                   symbolic_intersection, top_comb)
 from singlocus.corpus import arrangement_names, load_arrangement
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
@@ -151,15 +153,6 @@ class TestIntersection:
         x, y, z, w = ring_q.variables()
         got = intersect(Ideal(ring_q, (x, y)), Ideal(ring_q, (z, w)))
         assert got.equals(Ideal(ring_q, (x * z, x * w, y * z, y * w)))
-
-    def test_inhomogeneous_input(self):
-        ring = PolyRing(("x", "y"), GF(32003))
-        x, y = ring.variables()
-        a = Ideal(ring, (x - 1,), allow_inhomogeneous=True)
-        got = intersect(a, Ideal(ring, (y,)))
-        assert not got.contains(y)
-        assert got.contains(x * y - y)
-        assert got.equals(Ideal(ring, (x * y - y,), allow_inhomogeneous=True))
 
     @pytest.mark.parametrize("ring", ["ring_p", "ring_q"])
     def test_cached_basis_matches_a_fresh_one(self, ring, request):
@@ -312,12 +305,6 @@ class TestSaturateIrrelevant:
         unit = Ideal(ring_p, (ring_p.one(),))
         assert saturate_irrelevant(zero) is zero
         assert saturate_irrelevant(unit) is unit
-
-    def test_inhomogeneous_rejected(self, ring_p, vars_p):
-        x, y, z, w = vars_p
-        ideal = Ideal(ring_p, (x * y + z,), allow_inhomogeneous=True)
-        with pytest.raises(ValidationError):
-            saturate_irrelevant(ideal)
 
     def test_retry_cap(self, ring_p, vars_p, monkeypatch):
         x, y, z, w = vars_p
@@ -667,20 +654,34 @@ def test_intersect_matches_undriven_elimination(field, trials, monkeypatch):
     assert sum(1 for d in drives if d.dropped) > trials // 2
 
 
-def test_intersect_inhomogeneous_is_not_driven():
-    """An inhomogeneous pair that the degree count would get wrong."""
-    ring = PolyRing(("x", "y", "z"), GF(32003))
-    x, y, z = ring.variables()
-    a = Ideal(ring, (4 * y ** 2 * z + 3 * z ** 2 + 1,), allow_inhomogeneous=True)
-    b = Ideal(ring, (3 * x * y + 3, 4 * z + 4), allow_inhomogeneous=True)
-    got = intersect(a, b)
-    assert len(got.gens) == 2
-    assert got.groebner()._polys == _undriven_intersection(a, b)
-    for g in got.gens:
-        assert a.contains(g) and b.contains(g)
-    for u, v in ((a, b), (b, a)):
-        assert (intersect(u, v).groebner()._polys
-                == intersect_by_ideals(u, v).groebner()._polys)
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+def test_every_intersection_is_driven(field, monkeypatch):
+    """The paper's intersections on nine_planes build one Hilbert drive per
+    pair of bases intersected."""
+    drives = []
+    calls = []
+
+    class Recorded(_HilbertDrive):
+        def __init__(self, *args):
+            super().__init__(*args)
+            drives.append(self)
+
+    def counted(*args):
+        built = len(drives)
+        basis = intersect_bases(*args)
+        calls.append(len(drives) - built)  # drives built by this call
+        return basis
+
+    intersect_bases = groebner._intersect_bases
+    monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
+    monkeypatch.setattr(groebner, "_intersect_bases", counted)
+    arr = load_arrangement("nine_planes", field)
+    for build in (top_comb, radical_comb,
+                  lambda arr: symbolic_intersection(arr, rule_powers(arr, 2))):
+        before = len(calls)
+        build(arr)
+        assert len(calls) > before
+    assert set(calls) == {1}
 
 
 @pytest.mark.parametrize("nvars", [1, 3, 4])

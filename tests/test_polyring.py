@@ -213,6 +213,17 @@ class TestSubstitution:
         assert (f + g).substitute(images) == \
             f.substitute(images) + g.substitute(images)
 
+    def test_images_over_another_field_are_refused(self):
+        """No coefficient is carried across fields: x - y from F_32003 would
+        reach Q as s + 32002*t, and 1/7 has no image in F_7."""
+        cases = [(lambda x, y: x - y, GF(32003), QQ),
+                 (lambda x, y: x.scale(Fraction(1, 7)) + y, QQ, GF(7))]
+        for make, src, dst in cases:
+            f = make(*PolyRing(("x", "y"), src).variables())
+            images = PolyRing(("s", "t"), dst).variables()
+            with pytest.raises(RingContextError, match="substitution from"):
+                f.substitute(images)
+
 
 # ---------------------------------------------------------------------------
 # property tests
