@@ -8,21 +8,24 @@ deficiency dimensions also by a dense rank per degree of the dual of
 the minimal resolution's last map (the scan `rao_dimensions` ran before
 it read the Hilbert series of Ext^3),
 normal forms through the copy-the-dividend merge the engine used before
-its dividend accumulator, the monomial lcm, divisibility and
-coprimality through exponent tuples (the engine's Gebauer-Moller
-bookkeeping works on packed words), and the radical of an arrangement
-through one intersection per flat prime, the raw resolution through
-the Schreyer step with its own pair selection and divisor search, as it
-was before the step ran on the Buchberger kernel, and ideal intersections
-through public `Ideal`s at every step of the tree, with the first input
-always in the t-block.  Saturation by the irrelevant ideal is checked
-against the per-variable path it replaced: one Groebner basis per
-variable, in a grevlex order with that variable last, divided by its
-powers, and the n results intersected; ideal quotients and saturations by
-other ideals go through exact division of the generators of a ∩ (g).
+its dividend accumulator, Q reductions through that accumulator with
+`Fraction` coefficients, as it was before they became int pairs, the
+monomial lcm, divisibility and coprimality through exponent tuples (the
+engine's Gebauer-Moller bookkeeping works on packed words), and the
+radical of an arrangement through one intersection per flat prime, the
+raw resolution through the Schreyer step with its own pair selection
+and divisor search, as it was before the step ran on the Buchberger
+kernel, and ideal intersections through public `Ideal`s at every step of
+the tree, with the first input always in the t-block.  Saturation by the
+irrelevant ideal is checked against the per-variable path it replaced:
+one Groebner basis per variable, in a grevlex order with that variable
+last, divided by its powers, and the n results intersected; ideal
+quotients and saturations by other ideals go through exact division of
+the generators of a ∩ (g).
 """
 
 import itertools
+from heapq import heappop, heappush
 from importlib.resources import files
 
 import pytest
@@ -164,9 +167,7 @@ def intersect_by_ideals(a, b):
         [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
         + [(k, w << WIDTH, c) for k, w, c in terms]
         for terms in gb._polys]
-    drive = None
-    if all(g.is_homogeneous() for g in ga.polys + gb.polys):
-        drive = _HilbertDrive(ring.nvars, ga._lt_ws, gb._lt_ws)
+    drive = _HilbertDrive(ring.nvars, ga._lt_ws, gb._lt_ws)
     t_mask = (1 << WIDTH) - 1
     basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
                               drive=drive, eliminate=t_mask)
@@ -273,6 +274,44 @@ def saturate_by_variables(a):
     ideal."""
     return intersect_many([saturate_by_variable(a, i)
                            for i in range(a.ring.nvars)])
+
+
+class FractionDividend:
+    """The Q dividend as it was before its coefficients became int pairs:
+    the same dicts and heap, with `Fraction` coefficients and `Fraction`
+    arithmetic.  It has `_Dividend`'s interface, so `_Engine.reduce`
+    runs on either."""
+
+    __slots__ = ("coeffs", "exps", "heap", "guard")
+
+    def __init__(self, terms, guard):
+        self.coeffs = {k: c for k, _, c in terms}
+        self.exps = {k: w for k, w, _ in terms}
+        self.heap = [-k for k, _, _ in terms]
+        self.guard = guard
+
+    def sub(self, g, c, mk, mw):
+        coeffs = self.coeffs
+        for gk, gw, gc in g[1:]:
+            k = gk + mk
+            v = coeffs.get(k)
+            if v is None:
+                coeffs[k] = -c * gc
+                self.exps[k] = gw + mw
+                heappush(self.heap, -k)
+            else:
+                coeffs[k] = v - c * gc
+
+    def pop(self):
+        while self.heap:
+            k = -heappop(self.heap)
+            c = self.coeffs.pop(k)
+            w = self.exps.pop(k)
+            if w & self.guard:
+                raise InternalLimitError("a popped term reached a guard bit")
+            if c:
+                return k, w, c
+        return None
 
 
 def merge_sub_p(f, i0, g, c, mk, mw, p):

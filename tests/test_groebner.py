@@ -3,18 +3,20 @@
 import importlib.util
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (buchberger_criterion_holds, colon, coprime_exps,
-                      divides_exps, exact_divide, intersect_by_ideals,
-                      lcm_exps, membership_by_linear_algebra,
-                      merge_normal_form, monomials_of_degree,
-                      power_of_variables, saturate, saturate_by_variable,
-                      saturate_by_variables, standard_monomial_count)
+from conftest import (FractionDividend, buchberger_criterion_holds, colon,
+                      coprime_exps, divides_exps, exact_divide,
+                      intersect_by_ideals, lcm_exps,
+                      membership_by_linear_algebra, merge_normal_form,
+                      monomials_of_degree, power_of_variables, saturate,
+                      saturate_by_variable, saturate_by_variables,
+                      standard_monomial_count)
 from singlocus import groebner, homology
 from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
                                    radical_comb, rule_powers,
@@ -22,10 +24,10 @@ from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
 from singlocus.corpus import arrangement_names, load_arrangement
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
-from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter, _Engine,
-                                _HilbertDrive, _to_internal, intersect,
-                                intersect_many, radical_membership,
-                                saturate_irrelevant)
+from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter,
+                                _Dividend, _Engine, _HilbertDrive,
+                                _to_internal, intersect, intersect_many,
+                                radical_membership, saturate_irrelevant)
 from singlocus.homology import is_saturated
 from singlocus.polyring import (GF, QQ, GREVLEX, MAX_DEGREE, WIDTH,
                                 PolyRing, elimination_order)
@@ -425,13 +427,16 @@ class TestPackedLimits:
         assert not ideal.contains(x ** 32766)
 
 
-def _random_poly(rng, ring, nterms, maxdeg):
+def _random_poly(rng, ring, nterms, maxdeg, coeff=None):
+    """`coeff(rng)`, when given, draws each coefficient."""
     terms = {}
     for _ in range(nterms):
         exps = [0] * ring.nvars
         for _ in range(rng.randint(0, maxdeg)):
             exps[rng.randrange(ring.nvars)] += 1
-        if ring.field.p is None:
+        if coeff is not None:
+            terms[tuple(exps)] = coeff(rng)
+        elif ring.field.p is None:
             terms[tuple(exps)] = QQ.from_int(rng.randint(-9, 9)) / rng.randint(1, 4)
         else:
             terms[tuple(exps)] = rng.randrange(ring.field.p)
@@ -467,6 +472,51 @@ def test_normal_form_matches_merge_oracle(field):
         assert got == want
         reductions += got != terms
     assert reductions > 150
+
+
+def _wide_fraction(rng):
+    """A rational whose numerator and denominator are each small or above
+    2^64."""
+    num = rng.randint(1, 1 << rng.choice((3, 70, 130)))
+    return Fraction(rng.choice((-num, num)),
+                    rng.randint(1, 1 << rng.choice((2, 70, 130))))
+
+
+def test_q_dividend_matches_fraction_oracle():
+    """Over Q, `_Engine.reduce` on the int-pair dividend gives term for term
+    the normal form and the quotient sink it gives on the `Fraction` one.
+
+    Numerators and denominators run past 2^64, and the dividends carry
+    multiples of the basis elements, so terms cancel.
+    """
+    rng = random.Random("q dividend")
+    ring = PolyRing(("x", "y", "z", "w"), QQ)
+    wide = cancelled = 0
+    for _ in range(150):
+        engine = _Engine(ring, rng.choice([GREVLEX, elimination_order(1)]))
+        gens = [g for g in (_random_poly(rng, ring, rng.randint(1, 4), 3,
+                                         _wide_fraction)
+                            for _ in range(rng.randint(1, 4)))
+                if g.total_degree()]  # a constant would reduce everything
+        f = _random_poly(rng, ring, rng.randint(0, 6), 5, _wide_fraction)
+        for g in gens:
+            f = f + _random_poly(rng, ring, 1, 2, _wide_fraction) * g
+        basis = [engine.monic(_to_internal(g, engine.keyf)) for g in gens]
+        terms = _to_internal(f, engine.keyf)
+        lt_ws = [t[0][1] for t in basis]
+        lt_keys = [t[0][0] for t in basis]
+        got_quotients, want_quotients = [], []
+        got = engine.reduce(_Dividend(terms, None, engine.guard), lt_ws,
+                            lt_keys, basis, quotients=got_quotients)
+        want = engine.reduce(FractionDividend(terms, engine.guard), lt_ws,
+                             lt_keys, basis, quotients=want_quotients)
+        assert got == want
+        assert got_quotients == want_quotients
+        assert all(type(c) is Fraction for _, _, c in got)
+        wide += any(max(abs(c.numerator), c.denominator) >> 64
+                    for _, _, c in got)
+        cancelled += len(got) < len(terms)
+    assert wide > 100 and cancelled > 50
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
@@ -731,14 +781,14 @@ def test_hilbert_count_above_its_target_is_an_invariant_error():
 
 
 @st.composite
-def small_homogeneous_ideal(draw, ring):
+def small_homogeneous_ideal(draw, ring, coeffs=st.integers(-4, 4)):
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         d = draw(st.integers(1, 2))
         terms = {}
         for m in monomials_of_degree(4, d):
             if draw(st.booleans()):
-                terms[m] = draw(st.integers(-4, 4))
+                terms[m] = draw(coeffs)
         if terms:
             g = ring.from_terms(terms)
             if not g.is_zero():
@@ -770,6 +820,23 @@ def test_buchberger_criterion_property(data):
     ring = PolyRing(("x", "y", "z", "w"), GF(32003))
     ideal = data.draw(small_homogeneous_ideal(ring))
     assert buchberger_criterion_holds(ideal.groebner())
+
+
+# a rational with numerator and denominator of up to 200 bits
+_WIDE_RATIONAL = st.builds(Fraction, st.integers(-(1 << 200), 1 << 200),
+                           st.integers(1, 1 << 200))
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_q_basis_with_large_coefficients(data):
+    """Over Q with coefficients of up to 200 bits, the reduced basis passes
+    Buchberger's criterion and contains every generator."""
+    ring = PolyRing(("x", "y", "z", "w"), QQ)
+    ideal = data.draw(small_homogeneous_ideal(ring, _WIDE_RATIONAL))
+    gb = ideal.groebner()
+    assert buchberger_criterion_holds(gb)
+    assert all(gb.contains(g) for g in ideal.gens)
 
 
 # an exponent field: mostly small, so that zeros and divisibility occur,
