@@ -17,12 +17,12 @@ the dividend holds each coefficient as an int pair (numerator,
 denominator) in lowest terms, so a subtraction builds no `Fraction`;
 the terms it pops, and everything else in the engine, carry `Fraction`s.
 
-`_Engine.reduce` is the one divisor search: normal forms, S-polynomials
-and the Schreyer syzygy step all run through it, over F_p and over Q
-alike, and an optional sink records each step's quotient.  A
-module term carries its component above the exponent fields; the
-divisor test masks those bits in, so it fails across components and is
-unchanged for ring terms.
+`_Engine.first_divisor` is the one divisor search.  `_Engine.reduce`
+runs normal forms, S-polynomials and the Schreyer syzygy step through
+it, over F_p and over Q alike, and an optional sink records each step's
+quotient.  A module term carries its component above the exponent
+fields; the divisor test masks those bits in, so it fails across
+components and is unchanged for ring terms.
 
 Buchberger completion uses the Gebauer-Moller pair criteria with
 sugar-degree selection (ties by the pair lcm under the ambient order),
@@ -54,6 +54,23 @@ before any pair is reduced.  Pairs are taken by the degree of their lcm,
 and once the leading terms in degree d fill that dimension, the remaining
 pairs of degree d are dropped unreduced.  Only the t-free elements, the
 answer, are minimalized and tail-reduced.
+
+Over F_p a driven run reduces all the pairs of one degree together, as
+rows of one matrix (Faugere 1999, "A new efficient algorithm for
+computing Groebner bases (F4)"): `_Engine.reduce_batch` makes each
+product (basis element, multiplier) of the pairs once, gives every
+column that a basis leading term divides one pivot row (the product of
+its first divisor), and packs each row into one int with a slot per
+column in key order.  A slot is 2 * bitlen(p) + bitlen(columns) + 1 bits
+or more, rounded up to whole bytes: a row starts with coefficients below
+p and takes at most one product below p^2 per pivot column, so no slot
+carries into the next.  The S-rows are reduced in the order their pairs
+left the heap; each nonzero remainder joins the basis and becomes a
+pivot at once, and the batch stops when the drive says the degree is
+full.  Every other run keeps the pair-by-pair loop on `_Dividend`s: every
+run over Q and every run without a drive (`Ideal.groebner`,
+`saturate_irrelevant`, `radical_membership`).  Normal forms, the tail
+reduction and the Schreyer step reduce on `_Dividend`s too.
 """
 
 from __future__ import annotations
@@ -307,34 +324,44 @@ class _Engine:
         acc.sub(gj, self.ring.field.one, lcm_key - gj[0][0], lcm_w - gj[0][1])
         return acc
 
+    def first_divisor(self, w, lt_ws, memo, known=None):
+        """The index of the first leading word that divides `w` in the same
+        module component, or ~len(lt_ws) when none does.
+
+        `memo`, when given, maps packed exponents to the index of their
+        first divisor, or to ~n for "no divisor among the first n"; it
+        stays exact while the basis only grows by appending, so the scan
+        resumes at `known`, the negative entry the caller read from it.
+        """
+        guard = self.guard
+        mask = self.mask
+        wg = w | guard
+        nbasis = len(lt_ws)
+        for idx in range(0 if known is None else ~known, nbasis):
+            if (wg - lt_ws[idx]) & mask == guard:
+                break
+        else:
+            idx = ~nbasis
+        if memo is not None:
+            memo[w] = idx
+        return idx
+
     def reduce(self, acc, lt_ws, lt_keys, polys, memo=None, quotients=None):
         """Full normal form of a dividend against a list of monic polys.
 
         Each leading term is reduced by the first basis element whose
-        leading term divides it in the same module component; irreducible
-        terms are emitted in descending key order.  `memo`, when given,
-        maps packed exponents to the index of their first divisor, or to
-        ~n for "no divisor among the first n"; it stays exact while the
-        basis only grows by appending, so the scan resumes where it
-        stopped.  `quotients`, when given, receives (index, multiplier
-        key, multiplier word, coefficient) for each reduction step.
+        leading term divides it in the same module component
+        (`first_divisor`, through `memo` when given); irreducible terms
+        are emitted in descending key order.  `quotients`, when given,
+        receives (index, multiplier key, multiplier word, coefficient) for
+        each reduction step.
         """
-        guard = self.guard
-        mask = self.mask
-        nbasis = len(lt_ws)
         out = []
         while (term := acc.pop()) is not None:
             k, w, c = term
             idx = None if memo is None else memo.get(w)
             if idx is None or idx < 0:
-                wg = w | guard
-                for idx in range(0 if idx is None else ~idx, nbasis):
-                    if (wg - lt_ws[idx]) & mask == guard:
-                        break
-                else:
-                    idx = ~nbasis
-                if memo is not None:
-                    memo[w] = idx
+                idx = self.first_divisor(w, lt_ws, memo, idx)
                 if idx < 0:
                     out.append(term)
                     continue
@@ -349,6 +376,129 @@ class _Engine:
         return self.reduce(_Dividend(terms, self.p, self.guard), lt_ws, lt_keys,
                            polys, memo)
 
+    # -- one degree of a Hilbert-driven run (F4) ----------------------------
+    def reduce_batch(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
+        """Reduce the pairs of one drive degree as rows of one matrix.
+
+        Over F_p only.  `batch` holds the popped pairs of that degree in
+        heap order.  Each pair gives two products (index, multiplier),
+        made once each.  Symbolic preprocessing gives every column that a
+        basis leading term divides one pivot: the product of its first
+        divisor (`first_divisor`, through `memo`).  Every product that is
+        not the pivot of its own leading column is an S-row.  A row is
+        one int, with one slot per column in key order, so the leading
+        term sits in the highest slot; a pivot's tail is kept from its
+        lowest column up, with that column's shift.  The S-rows are
+        reduced in heap order, and each nonzero remainder joins the basis
+        through `add` and becomes the pivot of its leading column at
+        once.  The batch stops as soon as `drive.full` holds for its
+        degree; the S-rows it skips count as dropped.
+        """
+        degree = batch[0][0]
+        if drive.full(degree):
+            drive.dropped += len(batch)
+            return
+        drive.batches += 1
+        made = {}  # (index, multiplier word) -> (multiplier key, sugar)
+        for _, sugar, lcm_key, i, j, lcm_w in batch:
+            if sugar > MAX_DEGREE:
+                raise InternalLimitError(
+                    f"an S-polynomial of degree above {MAX_DEGREE} does not "
+                    "fit the packed exponent fields")
+            for idx in (i, j):
+                made.setdefault((idx, lcm_w - lt_ws[idx]),
+                                (lcm_key - lt_keys[idx], sugar))
+        srows = list(made.items())
+        words = {}  # column key -> packed exponents
+        todo = []
+        for (idx, mw), (mk, _) in srows:
+            for gk, gw, _ in polys[idx]:
+                k = gk + mk
+                if k not in words:
+                    words[k] = gw + mw
+                    todo.append(k)
+        # symbolic preprocessing: columns reached by a pivot join in turn
+        guard = self.guard
+        pivot_of = {}  # column key -> (index, multiplier key)
+        while todo:
+            k = todo.pop()
+            w = words[k]
+            if w & guard:
+                raise InternalLimitError(
+                    f"a reduction reached a degree above {MAX_DEGREE}, which "
+                    "does not fit the packed exponent fields")
+            idx = memo.get(w)
+            if idx is None or idx < 0:
+                if not drive.divisible(w, degree):
+                    continue
+                idx = self.first_divisor(w, lt_ws, memo, idx)
+            mk = k - lt_keys[idx]
+            mw = w - lt_ws[idx]
+            pivot_of[k] = (idx, mk)
+            if (idx, mw) not in made:
+                made[idx, mw] = (mk, None)
+                for gk, gw, _ in islice(polys[idx], 1, None):
+                    kk = gk + mk
+                    if kk not in words:
+                        words[kk] = gw + mw
+                        todo.append(kk)
+        keys = sorted(words)
+        col = {k: c for c, k in enumerate(keys)}
+        p = self.p
+        # a slot holds a coefficient below p plus at most one product below
+        # p^2 per pivot column, so it never carries into the next slot
+        nbytes = (2 * p.bit_length() + len(keys).bit_length() + 8) // 8
+        slot = 8 * nbytes
+
+        def pack(terms, mk, start):
+            """terms[start:], each key shifted by mk, as an int over the
+            slots from its lowest column up, and that column's shift."""
+            if len(terms) <= start:
+                return 0, 0
+            low = col[terms[-1][0] + mk]
+            buf = bytearray(nbytes * (col[terms[start][0] + mk] + 1 - low))
+            for gk, _, gc in islice(terms, start, None):
+                at = (col[gk + mk] - low) * nbytes
+                buf[at:at + nbytes] = gc.to_bytes(nbytes, "little")
+            return int.from_bytes(buf, "little"), low * slot
+
+        tails = {}  # column -> its pivot's tail, packed on first use
+        pending = {col[k]: pv for k, pv in pivot_of.items()}
+        filled = False
+        for (idx, _), (mk, sugar) in srows:
+            if pivot_of[lt_keys[idx] + mk] == (idx, mk):
+                continue  # the pivot of its own column
+            if filled:
+                drive.dropped += 1
+                continue
+            drive.rows += 1
+            row, off = pack(polys[idx], mk, 0)
+            row <<= off
+            out = []
+            while row:
+                c = (row.bit_length() - 1) // slot
+                shift = c * slot
+                top = row >> shift
+                row -= top << shift
+                v = top % p
+                if not v:
+                    continue
+                tail = tails.get(c)
+                if tail is None:
+                    pv = pending.get(c)
+                    if pv is None:
+                        out.append((c, v))
+                        continue
+                    tail = tails[c] = pack(polys[pv[0]], pv[1], 1)
+                t, off = tail
+                row += ((p - v) * t) << off
+            if not out:
+                drive.zero_rows += 1
+                continue
+            add([(keys[c], words[keys[c]], v) for c, v in out], sugar)
+            tails[out[0][0]] = pack(polys[-1], 0, 1)
+            filled = drive.full(degree)
+
     # -- Buchberger --------------------------------------------------------
     def buchberger(self, gens_internal, blocks=(), drive=None, eliminate=0):
         """Reduced Groebner basis of the generators and blocks.
@@ -361,7 +511,9 @@ class _Engine:
 
         With a `drive` (a `_HilbertDrive`), pairs are taken by the degree
         the drive gives their lcm, and once `drive.full(d)` holds, the
-        remaining pairs of degree d are dropped unreduced.  `eliminate`
+        remaining pairs of degree d are dropped unreduced.  Over F_p the
+        pairs of each degree are then reduced together by
+        `reduce_batch`; otherwise one by one.  `eliminate`
         is a packed mask of variables that the order eliminates: elements
         whose leading monomial meets it are left out of the result, and
         out of its minimalization and tail reduction (they can neither
@@ -435,6 +587,15 @@ class _Engine:
                         "packed exponent fields")
                 add(terms, sugar, b)
 
+        if drive is not None and self.p:
+            # one degree at a time; the pair loop below then finds no pairs
+            while pairs:
+                degree = pairs[0][0]
+                batch = []
+                while pairs and pairs[0][0] == degree:
+                    batch.append(heappop(pairs))
+                self.reduce_batch(batch, polys, lt_keys, lt_ws, memo, add,
+                                  drive)
         counting = full = None  # degrees where the drive counts / is full
         while pairs:
             degree, sugar, lcm_key, i, j, lcm_w = heappop(pairs)
@@ -664,6 +825,9 @@ class _HilbertDrive:
         self.t_part = _DegreeCounter(nvars)
         self.free_part = _DegreeCounter(nvars)
         self.dropped = 0
+        self.batches = 0  # degree batches reduced as rows (over F_p)
+        self.rows = 0  # S-rows reduced in those batches
+        self.zero_rows = 0  # S-rows that reduced to zero
 
     def degree(self, w):
         """The x-degree of a packed monomial of the extended ring: t is the
@@ -681,6 +845,14 @@ class _HilbertDrive:
         self.t_part.add(x, d)
         if not t_exp:
             self.free_part.add(x, d)
+
+    def divisible(self, w, d):
+        """Whether a leading monomial noted so far divides `w`, a packed
+        monomial of the extended ring of x-degree `d`: t * x has a divisor
+        when x lies in T, and a t-free x when it lies in O."""
+        counter = self.t_part if w & ((1 << WIDTH) - 1) else self.free_part
+        counter.count(d)
+        return w >> WIDTH in counter.part
 
     def full(self, d):
         """Whether the leading terms fill the degree-d part of N."""

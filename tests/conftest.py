@@ -148,7 +148,14 @@ def radical_by_flat_primes(arr):
 
 def intersect_by_ideals(a, b):
     """a ∩ b with t * G_a and (1 - t) * G_b as the elimination blocks,
-    whatever the degrees, and the answer checked back as a public Ideal."""
+    whatever the degrees, and the answer checked back as a public Ideal.
+
+    It builds a `_HilbertDrive`, so over F_p its elimination runs the same
+    batch kernel (`_Engine.reduce_batch`) as `intersect`: it checks the
+    orientation and the fold, not that kernel.  The independent oracle
+    for the batch kernel is `_undriven_intersection` in
+    `test_groebner.py`, which has no drive and so reduces pair by pair on
+    dividends."""
     if a.ring != b.ring:
         raise RingContextError("ideals in different rings")
     if a.is_zero() or b.is_unit():

@@ -28,9 +28,10 @@ from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter,
                                 _Dividend, _Engine, _HilbertDrive,
                                 _to_internal, intersect, intersect_many,
                                 radical_membership, saturate_irrelevant)
-from singlocus.homology import is_saturated
-from singlocus.polyring import (GF, QQ, GREVLEX, MAX_DEGREE, WIDTH,
-                                PolyRing, elimination_order)
+from singlocus.homology import hilbert, is_saturated
+from singlocus.polyring import (_MR_BOUND, GF, QQ, GREVLEX, MAX_DEGREE,
+                                WIDTH, PolyRing, _is_prime,
+                                elimination_order)
 
 
 @pytest.fixture
@@ -678,22 +679,45 @@ def _random_homogeneous_ideal(rng, ring):
     return Ideal(ring, gens)
 
 
-@pytest.mark.parametrize("field, trials", [(GF(32003), 200), (QQ, 50)],
-                         ids=["p", "q"])
-def test_intersect_matches_undriven_elimination(field, trials, monkeypatch):
-    """The Hilbert-driven intersection equals the plain block elimination.
-
-    Random homogeneous pairs in 3-5 variables; the test also checks that
-    the drive did drop pairs, so the fast path was exercised.
-    """
-    drives = []
+@pytest.fixture
+def drives(monkeypatch):
+    """Every `_HilbertDrive` built while the test runs."""
+    built = []
 
     class Recorded(_HilbertDrive):
         def __init__(self, *args):
             super().__init__(*args)
-            drives.append(self)
+            built.append(self)
 
     monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
+    return built
+
+
+#: the largest prime that `GF` accepts, the last below the bound of its
+#: primality certificate
+LARGEST_PRIME = 3317044064679887385961813
+#: primes whose batch rows need slots wider than 64 bits
+LARGE_PRIMES = [GF(2 ** 31 - 1), GF(2 ** 61 - 1), GF(LARGEST_PRIME)]
+LARGE_IDS = ["p31", "p61", "p82"]
+
+
+def test_largest_prime_is_the_last_below_the_bound():
+    assert not any(_is_prime(n) for n in range(LARGEST_PRIME + 1, _MR_BOUND))
+
+
+@pytest.mark.parametrize("field, trials",
+                         [(GF(32003), 200), (QQ, 50)]
+                         + [(f, 60) for f in LARGE_PRIMES],
+                         ids=["p", "q"] + LARGE_IDS)
+def test_intersect_matches_undriven_elimination(field, trials, drives):
+    """The Hilbert-driven intersection equals the plain block elimination.
+
+    Random homogeneous pairs in 3-5 variables; the test also checks that
+    the drive did drop pairs, so the fast path was exercised.  Over F_p
+    the driven run reduces each degree as a batch of packed rows and the
+    undriven one pair by pair on dividends; the large primes need row
+    slots wider than 64 bits.
+    """
     rng = random.Random(f"driven intersect {field}")
     for _ in range(trials):
         ring = PolyRing(("x", "y", "z", "w", "v")[:rng.randint(3, 5)], field)
@@ -702,19 +726,24 @@ def test_intersect_matches_undriven_elimination(field, trials, monkeypatch):
         assert intersect(a, b).groebner()._polys == _undriven_intersection(a, b)
     assert len(drives) == trials
     assert sum(1 for d in drives if d.dropped) > trials // 2
+    if field.p:
+        assert sum(d.rows for d in drives) > 0
+
+
+@pytest.mark.parametrize("field", LARGE_PRIMES, ids=LARGE_IDS)
+def test_top_comb_at_large_primes(field, drives):
+    """top_comb(nine_planes) has Hilbert polynomial 42t - 174, as at
+    p = 32003, with its intersections reduced as batches of rows."""
+    top = top_comb(load_arrangement("nine_planes", field))
+    assert hilbert(top).hp_coeffs == (Fraction(-174), Fraction(42))
+    assert sum(d.rows for d in drives) > 0
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
-def test_every_intersection_is_driven(field, monkeypatch):
+def test_every_intersection_is_driven(field, drives, monkeypatch):
     """The paper's intersections on nine_planes build one Hilbert drive per
     pair of bases intersected."""
-    drives = []
     calls = []
-
-    class Recorded(_HilbertDrive):
-        def __init__(self, *args):
-            super().__init__(*args)
-            drives.append(self)
 
     def counted(*args):
         built = len(drives)
@@ -723,7 +752,6 @@ def test_every_intersection_is_driven(field, monkeypatch):
         return basis
 
     intersect_bases = groebner._intersect_bases
-    monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
     monkeypatch.setattr(groebner, "_intersect_bases", counted)
     arr = load_arrangement("nine_planes", field)
     for build in (top_comb, radical_comb,
@@ -732,6 +760,12 @@ def test_every_intersection_is_driven(field, monkeypatch):
         build(arr)
         assert len(calls) > before
     assert set(calls) == {1}
+    # over F_p each degree is reduced as one batch of rows; over Q pair by
+    # pair
+    rows = sum(d.rows for d in drives)
+    assert rows > 0 if field.p else rows == 0
+    assert sum(d.zero_rows for d in drives) <= rows
+    assert (sum(d.batches for d in drives) > 0) == bool(field.p)
 
 
 @pytest.mark.parametrize("nvars", [1, 3, 4])
