@@ -26,8 +26,7 @@ from .liaison import (Construction, arrangement_product_hypotheses,
                       basic_double_link, construct_lr, construct_lr_radical,
                       liaison_addition, radical_block, top_block,
                       verify_construction)
-from .polyring import (GF, GREVLEX, QQ, DEFAULT_PRIME, MonomialOrder,
-                       PolyRing, Polynomial, elimination_order,
+from .polyring import (GF, GREVLEX, QQ, DEFAULT_PRIME, PolyRing, Polynomial,
                        expand_product, gradient, parse_linear_expr)
 
 __version__ = "0.1.0"

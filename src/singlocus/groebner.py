@@ -1,10 +1,13 @@
 """Reduced Groebner bases and the ideal-theoretic toolbox.
 
 The engine keeps polynomials as lists of (order_key, packed_exps, coeff)
-triples sorted by descending order key.  Both encodings are additive
-under monomial multiplication, so the inner reduction loop is pure
-integer arithmetic: no exponent tuples are touched until conversion back
-to the public Polynomial type.
+triples sorted by descending order key.  The key is computed from the
+packed word alone: grevlex (`polyring._grevlex_key`) everywhere except
+in the elimination of `_intersect_bases`, which owns its key
+(`_elimination_key`).  Both encodings are additive under monomial
+multiplication, so the inner reduction loop is pure integer arithmetic:
+no exponent tuples are touched until conversion back to the public
+Polynomial type.
 
 A polynomial under reduction lives in a `_Dividend`: a dict from order
 key to coefficient, a dict from order key to packed exponents and a heap
@@ -25,8 +28,8 @@ fields; the divisor test masks those bits in, so it fails across
 components and is unchanged for ring terms.
 
 Buchberger completion uses the Gebauer-Moller pair criteria with
-sugar-degree selection (ties by the pair lcm under the ambient order),
-which is enough to keep every corpus computation within its budget.
+sugar-degree selection (ties by the key of the pair lcm), which is
+enough to keep every corpus computation within its budget.
 The pair bookkeeping never unpacks an exponent tuple: the lcm, the
 divisibility tests of the M, F and B criteria, the coprimality test and
 the degrees behind the sugar are guard-bit arithmetic on the packed
@@ -35,8 +38,10 @@ words (`_lcm`, `_divides`, `_degree_func`), and the pairs wait in a heap.
 Schreyer step alike.
 Within one completion the basis only grows by appending, so each
 monomial's first divisor is remembered (or how far the scan got without
-one) and never searched twice.  Inputs that are already Groebner bases
-can be fed as blocks, whose internal pairs are never formed.
+one) and never searched twice; the final tail reduction shares one
+memo too, reducing each kept element's tail against all of them.  Inputs
+that are already Groebner bases can be fed as blocks, whose internal
+pairs are never formed.
 `_intersect_bases` maps two internal reduced grevlex bases to that of
 their intersection: it builds t*G_a and (1-t)*G_b this way, with G_a the
 basis whose highest leading degree is lower (the first on a tie), since
@@ -84,7 +89,7 @@ from math import gcd
 from .errors import (InternalLimitError, InvariantError, RingContextError,
                      ValidationError)
 from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, PolyRing, Polynomial,
-                       elimination_order)
+                       _degree_func, _grevlex_key, _pack_plain, _unpack_plain)
 
 _SATURATION_RETRIES = 8
 
@@ -92,42 +97,11 @@ _SATURATION_RETRIES = 8
 # ---------------------------------------------------------------------------
 # packed helpers
 
-def _pack_plain(exps):
-    w = 0
-    for e in reversed(exps):
-        w = (w << WIDTH) | e
-    return w
-
-
-def _unpack_plain(w, nvars):
-    mask = (1 << WIDTH) - 1
-    return tuple((w >> (i * WIDTH)) & mask for i in range(nvars))
-
-
 def _guard(nvars):
     g = 0
     for i in range(nvars):
         g |= (1 << (WIDTH - 1)) << (i * WIDTH)
     return g
-
-
-def _degree_func(nvars):
-    """Total degree of a packed monomial whose fields are below 2**WIDTH.
-
-    The even and the odd fields are masked apart, so each lands in its own
-    2*WIDTH-bit chunk; since 2**(2*WIDTH) is 1 modulo 2**(2*WIDTH) - 1,
-    the remainder is the sum of the chunks, which stays below the modulus
-    for any ring of fewer than 2**WIDTH variables.
-    """
-    even = 0
-    for i in range(0, nvars, 2):
-        even |= ((1 << WIDTH) - 1) << (i * WIDTH)
-    mod = (1 << (2 * WIDTH)) - 1
-
-    def degree(w):
-        return (w & even) % mod + ((w >> WIDTH) & even) % mod
-
-    return degree
 
 
 def _lcm(a, b, guard):
@@ -167,12 +141,14 @@ def _minimal_lcms(lt_ws, w_new, guard):
 # internal polynomial representation
 
 
-def _to_internal(poly, keyf):
+def _to_internal(poly, key):
+    """Engine terms of `poly`, with `key` applied to the packed words."""
     if poly.terms and max(map(sum, poly.terms)) > MAX_DEGREE:
         raise InternalLimitError(
             f"a term of degree above {MAX_DEGREE} does not fit the packed "
             "exponent fields")
-    items = [(keyf(e), _pack_plain(e), c) for e, c in poly.terms.items()]
+    packed = [(_pack_plain(e), c) for e, c in poly.terms.items()]
+    items = [(key(w), w, c) for w, c in packed]
     items.sort(reverse=True)
     return items
 
@@ -290,12 +266,15 @@ class _Dividend:
 
 
 class _Engine:
-    """Groebner kernel bound to one (ring, order) pair."""
+    """Groebner kernel bound to one ring and one monomial key.
 
-    def __init__(self, ring, order):
+    `key` maps a packed monomial to its sort key and adds under
+    multiplication; it defaults to grevlex.
+    """
+
+    def __init__(self, ring, key=None):
         self.ring = ring
-        self.order = order
-        self.keyf = ring.key_func(order)
+        self.key = _grevlex_key(ring.nvars) if key is None else key
         self.guard = _guard(ring.nvars)
         # the bits above the exponent fields hold a module component:
         # (w | guard) - lt keeps their difference there, so a divisor test
@@ -505,16 +484,16 @@ class _Engine:
 
         Each generator is reduced against the basis so far before it
         joins.  Each block must already be a Groebner basis of the ideal
-        it generates, in this order; its elements join as they are, and
-        no pair inside one block is formed: its S-polynomial already has
-        a standard representation in the block.
+        it generates, under this engine's key; its elements join as they
+        are, and no pair inside one block is formed: its S-polynomial
+        already has a standard representation in the block.
 
         With a `drive` (a `_HilbertDrive`), pairs are taken by the degree
         the drive gives their lcm, and once `drive.full(d)` holds, the
         remaining pairs of degree d are dropped unreduced.  Over F_p the
         pairs of each degree are then reduced together by
-        `reduce_batch`; otherwise one by one.  `eliminate`
-        is a packed mask of variables that the order eliminates: elements
+        `reduce_batch`; otherwise one by one.  `eliminate` is a packed
+        mask of variables that the engine's key eliminates: elements
         whose leading monomial meets it are left out of the result, and
         out of its minimalization and tail reduction (they can neither
         divide nor reduce a monomial that avoids the mask).
@@ -527,10 +506,9 @@ class _Engine:
         block_of = []
         pairs = []  # a heap of (degree, sugar, lcm_key, i, j, lcm_w)
         memo = {}
-        nvars = self.ring.nvars
-        keyf = self.keyf
+        key = self.key
         guard = self.guard
-        degree_of = _degree_func(nvars)
+        degree_of = _degree_func(self.ring.nvars)
 
         def add(terms, sugar, block=None):
             terms = self.monic(terms)
@@ -549,8 +527,7 @@ class _Engine:
                 d = degree_of(lcm)
                 s = max(sugars[i] + d - lt_degs[i], sugar + d - d_new)
                 degree = 0 if drive is None else drive.degree(lcm)
-                new_pairs.append((degree, s, keyf(_unpack_plain(lcm, nvars)),
-                                  i, t, lcm))
+                new_pairs.append((degree, s, key(lcm), i, t, lcm))
             # B criterion on old pairs: lcms[i] is lcm(lt_i, lt_new)
             kept_old = [pr for pr in pairs
                         if not _divides(w_new, pr[5], guard)
@@ -625,28 +602,25 @@ class _Engine:
         for ix in order_ix:
             if any(_divides(kw, lt_ws[ix], guard) for kw in kept_ws):
                 continue
-            kept.append(ix)
+            kept.append(polys[ix])
             kept_ws.append(lt_ws[ix])
-        # tail-reduce each kept element against the others
-        reduced = []
-        for pos, ix in enumerate(kept):
-            other_ws = [lt_ws[k] for k in kept if k != ix]
-            other_keys = [lt_keys[k] for k in kept if k != ix]
-            other_polys = [polys[k] for k in kept if k != ix]
-            nf = self.normal_form(polys[ix], other_ws, other_keys, other_polys)
-            reduced.append(self.monic(nf))
-        reduced.sort(key=lambda t: t[0][0])
-        return reduced
+        # tail-reduce each kept element against all of them, through one
+        # memo: every term met is below the element's own leading term,
+        # which therefore divides none of them
+        kept_keys = [terms[0][0] for terms in kept]
+        memo = {}
+        return [terms[:1] + self.normal_form(terms[1:], kept_ws, kept_keys,
+                                             kept, memo)
+                for terms in kept]
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of an ideal for a fixed monomial order."""
+    """Reduced grevlex Groebner basis of an ideal."""
 
-    def __init__(self, ring, order, internal, polys=None):
+    def __init__(self, ring, internal, polys=None):
         """`polys`, when given, are the public forms of `internal`."""
         self.ring = ring
-        self.order = order
-        self._engine = _Engine(ring, order)
+        self._engine = _Engine(ring)
         self._polys = internal
         self._lt_keys = [t[0][0] for t in internal]
         self._lt_ws = [t[0][1] for t in internal]
@@ -665,7 +639,7 @@ class GroebnerBasis:
     def normal_form(self, f):
         if f.ring != self.ring:
             raise RingContextError("polynomial from a different ring")
-        terms = _to_internal(f, self._engine.keyf)
+        terms = _to_internal(f, self._engine.key)
         nf = self._engine.normal_form(terms, self._lt_ws, self._lt_keys, self._polys)
         return _from_internal(nf, self.ring)
 
@@ -678,7 +652,7 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """Homogeneous ideal with cached reduced Groebner bases per order."""
+    """Homogeneous ideal with its cached reduced grevlex basis."""
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -693,14 +667,15 @@ class Ideal:
 
     # -- Groebner machinery -------------------------------------------------
     def groebner(self, order=GREVLEX):
-        """The cached reduced basis.  Every caller takes grevlex; the
-        argument stays because `perfbench/layertrace.py` reads it."""
+        """The cached reduced grevlex basis.  `order` is only ever
+        `GREVLEX`; it and the cache's `tag` key stay because
+        `perfbench/layertrace.py` reads them."""
         gb = self._cache.get(order.tag)
         if gb is None:
-            engine = _Engine(self.ring, order)
-            internal = engine.buchberger([_to_internal(g, engine.keyf)
+            engine = _Engine(self.ring)
+            internal = engine.buchberger([_to_internal(g, engine.key)
                                           for g in self.gens])
-            gb = self._keep(GroebnerBasis(self.ring, order, internal))
+            gb = self._keep(GroebnerBasis(self.ring, internal))
         return gb
 
     def _keep(self, gb):
@@ -710,7 +685,7 @@ class Ideal:
                 raise InvariantError(
                     "Groebner cache verification failed: generator does not "
                     "reduce to zero against its own basis")
-        self._cache[gb.order.tag] = gb
+        self._cache[GREVLEX.tag] = gb
         return gb
 
     def normal_form(self, f):
@@ -868,6 +843,20 @@ def _top_lead_degree(basis, degree_of):
     return max(degree_of(terms[0][1]) for terms in basis)
 
 
+def _elimination_key(nvars):
+    """The key of the order that eliminates t from a ring of `nvars`
+    variables extended by t as its lowest packed field: the t-degree
+    first, then grevlex on the rest.  Additive, as the grevlex key is."""
+    grevlex = _grevlex_key(nvars)
+    t_mask = (1 << WIDTH) - 1
+    shift = (nvars + 1) * WIDTH + 4
+
+    def key(w):
+        return ((w & t_mask) << shift) | grevlex(w >> WIDTH)
+
+    return key
+
+
 def _intersect_bases(ring, pa, pb):
     """The internal reduced grevlex basis of a ∩ b, from those of a and b.
 
@@ -883,11 +872,11 @@ def _intersect_bases(ring, pa, pb):
     if _top_lead_degree(pb, degree_of) < _top_lead_degree(pa, degree_of):
         pa, pb = pb, pa
     ext, _ = _extend_ring(ring)
-    engine = _Engine(ext, elimination_order(1))
-    # t comes first in the elimination order and is the lowest packed
-    # field: the elimination key of a t-free monomial is its grevlex key in
-    # `ring`, and t * m has key key(t) + key(m), above every t-free key
-    t_key = engine.keyf((1,) + (0,) * ring.nvars)
+    engine = _Engine(ext, _elimination_key(ring.nvars))
+    # t is the lowest packed field: the elimination key of a t-free
+    # monomial is its grevlex key in `ring`, and t * m has key
+    # key(t) + key(m), above every t-free key
+    t_key = engine.key(1)
     neg = ring.field.neg
     t_block = [[(k + t_key, (w << WIDTH) | 1, c) for k, w, c in terms]
                for terms in pa]
@@ -921,7 +910,7 @@ def _ideal_from_basis(ring, internal):
     grevlex basis."""
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out)
-    result._keep(GroebnerBasis(ring, GREVLEX, internal, out))
+    result._keep(GroebnerBasis(ring, internal, out))
     return result
 
 
@@ -969,10 +958,8 @@ def _shift_last(terms, coeffs, engine):
     """Internal terms with the last variable x_n replaced by
     x_n + sum(coeffs[i] * x_i), by Horner's rule in x_n: keys and words add
     under multiplication."""
-    nvars = engine.ring.nvars
-    shift = WIDTH * (nvars - 1)
-    steps = [(engine.keyf(tuple(int(j == i) for j in range(nvars))),
-              1 << (WIDTH * i), c)
+    shift = WIDTH * (engine.ring.nvars - 1)
+    steps = [(engine.key(1 << (WIDTH * i)), 1 << (WIDTH * i), c)
              for i, c in enumerate(coeffs + [1]) if c]
     by_power = {}
     for k, w, c in terms:
@@ -1017,11 +1004,11 @@ def saturate_irrelevant(a):
     from .homology import hilbert
     target = hilbert(a).hp_coeffs
     ring = a.ring
-    engine = _Engine(ring, GREVLEX)
+    engine = _Engine(ring)
     last = ring.nvars - 1
     shift = WIDTH * last
-    x_key = engine.keyf((0,) * last + (1,))
-    gens = [_to_internal(g, engine.keyf) for g in a.gens]
+    x_key = engine.key(1 << shift)
+    gens = [_to_internal(g, engine.key) for g in a.gens]
     rng = random.Random(0)
     for _ in range(_SATURATION_RETRIES):
         coeffs = [rng.randint(-30, 30) for _ in range(last)]
@@ -1059,7 +1046,7 @@ def radical_membership(f, a):
     t = ext.variable(0)
     gens = [_lift(g, ext) for g in a.gens]
     gens.append(ext.one() - t * _lift(f, ext))
-    engine = _Engine(ext, GREVLEX)
-    basis = engine.buchberger([_to_internal(g, engine.keyf) for g in gens])
+    engine = _Engine(ext)
+    basis = engine.buchberger([_to_internal(g, engine.key) for g in gens])
     return len(basis) == 1 and basis[0][0][1] == 0
 

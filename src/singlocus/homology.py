@@ -25,9 +25,9 @@ from heapq import heappop, heappush
 from math import comb
 
 from .errors import InvariantError, ValidationError
-from .groebner import (GREVLEX, _degree_func, _Engine, _minimal_lcms,
-                       _pack_plain, _unpack_plain)
-from .polyring import WIDTH, Polynomial
+from .groebner import _Engine, _minimal_lcms
+from .polyring import (WIDTH, Polynomial, _degree_func, _pack_plain,
+                       _unpack_plain)
 
 _CB = 20
 _CMAX = (1 << _CB) - 1
@@ -62,14 +62,18 @@ class _SyzygyLevel:
         self.mult = mult
 
 
-def _module_vector(entries, keyf, shift):
+def _module_vector(entries, key, shift):
     """Engine form of sum_c p_c * e_c from (c, p_c) pairs, with no twist.
 
-    Term over position: monomials compare by `keyf` first and component
-    c before c + 1 on a tie.  The terms come sorted by descending vkey.
+    Term over position: monomials compare by `key` (on packed words)
+    first and component c before c + 1 on a tie.  The terms come sorted
+    by descending vkey.
     """
-    terms = [((keyf(e) << _CB) | (_CMAX - c), (c << shift) | _pack_plain(e), co)
-             for c, poly in entries for e, co in poly.terms.items()]
+    terms = []
+    for c, poly in entries:
+        for e, co in poly.terms.items():
+            w = _pack_plain(e)
+            terms.append(((key(w) << _CB) | (_CMAX - c), (c << shift) | w, co))
     terms.sort(reverse=True)
     return terms
 
@@ -93,7 +97,7 @@ def _schreyer_step(level, engine):
     nvars = engine.ring.nvars
     shift = WIDTH * nvars
     degree_of = _degree_func(nvars)
-    keyf = engine.keyf
+    key = engine.key
     vectors = level.vectors
     lt_cw = level.lt_cw
     lt_vkey = level.lt_vkey
@@ -123,7 +127,7 @@ def _schreyer_step(level, engine):
     next_degrees = []
     for degree, i, j, u in tasks:
         lcm = lt_cw[i] + u
-        lcm_vkey = lt_vkey[i] + keyf(_unpack_plain(u, nvars)) * mult
+        lcm_vkey = lt_vkey[i] + key(u) * mult
         sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lcm)
         # sp = x^u v_i - x^v v_j, so the halves join the quotients as if
         # they had reduced sp, and the syzygy is minus the sum of them all
@@ -163,7 +167,7 @@ def _module_leads(vectors, degrees, engine):
     nvars = engine.ring.nvars
     shift = WIDTH * nvars
     degree_of = _degree_func(nvars)
-    keyf = engine.keyf
+    key = engine.key
     basis = []
     lt_ws = []
     lt_vkeys = []
@@ -181,7 +185,7 @@ def _module_leads(vectors, degrees, engine):
             i = idxs[pos]
             u = lcm - lt_ws[i]
             heappush(pairs, (degree_of(u) + basis_degrees[i],
-                             lt_vkeys[i] + (keyf(_unpack_plain(u, nvars)) << _CB),
+                             lt_vkeys[i] + (key(u) << _CB),
                              i, len(basis), lcm))
         idxs.append(len(basis))
         basis.append(terms)
@@ -569,8 +573,7 @@ def schreyer_syzygies(gens, twists=None):
         raise ValidationError("module elements of mixed rank")
     if twists is None:
         twists = [0] * rank
-    engine = _Engine(ring, GREVLEX)
-    keyf = engine.keyf
+    engine = _Engine(ring)
     field = ring.field
     shift = WIDTH * ring.nvars
     # term-over-position order on the ambient module, grevlex on monomials;
@@ -581,7 +584,7 @@ def schreyer_syzygies(gens, twists=None):
     for vec in vectors_in:
         if any(poly.ring != ring for poly in vec):
             raise ValidationError("vector entries in mixed rings")
-        terms = _module_vector(enumerate(vec), keyf, shift)
+        terms = _module_vector(enumerate(vec), engine.key, shift)
         if not terms:
             raise ValidationError("zero vector among the generators")
         inv = field.inv(terms[0][2])
@@ -855,7 +858,7 @@ def rao_dimensions(ideal):
     sigma = res.maps[2]  # F_3 -> F_2
     f3 = res.modules[3].twists
     f2 = res.modules[2].twists
-    engine = _Engine(ring, GREVLEX)
+    engine = _Engine(ring)
     shift = WIDTH * ring.nvars
     # column r of tau is sum_c sigma(r, c) * e_c, of degree -f2[r], with
     # e_c of degree -f3[c]
@@ -863,7 +866,7 @@ def rao_dimensions(ideal):
     for (r, c), p in sorted(sigma.entries.items()):
         columns.setdefault(r, []).append((c, p))
     leads = _module_leads(
-        [_module_vector(col, engine.keyf, shift) for col in columns.values()],
+        [_module_vector(col, engine.key, shift) for col in columns.values()],
         [-f2[r] for r in columns], engine)
     by_comp = {}
     for w in leads:

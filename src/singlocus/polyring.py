@@ -5,10 +5,11 @@ terms) or in a prime field F_p.  A monomial is a tuple of non-negative
 exponents, one per ring variable; a polynomial is an immutable wrapper
 around a dict mapping exponent tuples to nonzero coefficients.
 
-Monomial orders are small descriptor objects.  Each order can produce an
-integer sort key for a monomial such that key(a*b) = key(a) + key(b) and
-integer comparison of keys agrees with the order; the Groebner engine
-relies on this additivity for fast arithmetic.
+Every ideal is computed in grevlex.  A monomial packs into one int with
+a WIDTH-bit field per variable (`_pack_plain`), and `_grevlex_key` maps
+that word to an integer sort key with key(a*b) = key(a) + key(b), whose
+integer comparison is grevlex; the Groebner engine relies on this
+additivity for fast arithmetic.
 """
 
 from __future__ import annotations
@@ -156,78 +157,76 @@ def GF(p):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# packed monomials and the grevlex key
 
 #: bits per packed exponent field; degrees must stay below 2**(WIDTH - 1)
 WIDTH = 16
 MAX_DEGREE = (1 << (WIDTH - 1)) - 1
 
 
-class MonomialOrder:
-    """Total multiplicative well-order on monomials.
+def _pack_plain(exps):
+    """The exponent tuple as one int, x_0 in the lowest WIDTH bits."""
+    w = 0
+    for e in reversed(exps):
+        w = (w << WIDTH) | e
+    return w
 
-    kind is 'grevlex' or 'elim'.  An elimination order puts a leading
-    block of `block` variables in front (grevlex within each block), so a
-    Groebner basis in it intersects to the subring on the remaining
-    variables.
+
+def _unpack_plain(w, nvars):
+    mask = (1 << WIDTH) - 1
+    return tuple((w >> (i * WIDTH)) & mask for i in range(nvars))
+
+
+def _degree_func(nvars):
+    """Total degree of a packed monomial whose fields are below 2**WIDTH.
+
+    The even and the odd fields are masked apart, so each lands in its own
+    2*WIDTH-bit chunk; since 2**(2*WIDTH) is 1 modulo 2**(2*WIDTH) - 1,
+    the remainder is the sum of the chunks, which stays below the modulus
+    for any ring of fewer than 2**WIDTH variables.
     """
+    even = 0
+    for i in range(0, nvars, 2):
+        even |= ((1 << WIDTH) - 1) << (i * WIDTH)
+    mod = (1 << (2 * WIDTH)) - 1
 
-    def __init__(self, kind, block=0):
-        if kind not in ("grevlex", "elim"):
-            raise ValidationError(f"unknown monomial order kind {kind!r}")
-        self.kind = kind
-        self.block = block
+    def degree(w):
+        return (w & even) % mod + ((w >> WIDTH) & even) % mod
 
-    @property
-    def tag(self):
-        return (self.kind, self.block)
-
-    def key_func(self, nvars):
-        """Return exps -> int with key(a*b) = key(a) + key(b)."""
-        if self.kind == "grevlex":
-            return _grevlex_key_func(nvars)
-        b = self.block
-        front = _grevlex_key_func(b)
-        back = _grevlex_key_func(nvars - b)
-        shift = (nvars - b + 1) * WIDTH + 4
-
-        def key(exps, b=b, front=front, back=back, shift=shift):
-            return (front(exps[:b]) << shift) | back(exps[b:])
-
-        return key
-
-    def __repr__(self):
-        return f"elim({self.block})" if self.kind == "elim" else self.kind
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.tag == self.tag
-
-    def __hash__(self):
-        return hash(self.tag)
+    return degree
 
 
-def _grevlex_key_func(nvars):
-    if nvars == 0:
-        return lambda exps: 0
-    topshift = (nvars - 1) * WIDTH
+def _grevlex_key(nvars):
+    """packed monomial -> int sort key for grevlex, additive under
+    multiplication: key(a * b) = key(a) + key(b).
 
-    def key(exps, topshift=topshift):
-        v = 0
-        d = exps[0]
-        for e in exps[:0:-1]:
-            v = (v << WIDTH) | e
-            d += e
-        return (d << topshift) - v
+    The degree comes first; on a tie, the smaller exponent of the last
+    variable wins, then of the one before it, down to the second.  Those
+    fields are the word shifted past x_0, read as one number with the
+    last variable on top, so subtracting it from the shifted degree
+    compares them all at once.
+    """
+    degree = _degree_func(nvars)
+    topshift = max(nvars - 1, 0) * WIDTH
+
+    def key(w):
+        return (degree(w) << topshift) - (w >> WIDTH)
 
     return key
 
 
-GREVLEX = MonomialOrder("grevlex")
+class _Grevlex:
+    """The type of `GREVLEX`.  `Ideal.groebner` caches its basis under
+    `tag`; the keys come from `_grevlex_key`."""
+
+    tag = "grevlex"
+
+    def __repr__(self):
+        return "grevlex"
 
 
-def elimination_order(block):
-    """Order eliminating the first `block` variables."""
-    return MonomialOrder("elim", block)
+#: the monomial order of every ideal
+GREVLEX = _Grevlex()
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +244,6 @@ class PolyRing:
         self.nvars = len(names)
         self.field = field
         self._zero_exps = (0,) * self.nvars
-        self._key_cache = {}
-
-    def key_func(self, order):
-        fn = self._key_cache.get(order.tag)
-        if fn is None:
-            fn = order.key_func(self.nvars)
-            self._key_cache[order.tag] = fn
-        return fn
 
     # constructors ---------------------------------------------------------
     def zero(self):
@@ -353,8 +344,8 @@ class Polynomial:
         """(exps, coeff) of the largest monomial in grevlex."""
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
-        key = self.ring.key_func(GREVLEX)
-        exps = max(self.terms, key=key)
+        key = _grevlex_key(self.ring.nvars)
+        exps = max(self.terms, key=lambda e: key(_pack_plain(e)))
         return exps, self.terms[exps]
 
     # arithmetic ------------------------------------------------------------
@@ -496,10 +487,11 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        key = self.ring.key_func(GREVLEX)
+        key = _grevlex_key(self.ring.nvars)
         names = self.ring.names
         parts = []
-        for e in sorted(self.terms, key=key, reverse=True):
+        for e in sorted(self.terms, key=lambda e: key(_pack_plain(e)),
+                        reverse=True):
             c = self.terms[e]
             mono = "*".join(
                 n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)

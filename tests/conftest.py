@@ -33,15 +33,15 @@ import pytest
 from singlocus import linalg
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
-from singlocus.groebner import (GREVLEX, GroebnerBasis, Ideal, _Dividend,
-                                _Engine, _extend_ring, _from_internal,
-                                _HilbertDrive, _pack_plain, _to_internal,
-                                _unpack_plain, intersect, intersect_many)
+from singlocus.groebner import (GroebnerBasis, Ideal, _Dividend, _Engine,
+                                _elimination_key, _extend_ring,
+                                _from_internal, _HilbertDrive, _to_internal,
+                                intersect, intersect_many)
 from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
                                 _level_from_ring_gb, _schreyer_resolution,
                                 _SyzygyLevel, minimal_free_resolution)
 from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing,
-                                Polynomial, elimination_order)
+                                Polynomial, _pack_plain, _unpack_plain)
 
 #: the corpus `.arr` and `.graph` files shipped with the package
 CORPUS_DIR = files("singlocus") / "arrangements"
@@ -164,9 +164,9 @@ def intersect_by_ideals(a, b):
         return Ideal(a.ring, b.gens)
     ring = a.ring
     ext, _ = _extend_ring(ring)
-    engine = _Engine(ext, elimination_order(1))
+    engine = _Engine(ext, _elimination_key(ring.nvars))
     ga, gb = a.groebner(), b.groebner()
-    t_key = engine.keyf((1,) + (0,) * ring.nvars)
+    t_key = engine.key(1)
     neg = ring.field.neg
     t_block = [[(k + t_key, (w << WIDTH) | 1, c) for k, w, c in terms]
                for terms in ga._polys]
@@ -181,7 +181,7 @@ def intersect_by_ideals(a, b):
     internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out)
-    result._keep(GroebnerBasis(ring, GREVLEX, internal, out))
+    result._keep(GroebnerBasis(ring, internal, out))
     return result
 
 
@@ -207,12 +207,12 @@ def exact_divide(f, g):
     if g.is_zero():
         raise ValidationError("division by the zero polynomial")
     ring = f.ring
-    engine = _Engine(ring, GREVLEX)
-    gt = _to_internal(g, engine.keyf)
+    engine = _Engine(ring)
+    gt = _to_internal(g, engine.key)
     inv_lc = ring.field.inv(gt[0][2])
     gt = engine.monic(gt)
     quotients = []
-    acc = _Dividend(_to_internal(f, engine.keyf), engine.p, engine.guard)
+    acc = _Dividend(_to_internal(f, engine.key), engine.p, engine.guard)
     if engine.reduce(acc, [gt[0][1]], [gt[0][0]], [gt], quotients=quotients):
         raise ValidationError("inexact polynomial division")
     mul = ring.field.mul
@@ -562,7 +562,7 @@ def schreyer_step_by_tuples(level, engine):
     guard = engine.guard
     nvars = ring.nvars
     shift = WIDTH * nvars
-    keyf = engine.keyf
+    key = engine.key
     vectors = level.vectors
     lt_cw = level.lt_cw
     lt_vkey = level.lt_vkey
@@ -602,9 +602,9 @@ def schreyer_step_by_tuples(level, engine):
         lcm = tuple(a + b for a, b in zip(u, ei))
         uj = tuple(a - b for a, b in zip(lcm, ej))
         dw_i = _pack_plain(u)
-        lcm_vkey = lt_vkey[i] + keyf(u) * mult
+        lcm_vkey = lt_vkey[i] + key(dw_i) * mult
         sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lt_cw[i] + dw_i)
-        quotients = [(i, u, one), (j, uj, field.neg(one))]
+        quotients = [(i, dw_i, one), (j, _pack_plain(uj), field.neg(one))]
         while (term := sp.pop()) is not None:
             vk, cw, co = term
             red = -1
@@ -617,13 +617,13 @@ def schreyer_step_by_tuples(level, engine):
                 raise InvariantError("S-vector does not reduce to zero")
             dm = cw - lt_cw[red]
             sp.sub(vectors[red], co, vk - lt_vkey[red], dm)
-            quotients.append((red, _unpack_plain(dm, nvars), field.neg(co)))
+            quotients.append((red, dm, field.neg(co)))
         terms = []
         col = {}
-        for comp, mexps, coeff in quotients:
-            vkey = ((lt_vkey[comp] + keyf(mexps) * mult) << _CB) | (_CMAX - comp)
-            terms.append((vkey, (comp << shift) | _pack_plain(mexps), coeff))
-            col.setdefault(comp, []).append((mexps, coeff))
+        for comp, mw, coeff in quotients:
+            vkey = ((lt_vkey[comp] + key(mw) * mult) << _CB) | (_CMAX - comp)
+            terms.append((vkey, (comp << shift) | mw, coeff))
+            col.setdefault(comp, []).append((_unpack_plain(mw, nvars), coeff))
         terms.sort(key=lambda t: -t[0])
         assert terms[0][1] == (i << shift) | dw_i
         next_vectors.append(terms)

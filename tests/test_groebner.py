@@ -25,13 +25,14 @@ from singlocus.corpus import arrangement_names, load_arrangement
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter,
-                                _Dividend, _Engine, _HilbertDrive,
-                                _to_internal, intersect, intersect_many,
-                                radical_membership, saturate_irrelevant)
+                                _Dividend, _elimination_key, _Engine,
+                                _HilbertDrive, _to_internal, intersect,
+                                intersect_many, radical_membership,
+                                saturate_irrelevant)
 from singlocus.homology import hilbert, is_saturated
-from singlocus.polyring import (_MR_BOUND, GF, QQ, GREVLEX, MAX_DEGREE,
-                                WIDTH, PolyRing, _is_prime,
-                                elimination_order)
+from singlocus.polyring import (_MR_BOUND, GF, QQ, MAX_DEGREE, WIDTH,
+                                PolyRing, _degree_func, _is_prime,
+                                _pack_plain)
 
 
 @pytest.fixture
@@ -414,11 +415,12 @@ class TestPackedLimits:
     def test_elimination_reduction_above_the_limit(self):
         ring = PolyRing(("t", "y"), GF(32003))
         t, y = ring.variables()
-        engine = _Engine(ring, elimination_order(1))
-        g = engine.monic(_to_internal(t - y ** 20000, engine.keyf))
+        # t is the lowest field of the words over (t, y)
+        engine = _Engine(ring, _elimination_key(1))
+        g = engine.monic(_to_internal(t - y ** 20000, engine.key))
         with pytest.raises(InternalLimitError):
             # would be y^80000
-            engine.normal_form(_to_internal(t ** 4, engine.keyf),
+            engine.normal_form(_to_internal(t ** 4, engine.key),
                                [g[0][1]], [g[0][0]], [g])
 
     def test_at_the_limit(self, xy):
@@ -453,18 +455,19 @@ def test_normal_form_matches_merge_oracle(field):
     """
     rng = random.Random(f"normal form {field}")
     ring = PolyRing(("x", "y", "z", "w"), field)
-    orders = [GREVLEX, elimination_order(1), elimination_order(2)]
+    # grevlex, or the elimination of x (the lowest field)
+    keys = [None, _elimination_key(3)]
     reductions = 0
     for _ in range(200):
-        engine = _Engine(ring, rng.choice(orders))
+        engine = _Engine(ring, rng.choice(keys))
         gens = [g for g in (_random_poly(rng, ring, rng.randint(1, 4), 3)
                             for _ in range(rng.randint(1, 4)))
                 if g.total_degree()]  # a constant would reduce everything
         f = _random_poly(rng, ring, rng.randint(0, 6), 5)
         for g in gens:
             f = f + _random_poly(rng, ring, 1, 2) * g
-        basis = [engine.monic(_to_internal(g, engine.keyf)) for g in gens]
-        terms = _to_internal(f, engine.keyf)
+        basis = [engine.monic(_to_internal(g, engine.key)) for g in gens]
+        terms = _to_internal(f, engine.key)
         lt_ws = [t[0][1] for t in basis]
         lt_keys = [t[0][0] for t in basis]
         got = engine.normal_form(terms, lt_ws, lt_keys, basis)
@@ -494,7 +497,7 @@ def test_q_dividend_matches_fraction_oracle():
     ring = PolyRing(("x", "y", "z", "w"), QQ)
     wide = cancelled = 0
     for _ in range(150):
-        engine = _Engine(ring, rng.choice([GREVLEX, elimination_order(1)]))
+        engine = _Engine(ring, rng.choice([None, _elimination_key(3)]))
         gens = [g for g in (_random_poly(rng, ring, rng.randint(1, 4), 3,
                                          _wide_fraction)
                             for _ in range(rng.randint(1, 4)))
@@ -502,8 +505,8 @@ def test_q_dividend_matches_fraction_oracle():
         f = _random_poly(rng, ring, rng.randint(0, 6), 5, _wide_fraction)
         for g in gens:
             f = f + _random_poly(rng, ring, 1, 2, _wide_fraction) * g
-        basis = [engine.monic(_to_internal(g, engine.keyf)) for g in gens]
-        terms = _to_internal(f, engine.keyf)
+        basis = [engine.monic(_to_internal(g, engine.key)) for g in gens]
+        terms = _to_internal(f, engine.key)
         lt_ws = [t[0][1] for t in basis]
         lt_keys = [t[0][0] for t in basis]
         got_quotients, want_quotients = [], []
@@ -527,19 +530,18 @@ def test_first_divisor_memo_matches_the_scan(field):
     rng = random.Random(f"divisor memo {field}")
     ring = PolyRing(("x", "y", "z", "w"), field)
     for _ in range(40):
-        engine = _Engine(ring, rng.choice([GREVLEX, elimination_order(1),
-                                           elimination_order(2)]))
+        engine = _Engine(ring, rng.choice([None, _elimination_key(3)]))
         basis, lt_ws, lt_keys, memo = [], [], [], {}
         for _ in range(8):
             g = _random_poly(rng, ring, rng.randint(1, 3), 3)
             if g.total_degree():
-                terms = engine.monic(_to_internal(g, engine.keyf))
+                terms = engine.monic(_to_internal(g, engine.key))
                 basis.append(terms)
                 lt_ws.append(terms[0][1])
                 lt_keys.append(terms[0][0])
             for _ in range(3):
                 f = _random_poly(rng, ring, rng.randint(1, 6), 5)
-                terms = _to_internal(f, engine.keyf)
+                terms = _to_internal(f, engine.key)
                 assert (engine.normal_form(terms, lt_ws, lt_keys, basis, memo)
                         == engine.normal_form(terms, lt_ws, lt_keys, basis))
         assert memo
@@ -643,8 +645,8 @@ class TestIntersectMany:
 
     def test_non_minimal_basis_is_an_invariant_error(self, ring_p, vars_p):
         x, y, z, w = vars_p
-        keyf = ring_p.key_func(GREVLEX)
-        basis = [_to_internal(g, keyf) for g in (x * y, y * z, x * y * w)]
+        key = _Engine(ring_p).key
+        basis = [_to_internal(g, key) for g in (x * y, y * z, x * y * w)]
         with pytest.raises(InvariantError):
             groebner._check_minimal(basis, ring_p.nvars)
         groebner._check_minimal(basis[:2], ring_p.nvars)
@@ -656,10 +658,10 @@ def _undriven_intersection(a, b):
     ring = a.ring
     ext = PolyRing(("t",) + ring.names, ring.field)
     t = ext.variable(0)
-    engine = _Engine(ext, elimination_order(1))
+    engine = _Engine(ext, _elimination_key(ring.nvars))
     blocks = [[_to_internal(m * ext.from_terms({(0,) + e: c
                                                 for e, c in g.terms.items()}),
-                            engine.keyf)
+                            engine.key)
                for g in ideal.groebner()]
               for m, ideal in ((t, a), (ext.one() - t, b))]
     t_mask = (1 << WIDTH) - 1
@@ -779,7 +781,7 @@ def test_degree_counter_matches_standard_monomials(nvars):
                  for _ in range(rng.randint(1, 4))}
         ideal = Ideal(ring, [ring.from_terms({e: 1}) for e in leads])
         counter = _DegreeCounter(nvars,
-                                 [groebner._pack_plain(e) for e in leads])
+                                 [_pack_plain(e) for e in leads])
         for d in range(9):
             want = (len(monomials_of_degree(nvars, d))
                     - standard_monomial_count(ideal, d))
@@ -789,23 +791,23 @@ def test_degree_counter_matches_standard_monomials(nvars):
 def test_degree_counter_takes_generators_at_the_current_degree():
     counter = _DegreeCounter(2)
     assert counter.count(1) == 0
-    counter.add(groebner._pack_plain((1, 1)), 2)
+    counter.add(_pack_plain((1, 1)), 2)
     assert counter.count(2) == 1
-    counter.add(groebner._pack_plain((2, 0)), 2)  # joins the counted degree
+    counter.add(_pack_plain((2, 0)), 2)  # joins the counted degree
     assert counter.count(2) == 2
     assert counter.count(3) == 3  # x^3, x^2 y, x y^2
     with pytest.raises(InvariantError):
-        counter.add(groebner._pack_plain((0, 2)), 2)
+        counter.add(_pack_plain((0, 2)), 2)
 
 
 def test_hilbert_count_above_its_target_is_an_invariant_error():
-    x = groebner._pack_plain((1, 0))
+    x = _pack_plain((1, 0))
     drive = _HilbertDrive(2, [x], [x])  # a = b = (x): dim N_1 = 2
     # a t-free lead x counts as x and as t * x
-    drive.note(groebner._pack_plain((0, 1, 0)))
+    drive.note(_pack_plain((0, 1, 0)))
     assert drive.full(1)
     # a lead t * y cannot exist in N as well
-    drive.note(groebner._pack_plain((1, 0, 1)))
+    drive.note(_pack_plain((1, 0, 1)))
     with pytest.raises(InvariantError):
         drive.full(1)
 
@@ -901,11 +903,11 @@ def test_packed_monomial_helpers_match_tuple_oracle(pair):
     a, b = pair
     nvars = len(a)
     guard = groebner._guard(nvars)
-    wa, wb = groebner._pack_plain(a), groebner._pack_plain(b)
+    wa, wb = _pack_plain(a), _pack_plain(b)
     lcm = groebner._lcm(wa, wb, guard)
-    assert lcm == groebner._pack_plain(lcm_exps(a, b))
+    assert lcm == _pack_plain(lcm_exps(a, b))
     assert groebner._divides(wa, wb, guard) == divides_exps(a, b)
     assert groebner._divides(wb, wa, guard) == divides_exps(b, a)
     assert (lcm == wa + wb) == coprime_exps(a, b)
-    degree = groebner._degree_func(nvars)
+    degree = _degree_func(nvars)
     assert degree(wa) == sum(a) and degree(lcm) == sum(lcm_exps(a, b))

@@ -14,8 +14,8 @@ from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
 from singlocus.corpus import arrangement_names, load_arrangement
 from singlocus.errors import ValidationError
-from singlocus.groebner import (GREVLEX, Ideal, _Engine, _unpack_plain,
-                                intersect, intersect_many, saturate_irrelevant)
+from singlocus.groebner import (Ideal, _Engine, intersect, intersect_many,
+                                saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
                                 _module_leads, _module_vector,
                                 _schreyer_resolution, betti_json, betti_of,
@@ -23,7 +23,7 @@ from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
                                 is_cm, is_saturated, minimal_free_resolution,
                                 rao_dimensions, schreyer_syzygies)
 from singlocus.liaison import construct_lr, construct_lr_radical
-from singlocus.polyring import GF, QQ, WIDTH, PolyRing
+from singlocus.polyring import GF, QQ, WIDTH, PolyRing, _unpack_plain
 
 # Six planes from a random sweep: the Jacobian ideal has projective
 # dimension 4 (it is not saturated), and its resolution overran the
@@ -333,10 +333,10 @@ class TestRaoDimensions:
         yet their S-vector y*z*e1 - x*w*e1 is a new leading term."""
         ring = request.getfixturevalue(ring_name)
         x, y, z, w = ring.variables()
-        engine = _Engine(ring, GREVLEX)
+        engine = _Engine(ring)
         shift = WIDTH * ring.nvars
-        vectors = [_module_vector([(0, x), (1, z)], engine.keyf, shift),
-                   _module_vector([(0, y), (1, w)], engine.keyf, shift)]
+        vectors = [_module_vector([(0, x), (1, z)], engine.key, shift),
+                   _module_vector([(0, y), (1, w)], engine.key, shift)]
         leads = _module_leads(vectors, [1, 1], engine)
         assert [(lead >> shift, _unpack_plain(lead, 4)) for lead in leads] == [
             (0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)), (1, (0, 1, 1, 0))]

@@ -1,5 +1,6 @@
 """Polynomial layer: orders, arithmetic, derivatives, parsing."""
 
+import functools
 import itertools
 import time
 from fractions import Fraction
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import monomials_of_degree
 from singlocus.errors import ParseError, RingContextError, ValidationError
-from singlocus.polyring import (GF, GREVLEX, QQ, MonomialOrder, PolyRing,
-                                _is_prime, elimination_order, expand_product,
-                                gradient, parse_linear_expr,
+from singlocus.groebner import _elimination_key
+from singlocus.polyring import (GF, MAX_DEGREE, QQ, WIDTH, PolyRing,
+                                _grevlex_key, _is_prime, _pack_plain,
+                                expand_product, gradient, parse_linear_expr,
                                 validate_linear_form)
 
 
@@ -51,25 +53,34 @@ class TestPrimeField:
             GF(n)
 
 
+def grevlex_word_key(nvars):
+    """The grevlex key on exponent tuples, through their packed words."""
+    key = _grevlex_key(nvars)
+    return lambda exps: key(_pack_plain(exps))
+
+
+def compare(u, v):
+    return (u > v) - (u < v)
+
+
 class TestMonomialOrders:
     def test_grevlex_frozen_example(self):
         # all degree-3 monomials in 2 variables, sorted by the definition
         monos = monomials_of_degree(2, 3)
-        import functools
         ref = sorted(monos, key=functools.cmp_to_key(grevlex_reference),
                      reverse=True)
-        key = GREVLEX.key_func(2)
+        key = grevlex_word_key(2)
         fast = sorted(monos, key=key, reverse=True)
         assert fast == ref == [(3, 0), (2, 1), (1, 2), (0, 3)]
         assert key((2, 1)) > key((1, 2))
 
     def test_reflexivity(self):
-        key = GREVLEX.key_func(4)
+        key = grevlex_word_key(4)
         assert key((1, 2, 0, 4)) == key((1, 2, 0, 4))
 
     def test_total_order_laws_exhaustive(self):
         monos = [m for d in range(5) for m in monomials_of_degree(4, d)]
-        key = GREVLEX.key_func(4)
+        key = grevlex_word_key(4)
         keys = {m: key(m) for m in monos}
         # antisymmetry and totality
         for a, b in itertools.combinations(monos, 2):
@@ -88,28 +99,64 @@ class TestMonomialOrders:
 
     def test_grevlex_matches_reference_on_degree_4(self):
         monos = [m for d in range(5) for m in monomials_of_degree(3, d)]
-        key = GREVLEX.key_func(3)
+        key = grevlex_word_key(3)
         for a, b in itertools.combinations(monos, 2):
-            want = grevlex_reference(a, b)
-            got = (key(a) > key(b)) - (key(a) < key(b))
-            assert got == want
+            assert compare(key(a), key(b)) == grevlex_reference(a, b)
 
-    def test_elimination_order_blocks(self):
-        key = elimination_order(1).key_func(3)
-        # any power of the first variable beats anything without it
-        assert key((1, 0, 0)) > key((0, 7, 3))
-        assert key((0, 2, 1)) < key((1, 0, 0))
+    def test_elimination_key_blocks(self):
+        # t is the lowest field of a word over (t, x, y, z)
+        key = _elimination_key(3)
+        t_free = [_pack_plain((0,) + m)
+                  for d in range(5) for m in monomials_of_degree(3, d)]
+        t_multiples = [w + t for w in t_free for t in (1, 2)]
+        # any multiple of t beats anything without it, whatever the degree
+        assert min(map(key, t_multiples)) > max(map(key, t_free))
+        assert key(_pack_plain((1, 0, 0, 0))) > key(_pack_plain((0, 7, 3, 9)))
+        # on t-free words it is grevlex on the ring without t
+        grevlex = _grevlex_key(3)
+        assert all(key(w) == grevlex(w >> WIDTH) for w in t_free)
 
     def test_key_additivity(self):
-        for order in (GREVLEX, elimination_order(1), elimination_order(2)):
-            key = order.key_func(4)
-            a, b = (1, 2, 0, 3), (4, 0, 5, 1)
-            ab = tuple(x + y for x, y in zip(a, b))
-            assert key(ab) == key(a) + key(b)
+        a, b = (1, 2, 0, 3), (4, 0, 5, 1)
+        wa, wb = _pack_plain(a), _pack_plain(b)
+        for key in (_grevlex_key(4), _elimination_key(3)):
+            assert key(wa + wb) == key(wa) + key(wb)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            MonomialOrder("lex")
+
+# an exponent field: mostly small, so that ties occur, and sometimes at
+# the top of the packed range
+_FIELD = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE),
+                   st.sampled_from((MAX_DEGREE - 1, MAX_DEGREE)))
+
+
+@st.composite
+def exponent_triple(draw):
+    """Three exponent tuples of the same length, 1 to 8 fields."""
+    nvars = draw(st.integers(1, 8))
+    return tuple(tuple(draw(_FIELD) for _ in range(nvars)) for _ in range(3))
+
+
+@given(exponent_triple())
+@settings(max_examples=400, deadline=None)
+def test_word_keys_at_the_limits(triple):
+    """Up to 8 variables with fields up to MAX_DEGREE: the grevlex key of
+    the packed word compares as the definition does and adds whenever the
+    sum stays guard-free; the elimination key, with the first field as t,
+    compares by t first and then by grevlex on the rest."""
+    a, b, c = triple
+    nvars = len(a)
+    wa, wb, wc = map(_pack_plain, triple)
+    key = _grevlex_key(nvars)
+    assert compare(key(wa), key(wb)) == grevlex_reference(a, b)
+    ab = tuple(x + y for x, y in zip(a, b))
+    if max(ab) <= MAX_DEGREE:
+        assert key(wa + wb) == key(wa) + key(wb)
+    if nvars > 1:
+        elim = _elimination_key(nvars - 1)
+        want = compare(a[0], c[0]) or grevlex_reference(a[1:], c[1:])
+        assert compare(elim(wa), elim(wc)) == want
+        if max(ab) <= MAX_DEGREE:
+            assert elim(wa + wb) == elim(wa) + elim(wb)
 
 
 class TestArithmetic:
