@@ -58,7 +58,14 @@ dimension is dim a_d + dim b_d, known from the inputs' leading monomials
 before any pair is reduced.  Pairs are taken by the degree of their lcm,
 and once the leading terms in degree d fill that dimension, the remaining
 pairs of degree d are dropped unreduced.  Only the t-free elements, the
-answer, are minimalized and tail-reduced.
+answer, are minimalized and tail-reduced.  `Ideal.groebner` takes the
+same drive when the code that built the ideal knows an upper bound for
+its Hilbert function (`Ideal._target`): a liaison addition
+F2 * I1 + F1 * I2 has
+dim I_t = dim (I1)_{t-d2} + dim (I2)_{t-d1} - dim R_{t-d1-d2}
+(Geramita and Migliore 1994, "A generalized liaison addition"), and two
+forms of degrees d1 and d2 span at most
+dim R_{t-d1} + dim R_{t-d2} - dim R_{t-d1-d2} dimensions in degree t.
 
 Over F_p a driven run reduces all the pairs of one degree together, as
 rows of one matrix (Faugere 1999, "A new efficient algorithm for
@@ -73,9 +80,10 @@ carries into the next.  The S-rows are reduced in the order their pairs
 left the heap; each nonzero remainder joins the basis and becomes a
 pivot at once, and the batch stops when the drive says the degree is
 full.  Every other run keeps the pair-by-pair loop on `_Dividend`s: every
-run over Q and every run without a drive (`Ideal.groebner`,
-`saturate_irrelevant`, `radical_membership`).  Normal forms, the tail
-reduction and the Schreyer step reduce on `_Dividend`s too.
+run over Q and every run without a drive (`Ideal.groebner` of an ideal
+without a target, `saturate_irrelevant`, `radical_membership`).  Normal
+forms, the tail reduction and the Schreyer step reduce on `_Dividend`s
+too.
 """
 
 from __future__ import annotations
@@ -84,7 +92,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import gcd
+from math import comb, gcd
 
 from .errors import (InternalLimitError, InvariantError, RingContextError,
                      ValidationError)
@@ -113,6 +121,13 @@ def _lcm(a, b, guard):
 def _divides(a, b, guard):
     """Whether the packed monomial a divides b (both guard-free)."""
     return ((b | guard) - a) & guard == guard
+
+
+def _slot_bytes(p, count):
+    """The width in bytes of a packed slot that sums `count` products of
+    residues mod p: each is below p^2, so 2 * bitlen(p) + bitlen(count)
+    + 1 bits never carry into the next slot."""
+    return (2 * p.bit_length() + count.bit_length() + 8) // 8
 
 
 def _minimal_lcms(lt_ws, w_new, guard):
@@ -425,8 +440,8 @@ class _Engine:
         col = {k: c for c, k in enumerate(keys)}
         p = self.p
         # a slot holds a coefficient below p plus at most one product below
-        # p^2 per pivot column, so it never carries into the next slot
-        nbytes = (2 * p.bit_length() + len(keys).bit_length() + 8) // 8
+        # p^2 per pivot column
+        nbytes = _slot_bytes(p, len(keys))
         slot = 8 * nbytes
 
         def pack(terms, mk, start):
@@ -573,9 +588,11 @@ class _Engine:
                     batch.append(heappop(pairs))
                 self.reduce_batch(batch, polys, lt_keys, lt_ws, memo, add,
                                   drive)
-        counting = full = None  # degrees where the drive counts / is full
+        full = None  # the degree that the drive last found full
         while pairs:
             degree, sugar, lcm_key, i, j, lcm_w = heappop(pairs)
+            if degree != full and drive is not None and drive.full(degree):
+                full = degree
             if degree == full:
                 drive.dropped += 1
                 continue
@@ -588,10 +605,6 @@ class _Engine:
             nf = self.reduce(acc, lt_ws, lt_keys, polys, memo)
             if nf:
                 add(nf, sugar)
-            elif drive is not None:
-                counting = degree  # count only where a zero reduction was seen
-            if degree == counting and drive.full(degree):
-                full = degree
 
         # minimalize: drop elements whose lt is divisible by another kept lt
         order_ix = sorted((ix for ix in range(len(polys))
@@ -652,7 +665,12 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """Homogeneous ideal with its cached reduced grevlex basis."""
+    """Homogeneous ideal with its cached reduced grevlex basis.
+
+    `_target` is None, or the parts (see `_hilbert_target`) of a function
+    that bounds dim I_d from above, set by the code that built the ideal;
+    `groebner` then drives the basis with a `_HilbertDrive`.
+    """
 
     def __init__(self, ring, gens):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -663,18 +681,22 @@ class Ideal:
                 raise ValidationError(f"inhomogeneous generator: {g}")
         self.ring = ring
         self.gens = gens
+        self._target = None
         self._cache = {}
 
     # -- Groebner machinery -------------------------------------------------
     def groebner(self, order=GREVLEX):
-        """The cached reduced grevlex basis.  `order` is only ever
-        `GREVLEX`; it and the cache's `tag` key stay because
-        `perfbench/layertrace.py` reads them."""
+        """The cached reduced grevlex basis, driven by `_target` when it
+        is set.  `order` is only ever `GREVLEX`; it and the cache's `tag`
+        key stay because `perfbench/layertrace.py` reads them."""
         gb = self._cache.get(order.tag)
         if gb is None:
             engine = _Engine(self.ring)
+            nvars = self.ring.nvars
+            drive = (None if self._target is None else
+                     _HilbertDrive(nvars, _hilbert_target(nvars, self._target)))
             internal = engine.buchberger([_to_internal(g, engine.key)
-                                          for g in self.gens])
+                                          for g in self.gens], drive=drive)
             gb = self._keep(GroebnerBasis(self.ring, internal))
         return gb
 
@@ -776,63 +798,104 @@ class _DegreeCounter:
         return len(self.part)
 
 
-class _HilbertDrive:
-    """Traverso's stopping rule for the elimination in `intersect`.
+def _hilbert_target(nvars, parts):
+    """The function d -> sum of sign * dim M_{d - shift} over `parts`.
 
-    Give t weight 0.  Every element met while eliminating t from
-    t * G_a + (1 - t) * G_b has the form A * t + B, and these elements
-    form the graded module N = {A * t + B : B in b, A + B in a}, which is
-    isomorphic to a + b as a vector space in each degree:
-    dim N_d = dim a_d + dim b_d, read off the inputs' leading monomials.
-    The leading terms of the basis so far span t * T_d + O_d, where T is
-    generated by the x-parts of all leading monomials (t * B lies in N
-    when B is t-free) and O by those of the t-free elements.  When
-    |T_d| + |O_d| reaches dim N_d, every remaining pair of degree d
-    reduces to zero.  Exact only for homogeneous a and b.
+    Each part is (sign, shift, leads): M is the monomial ideal that the
+    packed words `leads` generate, counted by a `_DegreeCounter`, or the
+    whole ring when `leads` is None.  Degrees must be asked for in
+    increasing order, as the counters require.
+    """
+    terms = [(sign, shift,
+              None if leads is None else _DegreeCounter(nvars, leads))
+             for sign, shift, leads in parts]
+
+    def target(d):
+        total = 0
+        for sign, shift, counter in terms:
+            e = d - shift
+            if e >= 0:
+                total += sign * (comb(e + nvars - 1, nvars - 1)
+                                 if counter is None else counter.count(e))
+        return total
+
+    return target
+
+
+class _HilbertDrive:
+    """Traverso's stopping rule for a homogeneous Buchberger run.
+
+    `target(d)` bounds from above the dimension of the degree-d part of
+    the graded space that the run's elements span; it is known before any
+    pair is reduced.  The leading terms of the basis so far span `have`
+    dimensions of it, and have <= dim <= target(d), so once `have`
+    reaches the target every remaining pair of degree d reduces to zero
+    and can be dropped.  A count above the target proves the target
+    wrong and raises `InvariantError`.  Two runs are driven:
+
+    - `Ideal.groebner` of an ideal whose Hilbert function is known from
+      how it was built (`liaison_addition`, `basic_double_link`, the
+      complete intersection of a regular-sequence check): `have` counts
+      the monomials of degree d divisible by a leading monomial.
+    - the elimination in `intersect` (`eliminate=True`).  Give t weight
+      0.  Every element met while eliminating t from
+      t * G_a + (1 - t) * G_b has the form A * t + B, and these elements
+      form the graded module N = {A * t + B : B in b, A + B in a}, which
+      is isomorphic to a + b as a vector space in each degree:
+      dim N_d = dim a_d + dim b_d, read off the inputs' leading
+      monomials.  The leading terms of the basis so far span
+      t * T_d + O_d, where T is generated by the x-parts of all leading
+      monomials (t * B lies in N when B is t-free) and O by those of the
+      t-free elements; `have` is |T_d| + |O_d|.
     """
 
-    def __init__(self, nvars, leads_a, leads_b):
-        """`leads_a` and `leads_b` are the packed leading monomials of G_a
-        and G_b."""
+    def __init__(self, nvars, target, eliminate=False):
+        """`target` is a function of the degree, asked in increasing
+        order; with `eliminate`, t is the lowest packed field."""
+        self.target = target
+        self.shift = WIDTH if eliminate else 0
         self.x_degree = _degree_func(nvars)
-        self.targets = (_DegreeCounter(nvars, leads_a),
-                        _DegreeCounter(nvars, leads_b))
-        self.t_part = _DegreeCounter(nvars)
-        self.free_part = _DegreeCounter(nvars)
+        # the x-parts of all leading monomials, and of the t-free ones
+        self.leads = _DegreeCounter(nvars)
+        self.free_leads = _DegreeCounter(nvars) if eliminate else None
         self.dropped = 0
         self.batches = 0  # degree batches reduced as rows (over F_p)
         self.rows = 0  # S-rows reduced in those batches
         self.zero_rows = 0  # S-rows that reduced to zero
 
     def degree(self, w):
-        """The x-degree of a packed monomial of the extended ring: t is the
-        lowest field."""
-        return self.x_degree(w >> WIDTH)
+        """The x-degree of a packed monomial."""
+        return self.x_degree(w >> self.shift)
 
     def note(self, w):
         """Record the packed leading monomial `w` of a new basis element."""
-        t_exp = w & ((1 << WIDTH) - 1)
-        if t_exp > 1:
-            raise InvariantError("a leading term of t-degree above 1 in an "
-                                 "intersection")
-        x = w >> WIDTH
+        x = w >> self.shift
         d = self.x_degree(x)
-        self.t_part.add(x, d)
-        if not t_exp:
-            self.free_part.add(x, d)
+        self.leads.add(x, d)
+        if self.free_leads is not None:
+            t_exp = w & ((1 << WIDTH) - 1)
+            if t_exp > 1:
+                raise InvariantError("a leading term of t-degree above 1 in "
+                                     "an intersection")
+            if not t_exp:
+                self.free_leads.add(x, d)
 
     def divisible(self, w, d):
         """Whether a leading monomial noted so far divides `w`, a packed
-        monomial of the extended ring of x-degree `d`: t * x has a divisor
+        monomial of x-degree `d`.  In an elimination, t * x has a divisor
         when x lies in T, and a t-free x when it lies in O."""
-        counter = self.t_part if w & ((1 << WIDTH) - 1) else self.free_part
+        counter = self.leads
+        if self.free_leads is not None and not w & ((1 << WIDTH) - 1):
+            counter = self.free_leads
         counter.count(d)
-        return w >> WIDTH in counter.part
+        return w >> self.shift in counter.part
 
     def full(self, d):
-        """Whether the leading terms fill the degree-d part of N."""
-        have = self.t_part.count(d) + self.free_part.count(d)
-        want = sum(target.count(d) for target in self.targets)
+        """Whether the leading terms fill the degree-d part."""
+        have = self.leads.count(d)
+        if self.free_leads is not None:
+            have += self.free_leads.count(d)
+        want = self.target(d)
         if have > want:
             raise InvariantError(f"leading terms span {have} dimensions in "
                                  f"degree {d}, above the Hilbert function {want}")
@@ -884,8 +947,11 @@ def _intersect_bases(ring, pa, pb):
         [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
         + [(k, w << WIDTH, c) for k, w, c in terms]
         for terms in pb]
-    drive = _HilbertDrive(ring.nvars, [t[0][1] for t in pa],
-                          [t[0][1] for t in pb])
+    # dim N_d = dim a_d + dim b_d
+    leads = ((1, 0, [terms[0][1] for terms in pa]),
+             (1, 0, [terms[0][1] for terms in pb]))
+    drive = _HilbertDrive(ring.nvars, _hilbert_target(ring.nvars, leads),
+                          eliminate=True)
     # an element with a t-free leading term is t-free
     t_mask = (1 << WIDTH) - 1
     basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),

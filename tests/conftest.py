@@ -15,8 +15,10 @@ engine's Gebauer-Moller bookkeeping works on packed words), and the
 radical of an arrangement through one intersection per flat prime, the
 raw resolution through the Schreyer step with its own pair selection
 and divisor search, as it was before the step ran on the Buchberger
-kernel, and ideal intersections through public `Ideal`s at every step of
-the tree, with the first input always in the t-block.  Saturation by the
+kernel, ideal intersections through public `Ideal`s at every step of
+the tree, with the first input always in the t-block, and the bases of
+liaison outputs through generators multiplied out by
+`Polynomial.__mul__` and reduced with no Hilbert drive.  Saturation by the
 irrelevant ideal is checked against the per-variable path it replaced:
 one Groebner basis per variable, in a grevlex order with that variable
 last, divided by its powers, and the n results intersected; ideal
@@ -33,10 +35,12 @@ import pytest
 from singlocus import linalg
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
+from singlocus import groebner
 from singlocus.groebner import (GroebnerBasis, Ideal, _Dividend, _Engine,
                                 _elimination_key, _extend_ring,
-                                _from_internal, _HilbertDrive, _to_internal,
-                                intersect, intersect_many)
+                                _from_internal, _hilbert_target,
+                                _HilbertDrive, _to_internal, intersect,
+                                intersect_many)
 from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
                                 _level_from_ring_gb, _schreyer_resolution,
                                 _SyzygyLevel, minimal_free_resolution)
@@ -46,10 +50,28 @@ from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, WIDTH, PolyRing,
 #: the corpus `.arr` and `.graph` files shipped with the package
 CORPUS_DIR = files("singlocus") / "arrangements"
 
+#: the largest prime that `GF` accepts, the last below the bound of its
+#: primality certificate
+LARGEST_PRIME = 3317044064679887385961813
+
 
 @pytest.fixture
 def ring_p():
     return PolyRing(("x", "y", "z", "w"), GF(DEFAULT_PRIME))
+
+
+@pytest.fixture
+def drives(monkeypatch):
+    """Every `_HilbertDrive` built while the test runs."""
+    built = []
+
+    class Recorded(_HilbertDrive):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
+    return built
 
 
 @pytest.fixture
@@ -174,7 +196,8 @@ def intersect_by_ideals(a, b):
         [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
         + [(k, w << WIDTH, c) for k, w, c in terms]
         for terms in gb._polys]
-    drive = _HilbertDrive(ring.nvars, ga._lt_ws, gb._lt_ws)
+    drive = _HilbertDrive(ring.nvars, _hilbert_target(
+        ring.nvars, ((1, 0, ga._lt_ws), (1, 0, gb._lt_ws))), eliminate=True)
     t_mask = (1 << WIDTH) - 1
     basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
                               drive=drive, eliminate=t_mask)
@@ -183,6 +206,20 @@ def intersect_by_ideals(a, b):
     result = Ideal(ring, out)
     result._keep(GroebnerBasis(ring, internal, out))
     return result
+
+
+def undriven_liaison_basis(step):
+    """The reduced basis of a liaison step's output, as engine terms, by
+    the paths that its Hilbert target and its Kronecker products replace:
+    the generators form2 * g and form1 * g by `Polynomial.__mul__`, and
+    a Buchberger run with no drive, pair by pair."""
+    gens = [step.form2 * g for g in step.ideal1.gens]
+    if step.ideal2 is None:
+        gens.append(step.form1)
+    else:
+        gens += [step.form1 * g for g in step.ideal2.gens]
+    engine = _Engine(step.form1.ring)
+    return engine.buchberger([_to_internal(g, engine.key) for g in gens])
 
 
 def intersect_many_by_ideals(ideals):

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import monomials_of_degree
+from conftest import monomials_of_degree, undriven_liaison_basis
 from singlocus.arrangement import (Arrangement, generic_section,
                                    graphic_arrangement, hypothesis_check,
                                    jacobian_ideal, radical_comb,
@@ -23,6 +23,7 @@ from singlocus.corpus import (entry_names, load_arrangement, load_graph,
 from singlocus.groebner import Ideal, radical_membership, saturate_irrelevant
 from singlocus.homology import betti_of, hilbert, is_cm, rao_dimensions
 from singlocus.liaison import (LiaisonStep, basic_double_link, construct_lr,
+                               construct_lr_radical,
                                hilbert_additivity_holds, liaison_addition,
                                shifted_rao_sum, verify_construction)
 from singlocus.polyring import QQ, expand_product, gradient
@@ -172,7 +173,34 @@ def test_criterion_9_deficiency_constructions():
     assert report["degree_computed"] == 165, report
     assert report["ok"], report
     assert all(hilbert_additivity_holds(s) for s in c2.steps)
+    # the bases driven by the liaison Hilbert function are the undriven ones
+    for step in c_h1.steps + c2.steps:
+        assert step.output.groebner()._polys == undriven_liaison_basis(step)
     budget.done(checked)
+
+
+@pytest.mark.skipif(not os.environ.get("SINGLOCUS_STRETCH"),
+                    reason="stretch goal: four glued blocks "
+                           "(no time bound); set SINGLOCUS_STRETCH=1")
+@pytest.mark.parametrize("build, planes, rao", [
+    (lambda: construct_lr(4), 36, {35: 4}),
+    (lambda: construct_lr_radical(4), 32, {28: 4}),
+], ids=["lr4", "radical4"])
+def test_criterion_9_stretch_four_blocks(build, planes, rao):
+    """The "any r" theorem at r = 4, end to end, and each step's driven
+    basis against the undriven oracle."""
+    start = time.monotonic()
+    c = build()
+    built = time.monotonic()
+    assert c.arrangement.d == planes and c.predicted_rao == rao
+    report = verify_construction(c)
+    verified = time.monotonic()
+    assert report["rao_computed"] == rao and report["ok"], report
+    for step in c.steps:
+        assert step.output.groebner()._polys == undriven_liaison_basis(step)
+    print(f"ACCEPT C9 stretch {planes} planes: construction "
+          f"{built - start:.1f}s, verification {verified - built:.1f}s, "
+          f"oracle {time.monotonic() - verified:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +422,7 @@ def test_criterion_10h_additivity_and_shift():
         out = liaison_addition(i1, f1, i2, f2)
         step = LiaisonStep("addition", i1, f1, i2, f2, out)
         assert hilbert_additivity_holds(step)
+        assert out.groebner()._polys == undriven_liaison_basis(step)
         assert hilbert(out).degree() == 1 + 1 + f1.total_degree() * 1
         done += 1
 
@@ -408,6 +437,7 @@ def test_criterion_10h_additivity_and_shift():
             continue
         out = basic_double_link(skew, x * z, ell)
         step = LiaisonStep("bdl", skew, x * z, None, ell, out)
+        assert out.groebner()._polys == undriven_liaison_basis(step)
         assert rao_dimensions(out) == {1: 1}
         assert shifted_rao_sum(step) == {1: 1}
         assert hilbert_additivity_holds(step)

@@ -10,8 +10,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (FractionDividend, buchberger_criterion_holds, colon,
-                      coprime_exps, divides_exps, exact_divide,
+from conftest import (LARGEST_PRIME, FractionDividend,
+                      buchberger_criterion_holds, colon, coprime_exps,
+                      divides_exps, exact_divide,
                       intersect_by_ideals, lcm_exps,
                       membership_by_linear_algebra, merge_normal_form,
                       monomials_of_degree, power_of_variables, saturate,
@@ -26,7 +27,8 @@ from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter,
                                 _Dividend, _elimination_key, _Engine,
-                                _HilbertDrive, _to_internal, intersect,
+                                _hilbert_target, _HilbertDrive, _to_internal,
+                                intersect,
                                 intersect_many, radical_membership,
                                 saturate_irrelevant)
 from singlocus.homology import hilbert, is_saturated
@@ -681,23 +683,6 @@ def _random_homogeneous_ideal(rng, ring):
     return Ideal(ring, gens)
 
 
-@pytest.fixture
-def drives(monkeypatch):
-    """Every `_HilbertDrive` built while the test runs."""
-    built = []
-
-    class Recorded(_HilbertDrive):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
-    return built
-
-
-#: the largest prime that `GF` accepts, the last below the bound of its
-#: primality certificate
-LARGEST_PRIME = 3317044064679887385961813
 #: primes whose batch rows need slots wider than 64 bits
 LARGE_PRIMES = [GF(2 ** 31 - 1), GF(2 ** 61 - 1), GF(LARGEST_PRIME)]
 LARGE_IDS = ["p31", "p61", "p82"]
@@ -802,7 +787,9 @@ def test_degree_counter_takes_generators_at_the_current_degree():
 
 def test_hilbert_count_above_its_target_is_an_invariant_error():
     x = _pack_plain((1, 0))
-    drive = _HilbertDrive(2, [x], [x])  # a = b = (x): dim N_1 = 2
+    # a = b = (x): dim N_1 = 2
+    drive = _HilbertDrive(2, _hilbert_target(2, ((1, 0, [x]), (1, 0, [x]))),
+                          eliminate=True)
     # a t-free lead x counts as x and as t * x
     drive.note(_pack_plain((0, 1, 0)))
     assert drive.full(1)

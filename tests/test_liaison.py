@@ -1,19 +1,24 @@
 """Liaison addition, basic double links, and the curve constructions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import LARGEST_PRIME, monomials_of_degree, undriven_liaison_basis
+from singlocus import liaison
 from singlocus.arrangement import Arrangement, standard_ring, top_comb
 from singlocus.corpus import load_arrangement
-from singlocus.errors import ValidationError
+from singlocus.errors import InvariantError, ValidationError
 from singlocus.groebner import Ideal, intersect_many, saturate_irrelevant
 from singlocus.homology import hilbert, is_cm, rao_dimensions
 from singlocus.liaison import (Construction, LiaisonStep,
+                               _kronecker_product, _product,
                                arrangement_product_hypotheses,
                                basic_double_link, construct_lr,
                                construct_lr_radical, hilbert_additivity_holds,
                                liaison_addition, merge_arrangements,
                                radical_block, shifted_rao_sum, top_block,
                                verify_construction)
+from singlocus.polyring import GF, QQ, PolyRing, _pack_plain
 
 
 class TestLiaisonAddition:
@@ -53,6 +58,19 @@ class TestLiaisonAddition:
         with pytest.raises(ValidationError) as err:
             liaison_addition(i1, x, i2, x)
         assert "regular sequence" in str(err.value)
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_forms_with_a_common_factor_are_refused(self, field):
+        """The complete-intersection target of the regular-sequence check
+        is only an upper bound when the forms share a factor: the driven
+        basis must still show codimension one."""
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        x, y, z, w = ring.variables()
+        i1 = Ideal(ring, (x, y))
+        i2 = Ideal(ring, (x + y, z))
+        with pytest.raises(ValidationError) as err:
+            liaison_addition(i1, x * (x + y), i2, (x + y) * z)
+        assert "codimension 1" in str(err.value)
 
     def test_saturated_output(self, ring_p):
         x, y, z, w = ring_p.variables()
@@ -192,3 +210,137 @@ class TestConstructions:
             construct_lr(0)
         with pytest.raises(ValidationError):
             construct_lr(1, h=-1)
+
+
+# ---------------------------------------------------------------------------
+# driven bases and Kronecker products
+
+
+def _check_steps(construction):
+    """Every step's driven basis is the undriven one of the generators
+    multiplied out by `Polynomial.__mul__`."""
+    for step in construction.steps:
+        assert step.output._target is not None
+        assert step.output.groebner()._polys == undriven_liaison_basis(step)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_lr_radical(2, seed=7),
+    lambda: construct_lr(1, h=1, seed=7, field=QQ),
+    lambda: construct_lr(1, h=2, seed=7, field=QQ),
+], ids=["radical2_p", "lr1_h1_q", "lr1_h2_q"])
+def test_driven_bases_match_the_undriven_oracle(build):
+    _check_steps(build())
+
+
+def test_r3_recurrence_intermediate_basis_matches_the_oracle():
+    """construct_lr(3) builds the driven basis of its r = 2 curve in the
+    containment check of its second step."""
+    c = construct_lr(3, seed=9)
+    first = c.steps[0]
+    assert first.output._cache  # built by the construction itself
+    assert first.output.groebner()._polys == undriven_liaison_basis(first)
+
+
+def test_radical_pair_output_drive_drops_pairs(drives):
+    c = construct_lr_radical(2, seed=7)
+    built = len(drives)
+    c.ideal.groebner()
+    assert len(drives) == built + 1
+    drive = drives[-1]
+    assert drive.dropped > 0
+    assert drive.rows > 0  # over F_p each degree is a batch of rows
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+def test_target_below_the_hilbert_function_raises(field):
+    """A target that is not an upper bound is caught: here the leading
+    terms of (xy, xz) span 7 dimensions in degree 3 and the target,
+    that of (xy) alone, only 4."""
+    ring = PolyRing(("x", "y", "z", "w"), field)
+    x, y, z, w = ring.variables()
+    ideal = Ideal(ring, (x * y, x * z))
+    ideal._target = ((1, 0, [_pack_plain((1, 1, 0, 0))]),)
+    with pytest.raises(InvariantError):
+        ideal.groebner()
+
+
+def test_additivity_check_reads_a_fresh_ideal():
+    """The additivity check takes the output's Hilbert function from a
+    fresh ideal of its generators: the output's driven basis would only
+    repeat its target."""
+    ring = standard_ring()
+    x, y, z, w = ring.variables()
+    i1, i2 = Ideal(ring, (x, y)), Ideal(ring, (z, w))
+    out = liaison_addition(i1, x, i2, z)
+    step = LiaisonStep("addition", i1, x, i2, z, out)
+    assert hilbert_additivity_holds(step)
+    assert not out._cache and not hasattr(out, "_hilbert_cache")
+
+
+PRIMES = [32003, 2 ** 31 - 1, 2 ** 61 - 1, LARGEST_PRIME]
+NAMES = tuple(f"x{i}" for i in range(8))
+
+
+@st.composite
+def form_pair(draw):
+    """Two forms over F_p in 1-8 variables, with coefficients biased
+    towards p - 1, where the slot sums are largest."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from(PRIMES))
+    ring = PolyRing(NAMES[:n], GF(p))
+    coeffs = st.one_of(st.just(p - 1), st.integers(1, p - 1))
+
+    def form():
+        mons = monomials_of_degree(n, draw(st.integers(0, 3 if n > 5 else 6)))
+        picked = draw(st.lists(st.sampled_from(mons), min_size=1,
+                               max_size=20, unique=True))
+        return ring.from_terms({e: draw(coeffs) for e in picked})
+
+    return form(), form()
+
+
+@given(form_pair())
+@settings(max_examples=150, deadline=None)
+def test_kronecker_product_matches_multiplication(pair):
+    a, b = pair
+    assert _kronecker_product(a, b) == a * b
+    assert _product(a, b) == a * b
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kronecker_product_at_the_slot_bound(p):
+    """Dense forms with every coefficient p - 1: each slot of the product
+    sums as many products (p - 1)^2 as it can."""
+    ring = PolyRing(NAMES[:4], GF(p))
+    a = ring.from_terms({e: p - 1 for e in monomials_of_degree(4, 5)})
+    b = ring.from_terms({e: p - 1 for e in monomials_of_degree(4, 7)})
+    assert _kronecker_product(a, b) == a * b
+
+
+def test_product_falls_back_where_slots_are_many(monkeypatch):
+    """Dense 4-variable forms over F_p take the Kronecker kernel; sparse
+    8-variable forms, and forms over Q, take `Polynomial.__mul__`."""
+    calls = []
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return _kronecker_product(a, b)
+
+    monkeypatch.setattr(liaison, "_kronecker_product", recorded)
+    dense = PolyRing(NAMES[:4], GF(32003))
+    a = dense.from_terms({e: i + 1 for i, e in
+                          enumerate(monomials_of_degree(4, 4))})
+    b = dense.from_terms({e: 2 * i + 1 for i, e in
+                          enumerate(monomials_of_degree(4, 6))})
+    assert _product(a, b) == a * b
+    assert len(calls) == 1
+    sparse = PolyRing(NAMES, GF(32003))
+    v = sparse.variables()
+    c = v[0] * v[1] + 3 * v[7] ** 2
+    d = v[2] ** 3 - v[4] * v[5] * v[6]
+    assert _product(c, d) == c * d
+    rational = PolyRing(NAMES[:4], QQ)
+    e = rational.from_terms({m: 1 for m in monomials_of_degree(4, 4)})
+    assert _product(e, e) == e * e
+    assert len(calls) == 1
