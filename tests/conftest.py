@@ -32,10 +32,9 @@ from importlib.resources import files
 
 import pytest
 
-from singlocus import linalg
+from singlocus import groebner, linalg
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
-from singlocus import groebner
 from singlocus.groebner import (GroebnerBasis, Ideal, _Dividend, _Engine,
                                 _elimination_key, _extend_ring,
                                 _from_internal, _hilbert_target,
@@ -61,6 +60,11 @@ def ring_p():
 
 
 @pytest.fixture
+def ring_q():
+    return PolyRing(("x", "y", "z", "w"), QQ)
+
+
+@pytest.fixture
 def drives(monkeypatch):
     """Every `_HilbertDrive` built while the test runs."""
     built = []
@@ -72,11 +76,6 @@ def drives(monkeypatch):
 
     monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
     return built
-
-
-@pytest.fixture
-def ring_q():
-    return PolyRing(("x", "y", "z", "w"), QQ)
 
 
 def monomials_of_degree(nvars, d):

@@ -28,8 +28,7 @@ from singlocus.errors import (InternalLimitError, InvariantError,
 from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter,
                                 _Dividend, _elimination_key, _Engine,
                                 _hilbert_target, _HilbertDrive, _to_internal,
-                                intersect,
-                                intersect_many, radical_membership,
+                                intersect, intersect_many, radical_membership,
                                 saturate_irrelevant)
 from singlocus.homology import hilbert, is_saturated
 from singlocus.polyring import (_MR_BOUND, GF, QQ, MAX_DEGREE, WIDTH,
