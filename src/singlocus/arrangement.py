@@ -424,17 +424,11 @@ def uniform_powers(arr, k):
 
 
 def _check_prime_safety(arr):
+    """Refuse F_p with p <= d; then p also exceeds every flat multiplicity."""
     p = arr.ring.field.p
-    if p is None:
-        return
-    degree = arr.d
-    if p <= degree:
+    if p is not None and p <= arr.d:
         raise ValidationError(
-            f"field characteristic {p} is too small for degree {degree}; use QQ")
-    for f in arr.flats():
-        if f.multiplicity % p == 0:
-            raise ValidationError(
-                f"characteristic {p} divides a flat multiplicity; use QQ")
+            f"field characteristic {p} is too small for degree {arr.d}; use QQ")
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +439,12 @@ def hypothesis_check(arr):
     """Whether no hyperplane lies in two distinct non-reduced flat primes.
 
     Returns (holds, witnesses); each witness is (plane_index, flat, flat).
+    A flat's members are every plane through it (`intersection_flats`).
     """
-    field = arr.ring.field
-    rows = arr.coefficient_rows()
     nonreduced = [f for f in arr.flats() if f.multiplicity >= 3]
     witnesses = []
-    for i, row in enumerate(rows):
-        containing = [f for f in nonreduced
-                      if linalg.in_span(row, [list(b) for b in f.basis], field)]
+    for i in range(arr.d):
+        containing = [f for f in nonreduced if i in f.members]
         for a in range(len(containing)):
             for b in range(a + 1, len(containing)):
                 witnesses.append((i, containing[a], containing[b]))

@@ -17,6 +17,7 @@ from .arrangement import (combinatorial_degrees, generic_section,
                           parse_arrangement, parse_graph, radical_comb,
                           rule_powers, symbolic_intersection, top_comb,
                           triangle_condition, uniform_powers)
+from .errors import ValidationError
 from .homology import (betti_of, hilbert, is_cm, is_saturated,
                        minimal_free_resolution, rao_dimensions)
 
@@ -34,7 +35,7 @@ def arrangement_names():
 
 def _read(name, suffix, kind):
     if name not in _names(suffix):
-        raise KeyError(f"unknown corpus {kind} {name!r}")
+        raise ValidationError(f"unknown corpus {kind} {name!r}")
     return (_DATA / f"{name}{suffix}").read_text(encoding="utf-8")
 
 
@@ -280,7 +281,7 @@ def run_regressions(field=None, names=None, quick=False):
     results = []
     for name in names:
         if name not in _ENTRIES:
-            raise KeyError(f"unknown corpus entry {name!r}; "
-                           f"choose from {sorted(_ENTRIES)}")
+            raise ValidationError(f"unknown corpus entry {name!r}; "
+                                  f"choose from {sorted(_ENTRIES)}")
         _ENTRIES[name](field, results)
     return results

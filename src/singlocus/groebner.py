@@ -97,7 +97,8 @@ from math import comb, gcd
 from .errors import (InternalLimitError, InvariantError, RingContextError,
                      ValidationError)
 from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, PolyRing, Polynomial,
-                       _degree_func, _grevlex_key, _pack_plain, _unpack_plain)
+                       _degree_func, _grevlex_key, _pack_plain, _slot_bytes,
+                       _unpack_plain)
 
 _SATURATION_RETRIES = 8
 
@@ -121,13 +122,6 @@ def _lcm(a, b, guard):
 def _divides(a, b, guard):
     """Whether the packed monomial a divides b (both guard-free)."""
     return ((b | guard) - a) & guard == guard
-
-
-def _slot_bytes(p, count):
-    """The width in bytes of a packed slot that sums `count` products of
-    residues mod p: each is below p^2, so 2 * bitlen(p) + bitlen(count)
-    + 1 bits never carry into the next slot."""
-    return (2 * p.bit_length() + count.bit_length() + 8) // 8
 
 
 def _minimal_lcms(lt_ws, w_new, guard):

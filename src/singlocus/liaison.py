@@ -7,15 +7,12 @@ shifting with basic double links produces, for any r >= 1 and h >= 0, a
 curve whose deficiency table is {base + step*(r-1) + h: r}.
 
 Each liaison output carries its Hilbert function, read from its inputs'
-bases, as the target that drives its own basis (`Ideal._target`), and
-over F_p its generators are multiplied out by Kronecker substitution.
+bases, as the target that drives its own basis (`Ideal._target`).
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
-from functools import lru_cache
 
 from .arrangement import (Arrangement, apply_coordinate_change,
                           combinatorial_degrees, radical_comb,
@@ -23,9 +20,9 @@ from .arrangement import (Arrangement, apply_coordinate_change,
                           top_comb)
 from .corpus import load_arrangement
 from .errors import InternalLimitError, ValidationError
-from .groebner import Ideal, _slot_bytes
+from .groebner import Ideal
 from .homology import hilbert, is_saturated, rao_dimensions
-from .polyring import Polynomial, linear_coefficients
+from .polyring import linear_coefficients
 from . import linalg
 
 _RESEED_CAP = 32
@@ -43,95 +40,6 @@ def top_block(field=None):
 
 def radical_block(field=None):
     return load_arrangement("radical_block", field)
-
-
-# ---------------------------------------------------------------------------
-# generators by Kronecker substitution
-
-#: a product goes through Kronecker substitution when its packed size,
-#: (deg + 1)^(n - 1) slots of `_slot_bytes` each (the width of the
-#: `reduce_batch` rows), is at most this many bytes per term pair that it
-#: replaces; measured over F_32003 and F_(2^61 - 1) in 3-8 variables, the
-#: two ways cost the same at 20-40
-_BYTES_PER_PAIR = 24
-
-
-@lru_cache(maxsize=64)
-def _degree_slots(nvars, degree):
-    """The monomials of `degree` in `nvars` variables, by Kronecker slot.
-
-    Returns two parallel lists sorted by slot: the slots and the exponent
-    tuples.  The slot of x^e is the sum of e_i * (degree + 1)^(i - 1) over
-    the variables x_1..x_{n-1}; e_0 follows from the degree.
-    """
-    base = degree + 1
-    rows = [(0, 0, ())]  # (slot, degree used, exponents of x_1.. so far)
-    for i in range(1, nvars):
-        step = base ** (i - 1)
-        rows = [(k + e * step, used + e, exps + (e,))
-                for k, used, exps in rows for e in range(degree - used + 1)]
-    rows.sort()
-    return ([k for k, _, _ in rows],
-            [(degree - used,) + exps for _, used, exps in rows])
-
-
-def _kronecker_product(a, b):
-    """The product of two nonzero forms over F_p by Kronecker substitution.
-
-    Each form becomes one int with a byte-aligned slot per exponent of
-    x_1..x_{n-1} in base D + 1, D the degree of the product, from its
-    lowest slot up; the slot of a product term is the sum of its factors'
-    slots.  A slot takes at most min(len(a), len(b)) products below p^2,
-    so `_slot_bytes` never carries.  Only the slots of monomials of
-    degree D are read back.
-    """
-    p = a.ring.field.p
-    degree = a.total_degree() + b.total_degree()
-    base = degree + 1
-    nbytes = _slot_bytes(p, min(len(a.terms), len(b.terms)))
-
-    def pack(f):
-        slots = {}
-        for e, c in f.terms.items():
-            k = 0
-            for x in reversed(e[1:]):
-                k = k * base + x
-            slots[k] = c
-        low, high = min(slots), max(slots)
-        buf = bytearray(nbytes * (high + 1 - low))
-        for k, c in slots.items():
-            at = (k - low) * nbytes
-            buf[at:at + nbytes] = c.to_bytes(nbytes, "little")
-        return int.from_bytes(buf, "little"), low, high
-
-    packed_a, low_a, high_a = pack(a)
-    packed_b, low_b, high_b = pack(b)
-    low, high = low_a + low_b, high_a + high_b
-    buf = (packed_a * packed_b).to_bytes(nbytes * (high + 1 - low), "little")
-    slots, exps = _degree_slots(a.ring.nvars, degree)
-    out = {}
-    for i in range(bisect_left(slots, low), bisect_right(slots, high)):
-        at = (slots[i] - low) * nbytes
-        c = int.from_bytes(buf[at:at + nbytes], "little") % p
-        if c:
-            out[exps[i]] = c
-    return Polynomial(a.ring, out)
-
-
-def _product(a, b):
-    """a * b: by `_kronecker_product` over F_p when both are nonzero forms
-    and their packed size is small against len(a) * len(b), otherwise by
-    `Polynomial.__mul__` (over Q, and in rings of many variables)."""
-    p = a.ring.field.p
-    if (p is None or a.ring != b.ring or a.is_zero() or b.is_zero()
-            or not a.is_homogeneous() or not b.is_homogeneous()):
-        return a * b
-    slots = (a.total_degree() + b.total_degree() + 1) ** (a.ring.nvars - 1)
-    count = min(len(a.terms), len(b.terms))
-    if slots * _slot_bytes(p, count) > (_BYTES_PER_PAIR * len(a.terms)
-                                         * len(b.terms)):
-        return a * b
-    return _kronecker_product(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +104,8 @@ def liaison_addition(ideal1, form1, ideal2, form2):
         raise ValidationError("liaison addition: the second form is not in "
                               "the second ideal")
     _require_regular_sequence(form1, form2)
-    gens = tuple(_product(form2, g) for g in ideal1.gens)
-    gens += tuple(_product(form1, g) for g in ideal2.gens)
+    gens = tuple(form2 * g for g in ideal1.gens)
+    gens += tuple(form1 * g for g in ideal2.gens)
     return _with_target(ideal1, form1, ideal2, form2, gens)
 
 
@@ -208,7 +116,7 @@ def basic_double_link(ideal1, form1, form2):
         raise ValidationError("basic double link: the pivot form is not in "
                               "the ideal")
     _require_regular_sequence(form1, form2)
-    gens = tuple(_product(form2, g) for g in ideal1.gens) + (form1,)
+    gens = tuple(form2 * g for g in ideal1.gens) + (form1,)
     return _with_target(ideal1, form1, None, form2, gens)
 
 

@@ -10,12 +10,18 @@ a WIDTH-bit field per variable (`_pack_plain`), and `_grevlex_key` maps
 that word to an integer sort key with key(a*b) = key(a) + key(b), whose
 integer comparison is grevlex; the Groebner engine relies on this
 additivity for fast arithmetic.
+
+Over F_p the product of two forms is made by Kronecker substitution
+(`_kronecker_product`) whenever the packed ints stay small against the
+number of term pairs; every other product runs the term loop.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError, RingContextError, ValidationError
 
@@ -162,6 +168,13 @@ def GF(p):
 #: bits per packed exponent field; degrees must stay below 2**(WIDTH - 1)
 WIDTH = 16
 MAX_DEGREE = (1 << (WIDTH - 1)) - 1
+
+
+def _slot_bytes(p, count):
+    """The width in bytes of a packed slot that sums `count` products of
+    residues mod p: each is below p^2, so 2 * bitlen(p) + bitlen(count)
+    + 1 bits never carry into the next slot."""
+    return (2 * p.bit_length() + count.bit_length() + 8) // 8
 
 
 def _pack_plain(exps):
@@ -394,9 +407,18 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        p = f.p
+        if p is not None and a:
+            # forms of positive degree, read from one term each, whose
+            # packed size passes the `_BYTES_PER_PAIR` rule
+            da, db = sum(next(iter(a))), sum(next(iter(b)))
+            slots = (da + db + 1) ** (self.ring.nvars - 1)
+            if (da and db and slots * _slot_bytes(p, len(a))
+                    <= _BYTES_PER_PAIR * len(a) * len(b)
+                    and self.is_homogeneous() and other.is_homogeneous()):
+                return _kronecker_product(self, other, da + db)
         out = {}
-        if f.p is not None:
-            p = f.p
+        if p is not None:
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
                     e = tuple(x + y for x, y in zip(e1, e2))
@@ -517,6 +539,78 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self.ring, frozenset(self.terms.items())))
         return self._hash
+
+
+# ---------------------------------------------------------------------------
+# products of forms by Kronecker substitution
+
+#: a product of forms over F_p goes through Kronecker substitution when
+#: its packed size, (deg + 1)^(n - 1) slots of `_slot_bytes` each, is at
+#: most this many bytes per term pair that it replaces; measured over
+#: F_32003 and F_(2^61 - 1) in 3-8 variables, the two ways cost the same
+#: at 20-40
+_BYTES_PER_PAIR = 24
+
+
+@lru_cache(maxsize=64)
+def _degree_slots(nvars, degree):
+    """The monomials of `degree` in `nvars` variables, by Kronecker slot.
+
+    Returns two parallel lists sorted by slot: the slots and the exponent
+    tuples.  The slot of x^e is the sum of e_i * (degree + 1)^(i - 1) over
+    the variables x_1..x_{n-1}; e_0 follows from the degree.
+    """
+    base = degree + 1
+    rows = [(0, 0, ())]  # (slot, degree used, exponents of x_1.. so far)
+    for i in range(1, nvars):
+        step = base ** (i - 1)
+        rows = [(k + e * step, used + e, exps + (e,))
+                for k, used, exps in rows for e in range(degree - used + 1)]
+    rows.sort()
+    return ([k for k, _, _ in rows],
+            [(degree - used,) + exps for _, used, exps in rows])
+
+
+def _kronecker_product(a, b, degree):
+    """The product of two nonzero forms over F_p of total degree `degree`,
+    by Kronecker substitution.
+
+    Each form becomes one int with a byte-aligned slot per exponent of
+    x_1..x_{n-1} in base degree + 1, from its lowest slot up; the slot of
+    a product term is the sum of its factors' slots.  A slot takes at
+    most min(len(a), len(b)) products below p^2, so `_slot_bytes` never
+    carries.  Only the slots of monomials of `degree` are read back.
+    """
+    p = a.ring.field.p
+    base = degree + 1
+    nbytes = _slot_bytes(p, min(len(a.terms), len(b.terms)))
+
+    def pack(f):
+        slots = {}
+        for e, c in f.terms.items():
+            k = 0
+            for x in reversed(e[1:]):
+                k = k * base + x
+            slots[k] = c
+        low, high = min(slots), max(slots)
+        buf = bytearray(nbytes * (high + 1 - low))
+        for k, c in slots.items():
+            at = (k - low) * nbytes
+            buf[at:at + nbytes] = c.to_bytes(nbytes, "little")
+        return int.from_bytes(buf, "little"), low, high
+
+    packed_a, low_a, high_a = pack(a)
+    packed_b, low_b, high_b = pack(b)
+    low, high = low_a + low_b, high_a + high_b
+    buf = (packed_a * packed_b).to_bytes(nbytes * (high + 1 - low), "little")
+    slots, exps = _degree_slots(a.ring.nvars, degree)
+    out = {}
+    for i in range(bisect_left(slots, low), bisect_right(slots, high)):
+        at = (slots[i] - low) * nbytes
+        c = int.from_bytes(buf[at:at + nbytes], "little") % p
+        if c:
+            out[exps[i]] = c
+    return Polynomial(a.ring, out)
 
 
 # ---------------------------------------------------------------------------

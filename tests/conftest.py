@@ -16,9 +16,10 @@ radical of an arrangement through one intersection per flat prime, the
 raw resolution through the Schreyer step with its own pair selection
 and divisor search, as it was before the step ran on the Buchberger
 kernel, ideal intersections through public `Ideal`s at every step of
-the tree, with the first input always in the t-block, and the bases of
-liaison outputs through generators multiplied out by
-`Polynomial.__mul__` and reduced with no Hilbert drive.  Saturation by the
+the tree, with the first input always in the t-block, products of
+forms through the term loop that Kronecker substitution replaces, and
+the bases of liaison outputs through generators multiplied out by that
+loop and reduced with no Hilbert drive.  Saturation by the
 irrelevant ideal is checked against the per-variable path it replaced:
 one Groebner basis per variable, in a grevlex order with that variable
 last, divided by its powers, and the n results intersected; ideal
@@ -207,16 +208,41 @@ def intersect_by_ideals(a, b):
     return result
 
 
+def product_by_terms(a, b):
+    """a * b by the term loop that `Polynomial.__mul__` runs wherever it
+    does not take Kronecker substitution: every pair of terms."""
+    ring, f = a.ring, a.ring.field
+    a, b = a.terms, b.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    if f.p is not None:
+        p = f.p
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = (out.get(e, 0) + c1 * c2) % p
+        out = {e: c for e, c in out.items() if c}
+    else:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                acc = out.get(e)
+                out[e] = c1 * c2 if acc is None else acc + c1 * c2
+        out = {e: c for e, c in out.items() if c != 0}
+    return Polynomial(ring, out)
+
+
 def undriven_liaison_basis(step):
     """The reduced basis of a liaison step's output, as engine terms, by
     the paths that its Hilbert target and its Kronecker products replace:
-    the generators form2 * g and form1 * g by `Polynomial.__mul__`, and
-    a Buchberger run with no drive, pair by pair."""
-    gens = [step.form2 * g for g in step.ideal1.gens]
+    the generators form2 * g and form1 * g by `product_by_terms`, and a
+    Buchberger run with no drive, pair by pair."""
+    gens = [product_by_terms(step.form2, g) for g in step.ideal1.gens]
     if step.ideal2 is None:
         gens.append(step.form1)
     else:
-        gens += [step.form1 * g for g in step.ideal2.gens]
+        gens += [product_by_terms(step.form1, g) for g in step.ideal2.gens]
     engine = _Engine(step.form1.ring)
     return engine.buchberger([_to_internal(g, engine.key) for g in gens])
 

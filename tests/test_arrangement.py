@@ -18,7 +18,8 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
 from conftest import (CORPUS_DIR, intersect_many_by_ideals,
                       radical_by_flat_primes)
 from singlocus import arrangement, linalg
-from singlocus.corpus import arrangement_names, load_arrangement, load_graph
+from singlocus.corpus import (arrangement_names, load_arrangement, load_graph,
+                              run_regressions)
 from singlocus.errors import ParseError, ValidationError
 from singlocus.groebner import Ideal, radical_membership
 from singlocus.homology import hilbert, is_cm
@@ -56,6 +57,12 @@ class TestParsing:
         arr = parse_arrangement((CORPUS_DIR / "fifteen_planes.arr").read_text())
         assert arr.d == 15
         assert arr.forms == load_arrangement("fifteen_planes").forms
+
+    def test_unknown_corpus_names_are_refused(self):
+        with pytest.raises(ValidationError, match="unknown corpus arrangement"):
+            load_arrangement("nope")
+        with pytest.raises(ValidationError, match="unknown corpus entry"):
+            run_regressions(names=["nope"])
 
     def test_graph_parsing(self):
         g = parse_graph("vertices: 3\nedge: 1 2\nedge: 2 3\n")
@@ -333,6 +340,23 @@ class TestHypothesis:
     def test_single_nonreduced_flat_holds(self):
         holds, witnesses = hypothesis_check(load_arrangement("star_pencil"))
         assert holds and not witnesses
+
+    @pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ])
+    def test_members_agree_with_the_span_test(self, field):
+        """A plane lies on a flat exactly when its row is in the span of
+        the flat's basis, on every corpus arrangement: the witnesses and
+        their order are those of one rank test per (plane, flat)."""
+        for name in arrangement_names():
+            arr = load_arrangement(name, field)
+            rows = arr.coefficient_rows()
+            nonreduced = [f for f in arr.flats() if f.multiplicity >= 3]
+            expected = []
+            for i, row in enumerate(rows):
+                on = [f for f in nonreduced if linalg.in_span(
+                    row, [list(b) for b in f.basis], field)]
+                expected += [(i, on[a], on[b]) for a in range(len(on))
+                             for b in range(a + 1, len(on))]
+            assert hypothesis_check(arr) == (not expected, expected), name
 
 
 class TestGraphic:

@@ -1,17 +1,14 @@
 """Liaison addition, basic double links, and the curve constructions."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import LARGEST_PRIME, monomials_of_degree, undriven_liaison_basis
-from singlocus import liaison
+from conftest import undriven_liaison_basis
 from singlocus.arrangement import Arrangement, standard_ring, top_comb
 from singlocus.corpus import load_arrangement
 from singlocus.errors import InvariantError, ValidationError
 from singlocus.groebner import Ideal, intersect_many, saturate_irrelevant
 from singlocus.homology import hilbert, is_cm, rao_dimensions
 from singlocus.liaison import (Construction, LiaisonStep,
-                               _kronecker_product, _product,
                                arrangement_product_hypotheses,
                                basic_double_link, construct_lr,
                                construct_lr_radical, hilbert_additivity_holds,
@@ -276,71 +273,3 @@ def test_additivity_check_reads_a_fresh_ideal():
     step = LiaisonStep("addition", i1, x, i2, z, out)
     assert hilbert_additivity_holds(step)
     assert not out._cache and not hasattr(out, "_hilbert_cache")
-
-
-PRIMES = [32003, 2 ** 31 - 1, 2 ** 61 - 1, LARGEST_PRIME]
-NAMES = tuple(f"x{i}" for i in range(8))
-
-
-@st.composite
-def form_pair(draw):
-    """Two forms over F_p in 1-8 variables, with coefficients biased
-    towards p - 1, where the slot sums are largest."""
-    n = draw(st.integers(1, 8))
-    p = draw(st.sampled_from(PRIMES))
-    ring = PolyRing(NAMES[:n], GF(p))
-    coeffs = st.one_of(st.just(p - 1), st.integers(1, p - 1))
-
-    def form():
-        mons = monomials_of_degree(n, draw(st.integers(0, 3 if n > 5 else 6)))
-        picked = draw(st.lists(st.sampled_from(mons), min_size=1,
-                               max_size=20, unique=True))
-        return ring.from_terms({e: draw(coeffs) for e in picked})
-
-    return form(), form()
-
-
-@given(form_pair())
-@settings(max_examples=150, deadline=None)
-def test_kronecker_product_matches_multiplication(pair):
-    a, b = pair
-    assert _kronecker_product(a, b) == a * b
-    assert _product(a, b) == a * b
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_kronecker_product_at_the_slot_bound(p):
-    """Dense forms with every coefficient p - 1: each slot of the product
-    sums as many products (p - 1)^2 as it can."""
-    ring = PolyRing(NAMES[:4], GF(p))
-    a = ring.from_terms({e: p - 1 for e in monomials_of_degree(4, 5)})
-    b = ring.from_terms({e: p - 1 for e in monomials_of_degree(4, 7)})
-    assert _kronecker_product(a, b) == a * b
-
-
-def test_product_falls_back_where_slots_are_many(monkeypatch):
-    """Dense 4-variable forms over F_p take the Kronecker kernel; sparse
-    8-variable forms, and forms over Q, take `Polynomial.__mul__`."""
-    calls = []
-
-    def recorded(a, b):
-        calls.append((a, b))
-        return _kronecker_product(a, b)
-
-    monkeypatch.setattr(liaison, "_kronecker_product", recorded)
-    dense = PolyRing(NAMES[:4], GF(32003))
-    a = dense.from_terms({e: i + 1 for i, e in
-                          enumerate(monomials_of_degree(4, 4))})
-    b = dense.from_terms({e: 2 * i + 1 for i, e in
-                          enumerate(monomials_of_degree(4, 6))})
-    assert _product(a, b) == a * b
-    assert len(calls) == 1
-    sparse = PolyRing(NAMES, GF(32003))
-    v = sparse.variables()
-    c = v[0] * v[1] + 3 * v[7] ** 2
-    d = v[2] ** 3 - v[4] * v[5] * v[6]
-    assert _product(c, d) == c * d
-    rational = PolyRing(NAMES[:4], QQ)
-    e = rational.from_terms({m: 1 for m in monomials_of_degree(4, 4)})
-    assert _product(e, e) == e * e
-    assert len(calls) == 1

@@ -1,4 +1,5 @@
-"""Polynomial layer: orders, arithmetic, derivatives, parsing."""
+"""Polynomial layer: orders, arithmetic, Kronecker products, derivatives,
+parsing."""
 
 import functools
 import itertools
@@ -8,13 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import monomials_of_degree
+from conftest import LARGEST_PRIME, monomials_of_degree, product_by_terms
+from singlocus import polyring
 from singlocus.errors import ParseError, RingContextError, ValidationError
 from singlocus.groebner import _elimination_key
 from singlocus.polyring import (GF, MAX_DEGREE, QQ, WIDTH, PolyRing,
-                                _grevlex_key, _is_prime, _pack_plain,
-                                expand_product, gradient, parse_linear_expr,
-                                validate_linear_form)
+                                _grevlex_key, _is_prime, _kronecker_product,
+                                _pack_plain, expand_product, gradient,
+                                parse_linear_expr, validate_linear_form)
 
 
 def grevlex_reference(a, b):
@@ -339,6 +341,107 @@ def test_rational_prime_field_agreement(data):
     assert reduce_mod(f * g) == fp * gp
     assert reduce_mod(f + g) == fp + gp
     assert reduce_mod(f.partial_derivative(1)) == fp.partial_derivative(1)
+
+
+# ---------------------------------------------------------------------------
+# products of forms by Kronecker substitution
+
+
+PRIMES = [32003, 2 ** 31 - 1, 2 ** 61 - 1, LARGEST_PRIME]
+NAMES = tuple(f"x{i}" for i in range(8))
+
+
+@st.composite
+def form_pair(draw):
+    """Two forms over F_p in 1-8 variables, with coefficients biased
+    towards p - 1, where the slot sums are largest."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from(PRIMES))
+    ring = PolyRing(NAMES[:n], GF(p))
+    coeffs = st.one_of(st.just(p - 1), st.integers(1, p - 1))
+
+    def form():
+        mons = monomials_of_degree(n, draw(st.integers(0, 3 if n > 5 else 6)))
+        picked = draw(st.lists(st.sampled_from(mons), min_size=1,
+                               max_size=20, unique=True))
+        return ring.from_terms({e: draw(coeffs) for e in picked})
+
+    return form(), form()
+
+
+@given(form_pair())
+@settings(max_examples=150, deadline=None)
+def test_kronecker_product_matches_multiplication(pair):
+    a, b = pair
+    expected = product_by_terms(a, b)
+    degree = a.total_degree() + b.total_degree()
+    assert _kronecker_product(a, b, degree) == expected
+    assert a * b == expected
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kronecker_product_at_the_slot_bound(p):
+    """Dense forms with every coefficient p - 1: each slot of the product
+    sums as many products (p - 1)^2 as it can."""
+    ring = PolyRing(NAMES[:4], GF(p))
+    a = ring.from_terms({e: p - 1 for e in monomials_of_degree(4, 5)})
+    b = ring.from_terms({e: p - 1 for e in monomials_of_degree(4, 7)})
+    expected = product_by_terms(a, b)
+    assert _kronecker_product(a, b, 12) == expected
+    assert a * b == expected
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    """The product degree of every `_kronecker_product` call made while
+    the test runs."""
+    calls = []
+
+    def recorded(a, b, degree):
+        calls.append(degree)
+        return _kronecker_product(a, b, degree)
+
+    monkeypatch.setattr(polyring, "_kronecker_product", recorded)
+    return calls
+
+
+def test_product_paths(kronecker_calls):
+    """Dense forms over F_p take the Kronecker kernel; sparse 8-variable
+    forms, forms over Q, inhomogeneous and scalar operands take the term
+    loop."""
+    dense = PolyRing(NAMES[:4], GF(32003))
+    a = dense.from_terms({e: i + 1 for i, e in
+                          enumerate(monomials_of_degree(4, 4))})
+    b = dense.from_terms({e: 2 * i + 1 for i, e in
+                          enumerate(monomials_of_degree(4, 6))})
+    assert a * b == product_by_terms(a, b)
+    assert kronecker_calls == [10]
+    v = PolyRing(NAMES, GF(32003)).variables()
+    c = v[0] * v[1] + 3 * v[7] ** 2
+    d = v[2] ** 3 - v[4] * v[5] * v[6]
+    e = PolyRing(NAMES[:4], QQ).from_terms(
+        {m: 1 for m in monomials_of_degree(4, 4)})
+    x = dense.variable(0)
+    loop = [(c, d), (e, e), (a + x, b), (1 + x, b), (dense.constant(5), b),
+            (b, dense.one())]
+    kronecker_calls.clear()
+    for f, g in loop:
+        assert f * g == product_by_terms(f, g)
+    assert b * 3 == b.scale(3)
+    assert kronecker_calls == []
+
+
+def test_kronecker_product_at_the_degree_bound(kronecker_calls):
+    """Two variables and product degree MAX_DEGREE: the slot base is
+    2^(WIDTH - 1), and the exponent of x_0 is read from the degree."""
+    ring = PolyRing(NAMES[:2], GF(2 ** 61 - 1))
+    da = MAX_DEGREE // 2
+    db = MAX_DEGREE - da
+    a = ring.from_terms({(da - k, k): k + 1 for k in range(0, da + 1, 97)})
+    b = ring.from_terms({(db - k, k): 2 ** 61 - 2 - k
+                         for k in range(0, db + 1, 89)})
+    assert a * b == product_by_terms(a, b)
+    assert kronecker_calls == [MAX_DEGREE]
 
 
 # ---------------------------------------------------------------------------
