@@ -17,9 +17,9 @@ from . import linalg
 from .errors import (InternalLimitError, InvariantError, ParseError,
                      ValidationError)
 from .groebner import Ideal, intersect_many
-from .polyring import (GF, QQ, DEFAULT_PRIME, PolyRing, Polynomial,
-                       expand_product, gradient, linear_coefficients,
-                       parse_linear_expr, validate_linear_form)
+from .polyring import (GF, DEFAULT_PRIME, PolyRing, expand_product,
+                       gradient, linear_coefficients, parse_linear_expr,
+                       validate_linear_form)
 
 _MAX_FILE_VARS = 8
 _SECTION_RETRIES = 32

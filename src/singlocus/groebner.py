@@ -274,6 +274,29 @@ class _Dividend:
         return None
 
 
+def _pack_row(terms, mk, start, col, nbytes):
+    """terms[start:], each key shifted by mk, as one int with an
+    nbytes-wide slot per column (`col` maps keys to columns) from its
+    lowest column up, and that column's bit shift.
+
+    The terms come in descending key order, so the row is written high
+    slot first, as big-endian bytes, with zero runs over the columns that
+    it skips.
+    """
+    if len(terms) <= start:
+        return 0, 0
+    zero = bytes(nbytes)
+    chunks = []
+    last = col[terms[start][0] + mk] + 1
+    for gk, _, gc in islice(terms, start, None):
+        c = col[gk + mk]
+        if last - c > 1:
+            chunks.append(zero * (last - c - 1))
+        chunks.append(gc.to_bytes(nbytes, "big"))
+        last = c
+    return int.from_bytes(b"".join(chunks), "big"), last * 8 * nbytes
+
+
 class _Engine:
     """Groebner kernel bound to one ring and one monomial key.
 
@@ -437,19 +460,6 @@ class _Engine:
         # p^2 per pivot column
         nbytes = _slot_bytes(p, len(keys))
         slot = 8 * nbytes
-
-        def pack(terms, mk, start):
-            """terms[start:], each key shifted by mk, as an int over the
-            slots from its lowest column up, and that column's shift."""
-            if len(terms) <= start:
-                return 0, 0
-            low = col[terms[-1][0] + mk]
-            buf = bytearray(nbytes * (col[terms[start][0] + mk] + 1 - low))
-            for gk, _, gc in islice(terms, start, None):
-                at = (col[gk + mk] - low) * nbytes
-                buf[at:at + nbytes] = gc.to_bytes(nbytes, "little")
-            return int.from_bytes(buf, "little"), low * slot
-
         tails = {}  # column -> its pivot's tail, packed on first use
         pending = {col[k]: pv for k, pv in pivot_of.items()}
         filled = False
@@ -460,7 +470,7 @@ class _Engine:
                 drive.dropped += 1
                 continue
             drive.rows += 1
-            row, off = pack(polys[idx], mk, 0)
+            row, off = _pack_row(polys[idx], mk, 0, col, nbytes)
             row <<= off
             out = []
             while row:
@@ -477,14 +487,15 @@ class _Engine:
                     if pv is None:
                         out.append((c, v))
                         continue
-                    tail = tails[c] = pack(polys[pv[0]], pv[1], 1)
+                    tail = tails[c] = _pack_row(polys[pv[0]], pv[1], 1,
+                                                col, nbytes)
                 t, off = tail
                 row += ((p - v) * t) << off
             if not out:
                 drive.zero_rows += 1
                 continue
             add([(keys[c], words[keys[c]], v) for c, v in out], sugar)
-            tails[out[0][0]] = pack(polys[-1], 0, 1)
+            tails[out[0][0]] = _pack_row(polys[-1], 0, 1, col, nbytes)
             filled = drive.full(degree)
 
     # -- Buchberger --------------------------------------------------------
@@ -631,6 +642,8 @@ class GroebnerBasis:
         self._polys = internal
         self._lt_keys = [t[0][0] for t in internal]
         self._lt_ws = [t[0][1] for t in internal]
+        # first divisors of the words met so far: exact, the basis is fixed
+        self._memo = {}
         self.polys = (tuple(_from_internal(t, ring) for t in internal)
                       if polys is None else tuple(polys))
 
@@ -647,7 +660,8 @@ class GroebnerBasis:
         if f.ring != self.ring:
             raise RingContextError("polynomial from a different ring")
         terms = _to_internal(f, self._engine.key)
-        nf = self._engine.normal_form(terms, self._lt_ws, self._lt_keys, self._polys)
+        nf = self._engine.normal_form(terms, self._lt_ws, self._lt_keys,
+                                      self._polys, self._memo)
         return _from_internal(nf, self.ring)
 
     def contains(self, f):
@@ -966,11 +980,16 @@ def _check_minimal(basis, nvars):
 
 
 def _ideal_from_basis(ring, internal):
-    """The public ideal generated by, and caching, an internal reduced
-    grevlex basis."""
+    """The public ideal generated by, and caching, an internal grevlex
+    basis with minimal leading terms.
+
+    The basis is cached without `Ideal._keep`'s check, which would only
+    reduce each generator, a basis element, against the basis: no other
+    leading term divides its own, which is therefore its first divisor,
+    and the monic element goes to zero in one step."""
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out)
-    result._keep(GroebnerBasis(ring, internal, out))
+    result._cache[GREVLEX.tag] = GroebnerBasis(ring, internal, out)
     return result
 
 

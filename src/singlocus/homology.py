@@ -5,9 +5,10 @@ basis.  Each step works in the induced (Schreyer) module order, where the
 sort key of a term m*e_c is the key of m multiplied into the leading term
 of the c-th generator one level down; keys stay plain integers and stay
 additive under monomial multiplication, exactly as in the ring engine.
-The resulting resolution is generally non-minimal; repeatedly pivoting on
-nonzero-constant entries prunes it to the minimal one, whose twists are
-the graded Betti numbers.
+The resulting resolution is generally non-minimal.  Its graded Betti
+numbers are read from the ranks of its constant blocks, and its maps are
+pruned to the minimal ones, by pivoting on nonzero-constant entries, only
+when they are read.
 
 The deficiency (Rao) table of a curve in P^3 is the Hilbert function of
 Ext^3(R/I, R) = coker(F_2^dual -> F_3^dual), up to the re-indexing
@@ -24,6 +25,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import comb
 
+from . import linalg
 from .errors import InvariantError, ValidationError
 from .groebner import _Engine, _minimal_lcms
 from .polyring import (WIDTH, Polynomial, _degree_func, _pack_plain,
@@ -272,16 +274,32 @@ class GradedMap:
 
 
 class Resolution:
-    """Graded free resolution of R/I: maps[k] sends F_{k+1} to F_k, F_0 = R."""
+    """Graded free resolution of R/I: maps[k] sends F_{k+1} to F_k, F_0 = R.
+
+    `minimal_free_resolution` builds one with the twists of the minimal
+    resolution and keeps the raw Schreyer resolution in `_raw`; its maps
+    are pruned from that when they are first read, and `modules` then
+    takes the pruned order of the generators, so that `modules` and
+    `maps` index the same generators.
+    """
 
     def __init__(self, ring, modules, maps):
         self.ring = ring
         self.modules = modules
-        self.maps = maps
+        self._maps = maps
+        self._raw = None  # (twist_lists, raw map entries) until pruned
+
+    @property
+    def maps(self):
+        if self._maps is None:
+            self.modules, self._maps = _pruned_maps(self.ring, self.modules,
+                                                    *self._raw)
+            self._raw = None
+        return self._maps
 
     @property
     def length(self):
-        return len(self.maps)
+        return len(self.modules) - 1
 
     def is_minimal(self):
         for m in self.maps:
@@ -772,29 +790,95 @@ def _prune_to_minimal(twist_lists, maps, field):
     return new_twists, new_maps
 
 
+def _constant_ranks(twist_lists, maps, field):
+    """{(k, j): rank} of the degree-j constant block of each raw map k.
+
+    An entry of maps[k] joins generators of equal degree exactly when it
+    is a nonzero constant, so the block from the degree-j generators of
+    F_{k+1} to those of F_k holds all the constants in degree j.
+    """
+    ranks = {}
+    for k, entries in enumerate(maps):
+        src = twist_lists[k + 1]
+        tgt = twist_lists[k]
+        blocks = {}  # degree -> {source column: {target row: constant}}
+        for (r, c), p in entries.items():
+            if src[c] == tgt[r]:
+                blocks.setdefault(src[c], {}).setdefault(c, {})[r] = \
+                    p.constant_coefficient()
+        for j, block in blocks.items():
+            rows = sorted({r for column in block.values() for r in column})
+            ranks[k, j] = linalg.rank(
+                [[column.get(r, field.zero) for r in rows]
+                 for column in block.values()], field)
+    return ranks
+
+
+def _betti_twists(twist_lists, maps, field):
+    """The twists of the minimal resolution, by degree within each level.
+
+    beta_{k,j} = dim Tor_k(R/I, k)_j is the homology of F tensor k, whose
+    maps are the constant blocks (Eisenbud, The Geometry of Syzygies,
+    ch. 1): beta_{k,j} = n_{k,j} - r_{k,j} - r_{k-1,j}.
+    """
+    ranks = _constant_ranks(twist_lists, maps, field)
+    levels = []
+    for k, twists in enumerate(twist_lists):
+        level = []
+        for j in sorted(set(twists)):
+            beta = (twists.count(j) - ranks.get((k, j), 0)
+                    - ranks.get((k - 1, j), 0))
+            if beta < 0:
+                raise InvariantError("the constant blocks of the raw "
+                                     "resolution do not form a complex")
+            level.extend([j] * beta)
+        levels.append(level)
+    while len(levels) > 1 and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+def _pruned_maps(ring, modules, twist_lists, raw_maps):
+    """The minimal maps, pruned from the raw resolution, and their modules.
+
+    The pruned twists must be the ranks' twists, level by level.
+    """
+    twists, maps = _prune_to_minimal(twist_lists, raw_maps, ring.field)
+    if [sorted(t) for t in twists] != [sorted(m.twists) for m in modules]:
+        raise InvariantError("the pruned resolution's twists differ from "
+                             "those read from its constant blocks")
+    modules = [GradedFreeModule(t) for t in twists]
+    graded_maps = [GradedMap(modules[k + 1], modules[k], entries)
+                   for k, entries in enumerate(maps)]
+    if any(p.is_constant() for m in graded_maps for p in m.entries.values()):
+        raise InvariantError("pruning left a constant entry in the resolution")
+    return modules, graded_maps
+
+
 def minimal_free_resolution(ideal):
-    """Minimal graded free resolution of R/I."""
+    """Minimal graded free resolution of R/I.
+
+    The twists come from the ranks of the raw resolution's constant
+    blocks; the maps are pruned when they are first read.
+    """
     cached = getattr(ideal, "_resolution_cache", None)
     if cached is not None:
         return cached
     if ideal.is_unit():
         raise ValidationError("resolution requires a proper ideal")
     twist_lists, raw_maps = _schreyer_resolution(ideal)
-    twists, maps = _prune_to_minimal(twist_lists, raw_maps, ideal.ring.field)
-    modules = [GradedFreeModule(t) for t in twists]
-    graded_maps = []
-    for k, entries in enumerate(maps):
-        graded_maps.append(GradedMap(modules[k + 1], modules[k], entries))
-    res = Resolution(ideal.ring, modules, graded_maps)
-    if not res.is_minimal():
-        raise InvariantError("pruning left a constant entry in the resolution")
+    levels = _betti_twists(twist_lists, raw_maps, ideal.ring.field)
+    res = Resolution(ideal.ring, [GradedFreeModule(t) for t in levels], None)
+    res._raw = (twist_lists, raw_maps)
     ideal._resolution_cache = res
     return res
 
 
 def betti_table(res):
-    """Betti table of a minimal resolution."""
-    if not res.is_minimal():
+    """Betti table of a minimal resolution.  A resolution given with its
+    maps is checked for minimality; one from `minimal_free_resolution`
+    holds minimal twists without its maps being pruned."""
+    if res._maps is not None and not res.is_minimal():
         raise ValidationError("Betti tables are read off minimal resolutions only")
     return BettiTable.from_twists([m.twists for m in res.modules])
 
@@ -824,7 +908,7 @@ def is_saturated(ideal):
 
     By Auslander-Buchsbaum, a proper homogeneous I in N variables is
     saturated exactly when depth R/I >= 1, that is pd(R/I) <= N - 1; the
-    projective dimension is read off the cached minimal resolution.
+    projective dimension is read off the cached resolution's twists.
     """
     if ideal.is_unit():
         return True
@@ -855,7 +939,7 @@ def rao_dimensions(ideal):
             "projective dimension exceeds 3 (ideal is not saturated)")
     if res.length <= 2:
         return {}
-    sigma = res.maps[2]  # F_3 -> F_2
+    sigma = res.maps[2]  # F_3 -> F_2; read first, the modules then follow
     f3 = res.modules[3].twists
     f2 = res.modules[2].twists
     engine = _Engine(ring)

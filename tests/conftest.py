@@ -19,7 +19,8 @@ kernel, ideal intersections through public `Ideal`s at every step of
 the tree, with the first input always in the t-block, products of
 forms through the term loop that Kronecker substitution replaces, and
 the bases of liaison outputs through generators multiplied out by that
-loop and reduced with no Hilbert drive.  Saturation by the
+loop and reduced with no Hilbert drive, and the packed rows of a batch
+through the slice-by-slice bytearray copy they were packed by before.  Saturation by the
 irrelevant ideal is checked against the per-variable path it replaced:
 one Groebner basis per variable, in a grevlex order with that variable
 last, divided by its powers, and the n results intersected; ideal
@@ -27,9 +28,12 @@ quotients and saturations by other ideals go through exact division of
 the generators of a ∩ (g).
 """
 
+import importlib.util
 import itertools
 from heapq import heappop, heappush
 from importlib.resources import files
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,16 @@ CORPUS_DIR = files("singlocus") / "arrangements"
 #: the largest prime that `GF` accepts, the last below the bound of its
 #: primality certificate
 LARGEST_PRIME = 3317044064679887385961813
+
+
+def sweep_texts(count=16):
+    """The `.arr` texts of the first `count` arrangements of the
+    benchmark's `sweep` pool (16 over F_32003; `sweep_q` takes 3 over Q)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [gen.arr_text(rows) for rows in gen.pool(gen.POOL_SEED, count)]
 
 
 @pytest.fixture
@@ -475,6 +489,20 @@ def merge_normal_form(terms, lt_ws, lt_keys, polys, guard, p):
     return prefix
 
 
+def pack_by_slices(terms, mk, start, col, nbytes):
+    """`groebner._pack_row` as `reduce_batch` packed a row before: each
+    coefficient copied into its slice of a little-endian bytearray."""
+    slot = 8 * nbytes
+    if len(terms) <= start:
+        return 0, 0
+    low = col[terms[-1][0] + mk]
+    buf = bytearray(nbytes * (col[terms[start][0] + mk] + 1 - low))
+    for gk, _, gc in islice(terms, start, None):
+        at = (col[gk + mk] - low) * nbytes
+        buf[at:at + nbytes] = gc.to_bytes(nbytes, "little")
+    return int.from_bytes(buf, "little"), low * slot
+
+
 def standard_monomial_count(ideal, d):
     """dim (R/I)_d by counting monomials outside the leading-term ideal."""
     gb = ideal.groebner()
@@ -598,9 +626,9 @@ def rao_by_degree_scan(ideal):
     res = minimal_free_resolution(ideal)
     if res.length <= 2:
         return {}
+    entries = res.maps[2].entries  # first: the modules take its order
     f3 = res.modules[3].twists
     f2 = res.modules[2].twists
-    entries = res.maps[2].entries
     table = {}
     t = -max(f3)
     while t <= -min(f3) + 60:

@@ -7,9 +7,9 @@ import pytest
 from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    combinatorial_degrees, generic_section,
                                    graphic_arrangement, hypothesis_check,
-                                   intersection_flats, jacobian_ideal,
-                                   lattice_isomorphic, parse_arrangement,
-                                   parse_graph, pencil_component, radical_comb,
+                                   jacobian_ideal, lattice_isomorphic,
+                                   parse_arrangement, parse_graph,
+                                   pencil_component, radical_comb,
                                    random_coordinate_change,
                                    random_linear_form, rule_powers,
                                    standard_ring, symbolic_intersection,
@@ -22,7 +22,7 @@ from singlocus.corpus import (arrangement_names, load_arrangement, load_graph,
                               run_regressions)
 from singlocus.errors import ParseError, ValidationError
 from singlocus.groebner import Ideal, radical_membership
-from singlocus.homology import hilbert, is_cm
+from singlocus.homology import hilbert
 from singlocus.polyring import DEFAULT_PRIME, GF, QQ, PolyRing
 
 

@@ -1,10 +1,8 @@
 """Groebner engine and ideal toolbox."""
 
-import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,9 +13,9 @@ from conftest import (LARGEST_PRIME, FractionDividend,
                       divides_exps, exact_divide,
                       intersect_by_ideals, lcm_exps,
                       membership_by_linear_algebra, merge_normal_form,
-                      monomials_of_degree, power_of_variables, saturate,
-                      saturate_by_variable, saturate_by_variables,
-                      standard_monomial_count)
+                      monomials_of_degree, pack_by_slices, power_of_variables,
+                      saturate, saturate_by_variable, saturate_by_variables,
+                      standard_monomial_count, sweep_texts)
 from singlocus import groebner, homology
 from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
                                    radical_comb, rule_powers,
@@ -25,15 +23,15 @@ from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
 from singlocus.corpus import arrangement_names, load_arrangement
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
-from singlocus.groebner import (GroebnerBasis, Ideal, _DegreeCounter,
-                                _Dividend, _elimination_key, _Engine,
-                                _hilbert_target, _HilbertDrive, _to_internal,
-                                intersect, intersect_many, radical_membership,
+from singlocus.groebner import (Ideal, _DegreeCounter, _Dividend,
+                                _elimination_key, _Engine, _hilbert_target,
+                                _HilbertDrive, _to_internal, intersect,
+                                intersect_many, radical_membership,
                                 saturate_irrelevant)
 from singlocus.homology import hilbert, is_saturated
 from singlocus.polyring import (_MR_BOUND, GF, QQ, MAX_DEGREE, WIDTH,
                                 PolyRing, _degree_func, _is_prime,
-                                _pack_plain)
+                                _pack_plain, _slot_bytes)
 
 
 @pytest.fixture
@@ -246,15 +244,6 @@ class TestColonAndSaturation:
             assert fast.equals(slow)
 
 
-def _sweep_texts():
-    """The `.arr` texts of the benchmark's 16-arrangement `sweep` pool."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return [gen.arr_text(rows) for rows in gen.pool(gen.POOL_SEED, 16)]
-
-
 class TestSaturateIrrelevant:
     """One saturation by a generic linear form gives the reduced grevlex
     basis of the per-variable oracle, generator for generator."""
@@ -275,7 +264,7 @@ class TestSaturateIrrelevant:
         self._check(top_comb(arr))
 
     def test_sweep_pool(self):
-        for text in _sweep_texts():
+        for text in sweep_texts():
             arr = parse_arrangement(text)
             self._check(jacobian_ideal(arr))
             self._check(top_comb(arr))
@@ -859,6 +848,32 @@ def test_q_basis_with_large_coefficients(data):
     gb = ideal.groebner()
     assert buchberger_criterion_holds(gb)
     assert all(gb.contains(g) for g in ideal.gens)
+
+
+@st.composite
+def batch_row(draw):
+    """A row of a batch: terms in descending key order on columns with
+    gaps, a key shift, the first term packed, and the slot width of a
+    prime over that many columns."""
+    p = draw(st.sampled_from((32003, 2 ** 31 - 1, 2 ** 61 - 1,
+                              LARGEST_PRIME)))
+    ncols = draw(st.integers(1, 80))
+    keys = [3 * c + 5 for c in range(ncols)]  # column c has key keys[c]
+    columns = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)),
+                     reverse=True)
+    mk = draw(st.integers(-5, 5))
+    coeff = st.one_of(st.just(p - 1), st.integers(1, p - 1))
+    terms = [(keys[c] - mk, None, draw(coeff)) for c in columns]
+    col = {k: c for c, k in enumerate(keys)}
+    return terms, mk, draw(st.integers(0, 2)), col, _slot_bytes(p, ncols)
+
+
+@given(batch_row())
+@settings(max_examples=300, deadline=None)
+def test_pack_row_matches_slice_copies(row):
+    """A row packed from big-endian chunks and zero runs is the int that
+    the slice-by-slice bytearray gave, with the same shift."""
+    assert groebner._pack_row(*row) == pack_by_slices(*row)
 
 
 # an exponent field: mostly small, so that zeros and divisibility occur,

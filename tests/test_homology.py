@@ -3,17 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import (betti_by_strand_homology, deficiency_by_ext,
-                      membership_by_linear_algebra, monomials_of_degree,
-                      power_of_variables, rao_by_degree_scan, schreyer_resolution_by_tuples,
-                      standard_monomial_count)
-from singlocus import linalg
+                      power_of_variables, rao_by_degree_scan,
+                      schreyer_resolution_by_tuples, standard_monomial_count,
+                      sweep_texts)
+from singlocus import homology, linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
 from singlocus.corpus import arrangement_names, load_arrangement
-from singlocus.errors import ValidationError
+from singlocus.errors import InvariantError, ValidationError
 from singlocus.groebner import (Ideal, _Engine, intersect, intersect_many,
                                 saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
@@ -183,6 +182,83 @@ class TestResolutions:
         x, y, z, w = ring_q.variables()
         ideal = Ideal(ring_q, (x * y, x * z, y * z))
         assert betti_of(ideal).totals() == [1, 3, 2]
+
+
+class TestBettiFromRanks:
+    """The twists read from the ranks of the raw resolution's constant
+    blocks equal the pruned resolution's and the strand-homology oracle's;
+    the maps are pruned only when they are read."""
+
+    @staticmethod
+    def _check(ideal):
+        res = minimal_free_resolution(ideal)
+        ranked = [m.twists for m in res.modules]
+        res.maps
+        assert ([sorted(m.twists) for m in res.modules]
+                == [sorted(t) for t in ranked])
+        assert (BettiTable.from_twists(ranked).entries
+                == betti_by_strand_homology(ideal))
+
+    def _check_all(self, arr):
+        for ideal in (jacobian_ideal(arr), top_comb(arr), radical_comb(arr)):
+            self._check(ideal)
+
+    @pytest.mark.parametrize("name", [n for n in arrangement_names()
+                                      if n != "thirty_one_planes"])
+    def test_corpus(self, name):
+        self._check_all(load_arrangement(name))
+
+    def test_sweep_pool(self):
+        for text in sweep_texts():
+            self._check_all(parse_arrangement(text))
+
+    def test_sweep_pool_over_q(self):
+        for text in sweep_texts(3):
+            self._check_all(parse_arrangement(text, QQ))
+
+    def test_constructions(self):
+        self._check(construct_lr(1, h=2, seed=7).ideal)
+        self._check(construct_lr_radical(2, seed=7).ideal)
+
+    def test_twists_alone_never_prune(self, monkeypatch):
+        calls = []
+        prune = homology._prune_to_minimal
+
+        def counted(*args):
+            calls.append(args)
+            return prune(*args)
+
+        monkeypatch.setattr(homology, "_prune_to_minimal", counted)
+        arr = load_arrangement("top_block")
+        ideals = (jacobian_ideal(arr), top_comb(arr), radical_comb(arr))
+        for ideal in ideals:
+            betti_of(ideal)
+            is_cm(ideal)
+            dimensions(ideal)
+            is_saturated(ideal)
+        assert not calls
+        # top and rad have length 3; J is not unmixed
+        for ideal in ideals[1:]:
+            assert minimal_free_resolution(ideal).length == 3
+            for _ in range(2):
+                rao_dimensions(ideal)
+                betti_of(ideal)
+        assert len(calls) == 2
+
+    def test_pruned_twists_must_match_the_ranks(self, ring_p, monkeypatch):
+        prune = homology._prune_to_minimal
+
+        def lossy(*args):
+            twists, maps = prune(*args)
+            twists[1].pop()  # one generator of F_1 goes missing
+            return twists, maps
+
+        monkeypatch.setattr(homology, "_prune_to_minimal", lossy)
+        x, y, z, w = ring_p.variables()
+        res = minimal_free_resolution(Ideal(ring_p, (x * y, x * z, y * z)))
+        assert [m.twists for m in res.modules] == [(0,), (2, 2, 2), (3, 3)]
+        with pytest.raises(InvariantError):
+            res.maps
 
 
 class TestBettiLayout:

@@ -4,16 +4,13 @@ import pytest
 
 from conftest import undriven_liaison_basis
 from singlocus.arrangement import Arrangement, standard_ring, top_comb
-from singlocus.corpus import load_arrangement
 from singlocus.errors import InvariantError, ValidationError
-from singlocus.groebner import Ideal, intersect_many, saturate_irrelevant
+from singlocus.groebner import Ideal, saturate_irrelevant
 from singlocus.homology import hilbert, is_cm, rao_dimensions
-from singlocus.liaison import (Construction, LiaisonStep,
-                               arrangement_product_hypotheses,
+from singlocus.liaison import (LiaisonStep, arrangement_product_hypotheses,
                                basic_double_link, construct_lr,
                                construct_lr_radical, hilbert_additivity_holds,
-                               liaison_addition, merge_arrangements,
-                               radical_block, shifted_rao_sum, top_block,
+                               liaison_addition, shifted_rao_sum, top_block,
                                verify_construction)
 from singlocus.polyring import GF, QQ, PolyRing, _pack_plain
 
