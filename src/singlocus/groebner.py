@@ -27,9 +27,9 @@ quotient.  A module term carries its component above the exponent
 fields; the divisor test masks those bits in, so it fails across
 components and is unchanged for ring terms.
 
-Buchberger completion uses the Gebauer-Moller pair criteria with
-sugar-degree selection (ties by the key of the pair lcm), which is
-enough to keep every corpus computation within its budget.
+Buchberger completion uses the Gebauer-Moller pair criteria and pops
+the pairs one degree at a time: their sugar, or a drive's degree of
+their lcm (below), with ties by the key of the pair lcm.
 The pair bookkeeping never unpacks an exponent tuple: the lcm, the
 divisibility tests of the M, F and B criteria, the coprimality test and
 the degrees behind the sugar are guard-bit arithmetic on the packed
@@ -67,23 +67,22 @@ dim I_t = dim (I1)_{t-d2} + dim (I2)_{t-d1} - dim R_{t-d1-d2}
 forms of degrees d1 and d2 span at most
 dim R_{t-d1} + dim R_{t-d2} - dim R_{t-d1-d2} dimensions in degree t.
 
-Over F_p a driven run reduces all the pairs of one degree together, as
-rows of one matrix (Faugere 1999, "A new efficient algorithm for
-computing Groebner bases (F4)"): `_Engine.reduce_batch` makes each
-product (basis element, multiplier) of the pairs once, gives every
-column that a basis leading term divides one pivot row (the product of
-its first divisor), and packs each row into one int with a slot per
-column in key order.  A slot is 2 * bitlen(p) + bitlen(columns) + 1 bits
-or more, rounded up to whole bytes: a row starts with coefficients below
-p and takes at most one product below p^2 per pivot column, so no slot
-carries into the next.  The S-rows are reduced in the order their pairs
-left the heap; each nonzero remainder joins the basis and becomes a
-pivot at once, and the batch stops when the drive says the degree is
-full.  Every other run keeps the pair-by-pair loop on `_Dividend`s: every
-run over Q and every run without a drive (`Ideal.groebner` of an ideal
-without a target, `saturate_irrelevant`, `radical_membership`).  Normal
-forms, the tail reduction and the Schreyer step reduce on `_Dividend`s
-too.
+The field alone picks how the pairs of a degree are reduced.  Over F_p
+every run, driven or not, reduces them as rows of one matrix (Faugere
+1999, "A new efficient algorithm for computing Groebner bases (F4)"):
+`_Engine.reduce_batch` makes each product (basis element, multiplier) of
+the pairs once, gives every column that a basis leading term divides
+one pivot row (the product of its first divisor), and packs each row
+into one int with a slot per column in key order.  A slot is
+2 * bitlen(p) + bitlen(columns) + 1 bits or more, rounded up to whole
+bytes: a row starts with coefficients below p and takes at most one
+product below p^2 per pivot column, so no slot carries into the next.
+The S-rows are reduced in the order their pairs left the heap; each
+nonzero remainder joins the basis and becomes a pivot at once, and a
+driven batch stops when the degree is full.  Over Q,
+`_Engine.reduce_pairs` reduces the pairs one by one on `_Dividend`s, as
+normal forms, the tail reduction and the Schreyer step do over both
+fields.
 """
 
 from __future__ import annotations
@@ -387,35 +386,44 @@ class _Engine:
         return self.reduce(_Dividend(terms, self.p, self.guard), lt_ws, lt_keys,
                            polys, memo)
 
-    # -- one degree of a Hilbert-driven run (F4) ----------------------------
+    # -- one degree of a Buchberger run ------------------------------------
+    def reduce_pairs(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
+        """Reduce the pairs of one degree one by one on dividends, in heap
+        order; with a `drive`, those left once it is full are dropped."""
+        for n, (degree, sugar, lcm_key, i, j, lcm_w) in enumerate(batch):
+            if drive is not None and drive.full(degree):
+                drive.dropped += len(batch) - n
+                return
+            acc = self.s_dividend(polys[i], polys[j], lcm_key, lcm_w)
+            if nf := self.reduce(acc, lt_ws, lt_keys, polys, memo):
+                add(nf, sugar)
+
     def reduce_batch(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
-        """Reduce the pairs of one drive degree as rows of one matrix.
+        """Reduce the pairs of one degree as rows of one matrix (F4).
 
         Over F_p only.  `batch` holds the popped pairs of that degree in
-        heap order.  Each pair gives two products (index, multiplier),
-        made once each.  Symbolic preprocessing gives every column that a
-        basis leading term divides one pivot: the product of its first
-        divisor (`first_divisor`, through `memo`).  Every product that is
-        not the pivot of its own leading column is an S-row.  A row is
-        one int, with one slot per column in key order, so the leading
-        term sits in the highest slot; a pivot's tail is kept from its
-        lowest column up, with that column's shift.  The S-rows are
-        reduced in heap order, and each nonzero remainder joins the basis
-        through `add` and becomes the pivot of its leading column at
-        once.  The batch stops as soon as `drive.full` holds for its
-        degree; the S-rows it skips count as dropped.
+        heap order.  Each pair gives two products (index, multiplier), made
+        once each.  Symbolic preprocessing gives every column that a basis
+        leading term divides one pivot: the product of its first divisor
+        (`first_divisor`, through `memo`, after `drive.divisible` when
+        driven); a column with no divisor has no pivot.  Every product that
+        is not the pivot of its own leading column is an S-row.  A row is
+        one int, with one slot per column in key order, so the leading term
+        sits in the highest slot; a pivot's tail is kept from its lowest
+        column up, with that column's shift.  The S-rows are reduced in heap
+        order, and each nonzero remainder joins the basis through `add` and
+        becomes the pivot of its leading column at once.  With a `drive`,
+        the batch stops as soon as `drive.full` holds for its degree, and
+        the S-rows it skips count as dropped.
         """
         degree = batch[0][0]
-        if drive.full(degree):
-            drive.dropped += len(batch)
-            return
-        drive.batches += 1
+        if drive is not None:
+            if drive.full(degree):
+                drive.dropped += len(batch)
+                return
+            drive.batches += 1
         made = {}  # (index, multiplier word) -> (multiplier key, sugar)
         for _, sugar, lcm_key, i, j, lcm_w in batch:
-            if sugar > MAX_DEGREE:
-                raise InternalLimitError(
-                    f"an S-polynomial of degree above {MAX_DEGREE} does not "
-                    "fit the packed exponent fields")
             for idx in (i, j):
                 made.setdefault((idx, lcm_w - lt_ws[idx]),
                                 (lcm_key - lt_keys[idx], sugar))
@@ -440,9 +448,14 @@ class _Engine:
                     "does not fit the packed exponent fields")
             idx = memo.get(w)
             if idx is None or idx < 0:
-                if not drive.divisible(w, degree):
+                if drive is not None and not drive.divisible(w, degree):
                     continue
                 idx = self.first_divisor(w, lt_ws, memo, idx)
+                if idx < 0:
+                    if drive is None:
+                        continue
+                    raise InvariantError("the Hilbert drive admitted a column "
+                                         "that no leading term divides")
             mk = k - lt_keys[idx]
             mw = w - lt_ws[idx]
             pivot_of[k] = (idx, mk)
@@ -469,7 +482,6 @@ class _Engine:
             if filled:
                 drive.dropped += 1
                 continue
-            drive.rows += 1
             row, off = _pack_row(polys[idx], mk, 0, col, nbytes)
             row <<= off
             out = []
@@ -491,12 +503,14 @@ class _Engine:
                                                 col, nbytes)
                 t, off = tail
                 row += ((p - v) * t) << off
+            if drive is not None:
+                drive.rows += 1
+                drive.zero_rows += not out
             if not out:
-                drive.zero_rows += 1
                 continue
             add([(keys[c], words[keys[c]], v) for c, v in out], sugar)
             tails[out[0][0]] = _pack_row(polys[-1], 0, 1, col, nbytes)
-            filled = drive.full(degree)
+            filled = drive is not None and drive.full(degree)
 
     # -- Buchberger --------------------------------------------------------
     def buchberger(self, gens_internal, blocks=(), drive=None, eliminate=0):
@@ -508,15 +522,15 @@ class _Engine:
         are, and no pair inside one block is formed: its S-polynomial
         already has a standard representation in the block.
 
-        With a `drive` (a `_HilbertDrive`), pairs are taken by the degree
-        the drive gives their lcm, and once `drive.full(d)` holds, the
-        remaining pairs of degree d are dropped unreduced.  Over F_p the
-        pairs of each degree are then reduced together by
-        `reduce_batch`; otherwise one by one.  `eliminate` is a packed
-        mask of variables that the engine's key eliminates: elements
-        whose leading monomial meets it are left out of the result, and
-        out of its minimalization and tail reduction (they can neither
-        divide nor reduce a monomial that avoids the mask).
+        The pairs of the lowest degree (their sugar, or with a `drive`, a
+        `_HilbertDrive`, the degree it gives their lcm) leave the heap
+        together, for `reduce_batch` over F_p and `reduce_pairs` over Q;
+        once `drive.full(d)` holds, the rest of degree d are dropped
+        unreduced.  `eliminate` is a packed mask of variables that the
+        engine's key eliminates: elements whose leading monomial meets it
+        are left out of the result, and out of its minimalization and tail
+        reduction (they can neither divide nor reduce a monomial that avoids
+        the mask).
         """
         polys = []
         lt_keys = []
@@ -546,7 +560,7 @@ class _Engine:
                     continue  # standard representation inside the block
                 d = degree_of(lcm)
                 s = max(sugars[i] + d - lt_degs[i], sugar + d - d_new)
-                degree = 0 if drive is None else drive.degree(lcm)
+                degree = s if drive is None else drive.degree(lcm)
                 new_pairs.append((degree, s, key(lcm), i, t, lcm))
             # B criterion on old pairs: lcms[i] is lcm(lt_i, lt_new)
             kept_old = [pr for pr in pairs
@@ -584,32 +598,18 @@ class _Engine:
                         "packed exponent fields")
                 add(terms, sugar, b)
 
-        if drive is not None and self.p:
-            # one degree at a time; the pair loop below then finds no pairs
-            while pairs:
-                degree = pairs[0][0]
-                batch = []
-                while pairs and pairs[0][0] == degree:
-                    batch.append(heappop(pairs))
-                self.reduce_batch(batch, polys, lt_keys, lt_ws, memo, add,
-                                  drive)
-        full = None  # the degree that the drive last found full
+        reducer = self.reduce_batch if self.p else self.reduce_pairs
         while pairs:
-            degree, sugar, lcm_key, i, j, lcm_w = heappop(pairs)
-            if degree != full and drive is not None and drive.full(degree):
-                full = degree
-            if degree == full:
-                drive.dropped += 1
-                continue
-            if sugar > MAX_DEGREE:
-                # the sugar bounds the degree of every term of this reduction
+            degree = pairs[0][0]
+            batch = []
+            while pairs and pairs[0][0] == degree:
+                batch.append(heappop(pairs))
+            if batch[-1][1] > MAX_DEGREE:
+                # the sugar bounds the degree of every term of a reduction
                 raise InternalLimitError(
                     f"an S-polynomial of degree above {MAX_DEGREE} does not fit "
                     "the packed exponent fields")
-            acc = self.s_dividend(polys[i], polys[j], lcm_key, lcm_w)
-            nf = self.reduce(acc, lt_ws, lt_keys, polys, memo)
-            if nf:
-                add(nf, sugar)
+            reducer(batch, polys, lt_keys, lt_ws, memo, add, drive)
 
         # minimalize: drop elements whose lt is divisible by another kept lt
         order_ix = sorted((ix for ix in range(len(polys))
@@ -867,7 +867,7 @@ class _HilbertDrive:
         self.leads = _DegreeCounter(nvars)
         self.free_leads = _DegreeCounter(nvars) if eliminate else None
         self.dropped = 0
-        self.batches = 0  # degree batches reduced as rows (over F_p)
+        self.batches = 0  # its degree batches reduced as rows (over F_p)
         self.rows = 0  # S-rows reduced in those batches
         self.zero_rows = 0  # S-rows that reduced to zero
 

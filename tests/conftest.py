@@ -20,12 +20,19 @@ the tree, with the first input always in the t-block, products of
 forms through the term loop that Kronecker substitution replaces, and
 the bases of liaison outputs through generators multiplied out by that
 loop and reduced with no Hilbert drive, and the packed rows of a batch
-through the slice-by-slice bytearray copy they were packed by before.  Saturation by the
-irrelevant ideal is checked against the per-variable path it replaced:
-one Groebner basis per variable, in a grevlex order with that variable
-last, divided by its powers, and the n results intersected; ideal
-quotients and saturations by other ideals go through exact division of
-the generators of a ∩ (g).
+through the slice-by-slice bytearray copy they were packed by before.
+Saturation by the irrelevant ideal is checked against the per-variable
+path it replaced: one Groebner basis per variable, in a grevlex order
+with that variable last, divided by its powers, and the n results
+intersected; ideal quotients and saturations by other ideals go through
+exact division of the generators of a ∩ (g).
+
+Over F_p the engine reduces the pairs of every Buchberger run as
+batches of packed rows (`_Engine.reduce_batch`).  The oracles that must
+stay independent of that kernel, the per-variable saturation bases, the
+undriven liaison bases and `_undriven_intersection` in
+`test_groebner.py`, run on `PairEngine`, which reduces pair by pair on
+dividends over F_p as the engine does over Q.
 """
 
 import importlib.util
@@ -177,6 +184,11 @@ def coprime_exps(a, b):
     return all(min(x, y) == 0 for x, y in zip(a, b))
 
 
+# the engine with the F_p pair loop: a reference for the batch kernel
+class PairEngine(_Engine):
+    reduce_batch = _Engine.reduce_pairs
+
+
 def radical_by_flat_primes(arr):
     """The intersection of the flat primes, taken flat by flat."""
     return intersect_many([f.prime(arr.ring) for f in arr.flats()])
@@ -190,8 +202,8 @@ def intersect_by_ideals(a, b):
     batch kernel (`_Engine.reduce_batch`) as `intersect`: it checks the
     orientation and the fold, not that kernel.  The independent oracle
     for the batch kernel is `_undriven_intersection` in
-    `test_groebner.py`, which has no drive and so reduces pair by pair on
-    dividends."""
+    `test_groebner.py`, which runs on `PairEngine` and so reduces pair by
+    pair on dividends."""
     if a.ring != b.ring:
         raise RingContextError("ideals in different rings")
     if a.is_zero() or b.is_unit():
@@ -251,13 +263,13 @@ def undriven_liaison_basis(step):
     """The reduced basis of a liaison step's output, as engine terms, by
     the paths that its Hilbert target and its Kronecker products replace:
     the generators form2 * g and form1 * g by `product_by_terms`, and a
-    Buchberger run with no drive, pair by pair."""
+    `PairEngine` run with no drive, pair by pair."""
     gens = [product_by_terms(step.form2, g) for g in step.ideal1.gens]
     if step.ideal2 is None:
         gens.append(step.form1)
     else:
         gens += [product_by_terms(step.form1, g) for g in step.ideal2.gens]
-    engine = _Engine(step.form1.ring)
+    engine = PairEngine(step.form1.ring)
     return engine.buchberger([_to_internal(g, engine.key) for g in gens])
 
 
@@ -333,17 +345,20 @@ def saturate_by_variable(a, i):
     variable is x_i, dividing every basis element by its x_i power
     generates (and is a basis of) the saturation with respect to x_i.
     The order is grevlex on a copy of the ring whose variables are
-    renamed so that x_i comes last.
+    renamed so that x_i comes last, and the basis is a `PairEngine` run.
     """
     ring = a.ring
     perm = [j for j in range(ring.nvars) if j != i] + [i]
     inverse = [perm.index(j) for j in range(ring.nvars)]
     moved = PolyRing([ring.names[j] for j in perm], ring.field)
-    gb = Ideal(moved, [Polynomial(moved, {tuple(e[j] for j in perm): c
-                                          for e, c in g.terms.items()})
-                       for g in a.gens]).groebner()
+    engine = PairEngine(moved)
+    basis = engine.buchberger([
+        _to_internal(Polynomial(moved, {tuple(e[j] for j in perm): c
+                                        for e, c in g.terms.items()}),
+                     engine.key)
+        for g in a.gens])
     out = []
-    for g in gb.polys:
+    for g in (_from_internal(terms, moved) for terms in basis):
         k = min(e[-1] for e in g.terms)
         out.append(Polynomial(ring, {
             tuple((e[:-1] + (e[-1] - k,))[pos] for pos in inverse): c

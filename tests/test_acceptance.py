@@ -13,7 +13,8 @@ import time
 import pytest
 
 from conftest import monomials_of_degree, undriven_liaison_basis
-from singlocus.arrangement import (Arrangement, generic_section,
+from singlocus.arrangement import (Arrangement, combinatorial_degrees,
+                                   generic_section,
                                    graphic_arrangement, hypothesis_check,
                                    jacobian_ideal, radical_comb,
                                    standard_ring, top_comb,
@@ -456,3 +457,17 @@ def test_criterion_11_stretch_large_arrangement():
     assert tuple(bt.row(29)) == (0, 5, 0, 0)
     assert tuple(bt.row(35)) == (0, 5, 10, 0)
     assert tuple(bt.row(37)) == (0, 0, 0, 1)
+
+
+@pytest.mark.skipif(not os.environ.get("SINGLOCUS_STRETCH"),
+                    reason="stretch goal: J of the 31-plane arrangement "
+                           "(no time bound); set SINGLOCUS_STRETCH=1")
+def test_criterion_11_stretch_jacobian_basis():
+    """J's basis at 31 planes, a run with no Hilbert drive that F_p
+    reduces as batches of rows: its Hilbert polynomial has the degree of
+    the top-dimensional locus counted from the flats (555)."""
+    arr = load_arrangement("thirty_one_planes")
+    data = hilbert(jacobian_ideal(arr))
+    hp = data.hp_coeffs
+    assert len(hp) == 2 and hp[1] == combinatorial_degrees(arr)[1] == 555
+    print(f"ACCEPT C11 stretch J: HP = {data.hp_string()}")

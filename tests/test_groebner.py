@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LARGEST_PRIME, FractionDividend,
+from conftest import (LARGEST_PRIME, FractionDividend, PairEngine,
                       buchberger_criterion_holds, colon, coprime_exps,
                       divides_exps, exact_divide,
                       intersect_by_ideals, lcm_exps,
@@ -644,11 +644,12 @@ class TestIntersectMany:
 
 def _undriven_intersection(a, b):
     """The t-free part of the plain block elimination: the path that the
-    Hilbert drive and the t-free finish replace, as engine terms."""
+    Hilbert drive, the t-free finish and the batch kernel replace, as
+    engine terms."""
     ring = a.ring
     ext = PolyRing(("t",) + ring.names, ring.field)
     t = ext.variable(0)
-    engine = _Engine(ext, _elimination_key(ring.nvars))
+    engine = PairEngine(ext, _elimination_key(ring.nvars))
     blocks = [[_to_internal(m * ext.from_terms({(0,) + e: c
                                                 for e, c in g.terms.items()}),
                             engine.key)
@@ -741,6 +742,82 @@ def test_every_intersection_is_driven(field, drives, monkeypatch):
     assert rows > 0 if field.p else rows == 0
     assert sum(d.zero_rows for d in drives) <= rows
     assert (sum(d.batches for d in drives) > 0) == bool(field.p)
+
+
+def test_batch_column_without_a_divisor_is_loud(ring_p, vars_p):
+    """A column that the drive admits but no leading term divides is an
+    `InvariantError` in symbolic preprocessing, not a wrong pivot.  The
+    S-polynomial of x^2 + y^2 and x*y is y^3, which neither divides."""
+    x, y, z, w = vars_p
+
+    class Admitting(_HilbertDrive):
+        def divisible(self, w, d):
+            return True
+
+    engine = _Engine(ring_p)
+    drive = Admitting(ring_p.nvars, lambda d: 10 ** 9)  # never full
+    gens = [_to_internal(g, engine.key) for g in (x * x + y * y, x * y)]
+    with pytest.raises(InvariantError):
+        engine.buchberger(gens, drive=drive)
+    # without a drive the column has no pivot, and y^3 joins the basis
+    basis = Ideal(ring_p, (x * x + y * y, x * y)).groebner().polys
+    assert basis == (x * y, x * x + y * y, y ** 3)
+
+
+def _undriven_runs(monkeypatch, build):
+    """(engine, arguments, basis) for each Buchberger run without a drive
+    that `build()` makes through `groebner._Engine`."""
+    runs = []
+
+    class Recorded(_Engine):
+        def buchberger(self, gens_internal, blocks=(), drive=None,
+                       eliminate=0):
+            basis = super().buchberger(gens_internal, blocks, drive,
+                                       eliminate)
+            if drive is None:
+                runs.append((self, (gens_internal, blocks, None, eliminate),
+                             basis))
+            return basis
+
+    with monkeypatch.context() as patched:
+        patched.setattr(groebner, "_Engine", Recorded)
+        build()
+    return runs
+
+
+@pytest.mark.parametrize("field", [GF(32003)] + LARGE_PRIMES,
+                         ids=["p"] + LARGE_IDS)
+def test_undriven_batches_match_the_pair_loop(field, monkeypatch):
+    """Every F_p run without a drive reduces its degrees as batches of
+    rows, and gives the reduced basis of the pair loop (`PairEngine`):
+    J and `saturate_irrelevant(J)` on the corpus, J on the `sweep` pool,
+    and radical membership's extension ring, whose generator 1 - s * f
+    is not homogeneous.  The large primes need row slots wider than 64
+    bits."""
+    def build():
+        for name in arrangement_names():
+            if name != "thirty_one_planes":
+                saturate_irrelevant(jacobian_ideal(load_arrangement(name,
+                                                                    field)))
+        for text in sweep_texts():
+            jacobian_ideal(parse_arrangement(text, field)).groebner()
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        x, y, z, w = ring.variables()
+        assert radical_membership(x, Ideal(ring, (x * x,)))
+        assert not radical_membership(z, Ideal(ring, (x, y)))
+        arr = load_arrangement("seven_planes", field)
+        J = jacobian_ideal(arr)
+        assert all(radical_membership(g, J)
+                   for g in radical_comb(arr).groebner().polys)
+
+    runs = _undriven_runs(monkeypatch, build)
+    inhomogeneous = 0
+    for engine, args, basis in runs:
+        assert PairEngine(engine.ring, engine.key).buchberger(*args) == basis
+        degree_of = _degree_func(engine.ring.nvars)
+        inhomogeneous += any(len({degree_of(w) for _, w, _ in terms}) > 1
+                             for terms in args[0])
+    assert len(runs) > 50 and inhomogeneous > 2
 
 
 @pytest.mark.parametrize("nvars", [1, 3, 4])
