@@ -28,12 +28,14 @@ fields; the divisor test masks those bits in, so it fails across
 components and is unchanged for ring terms.
 
 Buchberger completion uses the Gebauer-Moller pair criteria and pops
-the pairs one degree at a time: their sugar, or a drive's degree of
-their lcm (below), with ties by the key of the pair lcm.
+the pairs one degree at a time: the degree of their lcm, or a drive's
+degree of it (below), with ties by the key of the lcm.  On homogeneous
+input, which every run but `radical_membership`'s is, that is the
+degree of the S-polynomial itself.
 The pair bookkeeping never unpacks an exponent tuple: the lcm, the
 divisibility tests of the M, F and B criteria, the coprimality test and
-the degrees behind the sugar are guard-bit arithmetic on the packed
-words (`_lcm`, `_divides`, `_degree_func`), and the pairs wait in a heap.
+the lcm degrees are guard-bit arithmetic on the packed words (`_lcm`,
+`_divides`, `_degree_func`), and the pairs wait in a heap.
 `_minimal_lcms` applies the M and F criteria, for Buchberger and for the
 Schreyer step alike.
 Within one completion the basis only grows by appending, so each
@@ -390,13 +392,13 @@ class _Engine:
     def reduce_pairs(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
         """Reduce the pairs of one degree one by one on dividends, in heap
         order; with a `drive`, those left once it is full are dropped."""
-        for n, (degree, sugar, lcm_key, i, j, lcm_w) in enumerate(batch):
+        for n, (degree, lcm_key, i, j, lcm_w) in enumerate(batch):
             if drive is not None and drive.full(degree):
                 drive.dropped += len(batch) - n
                 return
             acc = self.s_dividend(polys[i], polys[j], lcm_key, lcm_w)
             if nf := self.reduce(acc, lt_ws, lt_keys, polys, memo):
-                add(nf, sugar)
+                add(nf)
 
     def reduce_batch(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
         """Reduce the pairs of one degree as rows of one matrix (F4).
@@ -422,15 +424,15 @@ class _Engine:
                 drive.dropped += len(batch)
                 return
             drive.batches += 1
-        made = {}  # (index, multiplier word) -> (multiplier key, sugar)
-        for _, sugar, lcm_key, i, j, lcm_w in batch:
+        made = {}  # (index, multiplier word) -> multiplier key
+        for _, lcm_key, i, j, lcm_w in batch:
             for idx in (i, j):
                 made.setdefault((idx, lcm_w - lt_ws[idx]),
-                                (lcm_key - lt_keys[idx], sugar))
+                                lcm_key - lt_keys[idx])
         srows = list(made.items())
         words = {}  # column key -> packed exponents
         todo = []
-        for (idx, mw), (mk, _) in srows:
+        for (idx, mw), mk in srows:
             for gk, gw, _ in polys[idx]:
                 k = gk + mk
                 if k not in words:
@@ -460,7 +462,7 @@ class _Engine:
             mw = w - lt_ws[idx]
             pivot_of[k] = (idx, mk)
             if (idx, mw) not in made:
-                made[idx, mw] = (mk, None)
+                made[idx, mw] = mk
                 for gk, gw, _ in islice(polys[idx], 1, None):
                     kk = gk + mk
                     if kk not in words:
@@ -476,7 +478,7 @@ class _Engine:
         tails = {}  # column -> its pivot's tail, packed on first use
         pending = {col[k]: pv for k, pv in pivot_of.items()}
         filled = False
-        for (idx, _), (mk, sugar) in srows:
+        for (idx, _), mk in srows:
             if pivot_of[lt_keys[idx] + mk] == (idx, mk):
                 continue  # the pivot of its own column
             if filled:
@@ -508,7 +510,7 @@ class _Engine:
                 drive.zero_rows += not out
             if not out:
                 continue
-            add([(keys[c], words[keys[c]], v) for c, v in out], sugar)
+            add([(keys[c], words[keys[c]], v) for c, v in out])
             tails[out[0][0]] = _pack_row(polys[-1], 0, 1, col, nbytes)
             filled = drive is not None and drive.full(degree)
 
@@ -522,9 +524,9 @@ class _Engine:
         are, and no pair inside one block is formed: its S-polynomial
         already has a standard representation in the block.
 
-        The pairs of the lowest degree (their sugar, or with a `drive`, a
-        `_HilbertDrive`, the degree it gives their lcm) leave the heap
-        together, for `reduce_batch` over F_p and `reduce_pairs` over Q;
+        The pairs of the lowest degree (that of their lcm, or with a
+        `drive`, a `_HilbertDrive`, the degree it gives their lcm) leave the
+        heap together, for `reduce_batch` over F_p and `reduce_pairs` over Q;
         once `drive.full(d)` holds, the rest of degree d are dropped
         unreduced.  `eliminate` is a packed mask of variables that the
         engine's key eliminates: elements whose leading monomial meets it
@@ -535,20 +537,18 @@ class _Engine:
         polys = []
         lt_keys = []
         lt_ws = []
-        lt_degs = []
-        sugars = []
         block_of = []
-        pairs = []  # a heap of (degree, sugar, lcm_key, i, j, lcm_w)
+        pairs = []  # a heap of (degree, lcm_key, i, j, lcm_w)
         memo = {}
         key = self.key
         guard = self.guard
         degree_of = _degree_func(self.ring.nvars)
+        pair_degree = degree_of if drive is None else drive.degree
 
-        def add(terms, sugar, block=None):
+        def add(terms, block=None):
             terms = self.monic(terms)
             t = len(polys)
             w_new = terms[0][1]
-            d_new = degree_of(w_new)
             lcms, first = _minimal_lcms(lt_ws, w_new, guard)
             # B1: an lcm that some pair reaches with coprime lts is dropped
             coprime = {lcm for lcm, w in zip(lcms, lt_ws) if lcm == w + w_new}
@@ -558,14 +558,11 @@ class _Engine:
                     continue
                 if block is not None and block_of[i] == block:
                     continue  # standard representation inside the block
-                d = degree_of(lcm)
-                s = max(sugars[i] + d - lt_degs[i], sugar + d - d_new)
-                degree = s if drive is None else drive.degree(lcm)
-                new_pairs.append((degree, s, key(lcm), i, t, lcm))
+                new_pairs.append((pair_degree(lcm), key(lcm), i, t, lcm))
             # B criterion on old pairs: lcms[i] is lcm(lt_i, lt_new)
             kept_old = [pr for pr in pairs
-                        if not _divides(w_new, pr[5], guard)
-                        or lcms[pr[3]] == pr[5] or lcms[pr[4]] == pr[5]]
+                        if not _divides(w_new, pr[4], guard)
+                        or lcms[pr[2]] == pr[4] or lcms[pr[3]] == pr[4]]
             if len(kept_old) < len(pairs):
                 pairs[:] = kept_old
                 heapify(pairs)
@@ -574,29 +571,23 @@ class _Engine:
             polys.append(terms)
             lt_keys.append(terms[0][0])
             lt_ws.append(w_new)
-            lt_degs.append(d_new)
-            sugars.append(sugar)
             block_of.append(block)
             if drive is not None:
                 drive.note(w_new)
-
-        def sugar_of(terms):
-            return max(degree_of(w) for _, w, _ in terms)
 
         for terms in sorted(gens_internal, key=lambda t: t[0][0]):
             if not terms:
                 continue
             nf = self.normal_form(terms, lt_ws, lt_keys, polys, memo)
             if nf:
-                add(nf, sugar_of(terms))
+                add(nf)
         for b, block in enumerate(blocks):
             for terms in block:
-                sugar = sugar_of(terms)
-                if sugar > MAX_DEGREE:
+                if max(degree_of(w) for _, w, _ in terms) > MAX_DEGREE:
                     raise InternalLimitError(
                         f"a term of degree above {MAX_DEGREE} does not fit the "
                         "packed exponent fields")
-                add(terms, sugar, b)
+                add(terms, b)
 
         reducer = self.reduce_batch if self.p else self.reduce_pairs
         while pairs:
@@ -604,11 +595,14 @@ class _Engine:
             batch = []
             while pairs and pairs[0][0] == degree:
                 batch.append(heappop(pairs))
-            if batch[-1][1] > MAX_DEGREE:
-                # the sugar bounds the degree of every term of a reduction
+            if max(degree_of(pr[4]) for pr in batch) > MAX_DEGREE:
+                # no term of x^m * g or of its reductions lies above the
+                # lcm's degree: grevlex orders by degree first, and in an
+                # elimination each element is A * t + B, with A and B
+                # x-homogeneous of one degree
                 raise InternalLimitError(
-                    f"an S-polynomial of degree above {MAX_DEGREE} does not fit "
-                    "the packed exponent fields")
+                    f"an S-pair whose lcm has degree above {MAX_DEGREE} does "
+                    "not fit the packed exponent fields")
             reducer(batch, polys, lt_keys, lt_ws, memo, add, drive)
 
         # minimalize: drop elements whose lt is divisible by another kept lt

@@ -457,6 +457,10 @@ def test_criterion_11_stretch_large_arrangement():
     assert tuple(bt.row(29)) == (0, 5, 0, 0)
     assert tuple(bt.row(35)) == (0, 5, 10, 0)
     assert tuple(bt.row(37)) == (0, 0, 0, 1)
+    # J <= top: each partial reduces to zero against top's basis
+    # (`jacobian_ideal` would also compute J's basis for its height check)
+    assert all(top.contains(g)
+               for g in gradient(arr.defining_polynomial()))
 
 
 @pytest.mark.skipif(not os.environ.get("SINGLOCUS_STRETCH"),

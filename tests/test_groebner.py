@@ -413,6 +413,26 @@ class TestPackedLimits:
             engine.normal_form(_to_internal(t ** 4, engine.key),
                                [g[0][1]], [g[0][0]], [g])
 
+    def test_coprime_pair_above_the_limit(self):
+        """A pair with coprime leading terms is dropped before the guard
+        reads its lcm, so this basis fits; its S-polynomial (degree
+        40000) is checked on exponent tuples."""
+        x, y, z, w = PolyRing(("x", "y", "z", "w"), GF(32003)).variables()
+        ideal = Ideal(x.ring, (x ** 20000 - y ** 20000,
+                               z ** 20000 - w ** 20000))
+        gb = ideal.groebner()
+        assert set(gb.polys) == set(ideal.gens)
+        assert buchberger_criterion_holds(gb)
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_intersection_above_the_limit(self, field):
+        """The driven elimination refuses a pair whose lcm is too high."""
+        x, y, _ = PolyRing(("x", "y", "z"), field).variables()
+        for a, b in ((x ** 20000 * y, x * y ** 20000),
+                     (x ** 16000, y ** 16800)):
+            with pytest.raises(InternalLimitError):
+                intersect(Ideal(x.ring, (a,)), Ideal(x.ring, (b,)))
+
     def test_at_the_limit(self, xy):
         x, y = xy
         ideal = Ideal(x.ring, (x ** 32767, y))
@@ -908,6 +928,45 @@ def test_buchberger_criterion_property(data):
     ring = PolyRing(("x", "y", "z", "w"), GF(32003))
     ideal = data.draw(small_homogeneous_ideal(ring))
     assert buchberger_criterion_holds(ideal.groebner())
+
+
+# a degree at either end of the packed range
+_NEAR_LIMIT_DEGREE = st.one_of(st.integers(1, 40),
+                               st.integers(MAX_DEGREE - 39, MAX_DEGREE))
+
+
+@st.composite
+def near_limit_form(draw, ring):
+    """A monomial or a homogeneous binomial of a `_NEAR_LIMIT_DEGREE`:
+    each exponent tuple cuts the degree at drawn points."""
+    d = draw(_NEAR_LIMIT_DEGREE)
+    cuts = st.lists(st.integers(0, d), min_size=ring.nvars - 1,
+                    max_size=ring.nvars - 1)
+
+    def exps():
+        points = sorted(draw(cuts))
+        return tuple(b - a for a, b in zip([0] + points, points + [d]))
+
+    terms = {exps(): 1}
+    if draw(st.booleans()):
+        terms[exps()] = draw(st.integers(1, ring.field.p - 1))
+    return ring.from_terms(terms)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_basis_near_the_degree_limit(data):
+    """In 8 variables, forms of degree up to MAX_DEGREE either give a
+    basis that passes Buchberger's criterion or are refused with
+    `InternalLimitError`: no pair or reduction past the packed fields
+    wraps around."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(8)), GF(32003))
+    gens = data.draw(st.lists(near_limit_form(ring), min_size=1, max_size=3))
+    try:
+        gb = Ideal(ring, gens).groebner()
+    except InternalLimitError:
+        return
+    assert buchberger_criterion_holds(gb)
 
 
 # a rational with numerator and denominator of up to 200 bits
