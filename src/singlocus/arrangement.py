@@ -16,7 +16,8 @@ from collections import Counter
 from . import linalg
 from .errors import (InternalLimitError, InvariantError, ParseError,
                      ValidationError)
-from .groebner import Ideal, intersect_many
+from .groebner import Ideal, _ideal_from_basis, intersect_many
+from .homology import hilbert, unmixed_deficiency
 from .polyring import (GF, DEFAULT_PRIME, PolyRing, expand_product,
                        gradient, linear_coefficients, parse_linear_expr,
                        validate_linear_form)
@@ -87,6 +88,7 @@ class Arrangement:
         self._check_pairwise_independent()
         self._flats = None
         self._poly = None
+        self._jacobian = None
 
     def _check_pairwise_independent(self):
         field = self.ring.field
@@ -295,17 +297,21 @@ def jacobian_ideal(arr):
     """Ideal of the partial derivatives of the defining polynomial.
 
     Always has height two for an arrangement of at least two planes;
-    asserted via the Hilbert dimension of the quotient.
+    asserted via the Hilbert dimension of the quotient.  The ideal is
+    memoized on the arrangement, with the basis and resolution it caches,
+    so a later `top_comb(arr)` can reuse it.
     """
+    if arr._jacobian is not None:
+        return arr._jacobian
     if arr.d < 2:
         raise ValidationError("the singular locus needs at least two hyperplanes")
     _check_prime_safety(arr)
     F = arr.defining_polynomial()
     ideal = Ideal(arr.ring, tuple(g for g in gradient(F) if not g.is_zero()))
-    from .homology import hilbert
     codim = arr.ring.nvars - hilbert(ideal).dimension
     if codim != 2:
         raise InvariantError(f"Jacobian ideal has height {codim}, expected 2")
+    arr._jacobian = ideal
     return ideal
 
 
@@ -368,10 +374,25 @@ def top_comb(arr):
 
     This is the height-two unmixed part of the Jacobian ideal; the
     containment and degree invariants exercised by the test suite certify
-    the identification.
+    the identification.  So when J is unmixed, top = J.  If `arr` already
+    holds J (`jacobian_ideal` memoizes it) in 4 variables, J is certified
+    unmixed when pd(R/J) <= 3 and Ext^3(R/J, R) has finite length
+    (Eisenbud, Huneke and Vasconcelos 1992, "Direct methods for primary
+    decomposition", Invent. Math. 110), read by `unmixed_deficiency` from
+    J's resolution, which is cached on J.  Then J's reduced basis is
+    returned, with J's Hilbert data and resolution; it is the basis the
+    intersection would give, since an elimination key orders words free
+    of the auxiliary variable as grevlex does.  Otherwise the
+    intersection is computed.
     """
     _check_prime_safety(arr)
     ring = arr.ring
+    J = arr._jacobian
+    if J is not None and ring.nvars == 4 and unmixed_deficiency(J) is not None:
+        top = _ideal_from_basis(ring, J.groebner()._polys)
+        top._hilbert_cache = hilbert(J)
+        top._resolution_cache = J._resolution_cache
+        return top
     vecs = arr.coefficient_rows()
     comps = [pencil_component(f, ring, vecs) for f in arr.flats()]
     return intersect_many(comps)

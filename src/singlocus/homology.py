@@ -17,6 +17,13 @@ completed to a module Groebner basis on the same kernel, and the
 cokernel's Hilbert series is read from the leading words in each
 component.  Its dimension is 0 exactly when I is unmixed, so a mixed
 ideal is rejected by the same computation.
+
+`unmixed_deficiency` reads Ext^3 from the raw Schreyer resolution
+instead, so it never prunes: when pd(R/I) <= 3, Ext^4 = 0, so the dual
+of the raw map into F_4 is onto, and Ext^3 is coker(d_3^dual) less
+F_4^dual.  Its finite length certifies that a height-two ideal in 4
+variables is unmixed (Eisenbud, Huneke and Vasconcelos 1992), which lets
+`top_comb` return an unmixed Jacobian ideal as it is.
 """
 
 from __future__ import annotations
@@ -921,11 +928,10 @@ def rao_dimensions(ideal):
     Requires a saturated unmixed codimension-2 ideal in 4 variables.  The
     table is empty exactly when the quotient is Cohen-Macaulay.  It is the
     Hilbert function of Ext^3(R/I, R) = coker(tau: F_2^dual -> F_3^dual),
-    re-indexed by t -> -t - 4: the standard monomials of a module Groebner
-    basis of the image of tau are a basis of the cokernel (Eisenbud,
-    Commutative Algebra, 15.10), so its Hilbert series is the sum over
-    the components of their monomial quotients' series.  Ext^3 has finite
-    length exactly when I is unmixed; otherwise this raises.
+    re-indexed by t -> -t - 4, with tau the dual of the last minimal map
+    (`_dual_cokernel_numerator`).  Ext^3 has finite length exactly when I
+    is unmixed; otherwise this raises.  `unmixed_deficiency` reads the
+    same table from the raw maps without pruning them.
     """
     ring = ideal.ring
     if ring.nvars != 4:
@@ -941,31 +947,90 @@ def rao_dimensions(ideal):
         return {}
     sigma = res.maps[2]  # F_3 -> F_2; read first, the modules then follow
     f3 = res.modules[3].twists
-    f2 = res.modules[2].twists
+    top = max(f3)
+    table = _deficiency_table(
+        _dual_cokernel_numerator(ring, sigma.entries, f3,
+                                 res.modules[2].twists, top), top)
+    if table is None:
+        raise ValidationError(
+            "Ext^3(R/I, R) does not have finite length (ideal is not unmixed)")
+    return table
+
+
+def unmixed_deficiency(ideal):
+    """The deficiency table of a height-two ideal in 4 variables, or None
+    when the ideal is mixed.
+
+    Such an ideal is unmixed exactly when pd(R/I) <= 3 and Ext^3(R/I, R)
+    has finite length (Eisenbud, Huneke and Vasconcelos 1992, "Direct
+    methods for primary decomposition", Invent. Math. 110).  Ext is read
+    from whichever maps the cached resolution holds, the raw Schreyer maps
+    unless they were already pruned, so this never prunes.  With pd <= 3,
+    Ext^4 = 0, so d_4^dual maps onto F_4^dual, the last raw module (the
+    Schreyer order bounds the length by 4), and
+    HS(Ext^3) = HS(coker d_3^dual) - HS(F_4^dual).  On an unmixed ideal
+    the table equals `rao_dimensions`'.
+    """
+    ring = ideal.ring
+    if ring.nvars != 4:
+        raise ValidationError("deficiency tables require a 4-variable ring")
+    if ring.nvars - hilbert(ideal).dimension != 2:
+        raise ValidationError("deficiency tables require codimension 2")
+    res = minimal_free_resolution(ideal)
+    if res.length > 3:
+        return None
+    if res._raw is not None:
+        twist_lists, maps = res._raw
+    else:
+        twist_lists = [m.twists for m in res.modules]
+        maps = [m.entries for m in res.maps]
+    if len(maps) < 3:
+        return {}
+    top = max(b for twists in twist_lists[3:] for b in twists)
+    num = _dual_cokernel_numerator(ring, maps[2], twist_lists[3],
+                                   twist_lists[2], top)
+    for b in (twist_lists[4] if len(twist_lists) > 4 else ()):
+        num = _poly_add(num, _poly_mul_shift([1], top - b, -1))
+    return _deficiency_table(num, top)
+
+
+def _dual_cokernel_numerator(ring, entries, source, target, top):
+    """Hilbert series numerator of coker(d^dual: F_k^dual -> F_(k+1)^dual).
+
+    `entries` are d's {(r, c): Polynomial} from F_(k+1), of twists
+    `source`, to F_k, of twists `target`.  Column r of d^dual is
+    sum_c d(r, c) * e_c, of degree -target[r], with e_c of degree
+    -source[c].  The standard monomials of a module Groebner basis of its
+    image are a basis of the cokernel (Eisenbud, Commutative Algebra,
+    15.10), so the series is the sum over the components of their
+    monomial quotients' series: t^(-top) * num(t) / (1 - t)^nvars, for a
+    `top` at least max(source).
+    """
     engine = _Engine(ring)
     shift = WIDTH * ring.nvars
-    # column r of tau is sum_c sigma(r, c) * e_c, of degree -f2[r], with
-    # e_c of degree -f3[c]
     columns = {}
-    for (r, c), p in sorted(sigma.entries.items()):
+    for (r, c), p in sorted(entries.items()):
         columns.setdefault(r, []).append((c, p))
     leads = _module_leads(
         [_module_vector(col, engine.key, shift) for col in columns.values()],
-        [-f2[r] for r in columns], engine)
+        [-target[r] for r in columns], engine)
     by_comp = {}
     for w in leads:
         by_comp.setdefault(w >> shift, []).append(_unpack_plain(w, ring.nvars))
-    # the series is t^(-max f3) * num(t) / (1 - t)^4
-    top = max(f3)
     memo = {}
     num = []
-    for c, b in enumerate(f3):
+    for c, b in enumerate(source):
         part = _series_numerator(_minimalize(by_comp.get(c, ())), ring.nvars,
                                  memo)
         num = _poly_add(num, _poly_mul_shift(part, top - b, 1))
-    ext = HilbertData(_trim(num), ring.nvars)
+    return num
+
+
+def _deficiency_table(num, top):
+    """{t: dim} of Ext^3 with series t^(-top) * num(t) / (1 - t)^4,
+    re-indexed by t -> -t - 4, or None when it has no finite length."""
+    ext = HilbertData(_trim(num), 4)
     if ext.dimension:
-        raise ValidationError(
-            "Ext^3(R/I, R) does not have finite length (ideal is not unmixed)")
+        return None
     return {top - k - 4: dim for k, dim in enumerate(ext.reduced_numerator)
             if dim}

@@ -12,8 +12,9 @@ integer comparison is grevlex; the Groebner engine relies on this
 additivity for fast arithmetic.
 
 Over F_p the product of two forms is made by Kronecker substitution
-(`_kronecker_product`) whenever the packed ints stay small against the
-number of term pairs; every other product runs the term loop.
+(`_kronecker_product`) whenever there are more than a few term pairs and
+the packed ints stay small against their number; every other product
+runs the term loop.
 """
 
 from __future__ import annotations
@@ -409,12 +410,14 @@ class Polynomial:
             a, b = b, a
         p = f.p
         if p is not None and a:
-            # forms of positive degree, read from one term each, whose
-            # packed size passes the `_BYTES_PER_PAIR` rule
+            # forms of positive degree, read from one term each, with
+            # more than `_LOOP_PAIRS` term pairs, whose packed size passes
+            # the `_BYTES_PER_PAIR` rule
             da, db = sum(next(iter(a))), sum(next(iter(b)))
             slots = (da + db + 1) ** (self.ring.nvars - 1)
-            if (da and db and slots * _slot_bytes(p, len(a))
-                    <= _BYTES_PER_PAIR * len(a) * len(b)
+            pairs = len(a) * len(b)
+            if (da and db and pairs > _LOOP_PAIRS
+                    and slots * _slot_bytes(p, len(a)) <= _BYTES_PER_PAIR * pairs
                     and self.is_homogeneous() and other.is_homogeneous()):
                 return _kronecker_product(self, other, da + db)
         out = {}
@@ -550,6 +553,11 @@ class Polynomial:
 #: F_32003 and F_(2^61 - 1) in 3-8 variables, the two ways cost the same
 #: at 20-40
 _BYTES_PER_PAIR = 24
+
+#: the kernel also costs about 10 us whatever its size, which is what the
+#: term loop takes for about 10 term pairs; a product of at most this many
+#: pairs runs the loop
+_LOOP_PAIRS = 10
 
 
 @lru_cache(maxsize=64)

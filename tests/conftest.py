@@ -45,6 +45,7 @@ from pathlib import Path
 import pytest
 
 from singlocus import groebner, linalg
+from singlocus.arrangement import Arrangement, top_comb
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (GroebnerBasis, Ideal, _Dividend, _Engine,
@@ -65,6 +66,12 @@ CORPUS_DIR = files("singlocus") / "arrangements"
 #: the largest prime that `GF` accepts, the last below the bound of its
 #: primality certificate
 LARGEST_PRIME = 3317044064679887385961813
+
+
+def tree_top(arr):
+    """`top_comb` of `arr` by the intersection tree: a fresh copy of `arr`
+    holds no memoized Jacobian ideal for the fast path to reuse."""
+    return top_comb(Arrangement(arr.ring, arr.forms))
 
 
 def sweep_texts(count=16):

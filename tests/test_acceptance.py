@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from conftest import monomials_of_degree, undriven_liaison_basis
+from conftest import (monomials_of_degree, tree_top,
+                      undriven_liaison_basis)
 from singlocus.arrangement import (Arrangement, combinatorial_degrees,
                                    generic_section,
                                    graphic_arrangement, hypothesis_check,
@@ -56,7 +57,7 @@ def _assert_field_agreement(name):
     rp, rq = radical_comb(ap), radical_comb(aq)
     assert betti_of(rp).entries == betti_of(rq).entries
     assert is_cm(rp) == is_cm(rq)
-    tp, tq = top_comb(ap), top_comb(aq)
+    tp, tq = tree_top(ap), tree_top(aq)
     assert betti_of(tp).entries == betti_of(tq).entries
     assert is_cm(tp) == is_cm(tq)
 
@@ -288,7 +289,7 @@ def test_criterion_10c_containments():
         if arr is None:
             continue
         J = jacobian_ideal(arr)
-        top = top_comb(arr)
+        top = tree_top(arr)
         rad = radical_comb(arr)
         gb_top, gb_rad = top.groebner(), rad.groebner()
         assert all(gb_top.contains(g) for g in J.gens)

@@ -16,12 +16,12 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    top_comb, triangle_condition,
                                    uniform_powers)
 from conftest import (CORPUS_DIR, intersect_many_by_ideals,
-                      radical_by_flat_primes)
+                      radical_by_flat_primes, sweep_texts, tree_top)
 from singlocus import arrangement, linalg
 from singlocus.corpus import (arrangement_names, load_arrangement, load_graph,
                               run_regressions)
 from singlocus.errors import ParseError, ValidationError
-from singlocus.groebner import Ideal, radical_membership
+from singlocus.groebner import Ideal, intersect_many, radical_membership
 from singlocus.homology import hilbert
 from singlocus.polyring import DEFAULT_PRIME, GF, QQ, PolyRing
 
@@ -241,7 +241,7 @@ class TestTopComb:
     def test_containment_chain(self):
         arr = load_arrangement("eight_planes")
         J = jacobian_ideal(arr)
-        top = top_comb(arr)
+        top = tree_top(arr)
         rad = radical_comb(arr)
         gb_top, gb_rad = top.groebner(), rad.groebner()
         assert all(gb_top.contains(g) for g in J.gens)
@@ -280,6 +280,68 @@ class TestTopComb:
             moved = Flat((tuple(r1), tuple(r2)), flat.members)
             recomputed = pencil_component(moved, ring, arr.coefficient_rows())
             assert original.equals(recomputed)
+
+
+# Corpus arrangements whose J is unmixed, so that `top_comb` returns J once
+# the arrangement holds it, and some whose J has an embedded component.
+_UNMIXED_J = ("fifteen_planes", "nine_planes", "top_block", "free_not_cm",
+              "seven_planes")
+_MIXED_J = ("eleven_planes", "same_lattice_a", "eight_planes", "radical_block")
+
+
+class TestTopCombFastPath:
+    """Once `jacobian_ideal` has memoized J on an arrangement, `top_comb`
+    returns J when an Ext^3 certificate proves it unmixed.  Its basis must
+    be the intersection tree's, which a fresh arrangement, holding no J,
+    computes; the fast path is taken exactly when J equals that top."""
+
+    @staticmethod
+    def _check(arr, monkeypatch):
+        """Compare both paths on `arr`; returns whether the fast one ran."""
+        calls = []
+
+        def counted(ideals):
+            calls.append(ideals)
+            return intersect_many(ideals)
+
+        monkeypatch.setattr(arrangement, "intersect_many", counted)
+        J = jacobian_ideal(arr)
+        assert jacobian_ideal(arr) is J
+        got = top_comb(arr)
+        fast = not calls
+        want = tree_top(arr)
+        assert calls
+        assert got.groebner()._polys == want.groebner()._polys
+        assert fast == J.equals(want)
+        if fast:  # J's Hilbert data and resolution come along
+            assert got is not J
+            assert hilbert(got) is hilbert(J)
+            assert got._resolution_cache is J._resolution_cache is not None
+        return fast
+
+    @pytest.mark.parametrize("p", [32003, 2**31 - 1, 2**61 - 1])
+    def test_corpus(self, p, monkeypatch):
+        field = GF(p)
+        paths = {}
+        for name in arrangement_names():
+            if name != "thirty_one_planes":
+                paths[name] = self._check(load_arrangement(name, field),
+                                          monkeypatch)
+        assert all(paths[name] for name in _UNMIXED_J)
+        assert not any(paths[name] for name in _MIXED_J)
+
+    @pytest.mark.parametrize("p", [32003, 2**31 - 1, 2**61 - 1])
+    def test_sweep_pool(self, p, monkeypatch):
+        paths = [self._check(parse_arrangement(text, GF(p)), monkeypatch)
+                 for text in sweep_texts()]
+        # arrangement 2's J is not saturated
+        assert not paths[2] and any(paths)
+
+    def test_over_q(self, monkeypatch):
+        paths = [self._check(parse_arrangement(text, QQ), monkeypatch)
+                 for text in sweep_texts(3)]
+        assert paths == [True, True, False]
+        assert self._check(load_arrangement("seven_planes", QQ), monkeypatch)
 
 
 class TestSymbolicIntersection:

@@ -7,7 +7,7 @@ import pytest
 from conftest import (betti_by_strand_homology, deficiency_by_ext,
                       power_of_variables, rao_by_degree_scan,
                       schreyer_resolution_by_tuples, standard_monomial_count,
-                      sweep_texts)
+                      sweep_texts, tree_top)
 from singlocus import homology, linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
@@ -20,7 +20,8 @@ from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
                                 _schreyer_resolution, betti_json, betti_of,
                                 betti_table, betti_text, dimensions, hilbert,
                                 is_cm, is_saturated, minimal_free_resolution,
-                                rao_dimensions, schreyer_syzygies)
+                                rao_dimensions, schreyer_syzygies,
+                                unmixed_deficiency)
 from singlocus.liaison import construct_lr, construct_lr_radical
 from singlocus.polyring import GF, QQ, WIDTH, PolyRing, _unpack_plain
 
@@ -186,31 +187,53 @@ class TestResolutions:
 
 class TestBettiFromRanks:
     """The twists read from the ranks of the raw resolution's constant
-    blocks equal the pruned resolution's and the strand-homology oracle's;
-    the maps are pruned only when they are read."""
+    blocks equal the pruned resolution's and the strand-homology oracle's.
+    `unmixed_deficiency`, which reads Ext^3 from the raw maps, gives the
+    verdict (None when mixed) and table of `rao_dimensions`, which reads
+    the pruned ones.  The maps are pruned only when they are read."""
 
     @staticmethod
     def _check(ideal):
         res = minimal_free_resolution(ideal)
         ranked = [m.twists for m in res.modules]
+        got = unmixed_deficiency(ideal)
+        assert res._raw is not None
         res.maps
         assert ([sorted(m.twists) for m in res.modules]
                 == [sorted(t) for t in ranked])
         assert (BettiTable.from_twists(ranked).entries
                 == betti_by_strand_homology(ideal))
+        assert unmixed_deficiency(ideal) == got  # from the pruned maps
+        if res.length > 3:
+            assert got is None
+            with pytest.raises(ValidationError, match="not saturated"):
+                rao_dimensions(ideal)
+            return got
+        try:
+            want = rao_dimensions(ideal)
+        except ValidationError as exc:
+            assert "not unmixed" in str(exc)
+            want = None
+        assert got == want
+        return got
 
     def _check_all(self, arr):
-        for ideal in (jacobian_ideal(arr), top_comb(arr), radical_comb(arr)):
-            self._check(ideal)
+        return [self._check(ideal) for ideal in
+                (jacobian_ideal(arr), tree_top(arr), radical_comb(arr))]
 
     @pytest.mark.parametrize("name", [n for n in arrangement_names()
                                       if n != "thirty_one_planes"])
     def test_corpus(self, name):
-        self._check_all(load_arrangement(name))
+        got = self._check_all(load_arrangement(name))
+        if name == "fifteen_planes":
+            assert got == [{16: 1}, {16: 1}, {}]
+        if name == "eleven_planes":
+            assert got == [None, {10: 2}, {6: 3, 7: 5}]
 
     def test_sweep_pool(self):
-        for text in sweep_texts():
-            self._check_all(parse_arrangement(text))
+        got = [self._check_all(parse_arrangement(text))
+               for text in sweep_texts()]
+        assert got[2][0] is None  # J is not saturated
 
     def test_sweep_pool_over_q(self):
         for text in sweep_texts(3):
@@ -456,6 +479,29 @@ class TestRaoDimensions:
         assert rao_dimensions(top9) == deficiency_by_ext(top9) == {8: 1}
 
 
+class TestUnmixedDeficiency:
+    """Its inputs, and mixed ideals outside the corpus; `TestBettiFromRanks`
+    compares it with `rao_dimensions` on the corpus and the pools."""
+
+    def test_requires_height_two_in_four_variables(self, ring_p):
+        x, y, z, w = ring_p.variables()
+        with pytest.raises(ValidationError, match="codimension 2"):
+            unmixed_deficiency(Ideal(ring_p, (x,)))
+        plane = PolyRing(("x", "y", "z"), GF(32003))
+        with pytest.raises(ValidationError, match="4-variable"):
+            unmixed_deficiency(Ideal(plane, plane.variables()[:2]))
+
+    def test_embedded_point_and_irrelevant_component(self, ring_p):
+        x, y, z, w = ring_p.variables()
+        line = Ideal(ring_p, (x, y))
+        # an embedded point on the line, then the irrelevant ideal
+        point = intersect(line, Ideal(ring_p, (x * x, y, z)))
+        assert unmixed_deficiency(line) == {}
+        assert unmixed_deficiency(point) is None
+        assert unmixed_deficiency(
+            intersect(line, power_of_variables(ring_p, 2))) is None
+
+
 class TestBettiHilbertConsistency:
     def check(self, ideal):
         table = betti_of(ideal)
@@ -478,10 +524,10 @@ class TestBettiHilbertConsistency:
             self.check(Ideal(ring_p, gens))
 
     def test_on_arrangement_ideals(self):
-        from singlocus.arrangement import jacobian_ideal, radical_comb, top_comb
+        from singlocus.arrangement import jacobian_ideal, radical_comb
         from singlocus.corpus import load_arrangement
         arr = load_arrangement("seven_planes")
-        for ideal in (jacobian_ideal(arr), radical_comb(arr), top_comb(arr)):
+        for ideal in (jacobian_ideal(arr), radical_comb(arr), tree_top(arr)):
             self.check(ideal)
 
 
@@ -526,7 +572,7 @@ class TestSchreyerStepOracle:
 
     @staticmethod
     def _check(arr):
-        for ideal in (jacobian_ideal(arr), top_comb(arr), radical_comb(arr)):
+        for ideal in (jacobian_ideal(arr), tree_top(arr), radical_comb(arr)):
             twists, maps = _schreyer_resolution(ideal)
             want_twists, want_maps = schreyer_resolution_by_tuples(ideal)
             assert twists == want_twists
@@ -573,7 +619,7 @@ class TestSaturationFromResolution:
     def test_against_saturate_irrelevant(self, name):
         arr = _arrangement(name)
         J = jacobian_ideal(arr)
-        top = top_comb(arr)
+        top = tree_top(arr)
         sat = saturate_irrelevant(J)
         assert is_saturated(J) == sat.equals(J)
         assert is_saturated(top) == saturate_irrelevant(top).equals(top)

@@ -406,24 +406,27 @@ def kronecker_calls(monkeypatch):
 
 
 def test_product_paths(kronecker_calls):
-    """Dense forms over F_p take the Kronecker kernel; sparse 8-variable
-    forms, forms over Q, inhomogeneous and scalar operands take the term
-    loop."""
+    """Dense forms over F_p take the Kronecker kernel, two 4-term linear
+    forms included; sparse 8-variable forms, forms over Q, inhomogeneous
+    and scalar operands take the term loop, and so do two 3-term linear
+    forms, whose 9 term pairs cost the loop less than the kernel's fixed
+    cost (`_LOOP_PAIRS`)."""
     dense = PolyRing(NAMES[:4], GF(32003))
     a = dense.from_terms({e: i + 1 for i, e in
                           enumerate(monomials_of_degree(4, 4))})
     b = dense.from_terms({e: 2 * i + 1 for i, e in
                           enumerate(monomials_of_degree(4, 6))})
-    assert a * b == product_by_terms(a, b)
-    assert kronecker_calls == [10]
+    x, y, z, w = dense.variables()
+    for f, g in ((a, b), (x + 2 * y + 3 * z - w, 4 * x - y + 5 * z + 7 * w)):
+        assert f * g == product_by_terms(f, g)
+    assert kronecker_calls == [10, 2]
     v = PolyRing(NAMES, GF(32003)).variables()
     c = v[0] * v[1] + 3 * v[7] ** 2
     d = v[2] ** 3 - v[4] * v[5] * v[6]
     e = PolyRing(NAMES[:4], QQ).from_terms(
         {m: 1 for m in monomials_of_degree(4, 4)})
-    x = dense.variable(0)
     loop = [(c, d), (e, e), (a + x, b), (1 + x, b), (dense.constant(5), b),
-            (b, dense.one())]
+            (b, dense.one()), (x + 2 * y + 3 * z, 4 * x - y + w)]
     kronecker_calls.clear()
     for f, g in loop:
         assert f * g == product_by_terms(f, g)
