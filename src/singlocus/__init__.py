@@ -16,12 +16,11 @@ from .arrangement import (Arrangement, Flat, Graph, combinatorial_degrees,
 from .errors import (InternalLimitError, InvariantError, ParseError,
                      RingContextError, SingError, ValidationError)
 from .groebner import (GroebnerBasis, Ideal, intersect, intersect_many,
-                       radical_membership, saturate_irrelevant)
+                       saturate_irrelevant)
 from .homology import (BettiTable, GradedFreeModule, GradedMap, HilbertData,
                        Resolution, betti_json, betti_of, betti_table,
                        betti_text, dimensions, hilbert, is_cm,
-                       is_saturated, minimal_free_resolution, rao_dimensions,
-                       schreyer_syzygies)
+                       is_saturated, minimal_free_resolution, rao_dimensions)
 from .liaison import (Construction, arrangement_product_hypotheses,
                       basic_double_link, construct_lr, construct_lr_radical,
                       liaison_addition, radical_block, top_block,

@@ -315,32 +315,49 @@ def jacobian_ideal(arr):
     return ideal
 
 
-def radical_comb(arr):
-    """Intersection of all flat primes: the reduced singular locus.
+def _plane_groups(arr, powers):
+    """The leaves of the intersection of the powers p_f^powers[f] of the
+    flat primes, grouped by plane.
 
-    The flats are grouped by their first member plane H.  If a group's
-    flats are (H, L_1), ..., (H, L_k), each L_i another member plane, their
-    primes intersect to the complete intersection (H, L_1 * ... * L_k):
-    modulo H the ring is a polynomial ring, distinct flats in H give
-    non-proportional linear forms L_i there, and principal ideals of
-    pairwise coprime elements intersect to their product.  So only the
-    groups are intersected, at most one per plane instead of one per
-    flat.  A group of one flat is its prime, so a single flat comes back
-    as its prime, unchanged.
+    Flats of exponent 0 contribute the unit ideal and are skipped.  Flats
+    (H, L_1), ..., (H, L_k) with the same first member plane H and the
+    same exponent b, each L_i another member plane, become one leaf
+    (H, g)^b with g = L_1 * ... * L_k, placed where the group's first flat
+    stands.  This is exact: (H, g)^b is a power of a complete
+    intersection, so it is unmixed, and its associated primes are its
+    minimal primes (H, L_i), distinct since distinct flats in H give
+    non-proportional forms L_i modulo H.  At (H, L_i) the other L_j are
+    units, so there (H, g)^b is (H, L_i)^b, which is primary; hence
+    (H, g)^b is the intersection of the (H, L_i)^b.  A group of one flat
+    is its prime power, and its prime when b = 1.
     """
-    _check_prime_safety(arr)
     ring = arr.ring
     groups = {}
     for f in arr.flats():
-        groups.setdefault(f.members[0], []).append(f)
-    comps = []
-    for h, flats in groups.items():
+        if powers[f]:
+            groups.setdefault((f.members[0], powers[f]), []).append(f)
+    leaves = []
+    for (h, b), flats in groups.items():
         if len(flats) == 1:
-            comps.append(flats[0].prime(ring))
-        else:
-            product = expand_product([arr.forms[f.members[1]] for f in flats])
-            comps.append(Ideal(ring, (arr.forms[h], product)))
-    return intersect_many(comps)
+            leaves.append(flats[0].prime(ring) if b == 1
+                          else flats[0].prime_power(ring, b))
+            continue
+        plane = arr.forms[h]
+        product = expand_product([arr.forms[f.members[1]] for f in flats])
+        leaves.append(Ideal(ring, tuple(plane ** a * product ** (b - a)
+                                        for a in range(b, -1, -1))))
+    return leaves
+
+
+def radical_comb(arr):
+    """Intersection of all flat primes: the reduced singular locus.
+
+    The flats are grouped by their first member plane (`_plane_groups`),
+    so only the groups are intersected, at most one per plane instead of
+    one per flat.  A single flat comes back as its prime, unchanged.
+    """
+    _check_prime_safety(arr)
+    return intersect_many(_plane_groups(arr, {f: 1 for f in arr.flats()}))
 
 
 def pencil_component(flat, ring, vecs):
@@ -405,7 +422,9 @@ def symbolic_intersection(arr, powers, override=False):
     multiplicity 2 must get exponent 1 and flats of multiplicity e >= 3
     any exponent between 0 and e; zero exponents contribute the unit
     ideal (and are skipped).  `override` lifts these bounds, but a
-    negative exponent is refused either way.
+    negative exponent is refused either way.  Flats with the same first
+    member plane and exponent are intersected as one leaf
+    (`_plane_groups`).
     """
     _check_prime_safety(arr)
     ring = arr.ring
@@ -428,7 +447,7 @@ def symbolic_intersection(arr, powers, override=False):
                 raise ValidationError(
                     f"exponent {b} for flat {f!r} is outside 0..{f.multiplicity} "
                     "(pass override to force)")
-    ideals = [f.prime_power(ring, powers[f]) for f in flats if powers[f] > 0]
+    ideals = _plane_groups(arr, powers)
     if not ideals:
         return Ideal(ring, (ring.one(),))
     return intersect_many(ideals)

@@ -17,8 +17,12 @@ goal is that of Yan's geobuckets (1998, "The geobucket data structure
 for polynomials"), with a heap in place of the buckets.  A popped term
 whose exponents reach a guard bit raises `InternalLimitError`.  Over Q
 the dividend holds each coefficient as an int pair (numerator,
-denominator) in lowest terms, so a subtraction builds no `Fraction`;
-the terms it pops, and everything else in the engine, carry `Fraction`s.
+denominator), reduced by a gcd only when its denominator outgrows the
+products that reach it, and it subtracts reducers in integer form: the
+numerators over one common denominator, built on first use and kept with
+the basis (`_IntForms`, `_Engine.reducers`).  So a subtraction builds no
+`Fraction` and takes one gcd per call, not per term; the terms it pops,
+and everything else in the engine, carry `Fraction`s.
 
 `_Engine.first_divisor` is the one divisor search.  `_Engine.reduce`
 runs normal forms, S-polynomials and the Schreyer syzygy step through
@@ -30,8 +34,8 @@ components and is unchanged for ring terms.
 Buchberger completion uses the Gebauer-Moller pair criteria and pops
 the pairs one degree at a time: the degree of their lcm, or a drive's
 degree of it (below), with ties by the key of the lcm.  On homogeneous
-input, which every run but `radical_membership`'s is, that is the
-degree of the S-polynomial itself.
+input, which every run's is, that is the degree of the S-polynomial
+itself.
 The pair bookkeeping never unpacks an exponent tuple: the lcm, the
 divisibility tests of the M, F and B criteria, the coprimality test and
 the lcm degrees are guard-bit arithmetic on the packed words (`_lcm`,
@@ -93,7 +97,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (InternalLimitError, InvariantError, RingContextError,
                      ValidationError)
@@ -167,21 +171,72 @@ def _from_internal(terms, ring):
     return Polynomial(ring, {_unpack_plain(w, ring.nvars): c for _, w, c in terms})
 
 
+class _IntForm(list):
+    """The integer form of a monic polynomial over Q: its terms list, with
+    `nums`, each coefficient times D, the lcm of its denominators.  The
+    leading coefficient is 1, so nums[0] is D itself.  The terms are
+    shared with the polynomial, so a form costs an int and two pointers
+    per term, not a new (key, word, int) triple: a basis is held in both
+    forms while it reduces."""
+
+    __slots__ = ("nums",)
+
+
+class _IntForms(dict):
+    """The integer forms (`_IntForm`) of a list of monic polynomials over
+    Q, by index, each built on first use.
+
+    Like the first-divisor memo, they stay exact while the list only
+    grows by appending, so they are kept with the basis they belong to
+    and live as long as that memo.
+    """
+
+    __slots__ = ("polys",)
+
+    def __init__(self, polys):
+        super().__init__()
+        self.polys = polys
+
+    def __missing__(self, idx):
+        g = self.polys[idx]
+        d = lcm(*[c.denominator for _, _, c in g])
+        form = self[idx] = _IntForm(g)
+        form.nums = [c.numerator * (d // c.denominator) for _, _, c in g]
+        return form
+
+
 class _Dividend:
     """A polynomial under reduction, in descending key order on demand.
 
     `coeffs` maps key -> coefficient, `exps` maps key -> packed exponents
     and `heap` holds each live key once, negated.  Over F_p coefficients
-    are left unreduced until their term is popped.  Over Q a coefficient
-    is an int pair (numerator, denominator) in lowest terms, with a
-    positive denominator: `sub` runs the gcd steps of `Fraction`'s product
-    and difference on the ints, without building a `Fraction` per term,
-    and `pop` turns a nonzero pair back into a `Fraction`, so callers see
-    `Fraction`s only.  The gcds are taken at every step on the small
-    factors, as `Fraction` takes them: one gcd of the full cross products
-    works on longer ints, and on a basis with 840-bit coefficients it
-    reduced 1.5 times slower than `Fraction`.  A coefficient that cancels
-    stays until its key leaves the heap and is then skipped.
+    are left unreduced until their term is popped.  A coefficient that
+    cancels stays until its key leaves the heap and is then skipped.
+
+    Over Q a coefficient is an int pair (numerator, denominator) with a
+    positive denominator, not kept in lowest terms; `pop` turns a nonzero
+    pair into a `Fraction`, in lowest terms, so callers see `Fraction`s
+    only.  `sub` takes the reducer g in integer form (`_IntForms`),
+    numerators G_k over one denominator D, so the product c * g_k is
+    (c_n / h * G_k, c_d * D / h) with h = gcd(c_n, D): one gcd per call,
+    none per term.  A product of denominator pd updates a term thus:
+
+    - a new term stores the product's pair as it is;
+    - a stored denominator equal to pd, or a multiple of it, stays, and
+      no gcd is taken;
+    - otherwise the pair moves to the lcm of the two denominators, and is
+      reduced by one gcd only when that lcm is longer than
+      2 * bitlen(pd) + 64 bits.
+
+    Growth stays bounded: after every update the stored denominator is
+    the one it had, a product denominator, an lcm within that bound, or
+    the value's own denominator in lowest terms.  So it never outgrows
+    both 2^64 times the square of the products' denominators that reached
+    it and the denominator a `Fraction` would hold, and the numerator is
+    the value times it.  Without the bound, with every lcm left for `pop`
+    to reduce, the denominators can multiply up instead.  The terms of one
+    call mostly share their stored denominators, so the step from each
+    stored denominator is worked out once per call.
 
     Every popped term is checked against the guard bits: the reducers'
     fields are guard-free, so one subtraction can set a guard bit but not
@@ -206,26 +261,33 @@ class _Dividend:
     def sub(self, g, c, mk, mw):
         """Subtract c * x^m * g without its leading term.
 
-        The caller has already removed the term that c * x^m * g[0]
-        cancels (a popped leading term, or the other half of an
-        S-polynomial).
+        `g` is a monic terms list over F_p and its integer form over Q
+        (`_Engine.reducers`).  The caller has already removed the term that
+        c * x^m * g[0] cancels (a popped leading term, or the other half of
+        an S-polynomial).
         """
         coeffs = self.coeffs
         exps = self.exps
         heap = self.heap
         if not self.p:
-            # c * gc: cancel across the cross terms; v - c * gc: the
-            # denominators' gcd d, then gcd(t, d) cancels the difference
+            # g is an integer form: numerators over d = g.nums[0]
+            nums = g.nums
+            d = nums[0]
             cn = c.numerator
-            cd = c.denominator
-            for gk, gw, gc in islice(g, 1, None):
+            h = gcd(cn, d)
+            if h != 1:
+                cn //= h
+                d //= h
+            pd = c.denominator * d
+            bound = 2 * pd.bit_length() + 64
+            # stored denominator -> (new denominator, its factors on the
+            # stored and on the product numerator, whether it is past the
+            # bound); many terms share a stored denominator
+            steps = {}
+            for (gk, gw, _), gn in zip(islice(g, 1, None),
+                                       islice(nums, 1, None)):
                 k = gk + mk
-                gn = gc.numerator
-                gd = gc.denominator
-                g1 = gcd(cn, gd)
-                g2 = gcd(gn, cd)
-                pn = (cn // g1) * (gn // g2)
-                pd = (cd // g2) * (gd // g1)
+                pn = cn * gn
                 v = coeffs.get(k)
                 if v is None:
                     coeffs[k] = (-pn, pd)
@@ -233,14 +295,27 @@ class _Dividend:
                     heappush(heap, -k)
                     continue
                 vn, vd = v
-                d = gcd(vd, pd)
-                if d == 1:
-                    coeffs[k] = (vn * pd - pn * vd, vd * pd)
+                if vd == pd:
+                    coeffs[k] = (vn - pn, vd)
+                    continue
+                step = steps.get(vd)
+                if step is None:
+                    q, r = divmod(vd, pd)
+                    if not r:
+                        step = steps[vd] = (vd, 1, q, False)
+                    else:
+                        e = gcd(vd, pd)
+                        q = vd // e
+                        den = q * pd
+                        step = steps[vd] = (den, pd // e, q,
+                                            den.bit_length() > bound)
+                den, a, b, past = step
+                n = vn * a - pn * b
+                if past:
+                    e = gcd(n, den)
+                    coeffs[k] = (n // e, den // e)
                 else:
-                    s = vd // d
-                    t = vn * (pd // d) - pn * s
-                    d2 = gcd(t, d)
-                    coeffs[k] = (t // d2, s * (pd // d2))
+                    coeffs[k] = (n, den)
             return
         for gk, gw, gc in islice(g, 1, None):
             k = gk + mk
@@ -327,13 +402,25 @@ class _Engine:
             return [(k, w, (cc * ic) % p) for k, w, cc in terms]
         return [(k, w, cc / c) for k, w, cc in terms]
 
+    def reducers(self, polys):
+        """What `_Dividend.sub` takes for each of the monic `polys`, by
+        index: `polys` itself over F_p, their `_IntForms` over Q."""
+        return polys if self.p else _IntForms(polys)
+
     def s_dividend(self, gi, gj, lcm_key, lcm_w):
-        """The S-polynomial of two monic terms lists, as a dividend."""
+        """The S-polynomial of two monic polynomials, given as `reducers`
+        entries, as a dividend."""
         mik = lcm_key - gi[0][0]
         miw = lcm_w - gi[0][1]
-        acc = _Dividend([(k + mik, w + miw, c) for k, w, c in islice(gi, 1, None)],
-                        self.p, self.guard)
-        acc.sub(gj, self.ring.field.one, lcm_key - gj[0][0], lcm_w - gj[0][1])
+        one = self.ring.field.one
+        if self.p:
+            acc = _Dividend([(k + mik, w + miw, c)
+                             for k, w, c in islice(gi, 1, None)],
+                            self.p, self.guard)
+        else:
+            acc = _Dividend((), None, self.guard)
+            acc.sub(gi, -one, mik, miw)
+        acc.sub(gj, one, lcm_key - gj[0][0], lcm_w - gj[0][1])
         return acc
 
     def first_divisor(self, w, lt_ws, memo, known=None):
@@ -358,15 +445,16 @@ class _Engine:
             memo[w] = idx
         return idx
 
-    def reduce(self, acc, lt_ws, lt_keys, polys, memo=None, quotients=None):
+    def reduce(self, acc, lt_ws, lt_keys, reducers, memo=None, quotients=None):
         """Full normal form of a dividend against a list of monic polys.
 
         Each leading term is reduced by the first basis element whose
         leading term divides it in the same module component
         (`first_divisor`, through `memo` when given); irreducible terms
-        are emitted in descending key order.  `quotients`, when given,
-        receives (index, multiplier key, multiplier word, coefficient) for
-        each reduction step.
+        are emitted in descending key order.  `reducers[i]` is the i-th
+        element as `acc.sub` takes it (`reducers`).  `quotients`, when
+        given, receives (index, multiplier key, multiplier word,
+        coefficient) for each reduction step.
         """
         out = []
         while (term := acc.pop()) is not None:
@@ -379,33 +467,34 @@ class _Engine:
                     continue
             mk = k - lt_keys[idx]
             mw = w - lt_ws[idx]
-            acc.sub(polys[idx], c, mk, mw)
+            acc.sub(reducers[idx], c, mk, mw)
             if quotients is not None:
                 quotients.append((idx, mk, mw, c))
         return out
 
-    def normal_form(self, terms, lt_ws, lt_keys, polys, memo=None):
+    def normal_form(self, terms, lt_ws, lt_keys, reducers, memo=None):
         return self.reduce(_Dividend(terms, self.p, self.guard), lt_ws, lt_keys,
-                           polys, memo)
+                           reducers, memo)
 
     # -- one degree of a Buchberger run ------------------------------------
-    def reduce_pairs(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
+    def reduce_pairs(self, batch, reducers, lt_keys, lt_ws, memo, add, drive):
         """Reduce the pairs of one degree one by one on dividends, in heap
         order; with a `drive`, those left once it is full are dropped."""
         for n, (degree, lcm_key, i, j, lcm_w) in enumerate(batch):
             if drive is not None and drive.full(degree):
                 drive.dropped += len(batch) - n
                 return
-            acc = self.s_dividend(polys[i], polys[j], lcm_key, lcm_w)
-            if nf := self.reduce(acc, lt_ws, lt_keys, polys, memo):
+            acc = self.s_dividend(reducers[i], reducers[j], lcm_key, lcm_w)
+            if nf := self.reduce(acc, lt_ws, lt_keys, reducers, memo):
                 add(nf)
 
     def reduce_batch(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
         """Reduce the pairs of one degree as rows of one matrix (F4).
 
-        Over F_p only.  `batch` holds the popped pairs of that degree in
-        heap order.  Each pair gives two products (index, multiplier), made
-        once each.  Symbolic preprocessing gives every column that a basis
+        Over F_p only, where the reducers (`reducers`) are `polys` itself.
+        `batch` holds the popped pairs of that degree in heap order.  Each
+        pair gives two products (index, multiplier), made once each.
+        Symbolic preprocessing gives every column that a basis
         leading term divides one pivot: the product of its first divisor
         (`first_divisor`, through `memo`, after `drive.divisible` when
         driven); a column with no divisor has no pivot.  Every product that
@@ -540,6 +629,7 @@ class _Engine:
         block_of = []
         pairs = []  # a heap of (degree, lcm_key, i, j, lcm_w)
         memo = {}
+        reducers = self.reducers(polys)  # exact, as the memo is
         key = self.key
         guard = self.guard
         degree_of = _degree_func(self.ring.nvars)
@@ -578,7 +668,7 @@ class _Engine:
         for terms in sorted(gens_internal, key=lambda t: t[0][0]):
             if not terms:
                 continue
-            nf = self.normal_form(terms, lt_ws, lt_keys, polys, memo)
+            nf = self.normal_form(terms, lt_ws, lt_keys, reducers, memo)
             if nf:
                 add(nf)
         for b, block in enumerate(blocks):
@@ -603,7 +693,7 @@ class _Engine:
                 raise InternalLimitError(
                     f"an S-pair whose lcm has degree above {MAX_DEGREE} does "
                     "not fit the packed exponent fields")
-            reducer(batch, polys, lt_keys, lt_ws, memo, add, drive)
+            reducer(batch, reducers, lt_keys, lt_ws, memo, add, drive)
 
         # minimalize: drop elements whose lt is divisible by another kept lt
         order_ix = sorted((ix for ix in range(len(polys))
@@ -621,8 +711,9 @@ class _Engine:
         # which therefore divides none of them
         kept_keys = [terms[0][0] for terms in kept]
         memo = {}
+        reducers = self.reducers(kept)
         return [terms[:1] + self.normal_form(terms[1:], kept_ws, kept_keys,
-                                             kept, memo)
+                                             reducers, memo)
                 for terms in kept]
 
 
@@ -636,8 +727,10 @@ class GroebnerBasis:
         self._polys = internal
         self._lt_keys = [t[0][0] for t in internal]
         self._lt_ws = [t[0][1] for t in internal]
-        # first divisors of the words met so far: exact, the basis is fixed
+        # first divisors of the words met so far, and the reducers' forms:
+        # exact, the basis is fixed
         self._memo = {}
+        self._reducers = self._engine.reducers(internal)
         self.polys = (tuple(_from_internal(t, ring) for t in internal)
                       if polys is None else tuple(polys))
 
@@ -655,7 +748,7 @@ class GroebnerBasis:
             raise RingContextError("polynomial from a different ring")
         terms = _to_internal(f, self._engine.key)
         nf = self._engine.normal_form(terms, self._lt_ws, self._lt_keys,
-                                      self._polys, self._memo)
+                                      self._reducers, self._memo)
         return _from_internal(nf, self.ring)
 
     def contains(self, f):
@@ -747,10 +840,6 @@ def _extend_ring(ring, extra="t0"):
     while name in ring.names:
         name += "_"
     return PolyRing((name,) + ring.names, ring.field), name
-
-
-def _lift(poly, ext):
-    return Polynomial(ext, {(0,) + e: c for e, c in poly.terms.items()})
 
 
 class _DegreeCounter:
@@ -1107,19 +1196,4 @@ def saturate_irrelevant(a):
     raise InternalLimitError(
         "saturation by a generic linear form failed its Hilbert check "
         f"{_SATURATION_RETRIES} times")
-
-
-def radical_membership(f, a):
-    """Whether f lies in the radical of a (auxiliary-variable trick)."""
-    if f.ring != a.ring:
-        raise RingContextError("polynomial from a different ring")
-    if f.is_zero():
-        return True
-    ext, _ = _extend_ring(a.ring, "s0")
-    t = ext.variable(0)
-    gens = [_lift(g, ext) for g in a.gens]
-    gens.append(ext.one() - t * _lift(f, ext))
-    engine = _Engine(ext)
-    basis = engine.buchberger([_to_internal(g, engine.key) for g in gens])
-    return len(basis) == 1 and basis[0][0][1] == 0
 

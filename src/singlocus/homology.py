@@ -132,17 +132,18 @@ def _schreyer_step(level, engine):
     neg = engine.ring.field.neg
     minus_one = neg(one)
     memo = {}  # exact: the level is fixed
+    reducers = engine.reducers(vectors)
     next_vectors = []
     next_degrees = []
     for degree, i, j, u in tasks:
         lcm = lt_cw[i] + u
         lcm_vkey = lt_vkey[i] + key(u) * mult
-        sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lcm)
+        sp = engine.s_dividend(reducers[i], reducers[j], lcm_vkey, lcm)
         # sp = x^u v_i - x^v v_j, so the halves join the quotients as if
         # they had reduced sp, and the syzygy is minus the sum of them all
         quotients = [(i, lcm_vkey - lt_vkey[i], u, minus_one),
                      (j, lcm_vkey - lt_vkey[j], lcm - lt_cw[j], one)]
-        if engine.reduce(sp, lt_cw, lt_vkey, vectors, memo, quotients):
+        if engine.reduce(sp, lt_cw, lt_vkey, reducers, memo, quotients):
             raise InvariantError(
                 "input to the syzygy step was not a Groebner basis "
                 "(S-vector does not reduce to zero)")
@@ -184,6 +185,7 @@ def _module_leads(vectors, degrees, engine):
     by_comp = {}
     pairs = []  # a heap of (degree, lcm vkey, i, j, lcm)
     memo = {}  # exact: the basis only grows by appending
+    reducers = engine.reducers(basis)
 
     def add(terms, degree):
         terms = engine.monic(terms)
@@ -203,13 +205,13 @@ def _module_leads(vectors, degrees, engine):
         basis_degrees.append(degree)
 
     for terms, degree in zip(vectors, degrees):
-        nf = engine.normal_form(terms, lt_ws, lt_vkeys, basis, memo)
+        nf = engine.normal_form(terms, lt_ws, lt_vkeys, reducers, memo)
         if nf:
             add(nf, degree)
     while pairs:
         degree, lcm_vkey, i, j, lcm = heappop(pairs)
-        sp = engine.s_dividend(basis[i], basis[j], lcm_vkey, lcm)
-        nf = engine.reduce(sp, lt_ws, lt_vkeys, basis, memo)
+        sp = engine.s_dividend(reducers[i], reducers[j], lcm_vkey, lcm)
+        nf = engine.reduce(sp, lt_ws, lt_vkeys, reducers, memo)
         if nf:
             add(nf, degree)
     return lt_ws
@@ -577,58 +579,6 @@ def hilbert(ideal):
     data = HilbertData(_trim(list(num)), ideal.ring.nvars)
     ideal._hilbert_cache = data
     return data
-
-
-def schreyer_syzygies(gens, twists=None):
-    """Syzygies of a Groebner basis sitting in a graded free module.
-
-    `gens` is either a list of polynomials (rank-1 case) or a list of
-    equal-length polynomial vectors; `twists` gives the generator degrees
-    of the ambient free module (all zero by default).  The input must be
-    a Groebner basis: every S-vector has to reduce to zero against it,
-    otherwise this raises.  Leading coefficients need not be 1.  Returned
-    vectors pair to zero against `gens`.
-    """
-    if not gens:
-        return []
-    vectors_in = [[g] if isinstance(g, Polynomial) else list(g) for g in gens]
-    rank = len(vectors_in[0])
-    ring = vectors_in[0][0].ring
-    if any(len(v) != rank for v in vectors_in):
-        raise ValidationError("module elements of mixed rank")
-    if twists is None:
-        twists = [0] * rank
-    engine = _Engine(ring)
-    field = ring.field
-    shift = WIDTH * ring.nvars
-    # term-over-position order on the ambient module, grevlex on monomials;
-    # each vector is scaled to be monic, and its syzygy entries scaled back
-    vectors = []
-    degrees = []
-    inv_lcs = []
-    for vec in vectors_in:
-        if any(poly.ring != ring for poly in vec):
-            raise ValidationError("vector entries in mixed rings")
-        terms = _module_vector(enumerate(vec), engine.key, shift)
-        if not terms:
-            raise ValidationError("zero vector among the generators")
-        inv = field.inv(terms[0][2])
-        vectors.append([(vk, cw, field.mul(c, inv)) for vk, cw, c in terms])
-        degrees.append(max(sum(e) + twists[comp] for comp, poly in enumerate(vec)
-                           for e in poly.terms))
-        inv_lcs.append(inv)
-    level = _SyzygyLevel(vectors, degrees, mult=1 << _CB)
-    try:
-        nxt = _schreyer_step(level, engine)
-    except InvariantError as exc:
-        raise ValidationError(str(exc)) from exc
-    out = []
-    for syz in nxt.vectors if nxt else ():
-        comps = _components(syz, ring.nvars)
-        out.append([Polynomial(ring, {e: field.mul(co, inv_lcs[c])
-                                      for e, co in comps.get(c, {}).items()})
-                    for c in range(len(gens))])
-    return out
 
 
 def _in_schreyer_order(level, entries, nvars):

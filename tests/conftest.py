@@ -9,7 +9,9 @@ the minimal resolution's last map (the scan `rao_dimensions` ran before
 it read the Hilbert series of Ext^3),
 normal forms through the copy-the-dividend merge the engine used before
 its dividend accumulator, Q reductions through that accumulator with
-`Fraction` coefficients, as it was before they became int pairs, the
+`Fraction` coefficients, as it was before they became int pairs, and
+with int pairs kept in lowest terms at every step, as it was before it
+took its reducers in integer form, the
 monomial lcm, divisibility and coprimality through exponent tuples (the
 engine's Gebauer-Moller bookkeeping works on packed words), and the
 radical of an arrangement through one intersection per flat prime, the
@@ -25,7 +27,10 @@ Saturation by the irrelevant ideal is checked against the per-variable
 path it replaced: one Groebner basis per variable, in a grevlex order
 with that variable last, divided by its powers, and the n results
 intersected; ideal quotients and saturations by other ideals go through
-exact division of the generators of a ∩ (g).
+exact division of the generators of a ∩ (g).  Radical membership (the
+Rabinowitsch test) and single syzygy steps live here too, since only
+tests call them; symbolic intersections are checked against one
+prime-power leaf per flat.
 
 Over F_p the engine reduces the pairs of every Buchberger run as
 batches of packed rows (`_Engine.reduce_batch`).  The oracles that must
@@ -37,9 +42,11 @@ dividends over F_p as the engine does over Q.
 
 import importlib.util
 import itertools
+from fractions import Fraction
 from heapq import heappop, heappush
 from importlib.resources import files
 from itertools import islice
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -53,8 +60,9 @@ from singlocus.groebner import (GroebnerBasis, Ideal, _Dividend, _Engine,
                                 _from_internal, _hilbert_target,
                                 _HilbertDrive, _to_internal, intersect,
                                 intersect_many)
-from singlocus.homology import (_CB, _CMAX, _in_schreyer_order,
-                                _level_from_ring_gb, _schreyer_resolution,
+from singlocus.homology import (_CB, _CMAX, _components, _in_schreyer_order,
+                                _level_from_ring_gb, _module_vector,
+                                _schreyer_resolution, _schreyer_step,
                                 _SyzygyLevel, minimal_free_resolution)
 from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, MAX_DEGREE, WIDTH,
                                 PolyRing, Polynomial, _pack_plain,
@@ -224,9 +232,95 @@ class PairEngine(_Engine):
     reduce_batch = _Engine.reduce_pairs
 
 
+def radical_membership(f, a):
+    """Whether f lies in the radical of a: 1 lies in the ideal that a and
+    1 - s * f generate in a ring extended by s (Rabinowitsch's trick).
+
+    The only inhomogeneous input the engine takes; the library checks its
+    radicals by intersection trees, and this checks their generators
+    against the Jacobian ideal by an unrelated route."""
+    if f.ring != a.ring:
+        raise RingContextError("polynomial from a different ring")
+    if f.is_zero():
+        return True
+    ext, _ = _extend_ring(a.ring, "s0")
+    s = ext.variable(0)
+
+    def lift(poly):
+        return Polynomial(ext, {(0,) + e: c for e, c in poly.terms.items()})
+
+    gens = [lift(g) for g in a.gens]
+    gens.append(ext.one() - s * lift(f))
+    engine = groebner._Engine(ext)  # looked up here, so tests can record it
+    basis = engine.buchberger([_to_internal(g, engine.key) for g in gens])
+    return len(basis) == 1 and basis[0][0][1] == 0
+
+
+def schreyer_syzygies(gens, twists=None):
+    """Syzygies of a Groebner basis sitting in a graded free module, by one
+    `_schreyer_step`.
+
+    `gens` is either a list of polynomials (rank-1 case) or a list of
+    equal-length polynomial vectors; `twists` gives the generator degrees
+    of the ambient free module (all zero by default).  The input must be
+    a Groebner basis: every S-vector has to reduce to zero against it,
+    otherwise this raises.  Leading coefficients need not be 1.  Returned
+    vectors pair to zero against `gens`.
+    """
+    if not gens:
+        return []
+    vectors_in = [[g] if isinstance(g, Polynomial) else list(g) for g in gens]
+    rank = len(vectors_in[0])
+    ring = vectors_in[0][0].ring
+    if any(len(v) != rank for v in vectors_in):
+        raise ValidationError("module elements of mixed rank")
+    if twists is None:
+        twists = [0] * rank
+    engine = _Engine(ring)
+    field = ring.field
+    shift = WIDTH * ring.nvars
+    # term-over-position order on the ambient module, grevlex on monomials;
+    # each vector is scaled to be monic, and its syzygy entries scaled back
+    vectors = []
+    degrees = []
+    inv_lcs = []
+    for vec in vectors_in:
+        if any(poly.ring != ring for poly in vec):
+            raise ValidationError("vector entries in mixed rings")
+        terms = _module_vector(enumerate(vec), engine.key, shift)
+        if not terms:
+            raise ValidationError("zero vector among the generators")
+        inv = field.inv(terms[0][2])
+        vectors.append([(vk, cw, field.mul(c, inv)) for vk, cw, c in terms])
+        degrees.append(max(sum(e) + twists[comp] for comp, poly in enumerate(vec)
+                           for e in poly.terms))
+        inv_lcs.append(inv)
+    level = _SyzygyLevel(vectors, degrees, mult=1 << _CB)
+    try:
+        nxt = _schreyer_step(level, engine)
+    except InvariantError as exc:
+        raise ValidationError(str(exc)) from exc
+    out = []
+    for syz in nxt.vectors if nxt else ():
+        comps = _components(syz, ring.nvars)
+        out.append([Polynomial(ring, {e: field.mul(co, inv_lcs[c])
+                                      for e, co in comps.get(c, {}).items()})
+                    for c in range(len(gens))])
+    return out
+
+
 def radical_by_flat_primes(arr):
     """The intersection of the flat primes, taken flat by flat."""
     return intersect_many([f.prime(arr.ring) for f in arr.flats()])
+
+
+def symbolic_by_flat_powers(arr, powers):
+    """`symbolic_intersection` with no exponent checks, taken flat by flat:
+    one leaf per flat of positive exponent."""
+    ideals = [f.prime_power(arr.ring, powers[f]) for f in arr.flats()
+              if powers[f] > 0]
+    return intersect_many(ideals) if ideals else Ideal(arr.ring,
+                                                       (arr.ring.one(),))
 
 
 def intersect_by_ideals(a, b):
@@ -336,7 +430,8 @@ def exact_divide(f, g):
     gt = engine.monic(gt)
     quotients = []
     acc = _Dividend(_to_internal(f, engine.key), engine.p, engine.guard)
-    if engine.reduce(acc, [gt[0][1]], [gt[0][0]], [gt], quotients=quotients):
+    if engine.reduce(acc, [gt[0][1]], [gt[0][0]], engine.reducers([gt]),
+                     quotients=quotients):
         raise ValidationError("inexact polynomial division")
     mul = ring.field.mul
     return _from_internal([(k, w, mul(c, inv_lc)) for _, k, w, c in quotients],
@@ -444,6 +539,65 @@ class FractionDividend:
                 raise InternalLimitError("a popped term reached a guard bit")
             if c:
                 return k, w, c
+        return None
+
+
+class LowestTermsDividend:
+    """The Q dividend as it was before it took integer reducers: int pairs
+    (numerator, denominator) kept in lowest terms, with the gcd steps of
+    `Fraction`'s product and difference run on the ints of every term it
+    touches.  It has `_Dividend`'s interface and takes the reducers as
+    `Fraction` terms lists, as `FractionDividend` does."""
+
+    __slots__ = ("coeffs", "exps", "heap", "guard")
+
+    def __init__(self, terms, guard):
+        self.coeffs = {k: (c.numerator, c.denominator) for k, _, c in terms}
+        self.exps = {k: w for k, w, _ in terms}
+        self.heap = [-k for k, _, _ in terms]
+        self.guard = guard
+
+    def sub(self, g, c, mk, mw):
+        coeffs = self.coeffs
+        exps = self.exps
+        heap = self.heap
+        # c * gc: cancel across the cross terms; v - c * gc: the
+        # denominators' gcd d, then gcd(t, d) cancels the difference
+        cn = c.numerator
+        cd = c.denominator
+        for gk, gw, gc in islice(g, 1, None):
+            k = gk + mk
+            gn = gc.numerator
+            gd = gc.denominator
+            g1 = gcd(cn, gd)
+            g2 = gcd(gn, cd)
+            pn = (cn // g1) * (gn // g2)
+            pd = (cd // g2) * (gd // g1)
+            v = coeffs.get(k)
+            if v is None:
+                coeffs[k] = (-pn, pd)
+                exps[k] = gw + mw
+                heappush(heap, -k)
+                continue
+            vn, vd = v
+            d = gcd(vd, pd)
+            if d == 1:
+                coeffs[k] = (vn * pd - pn * vd, vd * pd)
+            else:
+                s = vd // d
+                t = vn * (pd // d) - pn * s
+                d2 = gcd(t, d)
+                coeffs[k] = (t // d2, s * (pd // d2))
+
+    def pop(self):
+        while self.heap:
+            k = -heappop(self.heap)
+            c = self.coeffs.pop(k)
+            w = self.exps.pop(k)
+            if w & self.guard:
+                raise InternalLimitError("a popped term reached a guard bit")
+            if c[0]:
+                return k, w, Fraction(*c)
         return None
 
 
@@ -707,6 +861,7 @@ def schreyer_step_by_tuples(level, engine):
     lt_cw = level.lt_cw
     lt_vkey = level.lt_vkey
     mult = level.mult
+    reducers = engine.reducers(vectors)
 
     by_comp = {}
     for i, cw in enumerate(lt_cw):
@@ -743,7 +898,8 @@ def schreyer_step_by_tuples(level, engine):
         uj = tuple(a - b for a, b in zip(lcm, ej))
         dw_i = _pack_plain(u)
         lcm_vkey = lt_vkey[i] + key(dw_i) * mult
-        sp = engine.s_dividend(vectors[i], vectors[j], lcm_vkey, lt_cw[i] + dw_i)
+        sp = engine.s_dividend(reducers[i], reducers[j], lcm_vkey,
+                               lt_cw[i] + dw_i)
         quotients = [(i, dw_i, one), (j, _pack_plain(uj), field.neg(one))]
         while (term := sp.pop()) is not None:
             vk, cw, co = term
@@ -756,7 +912,7 @@ def schreyer_step_by_tuples(level, engine):
             if red < 0:
                 raise InvariantError("S-vector does not reduce to zero")
             dm = cw - lt_cw[red]
-            sp.sub(vectors[red], co, vk - lt_vkey[red], dm)
+            sp.sub(reducers[red], co, vk - lt_vkey[red], dm)
             quotients.append((red, dm, field.neg(co)))
         terms = []
         col = {}

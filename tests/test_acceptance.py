@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import (monomials_of_degree, tree_top,
+from conftest import (monomials_of_degree, radical_membership, tree_top,
                       undriven_liaison_basis)
 from singlocus.arrangement import (Arrangement, combinatorial_degrees,
                                    generic_section,
@@ -22,7 +22,7 @@ from singlocus.arrangement import (Arrangement, combinatorial_degrees,
                                    triangle_condition)
 from singlocus.corpus import (entry_names, load_arrangement, load_graph,
                               run_regressions)
-from singlocus.groebner import Ideal, radical_membership, saturate_irrelevant
+from singlocus.groebner import Ideal, saturate_irrelevant
 from singlocus.homology import betti_of, hilbert, is_cm, rao_dimensions
 from singlocus.liaison import (LiaisonStep, basic_double_link, construct_lr,
                                construct_lr_radical,

@@ -16,12 +16,13 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    top_comb, triangle_condition,
                                    uniform_powers)
 from conftest import (CORPUS_DIR, intersect_many_by_ideals,
-                      radical_by_flat_primes, sweep_texts, tree_top)
+                      radical_by_flat_primes, radical_membership, sweep_texts,
+                      symbolic_by_flat_powers, tree_top)
 from singlocus import arrangement, linalg
 from singlocus.corpus import (arrangement_names, load_arrangement, load_graph,
                               run_regressions)
 from singlocus.errors import ParseError, ValidationError
-from singlocus.groebner import Ideal, intersect_many, radical_membership
+from singlocus.groebner import Ideal, intersect_many
 from singlocus.homology import hilbert
 from singlocus.polyring import DEFAULT_PRIME, GF, QQ, PolyRing
 
@@ -385,6 +386,29 @@ class TestSymbolicIntersection:
         powers = {arr.flats()[0]: 0}
         got = symbolic_intersection(arr, powers, override=True)
         assert got.is_unit()
+
+
+class TestSymbolicByPlanes:
+    """`symbolic_intersection` intersects one leaf per plane and exponent;
+    the flat-by-flat intersection of the prime powers is its oracle, and
+    the reduced bases must be the same, term for term."""
+
+    @staticmethod
+    def _check(arr):
+        for powers in (rule_powers(arr, 2), rule_powers(arr, 3),
+                       uniform_powers(arr, 2)):
+            got = symbolic_intersection(arr, powers, override=True)
+            want = symbolic_by_flat_powers(arr, powers)
+            assert got.groebner()._polys == want.groebner()._polys
+
+    @pytest.mark.parametrize("name", [n for n in arrangement_names()
+                                      if n != "thirty_one_planes"])
+    def test_corpus(self, name):
+        self._check(load_arrangement(name, GF(32003)))
+
+    @pytest.mark.parametrize("name", ["nine_planes", "star_pencil"])
+    def test_over_q(self, name):
+        self._check(load_arrangement(name, QQ))
 
 
 class TestHypothesis:

@@ -2,20 +2,24 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LARGEST_PRIME, FractionDividend, PairEngine,
+from conftest import (LARGEST_PRIME, FractionDividend, LowestTermsDividend,
+                      PairEngine,
                       buchberger_criterion_holds, colon, coprime_exps,
                       divides_exps, exact_divide,
                       intersect_by_ideals, lcm_exps,
                       membership_by_linear_algebra, merge_normal_form,
                       monomials_of_degree, pack_by_slices, power_of_variables,
-                      saturate, saturate_by_variable, saturate_by_variables,
-                      standard_monomial_count, sweep_texts)
+                      radical_membership, saturate, saturate_by_variable,
+                      saturate_by_variables, standard_monomial_count,
+                      sweep_texts)
 from singlocus import groebner, homology
 from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
                                    radical_comb, rule_powers,
@@ -26,8 +30,7 @@ from singlocus.errors import (InternalLimitError, InvariantError,
 from singlocus.groebner import (Ideal, _DegreeCounter, _Dividend,
                                 _elimination_key, _Engine, _hilbert_target,
                                 _HilbertDrive, _to_internal, intersect,
-                                intersect_many, radical_membership,
-                                saturate_irrelevant)
+                                intersect_many, saturate_irrelevant)
 from singlocus.homology import hilbert, is_saturated
 from singlocus.polyring import (_MR_BOUND, GF, QQ, MAX_DEGREE, WIDTH,
                                 PolyRing, _degree_func, _is_prime,
@@ -480,7 +483,8 @@ def test_normal_form_matches_merge_oracle(field):
         terms = _to_internal(f, engine.key)
         lt_ws = [t[0][1] for t in basis]
         lt_keys = [t[0][0] for t in basis]
-        got = engine.normal_form(terms, lt_ws, lt_keys, basis)
+        got = engine.normal_form(terms, lt_ws, lt_keys,
+                                 engine.reducers(basis))
         want = merge_normal_form(terms, lt_ws, lt_keys, basis, engine.guard,
                                  field.p)
         assert got == want
@@ -488,49 +492,232 @@ def test_normal_form_matches_merge_oracle(field):
     assert reductions > 150
 
 
-def _wide_fraction(rng):
-    """A rational whose numerator and denominator are each small or above
-    2^64."""
-    num = rng.randint(1, 1 << rng.choice((3, 70, 130)))
-    return Fraction(rng.choice((-num, num)),
-                    rng.randint(1, 1 << rng.choice((2, 70, 130))))
+class _CheckedDividend(_Dividend):
+    """A Q `_Dividend` that checks every pair each `sub` touches: its value
+    is exact, and its denominator follows the rule of `_Dividend`'s
+    docstring.  `stats` counts the updates by kind; "crossed" counts the
+    lcms that went past the normalization bound."""
+
+    __slots__ = ("stats",)
+
+    def __init__(self, terms, guard, stats):
+        super().__init__(terms, None, guard)
+        self.stats = stats
+
+    def sub(self, g, c, mk, mw):
+        d = g.nums[0]
+        pd = c.denominator * (d // gcd(c.numerator, d))
+        before = {gk + mk: self.coeffs.get(gk + mk) for gk, _, _ in g[1:]}
+        super().sub(g, c, mk, mw)
+        stats = self.stats
+        for (gk, _, gc), gn in zip(g[1:], g.nums[1:]):
+            assert Fraction(gn, d) == gc
+            old = before[gk + mk]
+            vn, vd = self.coeffs[gk + mk]
+            want = -c * gc
+            if old is None:
+                stats["new"] += 1
+                assert vd == pd
+            else:
+                want += Fraction(*old)
+                if old[1] % pd == 0:
+                    stats["equal" if old[1] == pd else "divides"] += 1
+                    assert vd == old[1]
+                elif lcm(old[1], pd).bit_length() > 2 * pd.bit_length() + 64:
+                    stats["crossed"] += 1
+                    assert gcd(vn, vd) == 1
+                else:
+                    stats["lcm"] += 1
+                    assert vd == lcm(old[1], pd)
+            assert vd > 0 and Fraction(vn, vd) == want
+
+
+def _q_reduce_three_ways(engine, basis, reducers, terms, stats):
+    """`_Engine.reduce` of `terms` on a checked int-pair dividend against
+    `reducers`, checked term for term and quotient for quotient against
+    both oracle dividends on the `Fraction` basis; returns the normal
+    form."""
+    lt_ws = [t[0][1] for t in basis]
+    lt_keys = [t[0][0] for t in basis]
+    got_quotients, lowest_quotients, fraction_quotients = [], [], []
+    got = engine.reduce(_CheckedDividend(terms, engine.guard, stats), lt_ws,
+                        lt_keys, reducers, quotients=got_quotients)
+    lowest = engine.reduce(LowestTermsDividend(terms, engine.guard), lt_ws,
+                           lt_keys, basis, quotients=lowest_quotients)
+    fraction = engine.reduce(FractionDividend(terms, engine.guard), lt_ws,
+                             lt_keys, basis, quotients=fraction_quotients)
+    assert got == lowest == fraction
+    assert got_quotients == lowest_quotients == fraction_quotients
+    assert all(type(c) is Fraction for _, _, c in got)
+    return got
+
+
+def _fraction_of_bits(num_bits, den_bits):
+    """A draw of a signed rational whose numerator and denominator have up
+    to one of `num_bits` and one of `den_bits` bits."""
+    def draw(rng):
+        num = rng.randint(1, 1 << rng.choice(num_bits))
+        return Fraction(rng.choice((-num, num)),
+                        rng.randint(1, 1 << rng.choice(den_bits)))
+    return draw
 
 
 def test_q_dividend_matches_fraction_oracle():
     """Over Q, `_Engine.reduce` on the int-pair dividend gives term for term
-    the normal form and the quotient sink it gives on the `Fraction` one.
+    the normal form and the quotient sink it gives on the `Fraction` one
+    and on the lowest-terms int-pair one.
 
     Numerators and denominators run past 2^64, and the dividends carry
     multiples of the basis elements, so terms cancel.
     """
     rng = random.Random("q dividend")
     ring = PolyRing(("x", "y", "z", "w"), QQ)
+    wide_fraction = _fraction_of_bits((3, 70, 130), (2, 70, 130))
+    stats = Counter()
     wide = cancelled = 0
     for _ in range(150):
         engine = _Engine(ring, rng.choice([None, _elimination_key(3)]))
         gens = [g for g in (_random_poly(rng, ring, rng.randint(1, 4), 3,
-                                         _wide_fraction)
+                                         wide_fraction)
                             for _ in range(rng.randint(1, 4)))
                 if g.total_degree()]  # a constant would reduce everything
-        f = _random_poly(rng, ring, rng.randint(0, 6), 5, _wide_fraction)
+        f = _random_poly(rng, ring, rng.randint(0, 6), 5, wide_fraction)
         for g in gens:
-            f = f + _random_poly(rng, ring, 1, 2, _wide_fraction) * g
+            f = f + _random_poly(rng, ring, 1, 2, wide_fraction) * g
         basis = [engine.monic(_to_internal(g, engine.key)) for g in gens]
         terms = _to_internal(f, engine.key)
-        lt_ws = [t[0][1] for t in basis]
-        lt_keys = [t[0][0] for t in basis]
-        got_quotients, want_quotients = [], []
-        got = engine.reduce(_Dividend(terms, None, engine.guard), lt_ws,
-                            lt_keys, basis, quotients=got_quotients)
-        want = engine.reduce(FractionDividend(terms, engine.guard), lt_ws,
-                             lt_keys, basis, quotients=want_quotients)
-        assert got == want
-        assert got_quotients == want_quotients
-        assert all(type(c) is Fraction for _, _, c in got)
+        got = _q_reduce_three_ways(engine, basis, engine.reducers(basis),
+                                   terms, stats)
         wide += any(max(abs(c.numerator), c.denominator) >> 64
                     for _, _, c in got)
         cancelled += len(got) < len(terms)
     assert wide > 100 and cancelled > 50
+    assert stats["new"] > 100 and stats["lcm"] > 100 and stats["crossed"] > 10
+
+
+def test_q_dividend_reuses_one_reducer():
+    """One reducer, its integer form built once, reduces many dividends, each
+    by long multiples of it."""
+    rng = random.Random("q reducer reuse")
+    ring = PolyRing(("x", "y", "z", "w"), QQ)
+    wide_fraction = _fraction_of_bits((3, 70), (2, 70, 130))
+    engine = _Engine(ring)
+    stats = Counter()
+    steps = 0
+    for _ in range(6):
+        g = _random_poly(rng, ring, 6, 3, wide_fraction)
+        if not g.total_degree():
+            continue
+        basis = [engine.monic(_to_internal(g, engine.key))]
+        reducers = engine.reducers(basis)
+        for _ in range(8):
+            f = _random_poly(rng, ring, 20, 4, wide_fraction) * g
+            quotient = _q_reduce_three_ways(engine, basis, reducers,
+                                            _to_internal(f, engine.key), stats)
+            assert not quotient
+            steps += len(f.terms)
+        assert list(reducers) == [0]
+    assert steps > 1000
+
+
+def test_q_dividend_reducers_sharing_a_denominator():
+    """Reducers whose coefficients share one wide denominator: most updates
+    find the stored denominator equal to, or a multiple of, the product's,
+    and take no gcd."""
+    rng = random.Random("q shared denominator")
+    ring = PolyRing(("x", "y", "z", "w"), QQ)
+    stats = Counter()
+    for _ in range(40):
+        den = rng.randint(1 << 90, 1 << 100)
+        engine = _Engine(ring, rng.choice([None, _elimination_key(3)]))
+
+        def shared(r):
+            return Fraction(r.randint(-(1 << 20), 1 << 20) or 1, den)
+
+        gens = [g for g in (_random_poly(rng, ring, rng.randint(2, 5), 3,
+                                         shared) for _ in range(3))
+                if g.total_degree()]
+        f = _random_poly(rng, ring, 4, 5, shared)
+        for g in gens:
+            f = f + _random_poly(rng, ring, 3, 2) * g
+        basis = [engine.monic(_to_internal(g, engine.key)) for g in gens]
+        _q_reduce_three_ways(engine, basis, engine.reducers(basis),
+                             _to_internal(f, engine.key), stats)
+    assert stats["equal"] + stats["divides"] > 200
+
+
+def test_q_dividend_thousand_bit_denominators():
+    """Denominators of 1000 bits and more meet small ones: the lcms cross
+    the normalization bound, and each crossing pair is stored in lowest
+    terms.  The dividends are multiples of reducers with small
+    coefficients, so the product denominators are small, plus terms of
+    low degree with wide ones, which those products then update."""
+    rng = random.Random("q thousand bits")
+    ring = PolyRing(("x", "y", "z", "w"), QQ)
+    wide_fraction = _fraction_of_bits((3, 1100), (1000, 1200))
+    small_fraction = _fraction_of_bits((3,), (2,))
+    stats = Counter()
+    for _ in range(100):
+        engine = _Engine(ring)
+        gens = [g for g in (_random_poly(rng, ring, rng.randint(2, 4), 3,
+                                         small_fraction)
+                            for _ in range(rng.randint(1, 3)))
+                if g.total_degree()]
+        f = _random_poly(rng, ring, 6, 2, wide_fraction)
+        for g in gens:
+            f = f + _random_poly(rng, ring, 3, 2, small_fraction) * g
+        basis = [engine.monic(_to_internal(g, engine.key)) for g in gens]
+        _q_reduce_three_ways(engine, basis, engine.reducers(basis),
+                             _to_internal(f, engine.key), stats)
+    assert stats["crossed"] > 50
+
+
+_BITS = st.sampled_from((3, 70, 1100))
+
+
+@st.composite
+def wide_fractions(draw):
+    num = draw(_BITS.flatmap(lambda b: st.integers(1, 1 << b)))
+    den = draw(_BITS.flatmap(lambda b: st.integers(1, 1 << b)))
+    return Fraction(draw(st.sampled_from((-num, num))), den)
+
+
+@st.composite
+def q_polys(draw, ring, max_terms):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = tuple(draw(st.lists(st.integers(0, 2), min_size=4, max_size=4)))
+        terms[exps] = draw(wide_fractions())
+    return ring.from_terms(terms)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_q_dividend_pairs_stay_exact(data):
+    """After every `sub`, each stored pair equals the exact `Fraction` that
+    `FractionDividend` holds for its key, and its denominator follows the
+    rule of `_Dividend`'s docstring; the popped terms agree."""
+    ring = PolyRing(("x", "y", "z", "w"), QQ)
+    engine = _Engine(ring)
+    basis = [engine.monic(_to_internal(g, engine.key))
+             for g in data.draw(st.lists(q_polys(ring, 5), min_size=1,
+                                         max_size=3))]
+    reducers = engine.reducers(basis)
+    start = _to_internal(data.draw(q_polys(ring, 4)), engine.key)
+    acc = _CheckedDividend(start, engine.guard, Counter())
+    exact = FractionDividend(start, engine.guard)
+    for _ in range(data.draw(st.integers(1, 12))):
+        idx = data.draw(st.integers(0, len(basis) - 1))
+        c = data.draw(wide_fractions())
+        mw = _pack_plain(data.draw(st.lists(st.integers(0, 2), min_size=4,
+                                            max_size=4)))
+        mk = engine.key(mw)
+        acc.sub(reducers[idx], c, mk, mw)
+        exact.sub(basis[idx], c, mk, mw)
+        assert {k: Fraction(*v) for k, v in acc.coeffs.items()} == exact.coeffs
+    while (term := acc.pop()) is not None:
+        assert term == exact.pop()
+    assert exact.pop() is None
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
@@ -542,6 +729,7 @@ def test_first_divisor_memo_matches_the_scan(field):
     for _ in range(40):
         engine = _Engine(ring, rng.choice([None, _elimination_key(3)]))
         basis, lt_ws, lt_keys, memo = [], [], [], {}
+        reducers = engine.reducers(basis)
         for _ in range(8):
             g = _random_poly(rng, ring, rng.randint(1, 3), 3)
             if g.total_degree():
@@ -552,8 +740,10 @@ def test_first_divisor_memo_matches_the_scan(field):
             for _ in range(3):
                 f = _random_poly(rng, ring, rng.randint(1, 6), 5)
                 terms = _to_internal(f, engine.key)
-                assert (engine.normal_form(terms, lt_ws, lt_keys, basis, memo)
-                        == engine.normal_form(terms, lt_ws, lt_keys, basis))
+                assert (engine.normal_form(terms, lt_ws, lt_keys, reducers,
+                                           memo)
+                        == engine.normal_form(terms, lt_ws, lt_keys,
+                                              engine.reducers(basis)))
         assert memo
 
 

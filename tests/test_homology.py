@@ -6,8 +6,8 @@ import pytest
 
 from conftest import (betti_by_strand_homology, deficiency_by_ext,
                       power_of_variables, rao_by_degree_scan,
-                      schreyer_resolution_by_tuples, standard_monomial_count,
-                      sweep_texts, tree_top)
+                      schreyer_resolution_by_tuples, schreyer_syzygies,
+                      standard_monomial_count, sweep_texts, tree_top)
 from singlocus import homology, linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
@@ -20,8 +20,7 @@ from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
                                 _schreyer_resolution, betti_json, betti_of,
                                 betti_table, betti_text, dimensions, hilbert,
                                 is_cm, is_saturated, minimal_free_resolution,
-                                rao_dimensions, schreyer_syzygies,
-                                unmixed_deficiency)
+                                rao_dimensions, unmixed_deficiency)
 from singlocus.liaison import construct_lr, construct_lr_radical
 from singlocus.polyring import GF, QQ, WIDTH, PolyRing, _unpack_plain
 
@@ -571,13 +570,16 @@ class TestSchreyerStepOracle:
     map entry for map entry and in the same order."""
 
     @staticmethod
-    def _check(arr):
+    def _check_ideal(ideal):
+        twists, maps = _schreyer_resolution(ideal)
+        want_twists, want_maps = schreyer_resolution_by_tuples(ideal)
+        assert twists == want_twists
+        assert [list(m.items()) for m in maps] == \
+            [list(m.items()) for m in want_maps]
+
+    def _check(self, arr):
         for ideal in (jacobian_ideal(arr), tree_top(arr), radical_comb(arr)):
-            twists, maps = _schreyer_resolution(ideal)
-            want_twists, want_maps = schreyer_resolution_by_tuples(ideal)
-            assert twists == want_twists
-            assert [list(m.items()) for m in maps] == \
-                [list(m.items()) for m in want_maps]
+            self._check_ideal(ideal)
 
     @pytest.mark.parametrize("name", [
         n for n in arrangement_names()
@@ -592,6 +594,15 @@ class TestSchreyerStepOracle:
             arr = _random_arrangement(seed, field)
             assert 5 <= arr.d <= 8
             self._check(arr)
+
+    def test_sweep_q_pool(self):
+        """Over Q the step reduces on integer reducers and lazily
+        normalized pairs; the tuple step on the same kernel agrees."""
+        for text in sweep_texts(3):
+            self._check(parse_arrangement(text, QQ))
+
+    def test_nine_planes_top_over_q(self):
+        self._check_ideal(tree_top(load_arrangement("nine_planes", QQ)))
 
     def test_equal_words_in_two_components(self, ring_p):
         x, y, z, w = ring_p.variables()

@@ -193,6 +193,14 @@ class TestConstructions:
         assert c.arrangement.d == 16
         assert c.predicted_rao == {12: 2}
 
+    def test_r2_radical_over_q(self):
+        """The radical r = 2 curve verifies over Q, as over F_p."""
+        c = construct_lr_radical(2, seed=7, field=QQ)
+        report = verify_construction(c)
+        assert report["ok"], report
+        assert report["degree_computed"] == 104
+        assert report["rao_computed"] == {12: 2}
+
     def test_r3_degree_recurrence(self):
         c = construct_lr(3, seed=9)
         assert c.arrangement.d == 27
