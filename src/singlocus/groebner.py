@@ -25,11 +25,12 @@ the basis (`_IntForms`, `_Engine.reducers`).  So a subtraction builds no
 and everything else in the engine, carry `Fraction`s.
 
 `_Engine.first_divisor` is the one divisor search.  `_Engine.reduce`
-runs normal forms, S-polynomials and the Schreyer syzygy step through
-it, over F_p and over Q alike, and an optional sink records each step's
-quotient.  A module term carries its component above the exponent
-fields; the divisor test masks those bits in, so it fails across
-components and is unchanged for ring terms.
+runs normal forms and S-polynomials through it, over F_p and over Q
+alike, and the Schreyer syzygy step except on the ring level over F_p
+(`homology._ring_rows`); an optional sink records each step's quotient.
+A module term carries its component above the exponent fields; the
+divisor test masks those bits in, so it fails across components and is
+unchanged for ring terms.
 
 Buchberger completion uses the Gebauer-Moller pair criteria and pops
 the pairs one degree at a time: the degree of their lcm, or a drive's
@@ -87,8 +88,7 @@ The S-rows are reduced in the order their pairs left the heap; each
 nonzero remainder joins the basis and becomes a pivot at once, and a
 driven batch stops when the degree is full.  Over Q,
 `_Engine.reduce_pairs` reduces the pairs one by one on `_Dividend`s, as
-normal forms, the tail reduction and the Schreyer step do over both
-fields.
+normal forms and the tail reduction do over both fields.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ basis.  Each step works in the induced (Schreyer) module order, where the
 sort key of a term m*e_c is the key of m multiplied into the leading term
 of the c-th generator one level down; keys stay plain integers and stay
 additive under monomial multiplication, exactly as in the ring engine.
+The first step, on the ring level over F_p, reduces each S-polynomial as
+one int in the Kronecker layout of `polyring._slot`, where a monomial
+multiplier is a shift (`_ring_rows`); a size rule keeps rings whose rows
+would be too long, Q and the module levels on the engine's dividends.
 The resulting resolution is generally non-minimal.  Its graded Betti
 numbers are read from the ranks of its constant blocks, and its maps are
 pruned to the minimal ones, by pivoting on nonzero-constant entries, only
@@ -30,12 +34,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import islice
 from math import comb
+from sys import int_info
 
 from . import linalg
-from .errors import InvariantError, ValidationError
+from .errors import InternalLimitError, InvariantError, ValidationError
 from .groebner import _Engine, _minimal_lcms
-from .polyring import (WIDTH, Polynomial, _degree_func, _pack_plain,
+from .polyring import (MAX_DEGREE, WIDTH, Polynomial, _degree_func,
+                       _pack_plain, _slot, _slot_bytes, _slot_monomial,
                        _unpack_plain)
 
 _CB = 20
@@ -94,11 +101,155 @@ def _level_from_ring_gb(internal_gb, degrees):
     return _SyzygyLevel(vectors, list(degrees), mult=1 << _CB)
 
 
+#: the size rule of the Kronecker rows (`_ring_rows`).  A row step makes
+#: two passes over the row (a shift and an add) and one more per int
+#: digit of p (the product of a tail with p - v); a dividend step costs
+#: about the reducer's terms.  A ring level reduces on rows when the row's
+#: bytes times its passes are at most this many per term of the level's
+#: mean vector: over F_32003, one digit, a row of up to a third of that
+#: many bytes per term.  On the corpus, the `sweep` pool and the liaison
+#: constructions at 32003, 2^61 - 1 and 3317044064679887385961813, rows
+#: and dividends cost the same at about 1000-1250
+_ROW_BYTES_PER_TERM = 1000
+
+#: slots of a row scanned at once for the lowest one that is not a
+#: multiple of p
+_ROW_WINDOW = 32
+
+
+def _ring_rows(level, engine, tasks, memo):
+    """The row kernel of a ring level over F_p, or None when the step
+    stays on dividends.
+
+    A level is the ring level when every term of every vector is in
+    component 0 and every vector is a form (its first and last terms, in
+    grevlex order, have one degree).  With base one more than the highest
+    degree of the lcms of the step's `tasks` (degree, i, j, multiplier),
+    each monomial of lower degree gets its Kronecker slot (`_slot`), so a
+    multiplier x^m is a shift by slot(m), and within one degree the slots
+    ascend as the engine's grevlex keys descend.  Each vector's tail is
+    packed once, on first use, as one int with a `_slot_bytes`-wide slot
+    from the slot after its leading term up.  A level whose rows,
+    base^(n - 1) slots, fail the size rule (`_ROW_BYTES_PER_TERM`) stays
+    on dividends.
+
+    Returns reduce(i, j, lcm, quotients): it reduces the S-polynomial of
+    vectors i and j, whose lcm is the word `lcm`, from its lowest slot up,
+    and appends one quotient (index, multiplier vkey, multiplier word,
+    coefficient) per step, as `_Engine.reduce` would, in the same order.
+    It returns True, at once, on a term that no leading term divides.
+    """
+    p = engine.p
+    nvars = engine.ring.nvars
+    shift = WIDTH * nvars
+    vectors = level.vectors
+    degree_of = _degree_func(nvars)
+    lt_cw = level.lt_cw
+    if (not p or not tasks
+            or any(w >> shift for v in vectors for _, w, _ in v)
+            or any(degree_of(v[0][1]) != degree_of(v[-1][1])
+                   for v in vectors)):
+        return None
+    top = max(degree_of(lt_cw[i] + u) for _, i, _, u in tasks)
+    base = top + 1
+    # a slot takes coefficients below p^2 from the S-polynomial's halves
+    # and at most one product below p^2 per slot below it
+    nbytes = _slot_bytes(p, base ** (nvars - 1) + 1)
+    passes = 2 + -(-p.bit_length() // int_info.bits_per_digit)
+    if (base ** (nvars - 1) * nbytes * passes * len(vectors)
+            > _ROW_BYTES_PER_TERM * sum(map(len, vectors))):
+        return None
+    if top > MAX_DEGREE:
+        raise InternalLimitError(
+            f"a syzygy step reached a degree above {MAX_DEGREE}, which does "
+            "not fit the packed exponent fields")
+    bits = 8 * nbytes
+    slot_mask = (1 << bits) - 1
+    window_mask = (1 << _ROW_WINDOW * bits) - 1
+    zero = bytes(nbytes)
+    key = engine.key
+    mult = level.mult
+    slot_of = {}  # word -> slot
+    word_at = {}  # slot -> its monomial of degree top
+    tails = {}  # index -> packed tail
+
+    def slot(w):
+        k = slot_of.get(w)
+        if k is None:
+            k = slot_of[w] = _slot(_unpack_plain(w, nvars), base)
+        return k
+
+    def tail(idx):
+        t = tails.get(idx)
+        if t is None:
+            terms = vectors[idx]
+            last = slot(terms[0][1]) + 1
+            chunks = []
+            for _, w, c in islice(terms, 1, None):
+                k = slot(w)
+                chunks.append(zero * (k - last))
+                chunks.append(c.to_bytes(nbytes, "little"))
+                last = k + 1
+            t = tails[idx] = int.from_bytes(b"".join(chunks), "little")
+        return t
+
+    def word(k):
+        w = word_at.get(k)
+        if w is None:
+            exps = _slot_monomial(k, base, nvars, top)
+            if exps is None:
+                raise InvariantError("a row reached a slot of no monomial")
+            w = word_at[k] = _pack_plain(exps)
+        return w
+
+    def reduce(i, j, lcm, quotients):
+        below = top - degree_of(lcm)  # x_0 degrees below top
+        row = tail(i) + (p - 1) * tail(j)
+        k = slot(lcm) + 1  # the slot of the row's lowest bits
+        while row:
+            low = row & window_mask
+            if not low:  # jump to the lowest nonzero slot
+                step = ((row & -row).bit_length() - 1) // bits
+                row >>= step * bits
+                k += step
+                continue
+            # the window's lowest slot that is not a multiple of p
+            at = 0
+            while low:
+                step = ((low & -low).bit_length() - 1) // bits
+                low >>= step * bits
+                at += step
+                v = (low & slot_mask) % p
+                if v:
+                    break
+                low >>= bits
+                at += 1
+            else:
+                row >>= _ROW_WINDOW * bits
+                k += _ROW_WINDOW
+                continue
+            row >>= (at + 1) * bits
+            k += at + 1
+            w = word(k - 1) - below
+            idx = memo.get(w)
+            if idx is None or idx < 0:
+                idx = engine.first_divisor(w, lt_cw, memo, idx)
+                if idx < 0:
+                    return True
+            mw = w - lt_cw[idx]
+            quotients.append((idx, key(mw) * mult, mw, v))
+            row += (p - v) * tail(idx)
+        return False
+
+    return reduce
+
+
 def _schreyer_step(level, engine):
     """The next level: the syzygies of a module Groebner basis of monic vectors.
 
     Each component's pairs are the ones `_minimal_lcms` keeps, and each
-    S-vector is reduced to zero by the engine; the syzygy's term m*e_c
+    S-vector is reduced to zero: on Kronecker rows for the ring level over
+    F_p (`_ring_rows`), by the engine otherwise.  The syzygy's term m*e_c
     comes straight from the S-vector's halves and the reduction's
     quotients.  Returns None when there are no syzygies.
     """
@@ -132,18 +283,23 @@ def _schreyer_step(level, engine):
     neg = engine.ring.field.neg
     minus_one = neg(one)
     memo = {}  # exact: the level is fixed
-    reducers = engine.reducers(vectors)
+    rows = _ring_rows(level, engine, tasks, memo)
+    reducers = engine.reducers(vectors) if rows is None else None
     next_vectors = []
     next_degrees = []
     for degree, i, j, u in tasks:
         lcm = lt_cw[i] + u
         lcm_vkey = lt_vkey[i] + key(u) * mult
-        sp = engine.s_dividend(reducers[i], reducers[j], lcm_vkey, lcm)
         # sp = x^u v_i - x^v v_j, so the halves join the quotients as if
         # they had reduced sp, and the syzygy is minus the sum of them all
         quotients = [(i, lcm_vkey - lt_vkey[i], u, minus_one),
                      (j, lcm_vkey - lt_vkey[j], lcm - lt_cw[j], one)]
-        if engine.reduce(sp, lt_cw, lt_vkey, reducers, memo, quotients):
+        if rows is not None:
+            left = rows(i, j, lcm, quotients)
+        else:
+            sp = engine.s_dividend(reducers[i], reducers[j], lcm_vkey, lcm)
+            left = engine.reduce(sp, lt_cw, lt_vkey, reducers, memo, quotients)
+        if left:
             raise InvariantError(
                 "input to the syzygy step was not a Groebner basis "
                 "(S-vector does not reduce to zero)")

@@ -14,7 +14,8 @@ additivity for fast arithmetic.
 Over F_p the product of two forms is made by Kronecker substitution
 (`_kronecker_product`) whenever there are more than a few term pairs and
 the packed ints stay small against their number; every other product
-runs the term loop.
+runs the term loop.  Its slot layout (`_slot`, `_slot_monomial`) also
+lays out the rows of the first syzygy step over F_p in `homology`.
 """
 
 from __future__ import annotations
@@ -560,32 +561,57 @@ _BYTES_PER_PAIR = 24
 _LOOP_PAIRS = 10
 
 
+def _slot(exps, base):
+    """The Kronecker slot of x^exps: the sum of exps[i] * base^(i - 1) over
+    the variables x_1..x_{n-1}; x_0 follows from the degree.
+
+    While `base` exceeds every degree in play, no digit carries, so
+    slot(x^a * x^b) = slot(x^a) + slot(x^b), and among the monomials of
+    one degree the slots ascend as grevlex descends: both read the
+    exponents of x_1..x_{n-1} as one number with the last variable on top.
+    """
+    k = 0
+    for x in reversed(exps[1:]):
+        k = k * base + x
+    return k
+
+
+def _slot_monomial(k, base, nvars, degree):
+    """The exponents of the monomial of `degree` whose slot (`_slot`, in
+    `base`) is k, or None when no monomial of `degree` has that slot."""
+    exps = []
+    for _ in range(1, nvars):
+        k, e = divmod(k, base)
+        exps.append(e)
+    rest = degree - sum(exps)
+    if k or rest < 0:
+        return None
+    return (rest, *exps)
+
+
 @lru_cache(maxsize=64)
 def _degree_slots(nvars, degree):
-    """The monomials of `degree` in `nvars` variables, by Kronecker slot.
+    """The monomials of `degree` in `nvars` variables, by Kronecker slot
+    (`_slot`) in base degree + 1.
 
     Returns two parallel lists sorted by slot: the slots and the exponent
-    tuples.  The slot of x^e is the sum of e_i * (degree + 1)^(i - 1) over
-    the variables x_1..x_{n-1}; e_0 follows from the degree.
+    tuples.
     """
-    base = degree + 1
-    rows = [(0, 0, ())]  # (slot, degree used, exponents of x_1.. so far)
-    for i in range(1, nvars):
-        step = base ** (i - 1)
-        rows = [(k + e * step, used + e, exps + (e,))
-                for k, used, exps in rows for e in range(degree - used + 1)]
-    rows.sort()
-    return ([k for k, _, _ in rows],
-            [(degree - used,) + exps for _, used, exps in rows])
+    rows = [()]  # exponents of x_1.. so far
+    for _ in range(1, nvars):
+        rows = [e + (a,) for e in rows for a in range(degree - sum(e) + 1)]
+    pairs = sorted((_slot(e, degree + 1), e)
+                   for e in ((degree - sum(r),) + r for r in rows))
+    return [k for k, _ in pairs], [e for _, e in pairs]
 
 
 def _kronecker_product(a, b, degree):
     """The product of two nonzero forms over F_p of total degree `degree`,
     by Kronecker substitution.
 
-    Each form becomes one int with a byte-aligned slot per exponent of
-    x_1..x_{n-1} in base degree + 1, from its lowest slot up; the slot of
-    a product term is the sum of its factors' slots.  A slot takes at
+    Each form becomes one int with a byte-aligned slot (`_slot`, in base
+    degree + 1) per monomial, from its lowest slot up; the slot of a
+    product term is the sum of its factors' slots.  A slot takes at
     most min(len(a), len(b)) products below p^2, so `_slot_bytes` never
     carries.  Only the slots of monomials of `degree` are read back.
     """
@@ -594,12 +620,7 @@ def _kronecker_product(a, b, degree):
     nbytes = _slot_bytes(p, min(len(a.terms), len(b.terms)))
 
     def pack(f):
-        slots = {}
-        for e, c in f.terms.items():
-            k = 0
-            for x in reversed(e[1:]):
-                k = k * base + x
-            slots[k] = c
+        slots = {_slot(e, base): c for e, c in f.terms.items()}
         low, high = min(slots), max(slots)
         buf = bytearray(nbytes * (high + 1 - low))
         for k, c in slots.items():

@@ -17,8 +17,11 @@ engine's Gebauer-Moller bookkeeping works on packed words), and the
 radical of an arrangement through one intersection per flat prime, the
 raw resolution through the Schreyer step with its own pair selection
 and divisor search, as it was before the step ran on the Buchberger
-kernel, ideal intersections through public `Ideal`s at every step of
-the tree, with the first input always in the t-block, products of
+kernel (`schreyer_resolution_by_tuples`, which reduces every level on
+dividends and so is also the independent oracle of the Kronecker rows
+that the first step reduces on over F_p), ideal intersections through
+public `Ideal`s at every step of the tree, with the first input always
+in the t-block, products of
 forms through the term loop that Kronecker substitution replaces, and
 the bases of liaison outputs through generators multiplied out by that
 loop and reduced with no Hilbert drive, and the packed rows of a batch
@@ -51,7 +54,7 @@ from pathlib import Path
 
 import pytest
 
-from singlocus import groebner, linalg
+from singlocus import groebner, homology, linalg
 from singlocus.arrangement import Arrangement, top_comb
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
@@ -74,6 +77,10 @@ CORPUS_DIR = files("singlocus") / "arrangements"
 #: the largest prime that `GF` accepts, the last below the bound of its
 #: primality certificate
 LARGEST_PRIME = 3317044064679887385961813
+
+#: primes whose packed rows need slots wider than 64 bits
+LARGE_PRIMES = [GF(2 ** 31 - 1), GF(2 ** 61 - 1), GF(LARGEST_PRIME)]
+LARGE_IDS = ["p31", "p61", "p82"]
 
 
 def tree_top(arr):
@@ -114,6 +121,22 @@ def drives(monkeypatch):
 
     monkeypatch.setattr(groebner, "_HilbertDrive", Recorded)
     return built
+
+
+@pytest.fixture
+def ring_rows(monkeypatch):
+    """Whether each Schreyer step run while the test runs reduced on
+    Kronecker rows (`homology._ring_rows` gave it a kernel)."""
+    took = []
+    ring_rows = homology._ring_rows
+
+    def recorded(*args):
+        kernel = ring_rows(*args)
+        took.append(kernel is not None)
+        return kernel
+
+    monkeypatch.setattr(homology, "_ring_rows", recorded)
+    return took
 
 
 def monomials_of_degree(nvars, d):

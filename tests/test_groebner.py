@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LARGEST_PRIME, FractionDividend, LowestTermsDividend,
-                      PairEngine,
+from conftest import (LARGE_IDS, LARGE_PRIMES, LARGEST_PRIME, FractionDividend,
+                      LowestTermsDividend, PairEngine,
                       buchberger_criterion_holds, colon, coprime_exps,
                       divides_exps, exact_divide,
                       intersect_by_ideals, lcm_exps,
@@ -880,11 +880,6 @@ def _random_homogeneous_ideal(rng, ring):
         gens.append(ring.from_terms({m: ring.field.from_int(rng.choice(coeffs))
                                      for m in picked}))
     return Ideal(ring, gens)
-
-
-#: primes whose batch rows need slots wider than 64 bits
-LARGE_PRIMES = [GF(2 ** 31 - 1), GF(2 ** 61 - 1), GF(LARGEST_PRIME)]
-LARGE_IDS = ["p31", "p61", "p82"]
 
 
 def test_largest_prime_is_the_last_below_the_bound():

@@ -4,20 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (betti_by_strand_homology, deficiency_by_ext,
-                      power_of_variables, rao_by_degree_scan,
-                      schreyer_resolution_by_tuples, schreyer_syzygies,
-                      standard_monomial_count, sweep_texts, tree_top)
+from conftest import (LARGE_IDS, LARGE_PRIMES, betti_by_strand_homology,
+                      deficiency_by_ext, power_of_variables,
+                      rao_by_degree_scan, schreyer_resolution_by_tuples,
+                      schreyer_syzygies, standard_monomial_count,
+                      sweep_texts, tree_top)
 from singlocus import homology, linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
 from singlocus.corpus import arrangement_names, load_arrangement
-from singlocus.errors import InvariantError, ValidationError
-from singlocus.groebner import (Ideal, _Engine, intersect, intersect_many,
-                                saturate_irrelevant)
+from singlocus.errors import (InternalLimitError, InvariantError,
+                              ValidationError)
+from singlocus.groebner import (Ideal, _Engine, _to_internal, intersect,
+                                intersect_many, saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
-                                _module_leads, _module_vector,
-                                _schreyer_resolution, betti_json, betti_of,
+                                _level_from_ring_gb, _module_leads,
+                                _module_vector, _schreyer_resolution,
+                                _schreyer_step, betti_json, betti_of,
                                 betti_table, betti_text, dimensions, hilbert,
                                 is_cm, is_saturated, minimal_free_resolution,
                                 rao_dimensions, unmixed_deficiency)
@@ -604,6 +607,22 @@ class TestSchreyerStepOracle:
     def test_nine_planes_top_over_q(self):
         self._check_ideal(tree_top(load_arrangement("nine_planes", QQ)))
 
+    @pytest.mark.parametrize("field", LARGE_PRIMES, ids=LARGE_IDS)
+    def test_large_primes(self, field, monkeypatch, ring_rows):
+        """Slots of up to 23 bytes: with the size rule lifted, every ring
+        level reduces on rows."""
+        monkeypatch.setattr(homology, "_ROW_BYTES_PER_TERM", 10 ** 12)
+        for seed in range(3):
+            self._check(_random_arrangement(seed, field))
+        assert ring_rows.count(True) == 9  # J, top and rad of each
+
+    @pytest.mark.parametrize("build", [
+        lambda: construct_lr(1, h=1, seed=7),
+        lambda: construct_lr_radical(2, seed=7)], ids=["lr1_h1", "lrrad2"])
+    def test_liaison_outputs(self, build, ring_rows):
+        self._check_ideal(build().ideal)
+        assert ring_rows[0]
+
     def test_equal_words_in_two_components(self, ring_p):
         x, y, z, w = ring_p.variables()
         zero = ring_p.zero()
@@ -612,6 +631,74 @@ class TestSchreyerStepOracle:
         # word for word but lives in the other component
         gens = [[x, zero], [y, z], [zero, x]]
         assert schreyer_syzygies(gens) == [[y, -x, z]]
+
+
+def _ring_level(ring, polys):
+    engine = _Engine(ring)
+    internal = [_to_internal(f, engine.key) for f in polys]
+    return _level_from_ring_gb(internal, [f.total_degree() for f in polys]), \
+        engine
+
+
+class TestRingRows:
+    """Over F_p the ring level reduces on Kronecker rows: loudly when its
+    input is not a Groebner basis or its degree does not fit the packed
+    fields, and on dividends past the size rule."""
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_not_a_groebner_basis(self, field, ring_rows):
+        x, y, z, w = PolyRing(("x", "y", "z", "w"), field).variables()
+        # S(f, g) = z^2*w - y^2*w, which neither leading term divides
+        level, engine = _ring_level(x.ring, [x * y + z * w, x * z + y * w])
+        with pytest.raises(InvariantError, match="not a Groebner basis"):
+            _schreyer_step(level, engine)
+        assert ring_rows == [field.p is not None]
+
+    def test_tails_in_another_component(self, ring_p, ring_rows):
+        """Leading terms in component 0 do not make a ring level: the
+        S-vector of (x, y) and (y, z) is (0, y^2 - x*z), which no leading
+        term reduces, though y^2 read as a ring term would be."""
+        x, y, z, _ = ring_p.variables()
+        with pytest.raises(ValidationError, match="not a Groebner basis"):
+            schreyer_syzygies([[x, y], [y, z]])
+        assert ring_rows == [False]
+
+    def test_vectors_that_are_not_forms(self, ring_p, ring_rows):
+        """A slot does not know the degree of x_0, so a vector that is not
+        a form keeps the level on dividends."""
+        x, y, z, w = ring_p.variables()
+        assert schreyer_syzygies([x * y + z, w]) == [[w, -x * y - z]]
+        assert ring_rows == [False]
+
+    def test_eight_variables_stay_on_dividends(self, ring_rows):
+        """The 2x2 minors of a generic 2x4 matrix: a row of base^7 slots
+        fails the size rule."""
+        v = PolyRing(tuple(f"x{i}" for i in range(8)), GF(32003)).variables()
+        minors = [v[i] * v[4 + j] - v[j] * v[4 + i]
+                  for i in range(4) for j in range(i + 1, 4)]
+        TestSchreyerStepOracle._check_ideal(Ideal(v[0].ring, minors))
+        assert ring_rows and not any(ring_rows)
+
+    def test_degree_above_the_limit(self, ring_rows):
+        """Long forms in two variables pass the size rule, and the lcm
+        x^16400 * y^20000 has a degree the packed fields cannot hold: the
+        rows refuse it rather than wrap."""
+        x, y = PolyRing(("x", "y"), GF(32003)).variables()
+        f = x.ring.from_terms({(16400 - k, k): 1 for k in range(2001)})
+        level, engine = _ring_level(x.ring, [f, y ** 20000])
+        with pytest.raises(InternalLimitError, match="syzygy step"):
+            _schreyer_step(level, engine)
+
+    def test_degree_above_the_limit_on_dividends(self, ring_rows):
+        """Past the size rule the same degree reduces on dividends, whose
+        fields fit here: the Koszul complex, as the oracle gives it."""
+        x, y, z, w = PolyRing(("x", "y", "z", "w"), GF(32003)).variables()
+        ideal = Ideal(x.ring, (x ** 20000 - y ** 20000,
+                               z ** 20000 - w ** 20000))
+        TestSchreyerStepOracle._check_ideal(ideal)
+        assert _schreyer_resolution(ideal)[0] == [[0], [20000, 20000],
+                                                  [40000]]
+        assert ring_rows.count(True) == 0
 
 
 class TestSchreyerOrder:
