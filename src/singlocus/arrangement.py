@@ -91,14 +91,17 @@ class Arrangement:
         self._jacobian = None
 
     def _check_pairwise_independent(self):
+        """Two nonzero linear forms are dependent exactly when their
+        coefficient rows, scaled so that the first nonzero entry is 1,
+        are equal."""
         field = self.ring.field
-        rows = [linear_coefficients(f) for f in self.forms]
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if linalg.rank([rows[i], rows[j]], field) < 2:
-                    raise ValidationError(
-                        f"forms {i + 1} and {j + 1} are dependent: "
-                        f"{self.forms[i]} vs {self.forms[j]}")
+        first = {}  # scaled row -> index of its first form
+        for j, f in enumerate(self.forms):
+            row = linear_coefficients(f)
+            inv = field.inv(next(c for c in row if c))
+            i = first.setdefault(tuple(field.mul(c, inv) for c in row), j)
+            if i != j:
+                raise _DependentForms(i, j, self.forms)
 
     @property
     def d(self):
@@ -133,6 +136,15 @@ class Arrangement:
         return f"Arrangement({self.d} forms in {self.ring})"
 
 
+class _DependentForms(ValidationError):
+    """Forms i and j (from 0) of an arrangement are dependent."""
+
+    def __init__(self, i, j, forms):
+        super().__init__(f"forms {i + 1} and {j + 1} are dependent: "
+                         f"{forms[i]} vs {forms[j]}")
+        self.pair = (i, j)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -142,7 +154,6 @@ def parse_arrangement(text, field=None):
     field = field if field is not None else GF(DEFAULT_PRIME)
     ring = None
     forms = []
-    rows = []
     lines_seen = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -160,20 +171,18 @@ def parse_arrangement(text, field=None):
                     lineno)
             ring = PolyRing(tuple(names), field)
             continue
-        form = parse_linear_expr(ring, line, line=lineno)
-        row = linear_coefficients(form)
-        for prev_row, prev_line in zip(rows, lines_seen):
-            if linalg.rank([prev_row, row], field) < 2:
-                raise ParseError(
-                    f"form duplicates line {prev_line} up to scale", lineno)
-        rows.append(row)
+        forms.append(parse_linear_expr(ring, line, line=lineno))
         lines_seen.append(lineno)
-        forms.append(form)
     if ring is None:
         raise ParseError("empty arrangement file")
     if not forms:
         raise ParseError("no linear forms in arrangement file")
-    return Arrangement(ring, forms)
+    try:
+        return Arrangement(ring, forms)
+    except _DependentForms as exc:
+        i, j = exc.pair
+        raise ParseError(f"form duplicates line {lines_seen[i]} up to scale",
+                         lines_seen[j]) from None
 
 
 class Graph:

@@ -592,7 +592,7 @@ def main(argv=None):
         report.emit(args.json)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.emit(args.json)

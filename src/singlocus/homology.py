@@ -12,22 +12,19 @@ would be too long, Q and the module levels on the engine's dividends.
 The resulting resolution is generally non-minimal.  Its graded Betti
 numbers are read from the ranks of its constant blocks, and its maps are
 pruned to the minimal ones, by pivoting on nonzero-constant entries, only
-when they are read.
+when a caller reads `Resolution.maps`.
 
 The deficiency (Rao) table of a curve in P^3 is the Hilbert function of
-Ext^3(R/I, R) = coker(F_2^dual -> F_3^dual), up to the re-indexing
-t -> -t - 4.  The columns of the dual of the last minimal map are
-completed to a module Groebner basis on the same kernel, and the
-cokernel's Hilbert series is read from the leading words in each
-component.  Its dimension is 0 exactly when I is unmixed, so a mixed
-ideal is rejected by the same computation.
-
-`unmixed_deficiency` reads Ext^3 from the raw Schreyer resolution
-instead, so it never prunes: when pd(R/I) <= 3, Ext^4 = 0, so the dual
-of the raw map into F_4 is onto, and Ext^3 is coker(d_3^dual) less
-F_4^dual.  Its finite length certifies that a height-two ideal in 4
-variables is unmixed (Eisenbud, Huneke and Vasconcelos 1992), which lets
-`top_comb` return an unmixed Jacobian ideal as it is.
+Ext^3(R/I, R), up to the re-indexing t -> -t - 4, and one reader,
+`unmixed_deficiency`, takes it from the raw Schreyer maps.  When
+pd(R/I) <= 3, Ext^4 = 0, so the dual of the raw map into F_4 is onto,
+and Ext^3 is coker(d_3^dual: F_2^dual -> F_3^dual) less F_4^dual.  The
+columns of d_3^dual are completed to a module Groebner basis on the same
+kernel, and the cokernel's Hilbert series is read from the leading words
+in each component.  Ext^3 has finite length exactly when a height-two
+ideal in 4 variables is unmixed (Eisenbud, Huneke and Vasconcelos 1992),
+which lets `top_comb` return an unmixed Jacobian ideal as it is;
+`rao_dimensions` returns the same table and refuses a mixed ideal.
 """
 
 from __future__ import annotations
@@ -442,24 +439,23 @@ class Resolution:
     """Graded free resolution of R/I: maps[k] sends F_{k+1} to F_k, F_0 = R.
 
     `minimal_free_resolution` builds one with the twists of the minimal
-    resolution and keeps the raw Schreyer resolution in `_raw`; its maps
-    are pruned from that when they are first read, and `modules` then
-    takes the pruned order of the generators, so that `modules` and
-    `maps` index the same generators.
+    resolution and keeps the raw Schreyer resolution in `_raw` for its
+    whole lifetime; its maps are pruned from that when they are first
+    read, and `modules` then takes the pruned order of the generators,
+    so that `modules` and `maps` index the same generators.
     """
 
     def __init__(self, ring, modules, maps):
         self.ring = ring
         self.modules = modules
         self._maps = maps
-        self._raw = None  # (twist_lists, raw map entries) until pruned
+        self._raw = None  # (twist_lists, raw map entries)
 
     @property
     def maps(self):
         if self._maps is None:
             self.modules, self._maps = _pruned_maps(self.ring, self.modules,
                                                     *self._raw)
-            self._raw = None
         return self._maps
 
     @property
@@ -796,7 +792,8 @@ def _schreyer_resolution(ideal):
 
 
 def _prune_to_minimal(twist_lists, maps, field):
-    """Cancel constant entries of the complex in place."""
+    """Cancel the constant entries of the complex; the inputs, which a
+    `Resolution` keeps as its raw maps, are left as they are."""
     # live generator ids per homological level, in stable order
     live = [list(range(len(t))) for t in twist_lists]
     twists = [dict(enumerate(t)) for t in twist_lists]
@@ -1032,35 +1029,18 @@ def rao_dimensions(ideal):
     """Graded dimensions of the deficiency module of a curve in P^3.
 
     Requires a saturated unmixed codimension-2 ideal in 4 variables.  The
-    table is empty exactly when the quotient is Cohen-Macaulay.  It is the
-    Hilbert function of Ext^3(R/I, R) = coker(tau: F_2^dual -> F_3^dual),
-    re-indexed by t -> -t - 4, with tau the dual of the last minimal map
-    (`_dual_cokernel_numerator`).  Ext^3 has finite length exactly when I
-    is unmixed; otherwise this raises.  `unmixed_deficiency` reads the
-    same table from the raw maps without pruning them.
+    table is empty exactly when the quotient is Cohen-Macaulay.  It is
+    `unmixed_deficiency`'s table; where that finds the ideal mixed, this
+    raises, naming a projective dimension above 3 when there is one.
     """
-    ring = ideal.ring
-    if ring.nvars != 4:
-        raise ValidationError("deficiency tables require a 4-variable ring")
-    res = minimal_free_resolution(ideal)
-    h = hilbert(ideal)
-    if ring.nvars - h.dimension != 2:
-        raise ValidationError("deficiency tables require codimension 2")
+    table = unmixed_deficiency(ideal)
+    if table is not None:
+        return table
     if not is_saturated(ideal):
         raise ValidationError(
             "projective dimension exceeds 3 (ideal is not saturated)")
-    if res.length <= 2:
-        return {}
-    sigma = res.maps[2]  # F_3 -> F_2; read first, the modules then follow
-    f3 = res.modules[3].twists
-    top = max(f3)
-    table = _deficiency_table(
-        _dual_cokernel_numerator(ring, sigma.entries, f3,
-                                 res.modules[2].twists, top), top)
-    if table is None:
-        raise ValidationError(
-            "Ext^3(R/I, R) does not have finite length (ideal is not unmixed)")
-    return table
+    raise ValidationError(
+        "Ext^3(R/I, R) does not have finite length (ideal is not unmixed)")
 
 
 def unmixed_deficiency(ideal):
@@ -1070,12 +1050,11 @@ def unmixed_deficiency(ideal):
     Such an ideal is unmixed exactly when pd(R/I) <= 3 and Ext^3(R/I, R)
     has finite length (Eisenbud, Huneke and Vasconcelos 1992, "Direct
     methods for primary decomposition", Invent. Math. 110).  Ext is read
-    from whichever maps the cached resolution holds, the raw Schreyer maps
-    unless they were already pruned, so this never prunes.  With pd <= 3,
-    Ext^4 = 0, so d_4^dual maps onto F_4^dual, the last raw module (the
-    Schreyer order bounds the length by 4), and
-    HS(Ext^3) = HS(coker d_3^dual) - HS(F_4^dual).  On an unmixed ideal
-    the table equals `rao_dimensions`'.
+    from the cached resolution's raw Schreyer maps, so this never prunes.
+    With pd <= 3, Ext^4 = 0, so d_4^dual maps onto F_4^dual, the last raw
+    module (the Schreyer order bounds the length by 4), and
+    HS(Ext^3) = HS(coker d_3^dual) - HS(F_4^dual), re-indexed by
+    t -> -t - 4 into the table.
     """
     ring = ideal.ring
     if ring.nvars != 4:
@@ -1085,11 +1064,7 @@ def unmixed_deficiency(ideal):
     res = minimal_free_resolution(ideal)
     if res.length > 3:
         return None
-    if res._raw is not None:
-        twist_lists, maps = res._raw
-    else:
-        twist_lists = [m.twists for m in res.modules]
-        maps = [m.entries for m in res.maps]
+    twist_lists, maps = res._raw
     if len(maps) < 3:
         return {}
     top = max(b for twists in twist_lists[3:] for b in twists)

@@ -6,7 +6,8 @@ standard-monomial counting, Betti numbers and deficiency dimensions
 through the constant strands of the raw (non-minimal) resolution,
 deficiency dimensions also by a dense rank per degree of the dual of
 the minimal resolution's last map (the scan `rao_dimensions` ran before
-it read the Hilbert series of Ext^3),
+it read the Hilbert series of Ext^3; the library now reads Ext^3 from
+the raw maps and never prunes),
 normal forms through the copy-the-dividend merge the engine used before
 its dividend accumulator, Q reductions through that accumulator with
 `Fraction` coefficients, as it was before they became int pairs, and
@@ -843,7 +844,9 @@ def deficiency_by_ext(ideal):
 def rao_by_degree_scan(ideal):
     """Deficiency table by a dense rank in each degree of the dual of the
     minimal resolution's last map, as `rao_dimensions` computed it before
-    it read the table from the Hilbert series of Ext^3.
+    it read the table from the Hilbert series of Ext^3.  It prunes the
+    resolution, which no library path does, so it is independent of the
+    raw-map reader `unmixed_deficiency`.
 
     dim Ext^3(R/I, R)_t = dim(F_3^dual)_t - rank(sigma^dual)_t, from
     t = -max(F_3) up to the first zero at or above -min(F_3), re-indexed

@@ -41,6 +41,19 @@ class TestParsing:
             parse_arrangement("vars: x y z w\nx\n2x\n")
         assert "line 2" in str(err.value)
 
+    def test_non_adjacent_duplicate_over_q_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_arrangement("vars: x y z w\nx + 2*y\nz\nw\n-3*x - 6*y\n",
+                              QQ)
+        assert str(err.value) == "line 5: form duplicates line 2 up to scale"
+
+    def test_dependent_forms_rejected_by_arrangement(self):
+        ring = standard_ring(QQ)
+        x, y, z, w = ring.variables()
+        with pytest.raises(ValidationError, match="forms 2 and 4"):
+            Arrangement(ring, (x, y - z, w, 2 * z - 2 * y))
+        assert Arrangement(ring, (x, y - z, w, y + z)).d == 4
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_arrangement("x\ny\n")

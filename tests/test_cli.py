@@ -246,6 +246,18 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "lattice", "/nonexistent/path.arr")
         assert code == 1
 
+    def test_directory_path(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "lattice", str(tmp_path))
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.arr"
+        bad.write_bytes("vars: x y\n# \xe9\nx\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "lattice", str(bad), "--json")
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "utf-8" in err
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.arr"
         bad.write_text("vars: x y\nx\n2x\n")

@@ -24,7 +24,8 @@ from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
                                 betti_table, betti_text, dimensions, hilbert,
                                 is_cm, is_saturated, minimal_free_resolution,
                                 rao_dimensions, unmixed_deficiency)
-from singlocus.liaison import construct_lr, construct_lr_radical
+from singlocus.liaison import (construct_lr, construct_lr_radical,
+                               verify_construction)
 from singlocus.polyring import GF, QQ, WIDTH, PolyRing, _unpack_plain
 
 # Six planes from a random sweep: the Jacobian ideal has projective
@@ -190,33 +191,32 @@ class TestResolutions:
 class TestBettiFromRanks:
     """The twists read from the ranks of the raw resolution's constant
     blocks equal the pruned resolution's and the strand-homology oracle's.
-    `unmixed_deficiency`, which reads Ext^3 from the raw maps, gives the
-    verdict (None when mixed) and table of `rao_dimensions`, which reads
-    the pruned ones.  The maps are pruned only when they are read."""
+    Where `unmixed_deficiency`, which reads Ext^3 from the raw maps, finds
+    a table, it equals the dense scan of the pruned last map
+    (`rao_by_degree_scan`), and `rao_dimensions` returns it; where it
+    finds the ideal mixed, `rao_dimensions` refuses it.  The maps are
+    pruned only when they are read, and the raw maps outlive pruning."""
 
     @staticmethod
     def _check(ideal):
         res = minimal_free_resolution(ideal)
         ranked = [m.twists for m in res.modules]
         got = unmixed_deficiency(ideal)
-        assert res._raw is not None
         res.maps
         assert ([sorted(m.twists) for m in res.modules]
                 == [sorted(t) for t in ranked])
         assert (BettiTable.from_twists(ranked).entries
                 == betti_by_strand_homology(ideal))
-        assert unmixed_deficiency(ideal) == got  # from the pruned maps
+        assert unmixed_deficiency(ideal) == got  # after pruning
         if res.length > 3:
             assert got is None
             with pytest.raises(ValidationError, match="not saturated"):
                 rao_dimensions(ideal)
-            return got
-        try:
-            want = rao_dimensions(ideal)
-        except ValidationError as exc:
-            assert "not unmixed" in str(exc)
-            want = None
-        assert got == want
+        elif got is None:
+            with pytest.raises(ValidationError, match="not unmixed"):
+                rao_dimensions(ideal)
+        else:
+            assert rao_dimensions(ideal) == got == rao_by_degree_scan(ideal)
         return got
 
     def _check_all(self, arr):
@@ -246,6 +246,7 @@ class TestBettiFromRanks:
         self._check(construct_lr_radical(2, seed=7).ideal)
 
     def test_twists_alone_never_prune(self, monkeypatch):
+        """Only reading `Resolution.maps` prunes."""
         calls = []
         prune = homology._prune_to_minimal
 
@@ -261,14 +262,15 @@ class TestBettiFromRanks:
             is_cm(ideal)
             dimensions(ideal)
             is_saturated(ideal)
+        # J is unmixed, so top is J
+        assert [rao_dimensions(ideal) for ideal in ideals] == [
+            {8: 1}, {8: 1}, {4: 1, 5: 4}]
+        assert verify_construction(construct_lr(1, h=1, seed=7),
+                                   deep=True)["ok"]
         assert not calls
-        # top and rad have length 3; J is not unmixed
-        for ideal in ideals[1:]:
-            assert minimal_free_resolution(ideal).length == 3
-            for _ in range(2):
-                rao_dimensions(ideal)
-                betti_of(ideal)
-        assert len(calls) == 2
+        for _ in range(2):
+            minimal_free_resolution(ideals[2]).maps
+        assert len(calls) == 1
 
     def test_pruned_twists_must_match_the_ranks(self, ring_p, monkeypatch):
         prune = homology._prune_to_minimal
@@ -483,7 +485,8 @@ class TestRaoDimensions:
 
 class TestUnmixedDeficiency:
     """Its inputs, and mixed ideals outside the corpus; `TestBettiFromRanks`
-    compares it with `rao_dimensions` on the corpus and the pools."""
+    compares its tables with `rao_by_degree_scan` on the corpus, the pools
+    and two constructions."""
 
     def test_requires_height_two_in_four_variables(self, ring_p):
         x, y, z, w = ring_p.variables()
