@@ -84,8 +84,14 @@ class Report:
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of an input file.  `UnicodeDecodeError` names no file, so
+    a file that is not UTF-8 raises one whose reason ends with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
+                                 f"{exc.reason}, in {path}") from None
 
 
 def _load_arrangement(path, field):

@@ -45,10 +45,15 @@ the lcm degrees are guard-bit arithmetic on the packed words (`_lcm`,
 Schreyer step alike.
 Within one completion the basis only grows by appending, so each
 monomial's first divisor is remembered (or how far the scan got without
-one) and never searched twice; the final tail reduction shares one
-memo too, reducing each kept element's tail against all of them.  Inputs
-that are already Groebner bases can be fed as blocks, whose internal
-pairs are never formed.
+one) and never searched twice.  Each element but a block's joins with
+its tail reduced against the whole basis before it, so the final tail
+reduction (`_Engine.tail_reduce`) normal-forms only the kept elements
+whose tails can still hold a kept leading term: a block element, an
+element that a kept element of lower degree follows, and an element with
+a tail word equal to the leading word of a kept element after it.  The
+rest are returned as they are, and the basis is not copied.  Inputs that
+are already Groebner bases can be fed as blocks, whose internal pairs
+are never formed.
 `_intersect_bases` maps two internal reduced grevlex bases to that of
 their intersection: it builds t*G_a and (1-t)*G_b this way, with G_a the
 basis whose highest leading degree is lower (the first on a tie), since
@@ -86,7 +91,11 @@ bytes: a row starts with coefficients below p and takes at most one
 product below p^2 per pivot column, so no slot carries into the next.
 The S-rows are reduced in the order their pairs left the heap; each
 nonzero remainder joins the basis and becomes a pivot at once, and a
-driven batch stops when the degree is full.  Over Q,
+driven batch stops when the degree is full.  The batch then
+back-substitutes its new elements, from the last to the first, so that
+no tail keeps the leading word of a later one: every F_p element leaves
+its batch reduced against every other element of the run so far, and
+the tail reduction finds almost nothing left to do.  Over Q,
 `_Engine.reduce_pairs` reduces the pairs one by one on `_Dividend`s, as
 normal forms and the tail reduction do over both fields.
 """
@@ -96,7 +105,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import groupby, islice
 from math import comb, gcd, lcm
 
 from .errors import (InternalLimitError, InvariantError, RingContextError,
@@ -506,6 +515,16 @@ class _Engine:
         becomes the pivot of its leading column at once.  With a `drive`,
         the batch stops as soon as `drive.full` holds for its degree, and
         the S-rows it skips count as dropped.
+
+        Each new element's tail then misses every column with a pivot, so
+        the leading words of the new elements before it, but may hold
+        those of the ones after it.  Back-substitution clears them, from
+        the last new element to the first: where the packed tail's slot
+        at a later element's leading column holds v, it adds p - v times
+        that element's tail, already clean, and the element and its
+        packed tail are replaced.  A clean tail holds no new leading
+        column, so the slots read are the element's own coefficients, and
+        a slot takes at most one product below p^2 per later element.
         """
         degree = batch[0][0]
         if drive is not None:
@@ -566,6 +585,7 @@ class _Engine:
         slot = 8 * nbytes
         tails = {}  # column -> its pivot's tail, packed on first use
         pending = {col[k]: pv for k, pv in pivot_of.items()}
+        new = []  # (index, leading column) of each new element, in order
         filled = False
         for (idx, _), mk in srows:
             if pivot_of[lt_keys[idx] + mk] == (idx, mk):
@@ -601,7 +621,40 @@ class _Engine:
                 continue
             add([(keys[c], words[keys[c]], v) for c, v in out])
             tails[out[0][0]] = _pack_row(polys[-1], 0, 1, col, nbytes)
+            new.append((len(polys) - 1, out[0][0]))
             filled = drive is not None and drive.full(degree)
+        # back-substitution, from the last new element to the first: each
+        # tail already misses the leading columns of the new elements
+        # before it, so clearing those of the ones after it, whose tails
+        # are clean by then, changes no other leading column
+        for n in range(len(new) - 2, -1, -1):
+            i, c = new[n]
+            t, off = tails[c]
+            low = off // slot  # the tail's lowest column
+            data = t.to_bytes((c - low) * nbytes, "little")
+            row = None
+            reach = low  # the lowest column that the added tails reach
+            for _, cj in islice(new, n + 1, None):
+                if not low <= cj < c:
+                    continue
+                at = (cj - low) * nbytes
+                v = int.from_bytes(data[at:at + nbytes], "little")
+                if v:
+                    if row is None:
+                        row = t << off
+                    tj, offj = tails[cj]
+                    row += ((p - v) * tj << offj) - (v << cj * slot)
+                    reach = min(reach, offj // slot)
+            if row is None:
+                continue
+            data = (row >> reach * slot).to_bytes((c - reach) * nbytes, "little")
+            terms = polys[i][:1]
+            for cc in range(c - 1, reach - 1, -1):
+                at = (cc - reach) * nbytes
+                if v := int.from_bytes(data[at:at + nbytes], "little") % p:
+                    terms.append((keys[cc], words[keys[cc]], v))
+            polys[i] = terms
+            tails[c] = _pack_row(terms, 0, 1, col, nbytes)
 
     # -- Buchberger --------------------------------------------------------
     def buchberger(self, gens_internal, blocks=(), drive=None, eliminate=0):
@@ -622,11 +675,21 @@ class _Engine:
         are left out of the result, and out of its minimalization and tail
         reduction (they can neither divide nor reduce a monomial that avoids
         the mask).
+
+        Every element but a block's joins with its tail reduced against
+        the basis before it: a generator by its normal form, a pair's
+        element by `reduce_pairs` or by a batch of `reduce_batch`, which
+        also clears the leading words of its own later elements.  So the
+        final tail reduction (`tail_reduce`) normal-forms only the kept
+        elements whose tails can still hold a kept leading term, and
+        returns the rest as they are.
         """
         polys = []
         lt_keys = []
         lt_ws = []
         block_of = []
+        joined = []  # the step at which each element joined
+        step = 0
         pairs = []  # a heap of (degree, lcm_key, i, j, lcm_w)
         memo = {}
         reducers = self.reducers(polys)  # exact, as the memo is
@@ -662,6 +725,7 @@ class _Engine:
             lt_keys.append(terms[0][0])
             lt_ws.append(w_new)
             block_of.append(block)
+            joined.append(step)
             if drive is not None:
                 drive.note(w_new)
 
@@ -671,6 +735,7 @@ class _Engine:
             nf = self.normal_form(terms, lt_ws, lt_keys, reducers, memo)
             if nf:
                 add(nf)
+                step += 1
         for b, block in enumerate(blocks):
             for terms in block:
                 if max(degree_of(w) for _, w, _ in terms) > MAX_DEGREE:
@@ -678,6 +743,7 @@ class _Engine:
                         f"a term of degree above {MAX_DEGREE} does not fit the "
                         "packed exponent fields")
                 add(terms, b)
+                step += 1
 
         reducer = self.reduce_batch if self.p else self.reduce_pairs
         while pairs:
@@ -694,27 +760,71 @@ class _Engine:
                     f"an S-pair whose lcm has degree above {MAX_DEGREE} does "
                     "not fit the packed exponent fields")
             reducer(batch, reducers, lt_keys, lt_ws, memo, add, drive)
+            step += 1
 
         # minimalize: drop elements whose lt is divisible by another kept lt
         order_ix = sorted((ix for ix in range(len(polys))
                            if not lt_ws[ix] & eliminate),
                           key=lambda ix: lt_keys[ix])
-        kept = []
+        kept_ix = []
         kept_ws = []
         for ix in order_ix:
             if any(_divides(kw, lt_ws[ix], guard) for kw in kept_ws):
                 continue
-            kept.append(polys[ix])
+            kept_ix.append(ix)
             kept_ws.append(lt_ws[ix])
-        # tail-reduce each kept element against all of them, through one
-        # memo: every term met is below the element's own leading term,
-        # which therefore divides none of them
+        return self.tail_reduce([polys[ix] for ix in kept_ix],
+                                [joined[ix] for ix in kept_ix],
+                                [block_of[ix] is not None for ix in kept_ix])
+
+    def tail_reduce(self, kept, joined, from_block):
+        """The reduced basis of a minimal one: each element of `kept` with
+        its tail reduced against all of them, the elements that need no
+        reduction returned as they are, not copied.
+
+        `joined[n]` is the step of its run at which `kept[n]` joined: each
+        generator and each block element is a step, and so is each degree
+        of pairs.  `from_block[n]` says that it joined as a block element.
+        Every other element had its tail reduced, when it joined, against
+        every element of the earlier steps and against the leading words
+        of its own step's elements.  A tail term is below the leading term,
+        so of at most its degree in a degree-first order (in an
+        elimination the kept elements are t-free, in grevlex).  So a kept
+        leading term can divide a tail term only in three cases, and those
+        elements alone are normal-formed:
+
+        - the element is a block element;
+        - a kept element of its step or a later one has lower degree;
+        - a tail word equals the leading word of a kept element of its
+          step or a later one (one of the same degree).
+
+        On homogeneous input the elements of one step have one degree, and
+        a batch over F_p leaves no leading word of its own in a tail
+        (`reduce_batch`), so the last two cases need a later step.  The
+        normal forms share one memo: every term met is below the element's
+        own leading term, which therefore divides none of them.
+        """
+        degree_of = _degree_func(self.ring.nvars)
+        kept_ws = [terms[0][1] for terms in kept]
         kept_keys = [terms[0][0] for terms in kept]
         memo = {}
         reducers = self.reducers(kept)
-        return [terms[:1] + self.normal_form(terms[1:], kept_ws, kept_keys,
-                                             reducers, memo)
-                for terms in kept]
+        out = list(kept)
+        later_ws = set()
+        low = MAX_DEGREE + 1  # the lowest degree of a step so far
+        order = sorted(range(len(kept)), key=joined.__getitem__, reverse=True)
+        for _, step in groupby(order, key=joined.__getitem__):
+            step = [(n, degree_of(kept_ws[n])) for n in step]
+            later_ws.update(kept_ws[n] for n, _ in step)
+            low = min(low, *(degree for _, degree in step))
+            for n, degree in step:
+                terms = kept[n]
+                if (from_block[n] or low < degree
+                        or any(w in later_ws
+                               for _, w, _ in islice(terms, 1, None))):
+                    out[n] = terms[:1] + self.normal_form(
+                        terms[1:], kept_ws, kept_keys, reducers, memo)
+        return out
 
 
 class GroebnerBasis:

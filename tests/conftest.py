@@ -25,8 +25,10 @@ public `Ideal`s at every step of the tree, with the first input always
 in the t-block, products of
 forms through the term loop that Kronecker substitution replaces, and
 the bases of liaison outputs through generators multiplied out by that
-loop and reduced with no Hilbert drive, and the packed rows of a batch
-through the slice-by-slice bytearray copy they were packed by before.
+loop and reduced with no Hilbert drive, the packed rows of a batch
+through the slice-by-slice bytearray copy they were packed by before,
+and the final tail reduction of a Buchberger run through the pass that
+normal-formed every kept element (`tail_reduce_all`).
 Saturation by the irrelevant ideal is checked against the per-variable
 path it replaced: one Groebner basis per variable, in a grevlex order
 with that variable last, divided by its powers, and the n results
@@ -729,6 +731,20 @@ def pack_by_slices(terms, mk, start, col, nbytes):
         at = (col[gk + mk] - low) * nbytes
         buf[at:at + nbytes] = gc.to_bytes(nbytes, "little")
     return int.from_bytes(buf, "little"), low * slot
+
+
+def tail_reduce_all(engine, kept):
+    """The reduced basis of the minimal basis `kept` (engine terms) as
+    `_Engine.buchberger` finished every run before `_Engine.tail_reduce`:
+    every element's tail normal-formed against all of them, through one
+    memo, and every element copied."""
+    kept_ws = [terms[0][1] for terms in kept]
+    kept_keys = [terms[0][0] for terms in kept]
+    memo = {}
+    reducers = engine.reducers(kept)
+    return [terms[:1] + engine.normal_form(terms[1:], kept_ws, kept_keys,
+                                           reducers, memo)
+            for terms in kept]
 
 
 def standard_monomial_count(ideal, d):

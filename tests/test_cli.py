@@ -257,6 +257,17 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "lattice", str(bad), "--json")
         assert code == 1 and not out
         assert err.startswith("error: ") and "utf-8" in err
+        assert str(bad) in err
+
+    def test_second_file_not_utf8_is_named(self, capsys, tmp_path):
+        good = tmp_path / "good.arr"
+        good.write_text("vars: x y z\nx\ny\nz\n")
+        bad = tmp_path / "bad.arr"
+        bad.write_bytes("vars: x y z\n# \xe9\nx\ny\nz\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "lattice", str(good), str(bad))
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "bad.arr" in err
+        assert "good.arr" not in err
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.arr"

@@ -19,12 +19,13 @@ from conftest import (LARGE_IDS, LARGE_PRIMES, LARGEST_PRIME, FractionDividend,
                       monomials_of_degree, pack_by_slices, power_of_variables,
                       radical_membership, saturate, saturate_by_variable,
                       saturate_by_variables, standard_monomial_count,
-                      sweep_texts)
+                      sweep_texts, tail_reduce_all, tree_top)
 from singlocus import groebner, homology
-from singlocus.arrangement import (jacobian_ideal, parse_arrangement,
+from singlocus.arrangement import (generic_section, graphic_arrangement,
+                                   jacobian_ideal, parse_arrangement,
                                    radical_comb, rule_powers,
                                    symbolic_intersection, top_comb)
-from singlocus.corpus import arrangement_names, load_arrangement
+from singlocus.corpus import arrangement_names, load_arrangement, load_graph
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (Ideal, _DegreeCounter, _Dividend,
@@ -1023,6 +1024,177 @@ def test_undriven_batches_match_the_pair_loop(field, monkeypatch):
         inhomogeneous += any(len({degree_of(w) for _, w, _ in terms}) > 1
                              for terms in args[0])
     assert len(runs) > 50 and inhomogeneous > 2
+
+
+def _checked_tail_reduce(monkeypatch):
+    """Patch `_Engine.tail_reduce` so that every call must give what
+    `conftest.tail_reduce_all` gives on the same kept elements, byte for
+    byte; returns the counts of runs, kept elements and elements that it
+    normal-formed (those not returned as they came)."""
+    counts = Counter()
+    tail_reduce = _Engine.tail_reduce
+
+    def checked(self, kept, joined, from_block):
+        out = tail_reduce(self, kept, joined, from_block)
+        assert repr(out) == repr(tail_reduce_all(self, kept))
+        counts["runs"] += 1
+        counts["kept"] += len(kept)
+        counts["normal_formed"] += sum(got is not terms
+                                       for got, terms in zip(out, kept))
+        return out
+
+    monkeypatch.setattr(_Engine, "tail_reduce", checked)
+    return counts
+
+
+@pytest.mark.parametrize("field", [GF(32003)] + LARGE_PRIMES + [QQ],
+                         ids=["p"] + LARGE_IDS + ["q"])
+def test_tail_reduce_matches_the_full_pass(field, monkeypatch):
+    """Every Buchberger run behind J, top (by the intersection tree) and
+    rad of the corpus arrangements but `thirty_one_planes` and of the
+    `sweep` pool ends with the reduced basis of the pass that normal-forms
+    every kept element.  Over F_p, where each batch is back-substituted,
+    fewer than one kept element in fifty is normal-formed (67 of 4932 at
+    p = 32003, each a tail word equal to the leading word of a later
+    element of its degree)."""
+    counts = _checked_tail_reduce(monkeypatch)
+    arrs = [load_arrangement(name, field) for name in arrangement_names()
+            if name != "thirty_one_planes"]
+    arrs += [parse_arrangement(text, field) for text in sweep_texts()]
+    for arr in arrs:
+        jacobian_ideal(arr).groebner()
+        tree_top(arr)
+        radical_comb(arr)
+    assert counts["runs"] > 100 and counts["kept"] > 1000
+    if field.p:
+        assert 0 < counts["normal_formed"] < counts["kept"] // 50
+
+
+class TestTailReduceFallbacks:
+    """Hand-made runs that reach each case in which `_Engine.tail_reduce`
+    normal-forms an element; each is checked against the full pass."""
+
+    @pytest.fixture(params=[GF(32003), QQ], ids=["p", "q"])
+    def ring(self, request):
+        return PolyRing(("x", "y", "z", "w"), request.param)
+
+    def test_block_element(self, ring, monkeypatch):
+        """x + y and y form a Groebner basis but not a reduced one; as a
+        block it joins unreduced, and every block element is
+        normal-formed."""
+        counts = _checked_tail_reduce(monkeypatch)
+        x, y, z, w = ring.variables()
+        engine = _Engine(ring)
+        block = [_to_internal(g, engine.key) for g in (x + y, y)]
+        basis = engine.buchberger([], blocks=(block,))
+        assert basis == [_to_internal(g, engine.key) for g in (y, x)]
+        assert counts["normal_formed"] == 2
+
+    def test_later_element_of_lower_degree(self, ring, monkeypatch):
+        """The generator y^4 + y^2 z^2 joins before the S-element y^2 z of
+        x z + y z and x y, of lower degree, which divides its tail."""
+        counts = _checked_tail_reduce(monkeypatch)
+        x, y, z, w = ring.variables()
+        basis = Ideal(ring, (x * y, x * z + y * z,
+                             y ** 4 + y * y * z * z)).groebner().polys
+        assert set(basis) == {x * y, x * z + y * z, y * y * z, y ** 4}
+        assert counts["normal_formed"] == 1
+
+    def test_later_element_of_the_same_degree(self, ring, monkeypatch):
+        """The generator y^3 + y^2 z joins before the S-element y^2 z, of
+        the same degree: its tail word is that element's leading word."""
+        counts = _checked_tail_reduce(monkeypatch)
+        x, y, z, w = ring.variables()
+        basis = Ideal(ring, (x * y, x * z + y * z,
+                             y ** 3 + y * y * z)).groebner().polys
+        assert set(basis) == {x * y, x * z + y * z, y * y * z, y ** 3}
+        assert counts["normal_formed"] == 1
+
+    def test_block_after_a_generator_of_the_same_degree(self, ring,
+                                                        monkeypatch):
+        """Blocks join after the generators: the block element y^2 is the
+        leading word of the generator x^2 + y^2's tail."""
+        counts = _checked_tail_reduce(monkeypatch)
+        x, y, z, w = ring.variables()
+        engine = _Engine(ring)
+        basis = engine.buchberger([_to_internal(x * x + y * y, engine.key)],
+                                  blocks=([_to_internal(y * y, engine.key)],))
+        assert basis == [_to_internal(g, engine.key) for g in (y * y, x * x)]
+        assert counts["normal_formed"] == 2
+
+    def test_lower_degree_element_earlier_in_its_batch(self, monkeypatch):
+        """Inhomogeneous rows can give a batch an element of lower degree
+        before one whose tail it divides below the leading word: z joins
+        in the same batch as, and before, x y + 6 y^2 + 4 z^2.  Found by
+        a seeded random search over F_7."""
+        counts = _checked_tail_reduce(monkeypatch)
+        ring = PolyRing(("x", "y", "z"), GF(7))
+        x, y, z = ring.variables()
+        engine = _Engine(ring)
+        gens = (2 * x * z + 3 * z, 2 * x ** 3 + 5 * x * z + 5 * y,
+                4 * x * x + 3 * x * y + 5 * z)
+        basis = engine.buchberger([_to_internal(g, engine.key) for g in gens])
+        assert basis == [_to_internal(g, engine.key)
+                         for g in (z, x * y + 6 * y * y, x * x + 6 * y * y,
+                                   y ** 3 + 6 * y)]
+        assert counts["normal_formed"] == 2
+
+    def test_generators_join_reduced(self, ring, monkeypatch):
+        """Generators join in ascending leading order, each reduced
+        against those before it: (x^2 + y^2, y^2) needs no normal form at
+        the end, since y^2 joins first and x^2 + y^2 joins as x^2."""
+        counts = _checked_tail_reduce(monkeypatch)
+        x, y, z, w = ring.variables()
+        basis = Ideal(ring, (x * x + y * y, y * y)).groebner().polys
+        assert basis == (y * y, x * x)
+        assert counts["normal_formed"] == 0
+
+
+@pytest.mark.parametrize("p", [32003, 2 ** 61 - 1], ids=["p", "p61"])
+def test_batches_leave_no_later_lead_in_a_tail(p, monkeypatch):
+    """After each batch of rows, no new element's tail holds the leading
+    word of a new element after it: on the intersection trees of top and
+    rad of the octahedron section (the corpus `graphic` entry) and of
+    `fifteen_planes`, and on a small ideal (found by a seeded random
+    search) one of whose batches has a later leading word at the lowest
+    column of an earlier tail.  Back-substitution rewrites some elements
+    and keeps every leading term."""
+    counts = Counter()
+    reduce_batch = _Engine.reduce_batch
+
+    def checked(self, batch, polys, lt_keys, lt_ws, memo, add, drive):
+        start = len(polys)
+        joined = []
+
+        def recorded(terms):
+            add(terms)
+            joined.append(polys[-1])
+
+        reduce_batch(self, batch, polys, lt_keys, lt_ws, memo, recorded,
+                     drive)
+        for n, terms in enumerate(joined):
+            now = polys[start + n]
+            assert now[0] == terms[0]
+            later = set(lt_ws[start + n + 1:])
+            assert not any(w in later
+                           for _, w, _ in itertools.islice(now, 1, None))
+            counts["rewritten"] += now is not terms
+        counts["new"] += len(joined)
+
+    monkeypatch.setattr(_Engine, "reduce_batch", checked)
+    field = GF(p)
+    for arr in (generic_section(graphic_arrangement(load_graph("octahedron"),
+                                                    field), seed=11),
+                load_arrangement("fifteen_planes", field)):
+        tree_top(arr)
+        radical_comb(arr)
+    ring = PolyRing(("x", "y", "z", "w"), field)
+    x, y, z, w = ring.variables()
+    Ideal(ring, (3 * x * x * z + 5 * x * y * z,
+                 2 * x * x * y + 6 * x * y * w + 4 * y * y * w,
+                 7 * x * z * w + 6 * x * w * w,
+                 5 * y * y * z + 4 * y * z * w)).groebner()
+    assert 0 < counts["rewritten"] < counts["new"]
 
 
 @pytest.mark.parametrize("nvars", [1, 3, 4])
