@@ -32,11 +32,13 @@ A module term carries its component above the exponent fields; the
 divisor test masks those bits in, so it fails across components and is
 unchanged for ring terms.
 
-Buchberger completion uses the Gebauer-Moller pair criteria and pops
-the pairs one degree at a time: the degree of their lcm, or a drive's
-degree of it (below), with ties by the key of the lcm.  On homogeneous
-input, which every run's is, that is the degree of the S-polynomial
-itself.
+Buchberger completion uses the Gebauer-Moller pair criteria and takes
+one degree at a time, as F4 and the normal strategy of Giovini et al.
+(1991, "One sugar cube, please") do: the generators of that degree join
+by their normal forms, and then the pairs of that degree leave the heap
+together.  A pair's degree is that of its lcm, or a drive's degree of it
+(below), with ties by the key of the lcm.  On homogeneous input, which
+every library run's is, that is the degree of the S-polynomial itself.
 The pair bookkeeping never unpacks an exponent tuple: the lcm, the
 divisibility tests of the M, F and B criteria, the coprimality test and
 the lcm degrees are guard-bit arithmetic on the packed words (`_lcm`,
@@ -46,14 +48,16 @@ Schreyer step alike.
 Within one completion the basis only grows by appending, so each
 monomial's first divisor is remembered (or how far the scan got without
 one) and never searched twice.  Each element but a block's joins with
-its tail reduced against the whole basis before it, so the final tail
-reduction (`_Engine.tail_reduce`) normal-forms only the kept elements
-whose tails can still hold a kept leading term: a block element, an
-element that a kept element of lower degree follows, and an element with
-a tail word equal to the leading word of a kept element after it.  The
-rest are returned as they are, and the basis is not copied.  Inputs that
-are already Groebner bases can be fed as blocks, whose internal pairs
-are never formed.
+its tail reduced against the whole basis before it, and on homogeneous
+input the elements join in nondecreasing degree.  So a kept leading word
+can sit in a kept tail only as an equal word of a later element of the
+same degree, and the final tail reduction (`_Engine.tail_reduce`)
+normal-forms only the kept elements with such a tail word, and the
+forced ones: the block elements, and every element of a run in which an
+element joined below the degree being joined, which only inhomogeneous
+input does.  The rest are returned as they are, and the basis is not
+copied.  Inputs that are already Groebner bases can be fed as blocks,
+whose internal pairs are never formed.
 `_intersect_bases` maps two internal reduced grevlex bases to that of
 their intersection: it builds t*G_a and (1-t)*G_b this way, with G_a the
 basis whose highest leading degree is lower (the first on a tie), since
@@ -105,7 +109,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import groupby, islice
+from itertools import islice
 from math import comb, gcd, lcm
 
 from .errors import (InternalLimitError, InvariantError, RingContextError,
@@ -660,36 +664,40 @@ class _Engine:
     def buchberger(self, gens_internal, blocks=(), drive=None, eliminate=0):
         """Reduced Groebner basis of the generators and blocks.
 
-        Each generator is reduced against the basis so far before it
-        joins.  Each block must already be a Groebner basis of the ideal
-        it generates, under this engine's key; its elements join as they
-        are, and no pair inside one block is formed: its S-polynomial
-        already has a standard representation in the block.
+        Each block must already be a Groebner basis of the ideal it
+        generates, under this engine's key; its elements join first, as
+        they are, and no pair inside one block is formed: its
+        S-polynomial already has a standard representation in the block.
 
-        The pairs of the lowest degree (that of their lcm, or with a
-        `drive`, a `_HilbertDrive`, the degree it gives their lcm) leave the
-        heap together, for `reduce_batch` over F_p and `reduce_pairs` over Q;
-        once `drive.full(d)` holds, the rest of degree d are dropped
-        unreduced.  `eliminate` is a packed mask of variables that the
-        engine's key eliminates: elements whose leading monomial meets it
-        are left out of the result, and out of its minimalization and tail
-        reduction (they can neither divide nor reduce a monomial that avoids
-        the mask).
+        The loop then takes one degree at a time, the lowest that a
+        waiting generator or pair has.  The generators of that degree,
+        in key order, join by their normal forms against the basis so
+        far; then the pairs of that degree (that of their lcm, or with a
+        `drive`, a `_HilbertDrive`, the degree it gives their lcm) leave
+        the heap together, for `reduce_batch` over F_p and `reduce_pairs`
+        over Q; once `drive.full(d)` holds, the rest of degree d are
+        dropped unreduced.  `eliminate` is a packed mask of variables that
+        the engine's key eliminates: elements whose leading monomial meets
+        it are left out of the result, and out of its minimalization and
+        tail reduction (they can neither divide nor reduce a monomial that
+        avoids the mask).
 
         Every element but a block's joins with its tail reduced against
         the basis before it: a generator by its normal form, a pair's
         element by `reduce_pairs` or by a batch of `reduce_batch`, which
-        also clears the leading words of its own later elements.  So the
-        final tail reduction (`tail_reduce`) normal-forms only the kept
-        elements whose tails can still hold a kept leading term, and
-        returns the rest as they are.
+        also clears the leading words of its own later elements.  On
+        homogeneous input the elements join in nondecreasing degree, so
+        a kept leading word can sit in a kept tail only as an equal word
+        of a later element of the same degree, and the final tail
+        reduction (`tail_reduce`) normal-forms only the elements with
+        such a word, and the forced ones: the block elements, and every
+        element once one joins below the degree being joined, which only
+        inhomogeneous input does.
         """
         polys = []
         lt_keys = []
         lt_ws = []
         block_of = []
-        joined = []  # the step at which each element joined
-        step = 0
         pairs = []  # a heap of (degree, lcm_key, i, j, lcm_w)
         memo = {}
         reducers = self.reducers(polys)  # exact, as the memo is
@@ -697,11 +705,16 @@ class _Engine:
         guard = self.guard
         degree_of = _degree_func(self.ring.nvars)
         pair_degree = degree_of if drive is None else drive.degree
+        degree = None  # the degree being joined, once the loop runs
+        mixed = False  # an element joined below it
 
         def add(terms, block=None):
+            nonlocal mixed
             terms = self.monic(terms)
             t = len(polys)
             w_new = terms[0][1]
+            if block is None and pair_degree(w_new) < degree:
+                mixed = True
             lcms, first = _minimal_lcms(lt_ws, w_new, guard)
             # B1: an lcm that some pair reaches with coprime lts is dropped
             coprime = {lcm for lcm, w in zip(lcms, lt_ws) if lcm == w + w_new}
@@ -725,17 +738,9 @@ class _Engine:
             lt_keys.append(terms[0][0])
             lt_ws.append(w_new)
             block_of.append(block)
-            joined.append(step)
             if drive is not None:
                 drive.note(w_new)
 
-        for terms in sorted(gens_internal, key=lambda t: t[0][0]):
-            if not terms:
-                continue
-            nf = self.normal_form(terms, lt_ws, lt_keys, reducers, memo)
-            if nf:
-                add(nf)
-                step += 1
         for b, block in enumerate(blocks):
             for terms in block:
                 if max(degree_of(w) for _, w, _ in terms) > MAX_DEGREE:
@@ -743,14 +748,27 @@ class _Engine:
                         f"a term of degree above {MAX_DEGREE} does not fit the "
                         "packed exponent fields")
                 add(terms, b)
-                step += 1
 
+        gens = sorted(((pair_degree(terms[0][1]), terms)
+                       for terms in gens_internal if terms),
+                      key=lambda item: (item[0], item[1][0][0]))
+        g = 0  # the next generator to join
         reducer = self.reduce_batch if self.p else self.reduce_pairs
-        while pairs:
-            degree = pairs[0][0]
+        while g < len(gens) or pairs:
+            if pairs and (g == len(gens) or pairs[0][0] <= gens[g][0]):
+                degree = pairs[0][0]
+            else:
+                degree = gens[g][0]
+            while g < len(gens) and gens[g][0] == degree:
+                if nf := self.normal_form(gens[g][1], lt_ws, lt_keys,
+                                          reducers, memo):
+                    add(nf)
+                g += 1
             batch = []
             while pairs and pairs[0][0] == degree:
                 batch.append(heappop(pairs))
+            if not batch:
+                continue
             if max(degree_of(pr[4]) for pr in batch) > MAX_DEGREE:
                 # no term of x^m * g or of its reductions lies above the
                 # lcm's degree: grevlex orders by degree first, and in an
@@ -760,7 +778,6 @@ class _Engine:
                     f"an S-pair whose lcm has degree above {MAX_DEGREE} does "
                     "not fit the packed exponent fields")
             reducer(batch, reducers, lt_keys, lt_ws, memo, add, drive)
-            step += 1
 
         # minimalize: drop elements whose lt is divisible by another kept lt
         order_ix = sorted((ix for ix in range(len(polys))
@@ -774,56 +791,37 @@ class _Engine:
             kept_ix.append(ix)
             kept_ws.append(lt_ws[ix])
         return self.tail_reduce([polys[ix] for ix in kept_ix],
-                                [joined[ix] for ix in kept_ix],
-                                [block_of[ix] is not None for ix in kept_ix])
+                                [mixed or block_of[ix] is not None
+                                 for ix in kept_ix])
 
-    def tail_reduce(self, kept, joined, from_block):
+    def tail_reduce(self, kept, forced):
         """The reduced basis of a minimal one: each element of `kept` with
         its tail reduced against all of them, the elements that need no
         reduction returned as they are, not copied.
 
-        `joined[n]` is the step of its run at which `kept[n]` joined: each
-        generator and each block element is a step, and so is each degree
-        of pairs.  `from_block[n]` says that it joined as a block element.
-        Every other element had its tail reduced, when it joined, against
-        every element of the earlier steps and against the leading words
-        of its own step's elements.  A tail term is below the leading term,
-        so of at most its degree in a degree-first order (in an
-        elimination the kept elements are t-free, in grevlex).  So a kept
-        leading term can divide a tail term only in three cases, and those
-        elements alone are normal-formed:
-
-        - the element is a block element;
-        - a kept element of its step or a later one has lower degree;
-        - a tail word equals the leading word of a kept element of its
-          step or a later one (one of the same degree).
-
-        On homogeneous input the elements of one step have one degree, and
-        a batch over F_p leaves no leading word of its own in a tail
-        (`reduce_batch`), so the last two cases need a later step.  The
-        normal forms share one memo: every term met is below the element's
-        own leading term, which therefore divides none of them.
+        `forced[n]` says that `kept[n]` must be normal-formed.  Every
+        other element joined its run with its tail reduced against every
+        element before it, in nondecreasing degree.  A tail term is below
+        the leading term, so of at most its degree in a degree-first order
+        (in an elimination the kept elements are t-free, in grevlex).  So
+        a kept leading term can divide a tail term of such an element only
+        as an equal word of a later element of the same degree, and only
+        the elements with a tail word equal to a kept leading word are
+        normal-formed beside the forced ones.  The normal forms share one
+        memo: every term met is below the element's own leading term,
+        which therefore divides none of them.
         """
-        degree_of = _degree_func(self.ring.nvars)
         kept_ws = [terms[0][1] for terms in kept]
         kept_keys = [terms[0][0] for terms in kept]
+        leads = set(kept_ws)
         memo = {}
         reducers = self.reducers(kept)
         out = list(kept)
-        later_ws = set()
-        low = MAX_DEGREE + 1  # the lowest degree of a step so far
-        order = sorted(range(len(kept)), key=joined.__getitem__, reverse=True)
-        for _, step in groupby(order, key=joined.__getitem__):
-            step = [(n, degree_of(kept_ws[n])) for n in step]
-            later_ws.update(kept_ws[n] for n, _ in step)
-            low = min(low, *(degree for _, degree in step))
-            for n, degree in step:
-                terms = kept[n]
-                if (from_block[n] or low < degree
-                        or any(w in later_ws
-                               for _, w, _ in islice(terms, 1, None))):
-                    out[n] = terms[:1] + self.normal_form(
-                        terms[1:], kept_ws, kept_keys, reducers, memo)
+        for n, terms in enumerate(kept):
+            if forced[n] or any(w in leads
+                                for _, w, _ in islice(terms, 1, None)):
+                out[n] = terms[:1] + self.normal_form(
+                    terms[1:], kept_ws, kept_keys, reducers, memo)
         return out
 
 

@@ -422,20 +422,14 @@ class Polynomial:
                     and self.is_homogeneous() and other.is_homogeneous()):
                 return _kronecker_product(self, other, da + db)
         out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                acc = out.get(e)
+                out[e] = c1 * c2 if acc is None else acc + c1 * c2
         if p is not None:
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    out[e] = (out.get(e, 0) + c1 * c2) % p
-            out = {e: c for e, c in out.items() if c}
-        else:
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    acc = out.get(e)
-                    out[e] = c1 * c2 if acc is None else acc + c1 * c2
-            out = {e: c for e, c in out.items() if c != 0}
-        return Polynomial(self.ring, out)
+            out = {e: c % p for e, c in out.items()}
+        return Polynomial(self.ring, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
         return self.__mul__(other)

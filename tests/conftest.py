@@ -390,8 +390,10 @@ def intersect_by_ideals(a, b):
 
 
 def product_by_terms(a, b):
-    """a * b by the term loop that `Polynomial.__mul__` runs wherever it
-    does not take Kronecker substitution: every pair of terms."""
+    """a * b by every pair of terms, over F_p reduced after each
+    product: the term loop that `Polynomial.__mul__` runs wherever it does
+    not take Kronecker substitution, as it was before it reduced once per
+    output term."""
     ring, f = a.ring, a.ring.field
     a, b = a.terms, b.terms
     if len(a) > len(b):

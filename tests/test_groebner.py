@@ -33,6 +33,7 @@ from singlocus.groebner import (Ideal, _DegreeCounter, _Dividend,
                                 _HilbertDrive, _to_internal, intersect,
                                 intersect_many, saturate_irrelevant)
 from singlocus.homology import hilbert, is_saturated
+from singlocus.liaison import construct_lr, construct_lr_radical
 from singlocus.polyring import (_MR_BOUND, GF, QQ, MAX_DEGREE, WIDTH,
                                 PolyRing, _degree_func, _is_prime,
                                 _pack_plain, _slot_bytes)
@@ -1029,18 +1030,21 @@ def test_undriven_batches_match_the_pair_loop(field, monkeypatch):
 def _checked_tail_reduce(monkeypatch):
     """Patch `_Engine.tail_reduce` so that every call must give what
     `conftest.tail_reduce_all` gives on the same kept elements, byte for
-    byte; returns the counts of runs, kept elements and elements that it
-    normal-formed (those not returned as they came)."""
+    byte; returns the counts of runs, kept elements, elements that it
+    normal-formed (those not returned as they came), forced elements and
+    runs with a forced element."""
     counts = Counter()
     tail_reduce = _Engine.tail_reduce
 
-    def checked(self, kept, joined, from_block):
-        out = tail_reduce(self, kept, joined, from_block)
+    def checked(self, kept, forced):
+        out = tail_reduce(self, kept, forced)
         assert repr(out) == repr(tail_reduce_all(self, kept))
         counts["runs"] += 1
         counts["kept"] += len(kept)
         counts["normal_formed"] += sum(got is not terms
                                        for got, terms in zip(out, kept))
+        counts["forced"] += sum(forced)
+        counts["forced_runs"] += any(forced)
         return out
 
     monkeypatch.setattr(_Engine, "tail_reduce", checked)
@@ -1052,27 +1056,61 @@ def _checked_tail_reduce(monkeypatch):
 def test_tail_reduce_matches_the_full_pass(field, monkeypatch):
     """Every Buchberger run behind J, top (by the intersection tree) and
     rad of the corpus arrangements but `thirty_one_planes` and of the
-    `sweep` pool ends with the reduced basis of the pass that normal-forms
-    every kept element.  Over F_p, where each batch is back-substituted,
-    fewer than one kept element in fifty is normal-formed (67 of 4932 at
-    p = 32003, each a tail word equal to the leading word of a later
-    element of its degree)."""
+    `sweep` pool, behind `saturate_irrelevant(J)` of those corpus
+    arrangements and behind the driven bases of `construct_lr(2, seed=7)`
+    and `construct_lr_radical(2, seed=7)` ends with the reduced basis of
+    the pass that normal-forms every kept element.  The last two take
+    generators of several degrees, which join the completion at their
+    own degrees.  None of these runs forces an element: none keeps a
+    block element (an intersection's blocks have t in every leading
+    word) and every input is homogeneous.  Over F_p, where each batch is
+    back-substituted, fewer than one kept element of J, top and rad in
+    fifty is normal-formed (67 of 4932 at p = 32003, each a generator
+    with a tail word equal to the leading word of a later generator of
+    its degree)."""
     counts = _checked_tail_reduce(monkeypatch)
-    arrs = [load_arrangement(name, field) for name in arrangement_names()
-            if name != "thirty_one_planes"]
-    arrs += [parse_arrangement(text, field) for text in sweep_texts()]
-    for arr in arrs:
+    corpus = [load_arrangement(name, field) for name in arrangement_names()
+              if name != "thirty_one_planes"]
+    sweep = [parse_arrangement(text, field) for text in sweep_texts()]
+    for arr in corpus + sweep:
         jacobian_ideal(arr).groebner()
         tree_top(arr)
         radical_comb(arr)
     assert counts["runs"] > 100 and counts["kept"] > 1000
     if field.p:
         assert 0 < counts["normal_formed"] < counts["kept"] // 50
+    runs = counts["runs"]
+    for arr in corpus:
+        saturate_irrelevant(jacobian_ideal(arr))
+    for construct in (construct_lr, construct_lr_radical):
+        construct(2, seed=7, field=field).ideal.groebner()
+    assert counts["runs"] > runs + 30
+    assert counts["forced"] == 0
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+def test_forced_pass_fires_on_rabinowitsch_runs(field, monkeypatch):
+    """Radical membership adds 1 - s * f, which is not homogeneous, so
+    in some of its runs an element joins below the degree being joined;
+    the final pass then normal-forms every kept element of that run, and
+    gives the full pass's basis.  On the membership checks of
+    `test_undriven_batches_match_the_pair_loop`."""
+    ring = PolyRing(("x", "y", "z", "w"), field)
+    x, y, z, w = ring.variables()
+    arr = load_arrangement("seven_planes", field)
+    J = jacobian_ideal(arr)
+    rad = radical_comb(arr).groebner().polys
+    counts = _checked_tail_reduce(monkeypatch)
+    assert radical_membership(x, Ideal(ring, (x * x,)))
+    assert not radical_membership(z, Ideal(ring, (x, y)))
+    assert all(radical_membership(g, J) for g in rad)
+    assert 0 < counts["forced_runs"] < counts["runs"]
 
 
 class TestTailReduceFallbacks:
     """Hand-made runs that reach each case in which `_Engine.tail_reduce`
-    normal-forms an element; each is checked against the full pass."""
+    normal-forms an element, and two in which it has nothing to do; each
+    is checked against the full pass."""
 
     @pytest.fixture(params=[GF(32003), QQ], ids=["p", "q"])
     def ring(self, request):
@@ -1090,19 +1128,23 @@ class TestTailReduceFallbacks:
         assert basis == [_to_internal(g, engine.key) for g in (y, x)]
         assert counts["normal_formed"] == 2
 
-    def test_later_element_of_lower_degree(self, ring, monkeypatch):
-        """The generator y^4 + y^2 z^2 joins before the S-element y^2 z of
-        x z + y z and x y, of lower degree, which divides its tail."""
+    def test_generator_after_a_lower_degree_element(self, ring,
+                                                     monkeypatch):
+        """The S-element y^2 z of x z + y z and x y joins in degree 3,
+        before the generator y^4 + y^2 z^2 of degree 4, whose tail it
+        divides: the generator joins reduced, as y^4, and the final pass
+        has nothing to do."""
         counts = _checked_tail_reduce(monkeypatch)
         x, y, z, w = ring.variables()
         basis = Ideal(ring, (x * y, x * z + y * z,
                              y ** 4 + y * y * z * z)).groebner().polys
         assert set(basis) == {x * y, x * z + y * z, y * y * z, y ** 4}
-        assert counts["normal_formed"] == 1
+        assert counts["normal_formed"] == 0
 
     def test_later_element_of_the_same_degree(self, ring, monkeypatch):
-        """The generator y^3 + y^2 z joins before the S-element y^2 z, of
-        the same degree: its tail word is that element's leading word."""
+        """The generator y^3 + y^2 z joins before the S-element y^2 z of
+        its degree: its tail word is that element's leading word, the
+        case that the final pass looks for."""
         counts = _checked_tail_reduce(monkeypatch)
         x, y, z, w = ring.variables()
         basis = Ideal(ring, (x * y, x * z + y * z,
@@ -1110,23 +1152,25 @@ class TestTailReduceFallbacks:
         assert set(basis) == {x * y, x * z + y * z, y * y * z, y ** 3}
         assert counts["normal_formed"] == 1
 
-    def test_block_after_a_generator_of_the_same_degree(self, ring,
-                                                        monkeypatch):
-        """Blocks join after the generators: the block element y^2 is the
-        leading word of the generator x^2 + y^2's tail."""
+    def test_block_before_a_generator_of_the_same_degree(self, ring,
+                                                         monkeypatch):
+        """Blocks join before the generators: the generator x^2 + y^2
+        joins reduced against the block element y^2, as x^2, and only the
+        block element is normal-formed."""
         counts = _checked_tail_reduce(monkeypatch)
         x, y, z, w = ring.variables()
         engine = _Engine(ring)
         basis = engine.buchberger([_to_internal(x * x + y * y, engine.key)],
                                   blocks=([_to_internal(y * y, engine.key)],))
         assert basis == [_to_internal(g, engine.key) for g in (y * y, x * x)]
-        assert counts["normal_formed"] == 2
+        assert counts["normal_formed"] == 1 and counts["forced"] == 1
 
     def test_lower_degree_element_earlier_in_its_batch(self, monkeypatch):
         """Inhomogeneous rows can give a batch an element of lower degree
         before one whose tail it divides below the leading word: z joins
         in the same batch as, and before, x y + 6 y^2 + 4 z^2.  Found by
-        a seeded random search over F_7."""
+        a seeded random search over F_7.  z joins below the degree of its
+        batch, so every kept element is forced through the final pass."""
         counts = _checked_tail_reduce(monkeypatch)
         ring = PolyRing(("x", "y", "z"), GF(7))
         x, y, z = ring.variables()
@@ -1137,12 +1181,13 @@ class TestTailReduceFallbacks:
         assert basis == [_to_internal(g, engine.key)
                          for g in (z, x * y + 6 * y * y, x * x + 6 * y * y,
                                    y ** 3 + 6 * y)]
-        assert counts["normal_formed"] == 2
+        assert counts["normal_formed"] == counts["forced"] == 4
 
     def test_generators_join_reduced(self, ring, monkeypatch):
-        """Generators join in ascending leading order, each reduced
-        against those before it: (x^2 + y^2, y^2) needs no normal form at
-        the end, since y^2 joins first and x^2 + y^2 joins as x^2."""
+        """Generators of one degree join in ascending leading order, each
+        reduced against those before it: (x^2 + y^2, y^2) needs no normal
+        form at the end, since y^2 joins first and x^2 + y^2 joins as
+        x^2."""
         counts = _checked_tail_reduce(monkeypatch)
         x, y, z, w = ring.variables()
         basis = Ideal(ring, (x * x + y * y, y * y)).groebner().polys
