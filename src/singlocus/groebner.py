@@ -30,7 +30,11 @@ alike, and the Schreyer syzygy step except on the ring level over F_p
 (`homology._ring_rows`); an optional sink records each step's quotient.
 A module term carries its component above the exponent fields; the
 divisor test masks those bits in, so it fails across components and is
-unchanged for ring terms.
+unchanged for ring terms.  An engine built with `twists` owns the term
+format of a graded free module, its key (term over position) and its
+degree, and `_Engine.buchberger` completes vectors there as it does
+polynomials: the Ext^3 reader's module basis
+(`homology._dual_cokernel_numerator`) is one such run.
 
 Buchberger completion uses the Gebauer-Moller pair criteria and takes
 one degree at a time, as F4 and the normal strategy of Giovini et al.
@@ -119,6 +123,12 @@ from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, PolyRing, Polynomial,
                        _unpack_plain)
 
 _SATURATION_RETRIES = 8
+
+#: a module term's key, a module engine's or a Schreyer level's
+#: (`homology`), holds _CMAX - c, for its component c, in its lowest
+#: _CB bits
+_CB = 20
+_CMAX = (1 << _CB) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +400,43 @@ class _Engine:
     """Groebner kernel bound to one ring and one monomial key.
 
     `key` maps a packed monomial to its sort key and adds under
-    multiplication; it defaults to grevlex.
+    multiplication; it defaults to grevlex, and `degree` maps it to its
+    degree.  With `twists`, the engine works in the free module whose
+    generator e_c has degree twists[c]: the word of m*e_c is
+    (c << WIDTH*nvars) | packed(m), its key (grevlex(m) << _CB) | (_CMAX - c)
+    (term over position) and its degree deg m + twists[c].  Keys of one
+    component differ by a multiplier's grevlex key shifted by _CB, so
+    they add under multiplication there, which is all that the pairs and
+    the reductions of a component use.
     """
 
-    def __init__(self, ring, key=None):
+    def __init__(self, ring, key=None, twists=None):
         self.ring = ring
-        self.key = _grevlex_key(ring.nvars) if key is None else key
         self.guard = _guard(ring.nvars)
         # the bits above the exponent fields hold a module component:
         # (w | guard) - lt keeps their difference there, so a divisor test
         # through this mask fails across components and is unchanged for
         # ring terms
-        self.mask = self.guard | (-1 << WIDTH * ring.nvars)
+        shift = WIDTH * ring.nvars
+        self.mask = self.guard | (-1 << shift)
         self.p = ring.field.p
+        self.twists = twists
+        degree_of = _degree_func(ring.nvars)
+        if twists is None:
+            self.key = _grevlex_key(ring.nvars) if key is None else key
+            self.degree = degree_of
+            return
+        grevlex = _grevlex_key(ring.nvars)
+        low = (1 << shift) - 1
+
+        def module_key(w):
+            return (grevlex(w & low) << _CB) | (_CMAX - (w >> shift))
+
+        def module_degree(w):
+            return degree_of(w & low) + twists[w >> shift]
+
+        self.key = module_key
+        self.degree = module_degree
 
     # -- reduction ---------------------------------------------------------
     def monic(self, terms):
@@ -693,6 +727,16 @@ class _Engine:
         such a word, and the forced ones: the block elements, and every
         element once one joins below the degree being joined, which only
         inhomogeneous input does.
+
+        On a module engine (one built with `twists`) the input is vectors,
+        homogeneous in the twisted degree `self.degree`.  Pairs are formed
+        only within a component, each with its own leading words for
+        `_minimal_lcms`, and the B and minimalization tests divide
+        through `self.mask`, which fails across components.  The product
+        criterion (B1) is skipped: x*e_0 + z*e_1 and y*e_0 + w*e_1 lead
+        with the coprime x*e_0 and y*e_0, yet their S-vector
+        y*z*e_1 - x*w*e_1 is not zero.  A ring has one component, with
+        bits zero, so none of this changes a ring run.
         """
         polys = []
         lt_keys = []
@@ -703,8 +747,14 @@ class _Engine:
         reducers = self.reducers(polys)  # exact, as the memo is
         key = self.key
         guard = self.guard
+        mask = self.mask
+        shift = WIDTH * self.ring.nvars
+        low = (1 << shift) - 1  # the exponent fields of a word
         degree_of = _degree_func(self.ring.nvars)
-        pair_degree = degree_of if drive is None else drive.degree
+        pair_degree = self.degree if drive is None else drive.degree
+        vectors = self.twists is not None
+        comps = {}  # component -> (indices, leading words) of its elements
+        pos = []  # each element's index within its component
         degree = None  # the degree being joined, once the loop runs
         mixed = False  # an element joined below it
 
@@ -715,25 +765,35 @@ class _Engine:
             w_new = terms[0][1]
             if block is None and pair_degree(w_new) < degree:
                 mixed = True
-            lcms, first = _minimal_lcms(lt_ws, w_new, guard)
-            # B1: an lcm that some pair reaches with coprime lts is dropped
-            coprime = {lcm for lcm, w in zip(lcms, lt_ws) if lcm == w + w_new}
+            idxs, ws = comps.setdefault(w_new >> shift, ([], []))
+            lcms, first = _minimal_lcms(ws, w_new, guard)
+            # B1: an lcm that some pair reaches with coprime lts is dropped;
+            # it fails for vectors
+            coprime = () if vectors else {lcm for lcm, w in zip(lcms, ws)
+                                          if lcm == w + w_new}
             new_pairs = []
-            for lcm, i in first.items():
+            for lcm, n in first.items():
                 if lcm in coprime:
                     continue
+                i = idxs[n]
                 if block is not None and block_of[i] == block:
                     continue  # standard representation inside the block
                 new_pairs.append((pair_degree(lcm), key(lcm), i, t, lcm))
-            # B criterion on old pairs: lcms[i] is lcm(lt_i, lt_new)
+            # B criterion on old pairs: lcms[pos[i]] is lcm(lt_i, lt_new)
+            # when lt_new divides the pair's lcm, which puts them in one
+            # component
             kept_old = [pr for pr in pairs
-                        if not _divides(w_new, pr[4], guard)
-                        or lcms[pr[2]] == pr[4] or lcms[pr[3]] == pr[4]]
+                        if ((pr[4] | guard) - w_new) & mask != guard
+                        or lcms[pos[pr[2]]] == pr[4]
+                        or lcms[pos[pr[3]]] == pr[4]]
             if len(kept_old) < len(pairs):
                 pairs[:] = kept_old
                 heapify(pairs)
             for pr in new_pairs:
                 heappush(pairs, pr)
+            pos.append(len(idxs))
+            idxs.append(t)
+            ws.append(w_new)
             polys.append(terms)
             lt_keys.append(terms[0][0])
             lt_ws.append(w_new)
@@ -743,7 +803,7 @@ class _Engine:
 
         for b, block in enumerate(blocks):
             for terms in block:
-                if max(degree_of(w) for _, w, _ in terms) > MAX_DEGREE:
+                if max(degree_of(w & low) for _, w, _ in terms) > MAX_DEGREE:
                     raise InternalLimitError(
                         f"a term of degree above {MAX_DEGREE} does not fit the "
                         "packed exponent fields")
@@ -769,7 +829,7 @@ class _Engine:
                 batch.append(heappop(pairs))
             if not batch:
                 continue
-            if max(degree_of(pr[4]) for pr in batch) > MAX_DEGREE:
+            if max(degree_of(pr[4] & low) for pr in batch) > MAX_DEGREE:
                 # no term of x^m * g or of its reductions lies above the
                 # lcm's degree: grevlex orders by degree first, and in an
                 # elimination each element is A * t + B, with A and B
@@ -786,7 +846,8 @@ class _Engine:
         kept_ix = []
         kept_ws = []
         for ix in order_ix:
-            if any(_divides(kw, lt_ws[ix], guard) for kw in kept_ws):
+            wg = lt_ws[ix] | guard
+            if any((wg - kw) & mask == guard for kw in kept_ws):
                 continue
             kept_ix.append(ix)
             kept_ws.append(lt_ws[ix])

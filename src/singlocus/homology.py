@@ -19,9 +19,12 @@ Ext^3(R/I, R), up to the re-indexing t -> -t - 4, and one reader,
 `unmixed_deficiency`, takes it from the raw Schreyer maps.  When
 pd(R/I) <= 3, Ext^4 = 0, so the dual of the raw map into F_4 is onto,
 and Ext^3 is coker(d_3^dual: F_2^dual -> F_3^dual) less F_4^dual.  The
-columns of d_3^dual are completed to a module Groebner basis on the same
-kernel, and the cokernel's Hilbert series is read from the leading words
-in each component.  Ext^3 has finite length exactly when a height-two
+columns of d_3^dual are completed to a reduced module Groebner basis by
+the one completion loop, `_Engine.buchberger`, on an engine built for
+F_3^dual (its twists are minus F_3's), so over F_p each degree is
+reduced as one F4 matrix, as for rings.  The cokernel's Hilbert series
+is read from the basis's leading words in each component, which are
+minimal.  Ext^3 has finite length exactly when a height-two
 ideal in 4 variables is unmixed (Eisenbud, Huneke and Vasconcelos 1992),
 which lets `top_comb` return an unmixed Jacobian ideal as it is;
 `rao_dimensions` returns the same table and refuses a mixed ideal.
@@ -30,33 +33,32 @@ which lets `top_comb` return an unmixed Jacobian ideal as it is;
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import islice
 from math import comb
 from sys import int_info
 
 from . import linalg
 from .errors import InternalLimitError, InvariantError, ValidationError
-from .groebner import _Engine, _minimal_lcms
+from .groebner import _CB, _CMAX, _Engine, _minimal_lcms
 from .polyring import (MAX_DEGREE, WIDTH, Polynomial, _degree_func,
                        _pack_plain, _slot, _slot_bytes, _slot_monomial,
                        _unpack_plain)
 
-_CB = 20
-_CMAX = (1 << _CB) - 1
-
 
 # ---------------------------------------------------------------------------
-# module engine: vectors over a free module with a Schreyer-style key
+# syzygy levels: vectors over a free module with a Schreyer-style key
 #
 # A module term m*e_c has the ring engine's term shape (vkey, cw, coeff),
-# with the component packed above the exponent fields:
-# cw = (c << WIDTH*nvars) | packed(m).  As in the ring engine, exponents
-# stay below MAX_DEGREE, so adding a multiplier's packed exponents never
-# carries into the component.  The engine's divisor test keeps the
-# component difference in its mask, so `_Engine.reduce` reduces module
-# vectors as they are, with its first-divisor memo and quotient sink, and
-# `_minimal_lcms` selects the pairs within each component.
+# with the component packed above the exponent fields as a module
+# `_Engine` packs it: cw = (c << WIDTH*nvars) | packed(m).  As in the ring
+# engine, exponents stay below MAX_DEGREE, so adding a multiplier's
+# packed exponents never carries into the component.  The engine's
+# divisor test keeps the component difference in its mask, so
+# `_Engine.reduce` reduces module vectors as they are, with its
+# first-divisor memo and quotient sink, and `_minimal_lcms` selects the
+# pairs within each component.  The key is the Schreyer one, which no
+# module engine owns: the ring engine's key of m times the leading term
+# of e_c's image, tagged by _CMAX - c.
 
 
 class _SyzygyLevel:
@@ -75,18 +77,18 @@ class _SyzygyLevel:
         self.mult = mult
 
 
-def _module_vector(entries, key, shift):
-    """Engine form of sum_c p_c * e_c from (c, p_c) pairs, with no twist.
-
-    Term over position: monomials compare by `key` (on packed words)
-    first and component c before c + 1 on a tie.  The terms come sorted
-    by descending vkey.
+def _module_vector(entries, engine):
+    """Engine form of sum_c p_c * e_c from (c, p_c) pairs, keyed by a
+    module `_Engine` (one built with twists): term over position, with
+    component c before c + 1 on a tie.  The terms come sorted by
+    descending key.
     """
+    shift = WIDTH * engine.ring.nvars
     terms = []
     for c, poly in entries:
         for e, co in poly.terms.items():
-            w = _pack_plain(e)
-            terms.append(((key(w) << _CB) | (_CMAX - c), (c << shift) | w, co))
+            w = (c << shift) | _pack_plain(e)
+            terms.append((engine.key(w), w, co))
     terms.sort(reverse=True)
     return terms
 
@@ -313,61 +315,6 @@ def _schreyer_step(level, engine):
     if not next_vectors:
         return None
     return _SyzygyLevel(next_vectors, next_degrees, mult << _CB)
-
-
-def _module_leads(vectors, degrees, engine):
-    """Leading words of a module Groebner basis of the span of `vectors`.
-
-    `vectors` are nonzero homogeneous `_module_vector`s and `degrees`
-    their degrees.  Each component's pairs are the ones `_minimal_lcms`
-    keeps, taken by degree, and each S-vector is reduced by the engine.
-    The product criterion does not hold for vectors: x*e_0 + z*e_1 and
-    y*e_0 + w*e_1 have coprime leading monomials, but their S-vector
-    y*z*e_1 - x*w*e_1 is not zero.  Only the leading words are wanted, so
-    the basis is neither minimalized nor tail-reduced.
-    """
-    guard = engine.guard
-    nvars = engine.ring.nvars
-    shift = WIDTH * nvars
-    degree_of = _degree_func(nvars)
-    key = engine.key
-    basis = []
-    lt_ws = []
-    lt_vkeys = []
-    basis_degrees = []
-    by_comp = {}
-    pairs = []  # a heap of (degree, lcm vkey, i, j, lcm)
-    memo = {}  # exact: the basis only grows by appending
-    reducers = engine.reducers(basis)
-
-    def add(terms, degree):
-        terms = engine.monic(terms)
-        w_new = terms[0][1]
-        idxs = by_comp.setdefault(w_new >> shift, [])
-        _, first = _minimal_lcms([lt_ws[i] for i in idxs], w_new, guard)
-        for lcm, pos in first.items():
-            i = idxs[pos]
-            u = lcm - lt_ws[i]
-            heappush(pairs, (degree_of(u) + basis_degrees[i],
-                             lt_vkeys[i] + (key(u) << _CB),
-                             i, len(basis), lcm))
-        idxs.append(len(basis))
-        basis.append(terms)
-        lt_ws.append(w_new)
-        lt_vkeys.append(terms[0][0])
-        basis_degrees.append(degree)
-
-    for terms, degree in zip(vectors, degrees):
-        nf = engine.normal_form(terms, lt_ws, lt_vkeys, reducers, memo)
-        if nf:
-            add(nf, degree)
-    while pairs:
-        degree, lcm_vkey, i, j, lcm = heappop(pairs)
-        sp = engine.s_dividend(reducers[i], reducers[j], lcm_vkey, lcm)
-        nf = engine.reduce(sp, lt_ws, lt_vkeys, reducers, memo)
-        if nf:
-            add(nf, degree)
-    return lt_ws
 
 
 def _components(vector, nvars):
@@ -1068,41 +1015,40 @@ def unmixed_deficiency(ideal):
     if len(maps) < 3:
         return {}
     top = max(b for twists in twist_lists[3:] for b in twists)
-    num = _dual_cokernel_numerator(ring, maps[2], twist_lists[3],
-                                   twist_lists[2], top)
+    num = _dual_cokernel_numerator(ring, maps[2], twist_lists[3], top)
     for b in (twist_lists[4] if len(twist_lists) > 4 else ()):
         num = _poly_add(num, _poly_mul_shift([1], top - b, -1))
     return _deficiency_table(num, top)
 
 
-def _dual_cokernel_numerator(ring, entries, source, target, top):
+def _dual_cokernel_numerator(ring, entries, source, top):
     """Hilbert series numerator of coker(d^dual: F_k^dual -> F_(k+1)^dual).
 
     `entries` are d's {(r, c): Polynomial} from F_(k+1), of twists
-    `source`, to F_k, of twists `target`.  Column r of d^dual is
-    sum_c d(r, c) * e_c, of degree -target[r], with e_c of degree
-    -source[c].  The standard monomials of a module Groebner basis of its
-    image are a basis of the cokernel (Eisenbud, Commutative Algebra,
-    15.10), so the series is the sum over the components of their
-    monomial quotients' series: t^(-top) * num(t) / (1 - t)^nvars, for a
-    `top` at least max(source).
+    `source`, to F_k.  Column r of d^dual is sum_c d(r, c) * e_c, with
+    e_c of degree -source[c], so it is homogeneous in the module
+    `_Engine` of twists -source, whose `buchberger` completes the columns
+    to a reduced module Groebner basis of the image.  Its standard
+    monomials are a basis of the cokernel (Eisenbud, Commutative Algebra,
+    15.10), and its leading words are minimal, so the series is the sum
+    over the components of their monomial quotients' series:
+    t^(-top) * num(t) / (1 - t)^nvars, for a `top` at least max(source).
     """
-    engine = _Engine(ring)
+    engine = _Engine(ring, twists=[-b for b in source])
     shift = WIDTH * ring.nvars
     columns = {}
     for (r, c), p in sorted(entries.items()):
         columns.setdefault(r, []).append((c, p))
-    leads = _module_leads(
-        [_module_vector(col, engine.key, shift) for col in columns.values()],
-        [-target[r] for r in columns], engine)
+    basis = engine.buchberger([_module_vector(col, engine)
+                               for col in columns.values()])
     by_comp = {}
-    for w in leads:
+    for terms in basis:
+        w = terms[0][1]
         by_comp.setdefault(w >> shift, []).append(_unpack_plain(w, ring.nvars))
     memo = {}
     num = []
     for c, b in enumerate(source):
-        part = _series_numerator(_minimalize(by_comp.get(c, ())), ring.nvars,
-                                 memo)
+        part = _series_numerator(by_comp.get(c, ()), ring.nvars, memo)
         num = _poly_add(num, _poly_mul_shift(part, top - b, 1))
     return num
 

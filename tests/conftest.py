@@ -27,8 +27,11 @@ forms through the term loop that Kronecker substitution replaces, and
 the bases of liaison outputs through generators multiplied out by that
 loop and reduced with no Hilbert drive, the packed rows of a batch
 through the slice-by-slice bytearray copy they were packed by before,
-and the final tail reduction of a Buchberger run through the pass that
-normal-formed every kept element (`tail_reduce_all`).
+the final tail reduction of a Buchberger run through the pass that
+normal-formed every kept element (`tail_reduce_all`), and the leading
+words of the Ext^3 reader's module basis through the pair-by-pair loop
+that built it before it became a module `_Engine.buchberger` run
+(`module_leads_by_pairs`, checked by `check_module_leads`).
 Saturation by the irrelevant ideal is checked against the per-variable
 path it replaced: one Groebner basis per variable, in a grevlex order
 with that variable last, divided by its powers, and the n results
@@ -61,12 +64,12 @@ from singlocus import groebner, homology, linalg
 from singlocus.arrangement import Arrangement, top_comb
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
-from singlocus.groebner import (GroebnerBasis, Ideal, _Dividend, _Engine,
-                                _elimination_key, _extend_ring,
+from singlocus.groebner import (_CB, _CMAX, GroebnerBasis, Ideal, _Dividend,
+                                _Engine, _elimination_key, _extend_ring,
                                 _from_internal, _hilbert_target,
-                                _HilbertDrive, _to_internal, intersect,
-                                intersect_many)
-from singlocus.homology import (_CB, _CMAX, _components, _in_schreyer_order,
+                                _HilbertDrive, _minimal_lcms, _to_internal,
+                                intersect, intersect_many)
+from singlocus.homology import (_components, _in_schreyer_order,
                                 _level_from_ring_gb, _module_vector,
                                 _schreyer_resolution, _schreyer_step,
                                 _SyzygyLevel, minimal_free_resolution)
@@ -140,6 +143,46 @@ def ring_rows(monkeypatch):
 
     monkeypatch.setattr(homology, "_ring_rows", recorded)
     return took
+
+
+@pytest.fixture
+def module_runs(monkeypatch):
+    """(engine, generators, basis) of every module `_Engine.buchberger`
+    run, one built with twists, while the test runs."""
+    runs = []
+    buchberger = _Engine.buchberger
+
+    def recorded(self, gens_internal, *args, **kwargs):
+        basis = buchberger(self, gens_internal, *args, **kwargs)
+        if self.twists is not None:
+            runs.append((self, gens_internal, basis))
+        return basis
+
+    monkeypatch.setattr(_Engine, "buchberger", recorded)
+    return runs
+
+
+def check_module_leads(runs):
+    """Assert that the leading words of each recorded module basis are,
+    component by component, the minimalized leading words that
+    `module_leads_by_pairs` finds for the same generators; returns the
+    number of runs."""
+    for engine, gens, basis in runs:
+        nvars = engine.ring.nvars
+        got = [terms[0][1] for terms in basis]
+        want = module_leads_by_pairs(
+            gens, [engine.degree(terms[0][1]) for terms in gens], engine.ring)
+        by_comp = {}
+        for w in want:
+            by_comp.setdefault(w >> WIDTH * nvars, []).append(w)
+        minimal = set()
+        for words in by_comp.values():
+            exps = [_unpack_plain(w, nvars) for w in words]
+            minimal.update(w for w, e in zip(words, exps)
+                           if not any(f != e and divides_exps(f, e)
+                                      for f in exps))
+        assert len(got) == len(set(got)) and set(got) == minimal
+    return len(runs)
 
 
 def monomials_of_degree(nvars, d):
@@ -303,8 +346,8 @@ def schreyer_syzygies(gens, twists=None):
     if twists is None:
         twists = [0] * rank
     engine = _Engine(ring)
+    module = _Engine(ring, twists=twists)
     field = ring.field
-    shift = WIDTH * ring.nvars
     # term-over-position order on the ambient module, grevlex on monomials;
     # each vector is scaled to be monic, and its syzygy entries scaled back
     vectors = []
@@ -313,7 +356,7 @@ def schreyer_syzygies(gens, twists=None):
     for vec in vectors_in:
         if any(poly.ring != ring for poly in vec):
             raise ValidationError("vector entries in mixed rings")
-        terms = _module_vector(enumerate(vec), engine.key, shift)
+        terms = _module_vector(enumerate(vec), module)
         if not terms:
             raise ValidationError("zero vector among the generators")
         inv = field.inv(terms[0][2])
@@ -888,6 +931,60 @@ def rao_by_degree_scan(ideal):
             break
         t += 1
     return table
+
+
+def module_leads_by_pairs(vectors, degrees, ring):
+    """Leading words of a module Groebner basis of the span of `vectors`,
+    by the pair-by-pair loop that the Ext^3 reader ran before its module
+    basis came from `_Engine.buchberger`.
+
+    `vectors` are nonzero homogeneous `_module_vector`s and `degrees`
+    their degrees.  The generators are normal-formed in input order
+    first; then each component's pairs are the ones `_minimal_lcms`
+    keeps, taken one at a time by degree, and each S-vector is reduced
+    on a dividend by a ring engine, whose divisor test masks the
+    component in.  No product criterion is applied, and the basis is
+    neither minimalized nor tail-reduced.
+    """
+    engine = _Engine(ring)
+    guard = engine.guard
+    shift = WIDTH * ring.nvars
+    key = engine.key
+    basis = []
+    lt_ws = []
+    lt_vkeys = []
+    basis_degrees = []
+    by_comp = {}
+    pairs = []  # a heap of (degree, lcm vkey, i, j, lcm)
+    memo = {}  # exact: the basis only grows by appending
+    reducers = engine.reducers(basis)
+
+    def add(terms, degree):
+        terms = engine.monic(terms)
+        w_new = terms[0][1]
+        idxs = by_comp.setdefault(w_new >> shift, [])
+        _, first = _minimal_lcms([lt_ws[i] for i in idxs], w_new, guard)
+        for lcm, at in first.items():
+            i = idxs[at]
+            u = lcm - lt_ws[i]
+            heappush(pairs, (sum(_unpack_plain(u, ring.nvars))
+                             + basis_degrees[i],
+                             lt_vkeys[i] + (key(u) << _CB), i, len(basis), lcm))
+        idxs.append(len(basis))
+        basis.append(terms)
+        lt_ws.append(w_new)
+        lt_vkeys.append(terms[0][0])
+        basis_degrees.append(degree)
+
+    for terms, degree in zip(vectors, degrees):
+        if nf := engine.normal_form(terms, lt_ws, lt_vkeys, reducers, memo):
+            add(nf, degree)
+    while pairs:
+        degree, lcm_vkey, i, j, lcm = heappop(pairs)
+        sp = engine.s_dividend(reducers[i], reducers[j], lcm_vkey, lcm)
+        if nf := engine.reduce(sp, lt_ws, lt_vkeys, reducers, memo):
+            add(nf, degree)
+    return lt_ws
 
 
 def schreyer_step_by_tuples(level, engine):

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (LARGE_IDS, LARGE_PRIMES, LARGEST_PRIME, FractionDividend,
                       LowestTermsDividend, PairEngine,
-                      buchberger_criterion_holds, colon, coprime_exps,
+                      buchberger_criterion_holds, check_module_leads,
+                      colon, coprime_exps,
                       divides_exps, exact_divide,
                       intersect_by_ideals, lcm_exps,
                       membership_by_linear_algebra, merge_normal_form,
@@ -32,7 +33,7 @@ from singlocus.groebner import (Ideal, _DegreeCounter, _Dividend,
                                 _elimination_key, _Engine, _hilbert_target,
                                 _HilbertDrive, _to_internal, intersect,
                                 intersect_many, saturate_irrelevant)
-from singlocus.homology import hilbert, is_saturated
+from singlocus.homology import hilbert, is_saturated, rao_dimensions
 from singlocus.liaison import construct_lr, construct_lr_radical
 from singlocus.polyring import (_MR_BOUND, GF, QQ, MAX_DEGREE, WIDTH,
                                 PolyRing, _degree_func, _is_prime,
@@ -1053,29 +1054,32 @@ def _checked_tail_reduce(monkeypatch):
 
 @pytest.mark.parametrize("field", [GF(32003)] + LARGE_PRIMES + [QQ],
                          ids=["p"] + LARGE_IDS + ["q"])
-def test_tail_reduce_matches_the_full_pass(field, monkeypatch):
+def test_tail_reduce_matches_the_full_pass(field, monkeypatch, module_runs):
     """Every Buchberger run behind J, top (by the intersection tree) and
     rad of the corpus arrangements but `thirty_one_planes` and of the
     `sweep` pool, behind `saturate_irrelevant(J)` of those corpus
-    arrangements and behind the driven bases of `construct_lr(2, seed=7)`
-    and `construct_lr_radical(2, seed=7)` ends with the reduced basis of
-    the pass that normal-forms every kept element.  The last two take
-    generators of several degrees, which join the completion at their
-    own degrees.  None of these runs forces an element: none keeps a
-    block element (an intersection's blocks have t in every leading
-    word) and every input is homogeneous.  Over F_p, where each batch is
-    back-substituted, fewer than one kept element of J, top and rad in
-    fifty is normal-formed (67 of 4932 at p = 32003, each a generator
-    with a tail word equal to the leading word of a later generator of
-    its degree)."""
+    arrangements, behind the driven bases of `construct_lr(2, seed=7)`
+    and `construct_lr_radical(2, seed=7)` and behind the module bases of
+    the deficiency tables of the corpus top and rad ends with the reduced
+    basis of the pass that normal-forms every kept element.  The
+    liaison bases take generators of several degrees, which join the
+    completion at their own degrees.  None of these runs forces an
+    element: none keeps a block element (an intersection's blocks have t
+    in every leading word) and every input is homogeneous, the module
+    columns in the twisted degrees of their free module.  Over F_p, where
+    each batch is back-substituted, fewer than one kept element of J, top
+    and rad in fifty is normal-formed (67 of 4932 at p = 32003, each a
+    generator with a tail word equal to the leading word of a later
+    generator of its degree).  The module bases also have the leading
+    words of the pair-by-pair loop (`conftest.check_module_leads`)."""
     counts = _checked_tail_reduce(monkeypatch)
     corpus = [load_arrangement(name, field) for name in arrangement_names()
               if name != "thirty_one_planes"]
     sweep = [parse_arrangement(text, field) for text in sweep_texts()]
+    curves = []
     for arr in corpus + sweep:
         jacobian_ideal(arr).groebner()
-        tree_top(arr)
-        radical_comb(arr)
+        curves.append((tree_top(arr), radical_comb(arr)))
     assert counts["runs"] > 100 and counts["kept"] > 1000
     if field.p:
         assert 0 < counts["normal_formed"] < counts["kept"] // 50
@@ -1085,6 +1089,10 @@ def test_tail_reduce_matches_the_full_pass(field, monkeypatch):
     for construct in (construct_lr, construct_lr_radical):
         construct(2, seed=7, field=field).ideal.groebner()
     assert counts["runs"] > runs + 30
+    for top, rad in curves[:len(corpus)]:
+        rao_dimensions(top)
+        rao_dimensions(rad)
+    assert check_module_leads(module_runs) > 10
     assert counts["forced"] == 0
 
 

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (LARGE_IDS, LARGE_PRIMES, betti_by_strand_homology,
-                      deficiency_by_ext, power_of_variables,
-                      rao_by_degree_scan, schreyer_resolution_by_tuples,
-                      schreyer_syzygies, standard_monomial_count,
-                      sweep_texts, tree_top)
+                      check_module_leads, deficiency_by_ext,
+                      power_of_variables, rao_by_degree_scan,
+                      schreyer_resolution_by_tuples, schreyer_syzygies,
+                      standard_monomial_count, sweep_texts, tree_top)
 from singlocus import homology, linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
@@ -18,15 +18,15 @@ from singlocus.errors import (InternalLimitError, InvariantError,
 from singlocus.groebner import (Ideal, _Engine, _to_internal, intersect,
                                 intersect_many, saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
-                                _level_from_ring_gb, _module_leads,
-                                _module_vector, _schreyer_resolution,
+                                _level_from_ring_gb, _module_vector,
+                                _schreyer_resolution,
                                 _schreyer_step, betti_json, betti_of,
                                 betti_table, betti_text, dimensions, hilbert,
                                 is_cm, is_saturated, minimal_free_resolution,
                                 rao_dimensions, unmixed_deficiency)
 from singlocus.liaison import (construct_lr, construct_lr_radical,
                                verify_construction)
-from singlocus.polyring import GF, QQ, WIDTH, PolyRing, _unpack_plain
+from singlocus.polyring import GF, QQ, WIDTH, PolyRing
 
 # Six planes from a random sweep: the Jacobian ideal has projective
 # dimension 4 (it is not saturated), and its resolution overran the
@@ -194,8 +194,11 @@ class TestBettiFromRanks:
     Where `unmixed_deficiency`, which reads Ext^3 from the raw maps, finds
     a table, it equals the dense scan of the pruned last map
     (`rao_by_degree_scan`), and `rao_dimensions` returns it; where it
-    finds the ideal mixed, `rao_dimensions` refuses it.  The maps are
-    pruned only when they are read, and the raw maps outlive pruning."""
+    finds the ideal mixed, `rao_dimensions` refuses it.  Each module
+    basis that the reader completes has the leading words of the
+    pair-by-pair loop it replaced (`conftest.check_module_leads`).  The
+    maps are pruned only when they are read, and the raw maps outlive
+    pruning."""
 
     @staticmethod
     def _check(ideal):
@@ -225,25 +228,29 @@ class TestBettiFromRanks:
 
     @pytest.mark.parametrize("name", [n for n in arrangement_names()
                                       if n != "thirty_one_planes"])
-    def test_corpus(self, name):
+    def test_corpus(self, name, module_runs):
         got = self._check_all(load_arrangement(name))
         if name == "fifteen_planes":
             assert got == [{16: 1}, {16: 1}, {}]
         if name == "eleven_planes":
             assert got == [None, {10: 2}, {6: 3, 7: 5}]
+        check_module_leads(module_runs)
 
-    def test_sweep_pool(self):
+    def test_sweep_pool(self, module_runs):
         got = [self._check_all(parse_arrangement(text))
                for text in sweep_texts()]
         assert got[2][0] is None  # J is not saturated
+        assert check_module_leads(module_runs) > 10
 
-    def test_sweep_pool_over_q(self):
+    def test_sweep_pool_over_q(self, module_runs):
         for text in sweep_texts(3):
             self._check_all(parse_arrangement(text, QQ))
+        assert check_module_leads(module_runs) > 0
 
-    def test_constructions(self):
+    def test_constructions(self, module_runs):
         self._check(construct_lr(1, h=2, seed=7).ideal)
         self._check(construct_lr_radical(2, seed=7).ideal)
+        assert check_module_leads(module_runs) > 0
 
     def test_twists_alone_never_prune(self, monkeypatch):
         """Only reading `Resolution.maps` prunes."""
@@ -436,13 +443,65 @@ class TestRaoDimensions:
         yet their S-vector y*z*e1 - x*w*e1 is a new leading term."""
         ring = request.getfixturevalue(ring_name)
         x, y, z, w = ring.variables()
-        engine = _Engine(ring)
+        engine = _Engine(ring, twists=[0, 0])
+        basis = engine.buchberger([_module_vector([(0, x), (1, z)], engine),
+                                   _module_vector([(0, y), (1, w)], engine)])
+        assert basis == [_module_vector(col, engine) for col in (
+            [(0, y), (1, w)], [(0, x), (1, z)], [(1, y * z - x * w)])]
+
+    @pytest.mark.parametrize("ring_name", ["ring_p", "ring_q"])
+    def test_components_do_not_mix(self, ring_name, request, monkeypatch):
+        """x*e0 "divides" x*y*e1 if the component bits are ignored, and the
+        two would form a pair: the module basis keeps both and reduces no
+        pair.  On the radical of `eleven_planes` (table {6: 3, 7: 5}),
+        every pair that the module run reduces lies in one component."""
+        ring = request.getfixturevalue(ring_name)
+        x, y, z, w = ring.variables()
+        batches = []
+        for name in ("reduce_batch", "reduce_pairs"):
+            reducer = getattr(_Engine, name)
+
+            def recorded(self, batch, polys, lt_keys, lt_ws, *args,
+                         reducer=reducer):
+                batches.append([(lt_ws[i], lt_ws[j], lcm)
+                                for _, _, i, j, lcm in batch])
+                return reducer(self, batch, polys, lt_keys, lt_ws, *args)
+
+            monkeypatch.setattr(_Engine, name, recorded)
+        engine = _Engine(ring, twists=[0, 1])
+        vectors = [_module_vector([(0, x)], engine),
+                   _module_vector([(1, x * y)], engine)]
+        assert engine.buchberger(vectors) == vectors
+        assert not batches
+        arr = load_arrangement("eleven_planes", ring.field)
+        rad = radical_comb(arr)
+        minimal_free_resolution(rad)
+        batches.clear()
+        assert rao_dimensions(rad) == {6: 3, 7: 5}
         shift = WIDTH * ring.nvars
-        vectors = [_module_vector([(0, x), (1, z)], engine.key, shift),
-                   _module_vector([(0, y), (1, w)], engine.key, shift)]
-        leads = _module_leads(vectors, [1, 1], engine)
-        assert [(lead >> shift, _unpack_plain(lead, 4)) for lead in leads] == [
-            (0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)), (1, (0, 1, 1, 0))]
+        pairs = [pair for batch in batches for pair in batch]
+        assert pairs and all(wi >> shift == wj >> shift == lcm >> shift
+                             for wi, wj, lcm in pairs)
+
+    @pytest.mark.parametrize("field", [GF(32003)] + LARGE_PRIMES + [QQ],
+                             ids=["p"] + LARGE_IDS + ["q"])
+    def test_module_basis_matches_the_pair_loop(self, field, module_runs):
+        """The Ext^3 reader's module basis comes from `_Engine.buchberger`;
+        its leading words are, component by component, the minimalized
+        ones of the pair-by-pair loop it replaced
+        (`conftest.module_leads_by_pairs`), here on liaison constructions.
+        The same check runs where `TestBettiFromRanks` reads the tables of
+        the corpus and the `sweep` pool, and where
+        `test_tail_reduce_matches_the_full_pass` reads those of the
+        corpus top and rad at each of these fields."""
+        builds = [construct_lr(1, seed=7, field=field),
+                  construct_lr_radical(2, seed=7, field=field)]
+        if field.p == 32003:
+            builds.append(construct_lr(2, seed=7, field=field))
+        for construction in builds:
+            assert rao_dimensions(construction.ideal) == \
+                construction.predicted_rao
+        assert check_module_leads(module_runs) == len(builds)
 
     def test_against_ext_homology(self, ring_p, ring_q):
         for ring in (ring_p, ring_q):

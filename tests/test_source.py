@@ -46,3 +46,19 @@ def test_every_import_is_used():
                   for bound, line in sorted(imported.items())
                   if bound not in used]
     assert not found
+
+
+def test_one_completion_loop():
+    """Only `groebner.py` imports `heappop`, or reads it off `heapq`: the
+    pair heap of a completion lives in `_Engine.buchberger` alone, for
+    rings and modules, so no second completion loop grows beside it."""
+    found = []
+    for name, tree in _modules():
+        if name == "groebner.py":
+            continue
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and any(alias.name == "heappop" for alias in node.names)
+                  or isinstance(node, ast.Attribute)
+                  and node.attr == "heappop"]
+    assert not found
