@@ -11,8 +11,8 @@ multiplier is a shift (`_ring_rows`); a size rule keeps rings whose rows
 would be too long, Q and the module levels on the engine's dividends.
 The resulting resolution is generally non-minimal.  Its graded Betti
 numbers are read from the ranks of its constant blocks, and its maps are
-pruned to the minimal ones, by pivoting on nonzero-constant entries, only
-when a caller reads `Resolution.maps`.
+pruned to the minimal ones, in one pass of pivots on the entries between
+generators of equal twist, only when a caller reads `Resolution.maps`.
 
 The deficiency (Rao) table of a curve in P^3 is the Hilbert function of
 Ext^3(R/I, R), up to the re-indexing t -> -t - 4, and one reader,
@@ -32,16 +32,19 @@ which lets `top_comb` return an unmixed Jacobian ideal as it is;
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from operator import itemgetter
 from sys import int_info
 
 from . import linalg
 from .errors import InternalLimitError, InvariantError, ValidationError
 from .groebner import _CB, _CMAX, _Engine, _minimal_lcms
 from .polyring import (MAX_DEGREE, WIDTH, Polynomial, _degree_func,
-                       _pack_plain, _slot, _slot_bytes, _slot_monomial,
+                       _degree_slots, _pack_plain, _slot, _slot_bytes,
                        _unpack_plain)
 
 
@@ -128,9 +131,10 @@ def _ring_rows(level, engine, tasks, memo):
     multiplier x^m is a shift by slot(m), and within one degree the slots
     ascend as the engine's grevlex keys descend.  Each vector's tail is
     packed once, on first use, as one int with a `_slot_bytes`-wide slot
-    from the slot after its leading term up.  A level whose rows,
-    base^(n - 1) slots, fail the size rule (`_ROW_BYTES_PER_TERM`) stays
-    on dividends.
+    from the slot after its leading term up.  A row's slot reads back its
+    monomial of degree base - 1 by bisection in the table of
+    `_degree_slots`.  A level whose rows, base^(n - 1) slots, fail the
+    size rule (`_ROW_BYTES_PER_TERM`) stays on dividends.
 
     Returns reduce(i, j, lcm, quotients): it reduces the S-polynomial of
     vectors i and j, whose lcm is the word `lcm`, from its lowest slot up,
@@ -168,6 +172,7 @@ def _ring_rows(level, engine, tasks, memo):
     zero = bytes(nbytes)
     key = engine.key
     mult = level.mult
+    top_slots, top_exps = _degree_slots(nvars, top)
     slot_of = {}  # word -> slot
     word_at = {}  # slot -> its monomial of degree top
     tails = {}  # index -> packed tail
@@ -195,10 +200,10 @@ def _ring_rows(level, engine, tasks, memo):
     def word(k):
         w = word_at.get(k)
         if w is None:
-            exps = _slot_monomial(k, base, nvars, top)
-            if exps is None:
+            at = bisect_left(top_slots, k)
+            if at == len(top_slots) or top_slots[at] != k:
                 raise InvariantError("a row reached a slot of no monomial")
-            w = word_at[k] = _pack_plain(exps)
+            w = word_at[k] = _pack_plain(top_exps[at])
         return w
 
     def reduce(i, j, lcm, quotients):
@@ -739,112 +744,65 @@ def _schreyer_resolution(ideal):
 
 
 def _prune_to_minimal(twist_lists, maps, field):
-    """Cancel the constant entries of the complex; the inputs, which a
-    `Resolution` keeps as its raw maps, are left as they are."""
-    # live generator ids per homological level, in stable order
-    live = [list(range(len(t))) for t in twist_lists]
-    twists = [dict(enumerate(t)) for t in twist_lists]
-    # per map: column dict and row occupancy
-    cols = []
-    rows = []
-    for entries in maps:
-        bycol = {}
-        byrow = {}
+    """Cancel the constant entries of the complex in one pass over its
+    maps, last map first; the inputs, which a `Resolution` keeps as its
+    raw maps, are left as they are.
+
+    An entry is a nonzero constant exactly when its generators have equal
+    twists, as in `_constant_ranks`.  Map k is pivoted while a constant is
+    left, each time on one of least Markowitz cost (the other entries of
+    its row times those of its column), (r0, c0): column operations clear
+    row r0, then column c0 and row r0 of map k, row c0 of map k + 1 and
+    column r0 of map k - 1 go.  A pivot of twist j changes only map k,
+    where a new constant needs a constant entry both in row r0 and in
+    column c0, so it lies in map k's own degree-j block; the deletions in
+    maps k + 1 and k - 1 only remove entries.  So one pass leaves none.
+    """
+    # per map, {column: {row: entry}}; the empty map after the last also
+    # stands in for map -1
+    cols = [{} for _ in range(len(maps) + 1)]
+    for bycol, entries in zip(cols, maps):
         for (r, c), p in entries.items():
             bycol.setdefault(c, {})[r] = p
-            byrow.setdefault(r, set()).add(c)
-        cols.append(bycol)
-        rows.append(byrow)
-
-    def find_pivot(k):
-        # Markowitz-style: least fill-in first
-        best = None
-        best_cost = None
-        for c, column in cols[k].items():
-            for r, p in column.items():
-                if p.is_constant() and not p.is_zero():
-                    cost = (len(rows[k].get(r, ())) - 1) * (len(column) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best = (r, c, p.constant_coefficient())
-                        best_cost = cost
-                        if cost == 0:
-                            return best
-        return best
-
-    progress = True
-    while progress:
-        progress = False
-        for k in range(len(maps) - 1, -1, -1):
-            while True:
-                piv = find_pivot(k)
-                if piv is None:
-                    break
-                progress = True
-                r0, c0, u = piv
-                inv_u = field.inv(u)
-                pivot_col = cols[k][c0]
-                # clear row r0 by column operations
-                for c in list(rows[k].get(r0, ())):
-                    if c == c0:
-                        continue
-                    factor = cols[k][c][r0].scale(inv_u)
-                    target = cols[k][c]
+    gone = [set() for _ in twist_lists]  # cancelled generators per level
+    for k in range(len(maps) - 1, -1, -1):
+        src, tgt, bycol = twist_lists[k + 1], twist_lists[k], cols[k]
+        while True:
+            counts = Counter(r for column in bycol.values() for r in column)
+            pivot = min((((counts[r] - 1) * (len(column) - 1), r, c)
+                         for c, column in bycol.items()
+                         for r in column if src[c] == tgt[r]),
+                        key=itemgetter(0), default=None)
+            if pivot is None:
+                break
+            _, r0, c0 = pivot
+            pivot_col = bycol.pop(c0)
+            inv_u = field.inv(pivot_col.pop(r0).constant_coefficient())
+            for column in bycol.values():
+                entry = column.pop(r0, None)
+                if entry is not None:
+                    factor = entry.scale(inv_u)
                     for r, p in pivot_col.items():
-                        delta = factor * p
-                        if r in target:
-                            s = target[r] - delta
-                            if s.is_zero():
-                                del target[r]
-                                rows[k][r].discard(c)
-                            else:
-                                target[r] = s
+                        s = (column[r] - factor * p if r in column
+                             else -(factor * p))
+                        if s.is_zero():
+                            del column[r]
                         else:
-                            target[r] = -delta
-                            rows[k].setdefault(r, set()).add(c)
-                # delete generator c0 of F_{k+1} and generator r0 of F_k
-                for r in list(pivot_col):
-                    rows[k][r].discard(c0)
-                del cols[k][c0]
-                if r0 in rows[k]:
-                    for c in list(rows[k][r0]):
-                        cols[k][c].pop(r0, None)
-                    del rows[k][r0]
-                live[k + 1].remove(c0)
-                del twists[k + 1][c0]
-                live[k].remove(r0)
-                del twists[k][r0]
-                if k + 1 < len(maps):
-                    # row c0 of the next map is zero after the implied updates
-                    if c0 in rows[k + 1]:
-                        for c in list(rows[k + 1][c0]):
-                            cols[k + 1][c].pop(c0, None)
-                        del rows[k + 1][c0]
-                if k >= 1:
-                    # column r0 of the previous map is zero likewise
-                    if r0 in cols[k - 1]:
-                        for r in list(cols[k - 1][r0]):
-                            rows[k - 1].get(r, set()).discard(r0)
-                        del cols[k - 1][r0]
-
-    # drop empty tail levels, reindex densely
+                            column[r] = s
+            gone[k + 1].add(c0)
+            gone[k].add(r0)
+            for column in cols[k + 1].values():
+                column.pop(c0, None)
+            cols[k - 1].pop(r0, None)
+    live = [[i for i in range(len(t)) if i not in g]
+            for t, g in zip(twist_lists, gone)]
     while len(live) > 1 and not live[-1]:
         live.pop()
-        twists.pop()
-        cols.pop()
-        rows.pop()
-    new_twists = []
-    new_maps = []
-    for k, ids in enumerate(live):
-        new_twists.append([twists[k][i] for i in ids])
-    for k in range(len(live) - 1):
-        src_index = {i: pos for pos, i in enumerate(live[k + 1])}
-        tgt_index = {i: pos for pos, i in enumerate(live[k])}
-        entries = {}
-        for c, column in cols[k].items():
-            for r, p in column.items():
-                entries[(tgt_index[r], src_index[c])] = p
-        new_maps.append(entries)
-    return new_twists, new_maps
+    index = [{i: pos for pos, i in enumerate(ids)} for ids in live]
+    return ([[t[i] for i in ids] for t, ids in zip(twist_lists, live)],
+            [{(index[k][r], index[k + 1][c]): p
+              for c, column in cols[k].items() for r, p in column.items()}
+             for k in range(len(live) - 1)])
 
 
 def _constant_ranks(twist_lists, maps, field):

@@ -227,8 +227,14 @@ def _curve_degree_of_block(arr, curve_of):
 
 
 def _fresh_copy(base, acc_arr, rng):
+    field = base.ring.field
     for _ in range(_RESEED_CAP):
         matrix = random_coordinate_change(rng)
+        # the draw is invertible mod DEFAULT_PRIME, and so over Q and mod
+        # any prime above its largest determinant, but not mod every prime
+        if linalg.rank([[field.from_int(c) for c in row] for row in matrix],
+                       field) < len(matrix):
+            continue
         candidate = apply_coordinate_change(base, matrix)
         try:
             merge_arrangements(acc_arr, candidate)

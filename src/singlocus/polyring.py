@@ -14,8 +14,9 @@ additivity for fast arithmetic.
 Over F_p the product of two forms is made by Kronecker substitution
 (`_kronecker_product`) whenever there are more than a few term pairs and
 the packed ints stay small against their number; every other product
-runs the term loop.  Its slot layout (`_slot`, `_slot_monomial`) also
-lays out the rows of the first syzygy step over F_p in `homology`.
+runs the term loop.  Its slot layout (`_slot`, read back by the table of
+`_degree_slots`) also lays out the rows of the first syzygy step over F_p
+in `homology`.
 """
 
 from __future__ import annotations
@@ -568,19 +569,6 @@ def _slot(exps, base):
     for x in reversed(exps[1:]):
         k = k * base + x
     return k
-
-
-def _slot_monomial(k, base, nvars, degree):
-    """The exponents of the monomial of `degree` whose slot (`_slot`, in
-    `base`) is k, or None when no monomial of `degree` has that slot."""
-    exps = []
-    for _ in range(1, nvars):
-        k, e = divmod(k, base)
-        exps.append(e)
-    rest = degree - sum(exps)
-    if k or rest < 0:
-        return None
-    return (rest, *exps)
 
 
 @lru_cache(maxsize=64)

@@ -42,6 +42,18 @@ vars: x y z w
 """
 
 
+def _check_minimal_complex(res):
+    """The maps of `res` compose to zero and hold no constant entry."""
+    maps = res.maps
+    assert res.is_minimal()
+    for k in range(len(maps) - 1):
+        for c in range(res.modules[k + 2].rank):
+            column = [maps[k + 1].entry(r, c)
+                      for r in range(res.modules[k + 1].rank)]
+            assert all(p is None or p.is_zero()
+                       for p in maps[k].apply(column))
+
+
 def _arrangement(name):
     if name == "sweep_six":
         return parse_arrangement(SWEEP_SIX)
@@ -140,14 +152,7 @@ class TestResolutions:
     def test_composition_zero_and_exact_degrees(self, ring_p):
         x, y, z, w = ring_p.variables()
         ideal = Ideal(ring_p, (x * y, x * z, y * z, z * w * w))
-        res = minimal_free_resolution(ideal)
-        for k in range(len(res.maps) - 1):
-            nxt = res.maps[k + 1]
-            for c in range(res.modules[k + 2].rank):
-                col = [nxt.entry(r, c) or ring_p.zero()
-                       for r in range(res.modules[k + 1].rank)]
-                image = res.maps[k].apply(col)
-                assert all(p is None or p.is_zero() for p in image)
+        _check_minimal_complex(minimal_free_resolution(ideal))
 
     def test_minimality(self, ring_p):
         x, y, z, w = ring_p.variables()
@@ -293,6 +298,29 @@ class TestBettiFromRanks:
         assert [m.twists for m in res.modules] == [(0,), (2, 2, 2), (3, 3)]
         with pytest.raises(InvariantError):
             res.maps
+
+
+class TestPrunedMaps:
+    """The one-pass pruning leaves maps that compose to zero and hold no
+    constant, on arrangement ideals whose raw resolutions have many
+    constant blocks."""
+
+    @staticmethod
+    def _check_all(arr):
+        for ideal in (jacobian_ideal(arr), tree_top(arr), radical_comb(arr)):
+            _check_minimal_complex(minimal_free_resolution(ideal))
+
+    @pytest.mark.parametrize("name", ["seven_planes", "nine_planes",
+                                      "eleven_planes"])
+    def test_corpus(self, name):
+        self._check_all(load_arrangement(name))
+
+    def test_sweep_pool(self):
+        for text in sweep_texts(3):
+            self._check_all(parse_arrangement(text))
+
+    def test_over_q(self):
+        self._check_all(load_arrangement("nine_planes", QQ))
 
 
 class TestBettiLayout:

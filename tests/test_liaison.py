@@ -201,6 +201,17 @@ class TestConstructions:
         assert report["degree_computed"] == 104
         assert report["rao_computed"] == {12: 2}
 
+    @pytest.mark.parametrize("build, seed", [
+        (construct_lr, 110), (construct_lr_radical, 36),
+        (construct_lr_radical, 110), (construct_lr_radical, 121)])
+    def test_r2_at_a_small_prime(self, build, seed):
+        """Under these seeds a coordinate change that is invertible mod
+        32003 is singular mod 37; it is drawn again, so the copy stays a
+        copy of the block and the r = 2 curve verifies at p = 37."""
+        c = build(2, seed=seed, field=GF(37))
+        report = verify_construction(c)
+        assert report["ok"], report
+
     def test_r3_degree_recurrence(self):
         c = construct_lr(3, seed=9)
         assert c.arrangement.d == 27

@@ -4,6 +4,7 @@ parsing."""
 import functools
 import itertools
 import time
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from singlocus.groebner import _elimination_key
 from singlocus.polyring import (GF, MAX_DEGREE, QQ, WIDTH, PolyRing,
                                 _degree_slots, _grevlex_key, _is_prime,
                                 _kronecker_product, _pack_plain, _slot,
-                                _slot_monomial, expand_product, gradient,
-                                parse_linear_expr, validate_linear_form)
+                                expand_product, gradient, parse_linear_expr,
+                                validate_linear_form)
 
 
 def grevlex_reference(a, b):
@@ -395,23 +396,23 @@ def test_kronecker_product_at_the_slot_bound(p):
 @pytest.mark.parametrize("nvars, degree", [(1, 6), (2, 6), (4, 5), (8, 2)])
 def test_kronecker_slots(nvars, degree):
     """The one slot layout: additive while the base exceeds the degree,
-    ascending as grevlex descends within one degree, and inverted by
-    `_slot_monomial`, which finds no monomial in the gaps."""
+    ascending as grevlex descends within one degree, and read back by
+    bisection in `_degree_slots`'s table, whose slots in base degree + 1
+    are distinct."""
     base = 2 * degree + 1
     key = _grevlex_key(nvars)
     mons = sorted(monomials_of_degree(nvars, degree),
                   key=lambda e: -key(_pack_plain(e)))
     slots = [_slot(e, base) for e in mons]
     assert slots == sorted(set(slots))
-    for e in mons:
-        assert _slot_monomial(_slot(e, base), base, nvars, degree) == e
     for a, b in itertools.product(mons[::3], mons[1::4]):
         ab = tuple(x + y for x, y in zip(a, b))
         assert _slot(ab, base) == _slot(a, base) + _slot(b, base)
-    top = base ** (nvars - 1)
-    assert sum(_slot_monomial(k, base, nvars, degree) is not None
-               for k in range(top + 1)) == len(mons)
-    assert _degree_slots(nvars, degree) == (
+    table, exps = _degree_slots(nvars, degree)
+    assert table == sorted(set(table)) and len(table) == len(mons)
+    for e in mons:
+        assert exps[bisect_left(table, _slot(e, degree + 1))] == e
+    assert (table, exps) == (
         sorted(_slot(e, degree + 1) for e in mons),
         sorted(mons, key=lambda e: _slot(e, degree + 1)))
 
