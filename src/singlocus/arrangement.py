@@ -651,10 +651,9 @@ def random_linear_form(ring, rng):
             return ring.linear_form(coeffs)
 
 
-def random_coordinate_change(rng, size=4, bound=9):
-    """Integer matrix with entries in [-bound, bound], invertible mod
-    DEFAULT_PRIME and hence over Q."""
-    field = GF(DEFAULT_PRIME)
+def random_coordinate_change(rng, field, size=4, bound=9):
+    """Integer matrix with entries in [-bound, bound], invertible over
+    `field`."""
     while True:
         M = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
         if linalg.rank([[field.from_int(c) for c in row] for row in M],

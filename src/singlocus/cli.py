@@ -33,9 +33,8 @@ from .homology import (betti_json, betti_of, betti_text, dimensions, hilbert,
                        is_cm, is_saturated, rao_dimensions)
 from .liaison import (LiaisonStep, _fresh_linear,
                       arrangement_product_hypotheses, basic_double_link,
-                      construct_lr, construct_lr_radical,
-                      hilbert_additivity_holds, liaison_addition,
-                      shifted_rao_sum, verify_construction)
+                      construct_lr, construct_lr_radical, liaison_addition,
+                      verify_construction, verify_step)
 from .polyring import (GF, QQ, DEFAULT_PRIME, linear_coefficients,
                        parse_linear_expr)
 
@@ -342,9 +341,7 @@ _STEP_NAMES = {"addition": "a liaison addition", "bdl": "a basic double link"}
 
 def _verify_step(report, step):
     """Check Hilbert additivity and the shifted deficiency table of a step."""
-    additivity = hilbert_additivity_holds(step)
-    predicted = shifted_rao_sum(step)
-    computed = rao_dimensions(step.output)
+    additivity, predicted, computed = verify_step(step)
     report.artifact["verify"] = {
         "hilbert_additivity": additivity,
         "rao_predicted": _degree_table(predicted),

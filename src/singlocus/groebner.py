@@ -80,12 +80,8 @@ and once the leading terms in degree d fill that dimension, the remaining
 pairs of degree d are dropped unreduced.  Only the t-free elements, the
 answer, are minimalized and tail-reduced.  `Ideal.groebner` takes the
 same drive when the code that built the ideal knows an upper bound for
-its Hilbert function (`Ideal._target`): a liaison addition
-F2 * I1 + F1 * I2 has
-dim I_t = dim (I1)_{t-d2} + dim (I2)_{t-d1} - dim R_{t-d1-d2}
-(Geramita and Migliore 1994, "A generalized liaison addition"), and two
-forms of degrees d1 and d2 span at most
-dim R_{t-d1} + dim R_{t-d2} - dim R_{t-d1-d2} dimensions in degree t.
+its Hilbert function: `Ideal._target`, a plain function of the degree,
+which `liaison.py` sets on the ideals it builds.
 
 The field alone picks how the pairs of a degree are reduced.  Over F_p
 every run, driven or not, reduces them as rows of one matrix (Faugere
@@ -114,7 +110,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import (InternalLimitError, InvariantError, RingContextError,
                      ValidationError)
@@ -931,9 +927,10 @@ class GroebnerBasis:
 class Ideal:
     """Homogeneous ideal with its cached reduced grevlex basis.
 
-    `_target` is None, or the parts (see `_hilbert_target`) of a function
-    that bounds dim I_d from above, set by the code that built the ideal;
-    `groebner` then drives the basis with a `_HilbertDrive`.
+    `_target` is None, or a function d -> (an upper bound for dim I_d),
+    set by the code that built the ideal; `groebner` then drives the
+    basis with a `_HilbertDrive` that asks it for each degree in
+    increasing order.
     """
 
     def __init__(self, ring, gens):
@@ -956,9 +953,8 @@ class Ideal:
         gb = self._cache.get(order.tag)
         if gb is None:
             engine = _Engine(self.ring)
-            nvars = self.ring.nvars
             drive = (None if self._target is None else
-                     _HilbertDrive(nvars, _hilbert_target(nvars, self._target)))
+                     _HilbertDrive(self.ring.nvars, self._target))
             internal = engine.buchberger([_to_internal(g, engine.key)
                                           for g in self.gens], drive=drive)
             gb = self._keep(GroebnerBasis(self.ring, internal))
@@ -1058,30 +1054,6 @@ class _DegreeCounter:
         return len(self.part)
 
 
-def _hilbert_target(nvars, parts):
-    """The function d -> sum of sign * dim M_{d - shift} over `parts`.
-
-    Each part is (sign, shift, leads): M is the monomial ideal that the
-    packed words `leads` generate, counted by a `_DegreeCounter`, or the
-    whole ring when `leads` is None.  Degrees must be asked for in
-    increasing order, as the counters require.
-    """
-    terms = [(sign, shift,
-              None if leads is None else _DegreeCounter(nvars, leads))
-             for sign, shift, leads in parts]
-
-    def target(d):
-        total = 0
-        for sign, shift, counter in terms:
-            e = d - shift
-            if e >= 0:
-                total += sign * (comb(e + nvars - 1, nvars - 1)
-                                 if counter is None else counter.count(e))
-        return total
-
-    return target
-
-
 class _HilbertDrive:
     """Traverso's stopping rule for a homogeneous Buchberger run.
 
@@ -1094,19 +1066,22 @@ class _HilbertDrive:
     wrong and raises `InvariantError`.  Two runs are driven:
 
     - `Ideal.groebner` of an ideal whose Hilbert function is known from
-      how it was built (`liaison_addition`, `basic_double_link`, the
-      complete intersection of a regular-sequence check): `have` counts
-      the monomials of degree d divisible by a leading monomial.
+      how it was built: the target is its `_target`, which `liaison.py`
+      sets on the outputs of `liaison_addition` and `basic_double_link`
+      and on the complete intersection of a regular-sequence check.
+      `have` counts the monomials of degree d divisible by a leading
+      monomial.
     - the elimination in `intersect` (`eliminate=True`).  Give t weight
       0.  Every element met while eliminating t from
       t * G_a + (1 - t) * G_b has the form A * t + B, and these elements
       form the graded module N = {A * t + B : B in b, A + B in a}, which
       is isomorphic to a + b as a vector space in each degree:
-      dim N_d = dim a_d + dim b_d, read off the inputs' leading
-      monomials.  The leading terms of the basis so far span
-      t * T_d + O_d, where T is generated by the x-parts of all leading
-      monomials (t * B lies in N when B is t-free) and O by those of the
-      t-free elements; `have` is |T_d| + |O_d|.
+      dim N_d = dim a_d + dim b_d, the target, which two
+      `_DegreeCounter`s count from the inputs' leading monomials.  The
+      leading terms of the basis so far span t * T_d + O_d, where T is
+      generated by the x-parts of all leading monomials (t * B lies in N
+      when B is t-free) and O by those of the t-free elements; `have` is
+      |T_d| + |O_d|.
     """
 
     def __init__(self, nvars, target, eliminate=False):
@@ -1208,9 +1183,9 @@ def _intersect_bases(ring, pa, pb):
         + [(k, w << WIDTH, c) for k, w, c in terms]
         for terms in pb]
     # dim N_d = dim a_d + dim b_d
-    leads = ((1, 0, [terms[0][1] for terms in pa]),
-             (1, 0, [terms[0][1] for terms in pb]))
-    drive = _HilbertDrive(ring.nvars, _hilbert_target(ring.nvars, leads),
+    ca = _DegreeCounter(ring.nvars, [terms[0][1] for terms in pa])
+    cb = _DegreeCounter(ring.nvars, [terms[0][1] for terms in pb])
+    drive = _HilbertDrive(ring.nvars, lambda d: ca.count(d) + cb.count(d),
                           eliminate=True)
     # an element with a t-free leading term is t-free
     t_mask = (1 << WIDTH) - 1

@@ -64,11 +64,11 @@ from singlocus import groebner, homology, linalg
 from singlocus.arrangement import Arrangement, top_comb
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
-from singlocus.groebner import (_CB, _CMAX, GroebnerBasis, Ideal, _Dividend,
-                                _Engine, _elimination_key, _extend_ring,
-                                _from_internal, _hilbert_target,
-                                _HilbertDrive, _minimal_lcms, _to_internal,
-                                intersect, intersect_many)
+from singlocus.groebner import (_CB, _CMAX, GroebnerBasis, Ideal,
+                                _DegreeCounter, _Dividend, _Engine,
+                                _elimination_key, _extend_ring,
+                                _from_internal, _HilbertDrive, _minimal_lcms,
+                                _to_internal, intersect, intersect_many)
 from singlocus.homology import (_components, _in_schreyer_order,
                                 _level_from_ring_gb, _module_vector,
                                 _schreyer_resolution, _schreyer_step,
@@ -420,8 +420,10 @@ def intersect_by_ideals(a, b):
         [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
         + [(k, w << WIDTH, c) for k, w, c in terms]
         for terms in gb._polys]
-    drive = _HilbertDrive(ring.nvars, _hilbert_target(
-        ring.nvars, ((1, 0, ga._lt_ws), (1, 0, gb._lt_ws))), eliminate=True)
+    ca = _DegreeCounter(ring.nvars, ga._lt_ws)
+    cb = _DegreeCounter(ring.nvars, gb._lt_ws)
+    drive = _HilbertDrive(ring.nvars, lambda d: ca.count(d) + cb.count(d),
+                          eliminate=True)
     t_mask = (1 << WIDTH) - 1
     basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
                               drive=drive, eliminate=t_mask)

@@ -548,7 +548,8 @@ class TestCoordinateChanges:
     def test_apply_preserves_lattice(self):
         arr = load_arrangement("nine_planes")
         rng = random.Random(23)
-        moved = apply_coordinate_change(arr, random_coordinate_change(rng))
+        moved = apply_coordinate_change(
+            arr, random_coordinate_change(rng, arr.ring.field))
         assert arr.flat_multiset() == moved.flat_multiset()
         assert lattice_isomorphic(arr, moved)
 
@@ -579,7 +580,8 @@ class TestCoordinateChanges:
         for seed in range(40):
             rng, oracle = random.Random(seed), random.Random(seed)
             for _ in range(3):
-                assert random_coordinate_change(rng, size, bound) == \
+                assert random_coordinate_change(
+                    rng, GF(DEFAULT_PRIME), size, bound) == \
                     self._by_determinant(oracle, size, bound)
 
     def test_prime_safety_check(self):

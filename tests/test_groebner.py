@@ -30,9 +30,9 @@ from singlocus.corpus import arrangement_names, load_arrangement, load_graph
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (Ideal, _DegreeCounter, _Dividend,
-                                _elimination_key, _Engine, _hilbert_target,
-                                _HilbertDrive, _to_internal, intersect,
-                                intersect_many, saturate_irrelevant)
+                                _elimination_key, _Engine, _HilbertDrive,
+                                _to_internal, intersect, intersect_many,
+                                saturate_irrelevant)
 from singlocus.homology import hilbert, is_saturated, rao_dimensions
 from singlocus.liaison import construct_lr, construct_lr_radical
 from singlocus.polyring import (_MR_BOUND, GF, QQ, MAX_DEGREE, WIDTH,
@@ -1283,7 +1283,8 @@ def test_degree_counter_takes_generators_at_the_current_degree():
 def test_hilbert_count_above_its_target_is_an_invariant_error():
     x = _pack_plain((1, 0))
     # a = b = (x): dim N_1 = 2
-    drive = _HilbertDrive(2, _hilbert_target(2, ((1, 0, [x]), (1, 0, [x]))),
+    ca, cb = _DegreeCounter(2, [x]), _DegreeCounter(2, [x])
+    drive = _HilbertDrive(2, lambda d: ca.count(d) + cb.count(d),
                           eliminate=True)
     # a t-free lead x counts as x and as t * x
     drive.note(_pack_plain((0, 1, 0)))

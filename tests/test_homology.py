@@ -631,7 +631,7 @@ class TestCoordinateChangeInvariance:
         from singlocus.corpus import load_arrangement
         arr = load_arrangement("star_pencil")
         rng = random.Random(5)
-        matrix = random_coordinate_change(rng)
+        matrix = random_coordinate_change(rng, arr.ring.field)
         moved = apply_coordinate_change(arr, matrix)
         assert betti_of(top_comb(arr)).entries == \
             betti_of(top_comb(moved)).entries

@@ -1,13 +1,16 @@
 """Liaison addition, basic double links, and the curve constructions."""
 
+from math import comb
+
 import pytest
 
 from conftest import undriven_liaison_basis
 from singlocus.arrangement import Arrangement, standard_ring, top_comb
 from singlocus.errors import InvariantError, ValidationError
-from singlocus.groebner import Ideal, saturate_irrelevant
+from singlocus.groebner import Ideal, _DegreeCounter, saturate_irrelevant
 from singlocus.homology import hilbert, is_cm, rao_dimensions
-from singlocus.liaison import (LiaisonStep, arrangement_product_hypotheses,
+from singlocus.liaison import (LiaisonStep, _require_regular_sequence,
+                               arrangement_product_hypotheses,
                                basic_double_link, construct_lr,
                                construct_lr_radical, hilbert_additivity_holds,
                                liaison_addition, shifted_rao_sum, top_block,
@@ -144,8 +147,8 @@ class TestProductHypotheses:
         rng = random.Random(71)
         found = 0
         for _ in range(8):
-            moved = apply_coordinate_change(base,
-                                            random_coordinate_change(rng))
+            moved = apply_coordinate_change(
+                base, random_coordinate_change(rng, base.ring.field))
             ok, _ = arrangement_product_hypotheses(base, moved)
             found += ok
         assert found >= 1
@@ -273,7 +276,7 @@ def test_target_below_the_hilbert_function_raises(field):
     ring = PolyRing(("x", "y", "z", "w"), field)
     x, y, z, w = ring.variables()
     ideal = Ideal(ring, (x * y, x * z))
-    ideal._target = ((1, 0, [_pack_plain((1, 1, 0, 0))]),)
+    ideal._target = _DegreeCounter(4, [_pack_plain((1, 1, 0, 0))]).count
     with pytest.raises(InvariantError):
         ideal.groebner()
 
@@ -289,3 +292,69 @@ def test_additivity_check_reads_a_fresh_ideal():
     step = LiaisonStep("addition", i1, x, i2, z, out)
     assert hilbert_additivity_holds(step)
     assert not out._cache and not hasattr(out, "_hilbert_cache")
+
+
+# ---------------------------------------------------------------------------
+# Hilbert targets
+
+
+def _ideal_dimension(ring, gens):
+    """t -> dim I_t, and the Hilbert data of R/I, for the ideal I of
+    `gens`, from the undriven basis of a fresh ideal."""
+    h = hilbert(Ideal(ring, gens))
+    n = ring.nvars
+    return (lambda t: comb(t + n - 1, n - 1) - h.hilbert_function(t)), h
+
+
+def _degrees_read(step, h_out):
+    """The degrees in which `hilbert_additivity_holds` compares, given the
+    Hilbert data of the output."""
+    top = max(h_out.regularity_index, step.d1 + step.d2,
+              hilbert(step.ideal1).regularity_index + step.d2)
+    if step.ideal2 is not None:
+        top = max(top, hilbert(step.ideal2).regularity_index + step.d1)
+    return range(top + 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_lr(2, h=1, seed=7),
+    lambda: construct_lr(2, h=1, seed=7, field=QQ),
+    lambda: construct_lr_radical(2, h=1, seed=7),
+    lambda: construct_lr_radical(2, h=1, seed=7, field=QQ),
+], ids=["lr_p", "lr_q", "radical_p", "radical_q"])
+def test_liaison_targets_are_the_hilbert_function(build):
+    """Each step's target is dim I_t of its output, read from a fresh
+    undriven ideal of the output's generators, in every degree that the
+    additivity check reads: a liaison addition and a basic double link."""
+    c = build()
+    assert [s.kind for s in c.steps] == ["addition", "bdl"]
+    for step in c.steps:
+        dim, h_out = _ideal_dimension(step.output.ring, step.output.gens)
+        for t in _degrees_read(step, h_out):
+            assert step.output._target(t) == dim(t), (step, t)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+def test_regular_sequence_target_is_the_complete_intersection(field, drives):
+    """The regular-sequence check drives (f1, f2) by dim (f1, f2)_t, here
+    for the forms of both steps of the radical r = 2, h = 1 curve."""
+    c = construct_lr_radical(2, h=1, seed=7, field=field)
+    for step in c.steps:
+        built = len(drives)
+        _require_regular_sequence(step.form1, step.form2)
+        assert len(drives) == built + 1
+        dim, _ = _ideal_dimension(step.form1.ring, (step.form1, step.form2))
+        for t in range(step.d1 + step.d2 + 3):
+            assert drives[-1].target(t) == dim(t), (step, t)
+
+
+def test_additivity_fails_without_a_generator():
+    """Negative control: an output that lacks its last generator breaks
+    the identity, at both steps of the radical r = 2, h = 1 curve."""
+    c = construct_lr_radical(2, h=1, seed=7)
+    for step in c.steps:
+        assert hilbert_additivity_holds(step)
+        short = Ideal(step.output.ring, step.output.gens[:-1])
+        assert not hilbert_additivity_holds(LiaisonStep(
+            step.kind, step.ideal1, step.form1, step.ideal2, step.form2,
+            short))
