@@ -326,7 +326,7 @@ def jacobian_ideal(arr):
 
 def _plane_groups(arr, powers):
     """The leaves of the intersection of the powers p_f^powers[f] of the
-    flat primes, grouped by plane.
+    flat primes, grouped by plane, as (flats, leaf) pairs in plane order.
 
     Flats of exponent 0 contribute the unit ideal and are skipped.  Flats
     (H, L_1), ..., (H, L_k) with the same first member plane H and the
@@ -338,24 +338,28 @@ def _plane_groups(arr, powers):
     non-proportional forms L_i modulo H.  At (H, L_i) the other L_j are
     units, so there (H, g)^b is (H, L_i)^b, which is primary; hence
     (H, g)^b is the intersection of the (H, L_i)^b.  A group of one flat
-    is its prime power, and its prime when b = 1.
+    is its prime power, and its prime when b = 1.  A flat's first member
+    is its lowest plane, so with one exponent the groups shrink along the
+    plane order: the last planes lie on few flats whose other members
+    come later.
     """
     ring = arr.ring
     groups = {}
     for f in arr.flats():
         if powers[f]:
             groups.setdefault((f.members[0], powers[f]), []).append(f)
-    leaves = []
+    out = []
     for (h, b), flats in groups.items():
         if len(flats) == 1:
-            leaves.append(flats[0].prime(ring) if b == 1
-                          else flats[0].prime_power(ring, b))
-            continue
-        plane = arr.forms[h]
-        product = expand_product([arr.forms[f.members[1]] for f in flats])
-        leaves.append(Ideal(ring, tuple(plane ** a * product ** (b - a)
-                                        for a in range(b, -1, -1))))
-    return leaves
+            leaf = (flats[0].prime(ring) if b == 1
+                    else flats[0].prime_power(ring, b))
+        else:
+            plane = arr.forms[h]
+            product = expand_product([arr.forms[f.members[1]] for f in flats])
+            leaf = Ideal(ring, tuple(plane ** a * product ** (b - a)
+                                     for a in range(b, -1, -1)))
+        out.append((flats, leaf))
+    return out
 
 
 def radical_comb(arr):
@@ -366,7 +370,8 @@ def radical_comb(arr):
     one per flat.  A single flat comes back as its prime, unchanged.
     """
     _check_prime_safety(arr)
-    return intersect_many(_plane_groups(arr, {f: 1 for f in arr.flats()}))
+    return intersect_many([leaf for _, leaf in
+                           _plane_groups(arr, {f: 1 for f in arr.flats()})])
 
 
 def pencil_component(flat, ring, vecs):
@@ -408,8 +413,19 @@ def top_comb(arr):
     J's resolution, which is cached on J.  Then J's reduced basis is
     returned, with J's Hilbert data and resolution; it is the basis the
     intersection would give, since an elimination key orders words free
-    of the auxiliary variable as grevlex does.  Otherwise the
-    intersection is computed.
+    of the auxiliary variable as grevlex does.
+
+    Otherwise the intersection is computed with one leaf per plane H: the
+    plane group (H, L_1 * ... * L_k) of `radical_comb`, intersected with
+    the `pencil_component` C_f of each of the group's flats f of
+    multiplicity at least 3.  Each C_f is primary to its flat prime P_f,
+    so C_f lies in P_f, and the leaf is the intersection of the P_f and
+    C_f of H's group, the components of top at those flats; a group of one
+    such flat is its C_f, with the generators it was built with.  The leaves
+    are intersected in reverse plane order: the groups shrink along the
+    plane order, and in that order the balanced tree would carry the
+    smallest leaf up as the odd one out, to meet everything else at a
+    lopsided root.
     """
     _check_prime_safety(arr)
     ring = arr.ring
@@ -420,8 +436,13 @@ def top_comb(arr):
         top._resolution_cache = J._resolution_cache
         return top
     vecs = arr.coefficient_rows()
-    comps = [pencil_component(f, ring, vecs) for f in arr.flats()]
-    return intersect_many(comps)
+    leaves = []
+    for flats, group in _plane_groups(arr, {f: 1 for f in arr.flats()}):
+        pencils = [pencil_component(f, ring, vecs)
+                   for f in flats if f.multiplicity >= 3]
+        leaves.append(pencils[0] if len(flats) == 1 and pencils
+                      else intersect_many([group] + pencils))
+    return intersect_many(leaves[::-1])
 
 
 def symbolic_intersection(arr, powers, override=False):
@@ -456,7 +477,7 @@ def symbolic_intersection(arr, powers, override=False):
                 raise ValidationError(
                     f"exponent {b} for flat {f!r} is outside 0..{f.multiplicity} "
                     "(pass override to force)")
-    ideals = _plane_groups(arr, powers)
+    ideals = [leaf for _, leaf in _plane_groups(arr, powers)]
     if not ideals:
         return Ideal(ring, (ring.one(),))
     return intersect_many(ideals)

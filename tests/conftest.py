@@ -15,7 +15,8 @@ with int pairs kept in lowest terms at every step, as it was before it
 took its reducers in integer form, the
 monomial lcm, divisibility and coprimality through exponent tuples (the
 engine's Gebauer-Moller bookkeeping works on packed words), and the
-radical of an arrangement through one intersection per flat prime, the
+radical of an arrangement through one intersection per flat prime, its
+top part through one intersection per flat's pencil component, the
 raw resolution through the Schreyer step with its own pair selection
 and divisor search, as it was before the step ran on the Buchberger
 kernel (`schreyer_resolution_by_tuples`, which reduces every level on
@@ -61,7 +62,7 @@ from pathlib import Path
 import pytest
 
 from singlocus import groebner, homology, linalg
-from singlocus.arrangement import Arrangement, top_comb
+from singlocus.arrangement import Arrangement, pencil_component, top_comb
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (_CB, _CMAX, GroebnerBasis, Ideal,
@@ -381,6 +382,15 @@ def schreyer_syzygies(gens, twists=None):
 def radical_by_flat_primes(arr):
     """The intersection of the flat primes, taken flat by flat."""
     return intersect_many([f.prime(arr.ring) for f in arr.flats()])
+
+
+def top_by_flats(arr):
+    """The intersection of the flats' pencil components, taken flat by
+    flat: the tree `top_comb` built before its leaves were grouped by
+    plane."""
+    vecs = arr.coefficient_rows()
+    return intersect_many([pencil_component(f, arr.ring, vecs)
+                           for f in arr.flats()])
 
 
 def symbolic_by_flat_powers(arr, powers):

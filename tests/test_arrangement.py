@@ -15,10 +15,10 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    standard_ring, symbolic_intersection,
                                    top_comb, triangle_condition,
                                    uniform_powers)
-from conftest import (CORPUS_DIR, intersect_many_by_ideals,
+from conftest import (CORPUS_DIR, LARGEST_PRIME, intersect_many_by_ideals,
                       radical_by_flat_primes, radical_membership, sweep_texts,
-                      symbolic_by_flat_powers, tree_top)
-from singlocus import arrangement, linalg
+                      symbolic_by_flat_powers, top_by_flats, tree_top)
+from singlocus import arrangement, groebner, linalg
 from singlocus.corpus import (arrangement_names, load_arrangement, load_graph,
                               run_regressions)
 from singlocus.errors import ParseError, ValidationError
@@ -216,6 +216,77 @@ class TestRadicalByPlanes:
             got = radical_comb(arr)
             assert got.gens == flat.prime(ring).gens
             assert got.gens == radical_by_flat_primes(arr).gens
+
+
+def _check_top_by_planes(arr):
+    got, want = tree_top(arr), top_by_flats(arr)
+    assert got.gens == want.gens, arr.forms
+    assert repr(got.groebner()._polys) == repr(want.groebner()._polys)
+
+
+class TestTopByPlanes:
+    """`top_comb` intersects one leaf per plane, the plane group of
+    `radical_comb` with the pencil components of its flats of
+    multiplicity >= 3 folded in; the tree of one leaf per flat
+    (`conftest.top_by_flats`) is its oracle, and the reduced bases must
+    be the same, byte for byte."""
+
+    @pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), GF(2 ** 61 - 1),
+                                       GF(LARGEST_PRIME)],
+                             ids=["p", "p61", "p82"])
+    def test_corpus_and_sweep_pool(self, field):
+        arrs = [load_arrangement(name, field) for name in arrangement_names()
+                if name != "thirty_one_planes"]
+        arrs += [parse_arrangement(text, field) for text in sweep_texts()]
+        for arr in arrs:
+            _check_top_by_planes(arr)
+
+    def test_over_q(self):
+        arrs = [parse_arrangement(text, QQ) for text in sweep_texts(3)]
+        arrs += [load_arrangement(name, QQ)
+                 for name in ("seven_planes", "nine_planes")]
+        for arr in arrs:
+            _check_top_by_planes(arr)
+
+    def test_five_variables(self):
+        """The graphic arrangement of the wheel with four spokes, in five
+        variables: its four triangles are flats of multiplicity 3, and
+        the hub's plane groups hold two of them each."""
+        wheel = Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4),
+                          (1, 5), (2, 5), (3, 5), (4, 5)])
+        arr = graphic_arrangement(wheel)
+        assert arr.ring.nvars == 5
+        assert sum(f.multiplicity == 3 for f in arr.flats()) == 4
+        _check_top_by_planes(arr)
+
+    def test_small_prime(self):
+        _check_top_by_planes(load_arrangement("fifteen_planes", GF(37)))
+
+    def test_intersection_count(self, monkeypatch):
+        """A fresh `top_comb` intersects each plane group with the pencil
+        components of its flats of multiplicity >= 3, then the groups'
+        leaves; a group of one such flat is its component, so a pencil
+        makes no intersection.  On `fifteen_planes` that is 37
+        intersections, where one leaf per flat made 54."""
+        calls = []
+        intersect_bases = groebner._intersect_bases
+
+        def counted(*args):
+            calls.append(args)
+            return intersect_bases(*args)
+
+        monkeypatch.setattr(groebner, "_intersect_bases", counted)
+        for name, want in (("fifteen_planes", 37), ("seven_planes", 8),
+                           ("pencil_three", 0)):
+            arr = load_arrangement(name)
+            groups = {}
+            for f in arr.flats():
+                groups.setdefault(f.members[0], []).append(f.multiplicity >= 3)
+            assert want == sum(sum(group) for group in groups.values()
+                               if len(group) > 1) + len(groups) - 1
+            calls.clear()
+            tree_top(arr)
+            assert len(calls) == want, name
 
 
 class TestIntersectionTree:

@@ -1033,22 +1033,37 @@ def _checked_tail_reduce(monkeypatch):
     `conftest.tail_reduce_all` gives on the same kept elements, byte for
     byte; returns the counts of runs, kept elements, elements that it
     normal-formed (those not returned as they came), forced elements and
-    runs with a forced element."""
+    runs with a forced element.  The kept and normal-formed elements of
+    the runs made inside `_intersect_bases` are also counted apart, as
+    `intersection_kept` and `intersection_normal_formed`."""
     counts = Counter()
     tail_reduce = _Engine.tail_reduce
+    intersect_bases = groebner._intersect_bases
+    inside = []
+
+    def intersecting(*args):
+        inside.append(True)
+        try:
+            return intersect_bases(*args)
+        finally:
+            inside.pop()
 
     def checked(self, kept, forced):
         out = tail_reduce(self, kept, forced)
         assert repr(out) == repr(tail_reduce_all(self, kept))
+        normal_formed = sum(got is not terms for got, terms in zip(out, kept))
         counts["runs"] += 1
         counts["kept"] += len(kept)
-        counts["normal_formed"] += sum(got is not terms
-                                       for got, terms in zip(out, kept))
+        counts["normal_formed"] += normal_formed
+        if inside:
+            counts["intersection_kept"] += len(kept)
+            counts["intersection_normal_formed"] += normal_formed
         counts["forced"] += sum(forced)
         counts["forced_runs"] += any(forced)
         return out
 
     monkeypatch.setattr(_Engine, "tail_reduce", checked)
+    monkeypatch.setattr(groebner, "_intersect_bases", intersecting)
     return counts
 
 
@@ -1067,11 +1082,14 @@ def test_tail_reduce_matches_the_full_pass(field, monkeypatch, module_runs):
     element: none keeps a block element (an intersection's blocks have t
     in every leading word) and every input is homogeneous, the module
     columns in the twisted degrees of their free module.  Over F_p, where
-    each batch is back-substituted, fewer than one kept element of J, top
-    and rad in fifty is normal-formed (67 of 4932 at p = 32003, each a
-    generator with a tail word equal to the leading word of a later
-    generator of its degree).  The module bases also have the leading
-    words of the pair-by-pair loop (`conftest.check_module_leads`)."""
+    each batch is back-substituted, the runs of J, top and rad inside
+    `_intersect_bases` normal-form no kept element (0 of 2007 at
+    p = 32003), and the runs on generators fewer than one kept element in
+    fifteen (67 of 1363, each a generator with a tail word equal to the
+    leading word of a later generator of its degree); so the check does
+    not depend on the shape of the intersection trees.  The module bases
+    also have the leading words of the pair-by-pair loop
+    (`conftest.check_module_leads`)."""
     counts = _checked_tail_reduce(monkeypatch)
     corpus = [load_arrangement(name, field) for name in arrangement_names()
               if name != "thirty_one_planes"]
@@ -1080,9 +1098,12 @@ def test_tail_reduce_matches_the_full_pass(field, monkeypatch, module_runs):
     for arr in corpus + sweep:
         jacobian_ideal(arr).groebner()
         curves.append((tree_top(arr), radical_comb(arr)))
-    assert counts["runs"] > 100 and counts["kept"] > 1000
+    assert counts["runs"] > 100 and counts["intersection_kept"] > 1000
+    generator_kept = counts["kept"] - counts["intersection_kept"]
+    assert generator_kept > 1000
     if field.p:
-        assert 0 < counts["normal_formed"] < counts["kept"] // 50
+        assert counts["intersection_normal_formed"] == 0
+        assert 0 < counts["normal_formed"] < generator_kept // 15
     runs = counts["runs"]
     for arr in corpus:
         saturate_irrelevant(jacobian_ideal(arr))
