@@ -290,12 +290,14 @@ def intersection_flats(arr):
 
 
 def combinatorial_degrees(arr):
-    """(number of flats, total degree of the top-dimensional locus)."""
+    """(number of flats, total degree of the top-dimensional locus).
+
+    A flat of multiplicity e contributes (e-1)^2 to the second, the
+    degree of its local Jacobian ideal (`pencil_component`); for a double
+    flat that ideal is its prime, of degree 1.
+    """
     flats = arr.flats()
-    deg_red = len(flats)
-    deg_top = sum((f.multiplicity - 1) ** 2 if f.multiplicity >= 3 else 1
-                  for f in flats)
-    return deg_red, deg_top
+    return len(flats), sum((f.multiplicity - 1) ** 2 for f in flats)
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +377,31 @@ def radical_comb(arr):
 
 
 def pencil_component(flat, ring, vecs):
-    """The complete intersection cut out at one flat.
+    """The component of top at one flat: the Jacobian ideal of the local
+    arrangement of its members (Orlik and Terao 1992, "Arrangements of
+    Hyperplanes").
 
-    For multiplicity 2 this is the flat prime.  Otherwise the member
-    forms, whose coefficient rows `vecs` holds, are rewritten in the
-    flat's echelon basis (s, t), their product g is differentiated, and
-    (g_s, g_t) is pushed back through s, t; the result is primary to the
-    flat prime with degree (e-1)^2.
+    For multiplicity 2 this is the flat prime.  Otherwise the product G
+    of the member forms, whose coefficient rows `vecs` holds, is
+    differentiated at two columns where the flat's basis (b1, b2) has a
+    nonzero 2x2 minor: for an echelon basis its pivot columns.  G is
+    g(b1, b2) for a binary form g, so by the chain rule the two partials
+    are g_s(b1, b2) and g_t(b1, b2) at the pivot columns, and an
+    invertible recombination of them at any other pair; the result is
+    primary to the flat prime with degree (e-1)^2.
     """
-    b1, b2 = flat.basis_forms(ring)
     if flat.multiplicity == 2:
-        return Ideal(ring, (b1, b2))
+        return flat.prime(ring)
     field = ring.field
-    pencil = PolyRing(("s@", "t@"), field)
-    g = pencil.one()
-    basis_rows = [list(flat.basis[0]), list(flat.basis[1])]
-    for k in flat.members:
-        coords = linalg.solve_in_span(vecs[k], basis_rows, field)
-        if coords is None:
-            raise InvariantError("member form fell out of its flat's span")
-        g = g * pencil.linear_form(coords)
-    gs = g.partial_derivative(0).substitute([b1, b2])
-    gt = g.partial_derivative(1).substitute([b1, b2])
-    return Ideal(ring, (gs, gt))
+    r1, r2 = flat.basis
+    i, j = next((i, j) for i, j in itertools.combinations(range(ring.nvars), 2)
+                if field.mul(r1[i], r2[j]) != field.mul(r1[j], r2[i]))
+    G = expand_product([ring.linear_form(vecs[k]) for k in flat.members])
+    return Ideal(ring, (G.partial_derivative(i), G.partial_derivative(j)))
 
 
 def top_comb(arr):
-    """Intersection of the per-flat complete intersections.
+    """Intersection of the flats' local Jacobian ideals.
 
     This is the height-two unmixed part of the Jacobian ideal; the
     containment and degree invariants exercised by the test suite certify
@@ -415,17 +415,18 @@ def top_comb(arr):
     intersection would give, since an elimination key orders words free
     of the auxiliary variable as grevlex does.
 
-    Otherwise the intersection is computed with one leaf per plane H: the
-    plane group (H, L_1 * ... * L_k) of `radical_comb`, intersected with
-    the `pencil_component` C_f of each of the group's flats f of
-    multiplicity at least 3.  Each C_f is primary to its flat prime P_f,
-    so C_f lies in P_f, and the leaf is the intersection of the P_f and
-    C_f of H's group, the components of top at those flats; a group of one
-    such flat is its C_f, with the generators it was built with.  The leaves
-    are intersected in reverse plane order: the groups shrink along the
-    plane order, and in that order the balanced tree would carry the
-    smallest leaf up as the odd one out, to meet everything else at a
-    lopsided root.
+    Otherwise the intersection is computed with one leaf per plane H:
+    the plane group (H, L_1 * ... * L_k) of H's double flats
+    (`_plane_groups`), intersected with the `pencil_component` C_f, the
+    local Jacobian, of each flat f of multiplicity at least 3 whose first
+    member is H.  The components of top at H's flats are the primes of
+    the double ones and the C_f; the full plane group is not needed, since
+    each C_f is primary to its flat prime P_f and so lies in it.  A leaf
+    of one ideal is that ideal, so a pencil's top keeps the two
+    generators its component was built with.  The leaves are intersected
+    in reverse plane order: the groups shrink along the plane order, and
+    in that order the balanced tree would carry the smallest leaf up as
+    the odd one out, to meet everything else at a lopsided root.
     """
     _check_prime_safety(arr)
     ring = arr.ring
@@ -435,14 +436,16 @@ def top_comb(arr):
         top._hilbert_cache = hilbert(J)
         top._resolution_cache = J._resolution_cache
         return top
+    doubles = {f: int(f.multiplicity == 2) for f in arr.flats()}
+    leaves = {flats[0].members[0]: [group]
+              for flats, group in _plane_groups(arr, doubles)}
     vecs = arr.coefficient_rows()
-    leaves = []
-    for flats, group in _plane_groups(arr, {f: 1 for f in arr.flats()}):
-        pencils = [pencil_component(f, ring, vecs)
-                   for f in flats if f.multiplicity >= 3]
-        leaves.append(pencils[0] if len(flats) == 1 and pencils
-                      else intersect_many([group] + pencils))
-    return intersect_many(leaves[::-1])
+    for f in arr.flats():
+        if f.multiplicity >= 3:
+            leaves.setdefault(f.members[0], []).append(
+                pencil_component(f, ring, vecs))
+    return intersect_many([intersect_many(leaves[h])
+                           for h in sorted(leaves, reverse=True)])
 
 
 def symbolic_intersection(arr, powers, override=False):

@@ -572,7 +572,11 @@ class HilbertData:
         return int(lead * fact)
 
     def hp_string(self):
-        """Exact text form, e.g. '130t - 1150' for a curve."""
+        """Exact text form, e.g. '130t - 1150' for a curve.
+
+        A non-integer coefficient of a power of t is parenthesized, as in
+        '(19/2)t^2 - (63/2)t + 44', so that it does not read as 19/(2t^2).
+        """
         if not self.hp_coeffs:
             return "0"
         parts = []
@@ -581,7 +585,12 @@ class HilbertData:
             if c == 0:
                 continue
             mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            cs = str(c) if (k == 0 or abs(c) != 1) else ("-" if c < 0 else "")
+            if k == 0:
+                cs = str(c)
+            elif c.denominator != 1:
+                cs = f"{'-' if c < 0 else ''}({abs(c)})"
+            else:
+                cs = "" if c == 1 else "-" if c == -1 else str(c)
             piece = f"{cs}{mono}"
             parts.append(piece)
         if not parts:

@@ -486,21 +486,19 @@ class Polynomial:
         if target.field != self.ring.field:
             raise RingContextError(
                 f"substitution from {self.ring.field} into {target.field}")
-        # cache variable powers as needed
-        powers = [{0: target.one()} for _ in images]
-        def power(i, k):
-            cache = powers[i]
-            got = cache.get(k)
-            if got is None:
-                got = power(i, k - 1) * images[i]
-                cache[k] = got
-            return got
+        # powers[i][k] = images[i]^k up to the largest exponent of x_i
+        powers = []
+        for i, image in enumerate(images):
+            row = [target.one()]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                row.append(row[-1] * image)
+            powers.append(row)
         out = target.zero()
         for e, c in self.terms.items():
             term = target.constant(c)
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
+                    term = term * powers[i][k]
             out = out + term
         return out
 

@@ -16,7 +16,10 @@ took its reducers in integer form, the
 monomial lcm, divisibility and coprimality through exponent tuples (the
 engine's Gebauer-Moller bookkeeping works on packed words), and the
 radical of an arrangement through one intersection per flat prime, its
-top part through one intersection per flat's pencil component, the
+top part through one intersection per flat's pencil component, each
+component built on an auxiliary pencil ring as it was before it was read
+off the derivatives of the product of the flat's member forms
+(`pencil_component_by_pencil_ring`), the
 raw resolution through the Schreyer step with its own pair selection
 and divisor search, as it was before the step ran on the Buchberger
 kernel (`schreyer_resolution_by_tuples`, which reduces every level on
@@ -62,7 +65,7 @@ from pathlib import Path
 import pytest
 
 from singlocus import groebner, homology, linalg
-from singlocus.arrangement import Arrangement, pencil_component, top_comb
+from singlocus.arrangement import Arrangement, top_comb
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (_CB, _CMAX, GroebnerBasis, Ideal,
@@ -384,12 +387,36 @@ def radical_by_flat_primes(arr):
     return intersect_many([f.prime(arr.ring) for f in arr.flats()])
 
 
+def pencil_component_by_pencil_ring(flat, ring, vecs):
+    """`pencil_component` as it was built before it differentiated the
+    product of the member forms: the member forms, whose coefficient rows
+    `vecs` holds, are rewritten in the flat's basis (s, t) of an auxiliary
+    pencil ring, their product g is differentiated, and (g_s, g_t) is
+    pushed back through s, t."""
+    b1, b2 = flat.basis_forms(ring)
+    if flat.multiplicity == 2:
+        return Ideal(ring, (b1, b2))
+    field = ring.field
+    pencil = PolyRing(("s@", "t@"), field)
+    g = pencil.one()
+    basis_rows = [list(flat.basis[0]), list(flat.basis[1])]
+    for k in flat.members:
+        coords = linalg.solve_in_span(vecs[k], basis_rows, field)
+        if coords is None:
+            raise InvariantError("member form fell out of its flat's span")
+        g = g * pencil.linear_form(coords)
+    gs = g.partial_derivative(0).substitute([b1, b2])
+    gt = g.partial_derivative(1).substitute([b1, b2])
+    return Ideal(ring, (gs, gt))
+
+
 def top_by_flats(arr):
-    """The intersection of the flats' pencil components, taken flat by
-    flat: the tree `top_comb` built before its leaves were grouped by
-    plane."""
+    """The intersection of the flats' pencil components, built on the
+    pencil ring and taken flat by flat: the tree `top_comb` built before
+    its leaves were grouped by plane and its components were read off
+    the product of the member forms."""
     vecs = arr.coefficient_rows()
-    return intersect_many([pencil_component(f, arr.ring, vecs)
+    return intersect_many([pencil_component_by_pencil_ring(f, arr.ring, vecs)
                            for f in arr.flats()])
 
 

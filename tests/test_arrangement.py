@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
+from singlocus.arrangement import (Arrangement, Flat, Graph,
+                                   apply_coordinate_change,
                                    combinatorial_degrees, generic_section,
                                    graphic_arrangement, hypothesis_check,
                                    jacobian_ideal, lattice_isomorphic,
@@ -16,7 +17,8 @@ from singlocus.arrangement import (Arrangement, Graph, apply_coordinate_change,
                                    top_comb, triangle_condition,
                                    uniform_powers)
 from conftest import (CORPUS_DIR, LARGEST_PRIME, intersect_many_by_ideals,
-                      radical_by_flat_primes, radical_membership, sweep_texts,
+                      pencil_component_by_pencil_ring, radical_by_flat_primes,
+                      radical_membership, sweep_texts,
                       symbolic_by_flat_powers, top_by_flats, tree_top)
 from singlocus import arrangement, groebner, linalg
 from singlocus.corpus import (arrangement_names, load_arrangement, load_graph,
@@ -225,11 +227,11 @@ def _check_top_by_planes(arr):
 
 
 class TestTopByPlanes:
-    """`top_comb` intersects one leaf per plane, the plane group of
-    `radical_comb` with the pencil components of its flats of
-    multiplicity >= 3 folded in; the tree of one leaf per flat
-    (`conftest.top_by_flats`) is its oracle, and the reduced bases must
-    be the same, byte for byte."""
+    """`top_comb` intersects one leaf per plane, the plane group of its
+    double flats with the local Jacobians of its flats of multiplicity
+    >= 3 folded in; the tree of one leaf per flat, each component built
+    on the pencil ring (`conftest.top_by_flats`), is its oracle, and the
+    reduced bases must be the same, byte for byte."""
 
     @pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), GF(2 ** 61 - 1),
                                        GF(LARGEST_PRIME)],
@@ -263,11 +265,12 @@ class TestTopByPlanes:
         _check_top_by_planes(load_arrangement("fifteen_planes", GF(37)))
 
     def test_intersection_count(self, monkeypatch):
-        """A fresh `top_comb` intersects each plane group with the pencil
-        components of its flats of multiplicity >= 3, then the groups'
-        leaves; a group of one such flat is its component, so a pencil
-        makes no intersection.  On `fifteen_planes` that is 37
-        intersections, where one leaf per flat made 54."""
+        """A fresh `top_comb` intersects, for each plane, the group of the
+        double flats it leads with the local Jacobians of the flats of
+        multiplicity >= 3 it leads, then the planes' leaves; so it makes
+        one intersection fewer than it has leaf inputs, and a pencil makes
+        none.  On `fifteen_planes` that is 33 intersections, where the
+        full plane groups made 37 and one leaf per flat 54."""
         calls = []
         intersect_bases = groebner._intersect_bases
 
@@ -276,14 +279,14 @@ class TestTopByPlanes:
             return intersect_bases(*args)
 
         monkeypatch.setattr(groebner, "_intersect_bases", counted)
-        for name, want in (("fifteen_planes", 37), ("seven_planes", 8),
+        for name, want in (("fifteen_planes", 33), ("seven_planes", 7),
                            ("pencil_three", 0)):
             arr = load_arrangement(name)
-            groups = {}
-            for f in arr.flats():
-                groups.setdefault(f.members[0], []).append(f.multiplicity >= 3)
-            assert want == sum(sum(group) for group in groups.values()
-                               if len(group) > 1) + len(groups) - 1
+            # a plane's leaf takes one group of its double flats (None)
+            # and each flat of multiplicity >= 3 it leads
+            inputs = {(f.members[0], None if f.multiplicity == 2 else f)
+                      for f in arr.flats()}
+            assert want == len(inputs) - 1
             calls.clear()
             tree_top(arr)
             assert len(calls) == want, name
@@ -343,12 +346,13 @@ class TestTopComb:
 
     def test_basis_independence(self):
         # replacing a flat's echelon basis by a random recombination
-        # does not change the pencil component
+        # does not change the pencil component, built either way
         ring = standard_ring()
         rng = random.Random(17)
         arr = load_arrangement("pencil_three")
         flat = arr.flats()[0]
-        original = pencil_component(flat, ring, arr.coefficient_rows())
+        vecs = arr.coefficient_rows()
+        original = pencil_component(flat, ring, vecs)
         field = ring.field
         for _ in range(4):
             while True:
@@ -361,10 +365,29 @@ class TestTopComb:
             r2 = [field.add(field.mul(field.from_int(c), u),
                             field.mul(field.from_int(d), v))
                   for u, v in zip(flat.basis[0], flat.basis[1])]
-            from singlocus.arrangement import Flat
             moved = Flat((tuple(r1), tuple(r2)), flat.members)
-            recomputed = pencil_component(moved, ring, arr.coefficient_rows())
+            recomputed = pencil_component(moved, ring, vecs)
             assert original.equals(recomputed)
+            assert recomputed.equals(
+                pencil_component_by_pencil_ring(moved, ring, vecs))
+
+    @pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), GF(2 ** 61 - 1), QQ],
+                             ids=["p", "p61", "q"])
+    def test_local_jacobian_matches_pencil_ring(self, field):
+        """At the echelon pivot columns the partials of the product of a
+        flat's member forms are the pencil ring's (g_s, g_t), generator
+        for generator, on every flat of multiplicity >= 3 of the corpus."""
+        count = 0
+        for name in arrangement_names():
+            arr = load_arrangement(name, field)
+            vecs = arr.coefficient_rows()
+            for flat in arr.flats():
+                if flat.multiplicity >= 3:
+                    got = pencil_component(flat, arr.ring, vecs)
+                    want = pencil_component_by_pencil_ring(flat, arr.ring, vecs)
+                    assert got.gens == want.gens, (name, flat)
+                    count += 1
+        assert count == 170
 
 
 # Corpus arrangements whose J is unmixed, so that `top_comb` returns J once

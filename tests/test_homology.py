@@ -381,6 +381,19 @@ class TestHilbert:
         two_lines = intersect(Ideal(ring_p, (x, y)), Ideal(ring_p, (z, w)))
         assert hilbert(two_lines).hp_string() == "2t + 2"
 
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_hp_string_fractions(self, field):
+        """A surface's Hilbert polynomial can have non-integer
+        coefficients, which print in parentheses.  Three planes through
+        a = b = 0 and four general planes in c, d, e make one flat of
+        multiplicity 3 and 18 double flats in five variables: the radical
+        has degree 19, and top has degree 18 + (3 - 1)^2 = 22."""
+        arr = parse_arrangement("vars: a b c d e\na\nb\na + b\nc\nd\ne\n"
+                                "c + d + e\n", field)
+        assert hilbert(radical_comb(arr)).hp_string() == \
+            "(19/2)t^2 - (63/2)t + 44"
+        assert hilbert(top_comb(arr)).hp_string() == "11t^2 - 43t + 66"
+
     def test_function_matches_standard_monomials(self, ring_p):
         x, y, z, w = ring_p.variables()
         for gens in [(x * y - z * z, w * x), (x * x, y * y, z * z),

@@ -2,6 +2,7 @@
 parsing."""
 
 import functools
+import gc
 import itertools
 import time
 from bisect import bisect_left
@@ -263,6 +264,20 @@ class TestSubstitution:
             f.substitute(images) * g.substitute(images)
         assert (f + g).substitute(images) == \
             f.substitute(images) + g.substitute(images)
+
+    def test_leaves_no_reference_cycle(self, ring_p):
+        """The powers of the images are cached in plain lists, so a call
+        leaves nothing for the cyclic collector to free."""
+        x, y, z, w = ring_p.variables()
+        f = (x + 2 * y) ** 3 * z
+        images = [x + y, x - y, z + w, w]
+        gc.collect()
+        gc.disable()
+        try:
+            assert f.substitute(images) == (3 * x - y) ** 3 * (z + w)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_images_over_another_field_are_refused(self):
         """No coefficient is carried across fields: x - y from F_32003 would
