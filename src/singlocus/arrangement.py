@@ -1,10 +1,11 @@
 """Hyperplane arrangements and their singular-locus constructions.
 
 An arrangement is an ordered list of pairwise independent linear forms.
-All lattice work happens on the codimension-2 stratum: the flats cut out
-by pairs of hyperplanes, each with its multiplicity (number of member
-hyperplanes) and a canonical reduced-echelon basis of its defining pair
-of linear forms.
+The singular-locus ideals are built on the codimension-2 stratum: the
+flats cut out by pairs of hyperplanes, each with its multiplicity (number
+of member hyperplanes) and a canonical reduced-echelon basis of its
+defining pair of linear forms.  Lattice isomorphism and the genericity
+of a section also read the flats of higher rank (`_flats_by_rank`).
 """
 
 from __future__ import annotations
@@ -287,6 +288,31 @@ def intersection_flats(arr):
     if pair_count != d * (d - 1) // 2:
         raise InvariantError("pair-counting identity failed on the flats")
     return flats
+
+
+def _flats_by_rank(arr):
+    """The member sets of the flats of rank 2, 3, ..., one rank at a time.
+
+    A flat of rank r + 1 is the span of a rank-r flat and a plane outside
+    it, grouped by the reduced echelon basis of that span.  Its members
+    are the planes in the span: those of any rank-r flat G inside it, and
+    every plane outside G, which spans it with G.  Each rank comes as a
+    sorted tuple of sorted member tuples; the last is the whole
+    arrangement's, at its rank.
+    """
+    field = arr.ring.field
+    rows = arr.coefficient_rows()
+    level = {f.basis: set(f.members) for f in arr.flats()}
+    while level:
+        yield tuple(sorted(tuple(sorted(m)) for m in level.values()))
+        up = {}
+        for basis, members in level.items():
+            for i, row in enumerate(rows):
+                if i not in members:
+                    ech, _ = linalg.rref(list(basis) + [row], field)
+                    up.setdefault(tuple(map(tuple, ech)), set()).update(
+                        members, (i,))
+        level = up
 
 
 def combinatorial_degrees(arr):
@@ -572,9 +598,10 @@ def generic_section(arr, seed=0):
 
     The last n-3 variables are replaced by seeded random linear forms in
     the first four.  Genericity is re-verified: the sectioned forms must
-    stay pairwise independent and the flat membership family must match
-    the original arrangement's.  Retries with fresh randomness up to 32
-    times, then gives up loudly.
+    stay pairwise independent, and the member sets of the flats of rank 2
+    and 3 (`_flats_by_rank`) must match the original arrangement's, since
+    a special section can make new points without changing any line.
+    Retries with fresh randomness up to 32 times, then gives up loudly.
     """
     if arr.nvars < 4:
         raise ValidationError("sections need an ambient dimension of at least 3")
@@ -582,7 +609,7 @@ def generic_section(arr, seed=0):
         return arr
     field = arr.ring.field
     target = PolyRing(tuple(arr.ring.names[:4]), field)
-    reference = arr.membership_family()
+    reference = tuple(itertools.islice(_flats_by_rank(arr), 2))
     rng = random.Random(seed)
     for _ in range(_SECTION_RETRIES):
         images = [target.variable(i) for i in range(4)]
@@ -594,7 +621,7 @@ def generic_section(arr, seed=0):
             sectioned = Arrangement(target, forms)
         except ValidationError:
             continue
-        if sectioned.membership_family() == reference:
+        if tuple(itertools.islice(_flats_by_rank(sectioned), 2)) == reference:
             return sectioned
     raise InternalLimitError(
         f"no generic section found after {_SECTION_RETRIES} attempts (seed {seed})")
@@ -605,23 +632,29 @@ def generic_section(arr, seed=0):
 
 
 def lattice_isomorphic(a, b):
-    """Whether a hyperplane bijection carries one flat family to the other."""
-    fa = [frozenset(f.members) for f in a.flats()]
-    fb = [frozenset(f.members) for f in b.flats()]
-    if a.d != b.d or len(fa) != len(fb):
+    """Whether a hyperplane bijection carries the intersection lattice of
+    `a` onto that of `b`: the member sets of its flats of each rank
+    (`_flats_by_rank`) onto those of the same rank."""
+    if a.d != b.d:
         return False
-    if sorted(len(s) for s in fa) != sorted(len(s) for s in fb):
+    fa = [(r, frozenset(s)) for r, sets in enumerate(_flats_by_rank(a))
+          for s in sets]
+    fb = [(r, frozenset(s)) for r, sets in enumerate(_flats_by_rank(b))
+          for s in sets]
+    if sorted((r, len(s)) for r, s in fa) != sorted((r, len(s)) for r, s in fb):
         return False
 
     def signatures(d, family):
-        sig = {i: tuple(sorted(len(s) for s in family if i in s)) for i in range(d)}
+        sig = {i: tuple(sorted((r, len(s)) for r, s in family if i in s))
+               for i in range(d)}
         # one refinement round over shared-flat neighborhoods
         refined = {}
         for i in range(d):
             local = []
-            for s in family:
+            for r, s in family:
                 if i in s:
-                    local.append((len(s), tuple(sorted(sig[j] for j in s if j != i))))
+                    local.append((r, len(s),
+                                  tuple(sorted(sig[j] for j in s if j != i))))
             refined[i] = (sig[i], tuple(sorted(local)))
         return refined
 
@@ -631,17 +664,19 @@ def lattice_isomorphic(a, b):
         return False
 
     set_b = set(fb)
+    through = {i: [(r, s) for r, s in fa if i in s] for i in range(a.d)}
     order = sorted(range(a.d),
                    key=lambda i: sum(1 for j in range(a.d) if sig_a[j] == sig_a[i]))
     assignment = {}
     used = set()
 
-    def feasible():
-        # every fully mapped flat of a must map onto a flat of b
-        for s in fa:
-            if all(i in assignment for i in s):
-                img = frozenset(assignment[i] for i in s)
-                if img not in set_b:
+    def feasible(i):
+        # every fully mapped flat of a through i must map onto a flat of b
+        # of its rank; the flats that miss i were checked before it joined
+        for r, s in through[i]:
+            if all(k in assignment for k in s):
+                img = frozenset(assignment[k] for k in s)
+                if (r, img) not in set_b:
                     return False
         return True
 
@@ -654,7 +689,7 @@ def lattice_isomorphic(a, b):
                 continue
             assignment[i] = j
             used.add(j)
-            if feasible() and backtrack(pos + 1):
+            if feasible(i) and backtrack(pos + 1):
                 return True
             del assignment[i]
             used.discard(j)

@@ -462,8 +462,14 @@ def _build_parser():
         description="Singular-locus ideals of hyperplane arrangements")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("lattice", parents=[common],
-                        help="flats of an arrangement, or lattice comparison")
+    sp = sub.add_parser(
+        "lattice", parents=[common],
+        help="flats of an arrangement, or lattice comparison",
+        description="With one file, list the codimension-2 flats.  With two, "
+                    "say whether their incidence lattices are isomorphic: "
+                    "whether a plane bijection carries the flats of every "
+                    "rank (lines, points, ..., the whole arrangement) onto "
+                    "flats of the same rank.")
     sp.add_argument("file")
     sp.add_argument("other", nargs="?", default=None)
     sp.set_defaults(run=_cmd_lattice)

@@ -46,9 +46,13 @@ every library run's is, that is the degree of the S-polynomial itself.
 The pair bookkeeping never unpacks an exponent tuple: the lcm, the
 divisibility tests of the M, F and B criteria, the coprimality test and
 the lcm degrees are guard-bit arithmetic on the packed words (`_lcm`,
-`_divides`, `_degree_func`), and the pairs wait in a heap.
-`_minimal_lcms` applies the M and F criteria, for Buchberger and for the
-Schreyer step alike.
+`_degree_func`), and the pairs wait in a heap.  One kernel, `_minimal`,
+keeps the words that no earlier kept word divides: `_minimal_lcms`
+applies the M and F criteria through it, for Buchberger and for the
+Schreyer step alike, and it also minimalizes a finished basis, the
+divided basis of `saturate_irrelevant`, the check of `_check_minimal`
+and the monomial ideals of the Hilbert series recursion
+(`homology._series_numerator`).
 Within one completion the basis only grows by appending, so each
 monomial's first divisor is remembered (or how far the scan got without
 one) and never searched twice.  Each element but a block's joins with
@@ -143,9 +147,27 @@ def _lcm(a, b, guard):
     return (a & m) | (b & ~m)
 
 
-def _divides(a, b, guard):
-    """Whether the packed monomial a divides b (both guard-free)."""
-    return ((b | guard) - a) & guard == guard
+def _minimal(words, guard, mask):
+    """The positions of the words that no earlier kept word divides.
+
+    The words are guard-free; `mask` is `guard`, with the bits above the
+    exponent fields set as well when the words carry module components,
+    so that the test fails across components.  A caller that passes the
+    words in an order where every proper divisor comes first (ascending
+    packed int, or a degree-first key) gets the minimal words, and of
+    equal words the first.
+    """
+    kept = []
+    out = []
+    for n, w in enumerate(words):
+        wg = w | guard
+        for k in kept:
+            if (wg - k) & mask == guard:
+                break
+        else:
+            kept.append(w)
+            out.append(n)
+    return out
 
 
 def _minimal_lcms(lt_ws, w_new, guard):
@@ -158,11 +180,8 @@ def _minimal_lcms(lt_ws, w_new, guard):
     """
     lcms = [_lcm(w, w_new, guard) for w in lt_ws]
     # a proper divisor is also a smaller packed integer
-    minimal = []
-    for lcm in sorted(set(lcms)):
-        if not any(_divides(m, lcm, guard) for m in minimal):
-            minimal.append(lcm)
-    minimal = set(minimal)
+    distinct = sorted(set(lcms))
+    minimal = {distinct[n] for n in _minimal(distinct, guard, guard)}
     first = {}
     for i, lcm in enumerate(lcms):
         if lcm in minimal:
@@ -839,14 +858,8 @@ class _Engine:
         order_ix = sorted((ix for ix in range(len(polys))
                            if not lt_ws[ix] & eliminate),
                           key=lambda ix: lt_keys[ix])
-        kept_ix = []
-        kept_ws = []
-        for ix in order_ix:
-            wg = lt_ws[ix] | guard
-            if any((wg - kw) & mask == guard for kw in kept_ws):
-                continue
-            kept_ix.append(ix)
-            kept_ws.append(lt_ws[ix])
+        kept_ix = [order_ix[n] for n in _minimal([lt_ws[ix] for ix in order_ix],
+                                                 guard, mask)]
         return self.tail_reduce([polys[ix] for ix in kept_ix],
                                 [mixed or block_of[ix] is not None
                                  for ix in kept_ix])
@@ -1198,12 +1211,10 @@ def _check_minimal(basis, nvars):
     """Raise `InvariantError` if a leading word of an internal basis
     divides another: a reduced basis has minimal leading terms."""
     guard = _guard(nvars)
-    leads = [terms[0][1] for terms in basis]
-    for i, u in enumerate(leads):
-        for j, v in enumerate(leads):
-            if i != j and _divides(u, v, guard):
-                raise InvariantError("an intersection basis has a leading "
-                                     "term that divides another")
+    leads = sorted(terms[0][1] for terms in basis)
+    if len(_minimal(leads, guard, guard)) < len(leads):
+        raise InvariantError("an intersection basis has a leading term that "
+                             "divides another")
 
 
 def _ideal_from_basis(ring, internal):
@@ -1327,13 +1338,9 @@ def saturate_irrelevant(a):
                             for key, w, c in terms])
         # a proper divisor of a grevlex leading term has a smaller key
         divided.sort(key=lambda t: t[0][0])
-        kept_ws = []
-        back = []
-        for terms in divided:
-            w = terms[0][1]
-            if not any(_divides(kw, w, engine.guard) for kw in kept_ws):
-                kept_ws.append(w)
-                back.append(_shift_last(terms, [-c for c in coeffs], engine))
+        back = [_shift_last(divided[n], [-c for c in coeffs], engine)
+                for n in _minimal([t[0][1] for t in divided], engine.guard,
+                                  engine.guard)]
         result = _ideal_from_basis(ring, engine.buchberger(back))
         if hilbert(result).hp_coeffs == target:
             return result

@@ -35,14 +35,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 from operator import itemgetter
 from sys import int_info
 
 from . import linalg
 from .errors import InternalLimitError, InvariantError, ValidationError
-from .groebner import _CB, _CMAX, _Engine, _minimal_lcms
+from .groebner import (_CB, _CMAX, _Engine, _guard, _lcm, _minimal,
+                       _minimal_lcms)
 from .polyring import (MAX_DEGREE, WIDTH, Polynomial, _degree_func,
                        _degree_slots, _pack_plain, _slot, _slot_bytes,
                        _unpack_plain)
@@ -501,9 +502,13 @@ class HilbertData:
     def __init__(self, numerator, nvars):
         self.numerator = tuple(numerator)
         self.nvars = nvars
-        reduced = list(numerator)
+        reduced = _trim(list(numerator))
         dim = nvars
         while reduced and sum(reduced) == 0:
+            if not dim:
+                raise ValidationError(
+                    f"the numerator {list(numerator)} has more factors of "
+                    f"(1 - t) than the {nvars} variables")
             # divide by (1 - t)
             out = []
             acc = 0
@@ -560,16 +565,10 @@ class HilbertData:
         return d + 1
 
     def degree(self):
-        """Degree of the projective scheme (normalized leading coefficient)."""
-        if self.dimension == 0:
-            return 0
-        if not self.hp_coeffs:
-            return 0
-        lead = self.hp_coeffs[-1]
-        fact = 1
-        for j in range(1, self.dimension):
-            fact *= j
-        return int(lead * fact)
+        """Degree of the projective scheme: h(1), the reduced numerator's
+        value at 1, which is (dimension - 1)! times the Hilbert
+        polynomial's leading coefficient; 0 for the empty scheme."""
+        return sum(self.reduced_numerator) if self.dimension else 0
 
     def hp_string(self):
         """Exact text form, e.g. '130t - 1150' for a curve.
@@ -614,17 +613,17 @@ def _trim(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series of a monomial ideal (standard pivot recursion)
-
-
-def _series_numerator(gens, nvars, memo):
-    gens = tuple(sorted(gens))
-    got = memo.get(gens)
-    if got is not None:
-        return got
-    result = _series_numerator_raw(gens, nvars, memo)
-    memo[gens] = result
-    return result
+# Hilbert series of a monomial ideal (Bayer and Stillman's pivot recursion)
+#
+# The ideal is a list of packed words with no module component, as the
+# engine keeps leading terms, and the recursion never unpacks them: each
+# call minimalizes its words by `groebner._minimal` (a proper divisor is a
+# smaller packed int) and memoizes on them; pairwise coprime generators
+# give the product of the (1 - t^deg g); otherwise, on the variable x_v
+# that most generators use, the numerator of I is that of I + (x_v) plus
+# t times that of I : x_v, and both are arithmetic on the v-th WIDTH-bit
+# field: I + (x_v) keeps the words whose field is zero and adds x_v's
+# word, I : x_v takes one from every nonzero field.
 
 
 def _poly_mul_shift(a, k, sign):
@@ -640,41 +639,36 @@ def _poly_add(a, b):
             for i in range(n)]
 
 
-def _series_numerator_raw(gens, nvars, memo):
-    if not gens:
-        return [1]
-    # pairwise coprime: numerator is the product of (1 - t^deg)
-    if all(all(min(a, b) == 0 for a, b in zip(gens[i], gens[j]))
-           for i in range(len(gens)) for j in range(i + 1, len(gens))):
-        num = [1]
-        for g in gens:
-            d = sum(g)
-            num = _poly_add(num, _poly_mul_shift(num, d, -1))
+def _series_numerator(words, nvars, memo):
+    """The numerator of the Hilbert series of R/I, over (1 - t)^nvars, for
+    the monomial ideal I of the packed `words`; `memo` maps minimal word
+    tuples of this ring to their numerators."""
+    guard = _guard(nvars)
+    degree = _degree_func(nvars)
+    fields = [((1 << WIDTH) - 1) << (v * WIDTH) for v in range(nvars)]
+
+    def numerator(words):
+        words = sorted(words)
+        gens = tuple(words[n] for n in _minimal(words, guard, guard))
+        num = memo.get(gens)
+        if num is not None:
+            return num
+        if all(_lcm(a, b, guard) == a + b for a, b in combinations(gens, 2)):
+            num = [1]
+            for g in gens:
+                num = _poly_add(num, _poly_mul_shift(num, degree(g), -1))
+        else:
+            field = max(fields, key=lambda f: sum(1 for g in gens if g & f))
+            x = field & -field  # the pivot variable's word
+            plus = [g for g in gens if not g & field]
+            plus.append(x)
+            quot = [g - x if g & field else g for g in gens]
+            num = _poly_add(numerator(plus),
+                            _poly_mul_shift(numerator(quot), 1, 1))
+        memo[gens] = num
         return num
-    # pivot on the variable appearing in the most generators
-    counts = [0] * nvars
-    for g in gens:
-        for v in range(nvars):
-            if g[v]:
-                counts[v] += 1
-    v = max(range(nvars), key=lambda ix: counts[ix])
-    # I + (x_v)
-    plus = [g for g in gens if g[v] == 0]
-    pivot = tuple(1 if ix == v else 0 for ix in range(nvars))
-    plus.append(pivot)
-    num_plus = _series_numerator(_minimalize(plus), nvars, memo)
-    # I : x_v
-    quot = [g[:v] + (max(g[v] - 1, 0),) + g[v + 1:] for g in gens]
-    num_quot = _series_numerator(_minimalize(quot), nvars, memo)
-    return _poly_add(num_plus, _poly_mul_shift(num_quot, 1, 1))
 
-
-def _minimalize(gens):
-    out = []
-    for g in sorted(set(gens), key=sum):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in out):
-            out.append(g)
-    return out
+    return numerator(words)
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +681,7 @@ def hilbert(ideal):
     if cached is not None:
         return cached
     gb = ideal.groebner()
-    lead = [tuple(e) for e in gb.leading_exponents()]
-    num = _series_numerator(_minimalize(lead), ideal.ring.nvars, {})
+    num = _series_numerator(gb._lt_ws, ideal.ring.nvars, {})
     data = HilbertData(_trim(list(num)), ideal.ring.nvars)
     ideal._hilbert_cache = data
     return data
@@ -1003,6 +996,7 @@ def _dual_cokernel_numerator(ring, entries, source, top):
     """
     engine = _Engine(ring, twists=[-b for b in source])
     shift = WIDTH * ring.nvars
+    low = (1 << shift) - 1
     columns = {}
     for (r, c), p in sorted(entries.items()):
         columns.setdefault(r, []).append((c, p))
@@ -1011,7 +1005,7 @@ def _dual_cokernel_numerator(ring, entries, source, top):
     by_comp = {}
     for terms in basis:
         w = terms[0][1]
-        by_comp.setdefault(w >> shift, []).append(_unpack_plain(w, ring.nvars))
+        by_comp.setdefault(w >> shift, []).append(w & low)
     memo = {}
     num = []
     for c, b in enumerate(source):

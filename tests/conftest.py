@@ -842,6 +842,52 @@ def standard_monomial_count(ideal, d):
     return count
 
 
+def series_numerator_by_tuples(gens, nvars, memo):
+    """The Hilbert series numerator of R/I for the monomial ideal of the
+    exponent tuples `gens`, minimal or not: the pivot recursion on tuples
+    that `homology._series_numerator` runs on packed words, with the same
+    pivot, the variable that most minimal generators use (the first on a
+    tie)."""
+    gens = tuple(sorted(minimalize_exps(gens)))
+    got = memo.get(gens)
+    if got is None:
+        got = memo[gens] = _series_numerator_raw_by_tuples(gens, nvars, memo)
+    return got
+
+
+def _series_numerator_raw_by_tuples(gens, nvars, memo):
+    if not gens:
+        return [1]
+    # pairwise coprime: numerator is the product of (1 - t^deg)
+    if all(coprime_exps(gens[i], gens[j])
+           for i in range(len(gens)) for j in range(i + 1, len(gens))):
+        num = [1]
+        for g in gens:
+            num = homology._poly_add(num,
+                                     homology._poly_mul_shift(num, sum(g), -1))
+        return num
+    counts = [sum(1 for g in gens if g[v]) for v in range(nvars)]
+    v = max(range(nvars), key=lambda ix: counts[ix])
+    # I + (x_v)
+    plus = [g for g in gens if g[v] == 0]
+    plus.append(tuple(1 if ix == v else 0 for ix in range(nvars)))
+    num_plus = series_numerator_by_tuples(plus, nvars, memo)
+    # I : x_v
+    quot = [g[:v] + (max(g[v] - 1, 0),) + g[v + 1:] for g in gens]
+    num_quot = series_numerator_by_tuples(quot, nvars, memo)
+    return homology._poly_add(num_plus,
+                              homology._poly_mul_shift(num_quot, 1, 1))
+
+
+def minimalize_exps(gens):
+    """The minimal exponent tuples of `gens`, each once."""
+    out = []
+    for g in sorted(set(gens), key=sum):
+        if not any(divides_exps(h, g) for h in out):
+            out.append(g)
+    return out
+
+
 def _strand_rank(entries, src_twists, tgt_twists, d, field):
     """Rank of the degree-d constant strand of one resolution map."""
     src = [c for c, t in enumerate(src_twists) if t == d]

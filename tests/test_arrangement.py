@@ -1,6 +1,7 @@
 """Arrangement layer: lattices, singular-locus ideals, graphs, sections."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -611,6 +612,20 @@ class TestGenericSection:
         flats = cut.flats()
         assert len(flats) == 10 and all(f.multiplicity == 2 for f in flats)
 
+    def test_special_section_making_a_point_is_redrawn(self, monkeypatch):
+        """e -> a + 2b + 3c keeps every line of the five coordinate planes
+        of P^4 but puts a, b, c and e through one point; the section is
+        drawn again."""
+        ring5 = PolyRing(("a", "b", "c", "d", "e"), GF(32003))
+        arr = Arrangement(ring5, [ring5.variable(i) for i in range(5)])
+        draws = iter([1, 2, 3, 0, 5, 7, 11, 13])
+        monkeypatch.setattr(arrangement, "random", SimpleNamespace(
+            Random=lambda seed: SimpleNamespace(
+                randint=lambda lo, hi: next(draws))))
+        cut = generic_section(arr, seed=0)
+        assert cut.coefficient_rows()[4] == [5, 7, 11, 13]
+        assert [len(r) for r in arrangement._flats_by_rank(cut)] == [10, 10, 1]
+
     def test_graphic_five_vertices_preserves_flats(self):
         g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)])
         arr = graphic_arrangement(g)
@@ -636,6 +651,32 @@ class TestLatticeIsomorphism:
         x, y, z, w = ring.variables()
         pencil = Arrangement(ring, (x, y, x + y, w))
         assert not lattice_isomorphic(generic, pencil)
+
+    def test_same_lines_different_points(self):
+        """Both have four planes and six double lines; star_four has rank
+        4 and four triple points, four_planes_point rank 3 and one point
+        on all four planes."""
+        star = load_arrangement("star_four")
+        point = load_arrangement("four_planes_point")
+        assert star.membership_family() == point.membership_family()
+        assert [len(r) for r in arrangement._flats_by_rank(star)] == [6, 4, 1]
+        assert [len(r) for r in arrangement._flats_by_rank(point)] == [6, 1]
+        assert not lattice_isomorphic(star, point)
+        assert not lattice_isomorphic(point, star)
+
+    @pytest.mark.parametrize("name", ["seven_planes", "eleven_planes",
+                                      "same_lattice_a", "four_planes_point"])
+    def test_permuted_and_moved_corpus_arrangements(self, name):
+        arr = load_arrangement(name)
+        rng = random.Random(name)
+        forms = list(arr.forms)
+        rng.shuffle(forms)
+        shuffled = Arrangement(arr.ring, forms)
+        moved = apply_coordinate_change(
+            shuffled, random_coordinate_change(rng, arr.ring.field))
+        assert lattice_isomorphic(arr, shuffled)
+        assert lattice_isomorphic(arr, moved)
+        assert lattice_isomorphic(moved, arr)
 
 
 class TestCoordinateChanges:

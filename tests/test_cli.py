@@ -130,6 +130,19 @@ class TestLattice:
         assert code == 0
         assert "isomorphic: True" in out
 
+    def test_ranks_are_compared(self, capsys, arr_dir):
+        """Four general planes (rank 4, four triple points) and four
+        planes through one point (rank 3) share their six double lines,
+        but not their lattices."""
+        pair = (str(arr_dir / "star_four.arr"),
+                str(arr_dir / "four_planes_point.arr"))
+        code, out, _ = run_cli(capsys, "lattice", *pair)
+        assert code == 0
+        assert "incidence lattices isomorphic: False" in out
+        code, out, _ = run_cli(capsys, "lattice", "--json", *pair)
+        assert code == 0
+        assert json.loads(out)["artifact"]["isomorphic"] is False
+
 
 class TestGraphCommands:
     def test_hypothesis(self, capsys, arr_dir):

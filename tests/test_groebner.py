@@ -852,6 +852,11 @@ class TestIntersectMany:
         basis = [_to_internal(g, key) for g in (x * y, y * z, x * y * w)]
         with pytest.raises(InvariantError):
             groebner._check_minimal(basis, ring_p.nvars)
+        # the divisor planted after the word it divides, and twice
+        with pytest.raises(InvariantError):
+            groebner._check_minimal([basis[2], basis[0]], ring_p.nvars)
+        with pytest.raises(InvariantError):
+            groebner._check_minimal(basis[1:2] * 2, ring_p.nvars)
         groebner._check_minimal(basis[:2], ring_p.nvars)
 
 
@@ -1475,8 +1480,50 @@ def test_packed_monomial_helpers_match_tuple_oracle(pair):
     wa, wb = _pack_plain(a), _pack_plain(b)
     lcm = groebner._lcm(wa, wb, guard)
     assert lcm == _pack_plain(lcm_exps(a, b))
-    assert groebner._divides(wa, wb, guard) == divides_exps(a, b)
-    assert groebner._divides(wb, wa, guard) == divides_exps(b, a)
+    # the later word of two is dropped exactly when the earlier divides it
+    assert (groebner._minimal([wa, wb], guard, guard) == [0]) == \
+        divides_exps(a, b)
+    assert (groebner._minimal([wb, wa], guard, guard) == [0]) == \
+        divides_exps(b, a)
     assert (lcm == wa + wb) == coprime_exps(a, b)
     degree = _degree_func(nvars)
     assert degree(wa) == sum(a) and degree(lcm) == sum(lcm_exps(a, b))
+
+
+@st.composite
+def word_list(draw):
+    """Packed words of 1 to 8 fields in up to two module components, with
+    duplicates and fields at MAX_DEGREE, and the component mask."""
+    nvars = draw(st.integers(1, 8))
+    exps = st.tuples(*[_FIELD] * nvars)
+    words = [(draw(st.integers(0, 1)), e)
+             for e in draw(st.lists(exps, max_size=12))]
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=4))
+    return nvars, words
+
+
+@given(word_list(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_minimal_matches_tuple_selection(case, by_degree):
+    """`_minimal` keeps the position of each word that no earlier word of
+    its component divides, in ascending packed order or in a degree-first
+    order, and the kept words are then the minimal ones, each once."""
+    nvars, words = case
+    shift = WIDTH * nvars
+    guard = groebner._guard(nvars)
+    mask = guard | (-1 << shift)
+    if by_degree:
+        words.sort(key=lambda cw: (sum(cw[1]), cw))
+    else:
+        words.sort(key=lambda cw: (cw[0] << shift) | _pack_plain(cw[1]))
+    packed = [(c << shift) | _pack_plain(e) for c, e in words]
+    want = [n for n, (c, e) in enumerate(words)
+            if not any(cm == c and divides_exps(em, e)
+                       for cm, em in words[:n])]
+    assert groebner._minimal(packed, guard, mask) == want
+    kept = {words[n] for n in want}
+    assert len(kept) == len(want)
+    assert kept == {(c, e) for c, e in words
+                    if not any(cm == c and em != e and divides_exps(em, e)
+                               for cm, em in words)}

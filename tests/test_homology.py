@@ -1,14 +1,17 @@
 """Resolutions, Betti tables, Hilbert data, deficiency dimensions."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (LARGE_IDS, LARGE_PRIMES, betti_by_strand_homology,
                       check_module_leads, deficiency_by_ext,
                       power_of_variables, rao_by_degree_scan,
                       schreyer_resolution_by_tuples, schreyer_syzygies,
-                      standard_monomial_count, sweep_texts, tree_top)
+                      series_numerator_by_tuples, standard_monomial_count,
+                      sweep_texts, tree_top)
 from singlocus import homology, linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
@@ -26,7 +29,7 @@ from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
                                 rao_dimensions, unmixed_deficiency)
 from singlocus.liaison import (construct_lr, construct_lr_radical,
                                verify_construction)
-from singlocus.polyring import GF, QQ, WIDTH, PolyRing
+from singlocus.polyring import GF, MAX_DEGREE, QQ, WIDTH, PolyRing, _pack_plain
 
 # Six planes from a random sweep: the Jacobian ideal has projective
 # dimension 4 (it is not saturated), and its resolution overran the
@@ -416,6 +419,61 @@ class TestHilbert:
         h = hilbert(Ideal(ring_p, (x * x, x * y, x * z, y * y, y * z, z * z)))
         assert h.dimension == 1
         assert h.degree() == 4
+
+
+@st.composite
+def monomial_generators(draw):
+    """Exponent tuples in 1 to 8 variables, with repeats, multiples of
+    other generators and sometimes one field at MAX_DEGREE."""
+    nvars = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars),
+                         max_size=8))
+    if gens:
+        g = draw(st.sampled_from(gens))
+        gens.append(g)  # a repeat
+        v = draw(st.integers(0, nvars - 1))
+        gens.append(g[:v] + (g[v] + draw(st.integers(1, 3)),) + g[v + 1:])
+    if draw(st.booleans()):
+        g = list(draw(st.tuples(*[st.integers(0, 2)] * nvars)))
+        g[draw(st.integers(0, nvars - 1))] = MAX_DEGREE
+        gens.append(tuple(g))
+    return nvars, gens
+
+
+@given(monomial_generators())
+@settings(max_examples=100, deadline=None)
+def test_packed_series_numerator_matches_tuples(case):
+    """The recursion on packed words gives the tuple recursion's
+    numerator, trailing zeros included."""
+    nvars, gens = case
+    assert homology._series_numerator([_pack_plain(g) for g in gens], nvars,
+                                      {}) == \
+        series_numerator_by_tuples(gens, nvars, {})
+
+
+class TestHilbertData:
+    def test_too_many_factors_of_one_minus_t(self):
+        with pytest.raises(ValidationError):
+            homology.HilbertData([1, -2, 1], 1)
+        with pytest.raises(ValidationError):
+            homology.HilbertData([1, -3, 3, -1, 0], 2)
+        assert homology.HilbertData([1, -2, 1], 2).dimension == 0
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_degree_is_the_reduced_numerator_at_one(self, nvars, data):
+        """h(1) is (dim - 1)! times the Hilbert polynomial's leading
+        coefficient, on numerators h(t) (1 - t)^k with h(1) != 0 and
+        k <= nvars."""
+        h = data.draw(st.lists(st.integers(-9, 9), min_size=1,
+                               max_size=6).filter(sum))
+        num = list(h)
+        for _ in range(data.draw(st.integers(0, nvars))):
+            num = homology._poly_add(num, homology._poly_mul_shift(num, 1, -1))
+        hd = homology.HilbertData(num, nvars)
+        dim = hd.dimension
+        lead = hd.hp_coeffs[-1] if dim and hd.hp_coeffs else 0
+        assert hd.degree() == int(lead * factorial(max(dim - 1, 0)))
 
 
 class TestDimensions:
