@@ -7,7 +7,9 @@ in the elimination of `_intersect_bases`, which owns its key
 (`_elimination_key`).  Both encodings are additive under monomial
 multiplication, so the inner reduction loop is pure integer arithmetic:
 no exponent tuples are touched until conversion back to the public
-Polynomial type.
+Polynomial type.  A `GroebnerBasis` holds its basis once, in this form:
+its length, membership, equality and the generators' check work on the
+terms lists, and the public polynomials are built when first read.
 
 A polynomial under reduction lives in a `_Dividend`: a dict from order
 key to coefficient, a dict from order key to packed exponents and a heap
@@ -124,9 +126,9 @@ from .polyring import (GREVLEX, MAX_DEGREE, WIDTH, PolyRing, Polynomial,
 
 _SATURATION_RETRIES = 8
 
-#: a module term's key, a module engine's or a Schreyer level's
-#: (`homology`), holds _CMAX - c, for its component c, in its lowest
-#: _CB bits
+#: a module term's key, a module engine's or a Schreyer level's above
+#: the ring basis (`homology`), holds _CMAX - c, for its component c, in
+#: its lowest _CB bits
 _CB = 20
 _CMAX = (1 << _CB) - 1
 
@@ -896,7 +898,13 @@ class _Engine:
 
 
 class GroebnerBasis:
-    """Reduced grevlex Groebner basis of an ideal."""
+    """Reduced grevlex Groebner basis of an ideal, held once, in engine form.
+
+    `_polys` is the engine's terms lists, and everything the library asks
+    of a basis (its length, normal forms, membership, leading words) is
+    answered from them.  The public `Polynomial`s of `polys` are built
+    when first read and then kept.
+    """
 
     def __init__(self, ring, internal, polys=None):
         """`polys`, when given, are the public forms of `internal`."""
@@ -909,11 +917,17 @@ class GroebnerBasis:
         # exact, the basis is fixed
         self._memo = {}
         self._reducers = self._engine.reducers(internal)
-        self.polys = (tuple(_from_internal(t, ring) for t in internal)
-                      if polys is None else tuple(polys))
+        self._public = None if polys is None else tuple(polys)
+
+    @property
+    def polys(self):
+        if self._public is None:
+            self._public = tuple(_from_internal(t, self.ring)
+                                 for t in self._polys)
+        return self._public
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._polys)
 
     def __iter__(self):
         return iter(self.polys)
@@ -921,16 +935,21 @@ class GroebnerBasis:
     def leading_exponents(self):
         return [_unpack_plain(w, self.ring.nvars) for w in self._lt_ws]
 
-    def normal_form(self, f):
+    def _remainder(self, terms):
+        """The engine normal form of the engine terms `terms`."""
+        return self._engine.normal_form(terms, self._lt_ws, self._lt_keys,
+                                        self._reducers, self._memo)
+
+    def _internal(self, f):
         if f.ring != self.ring:
             raise RingContextError("polynomial from a different ring")
-        terms = _to_internal(f, self._engine.key)
-        nf = self._engine.normal_form(terms, self._lt_ws, self._lt_keys,
-                                      self._reducers, self._memo)
-        return _from_internal(nf, self.ring)
+        return _to_internal(f, self._engine.key)
+
+    def normal_form(self, f):
+        return _from_internal(self._remainder(self._internal(f)), self.ring)
 
     def contains(self, f):
-        return self.normal_form(f).is_zero()
+        return not self._remainder(self._internal(f))
 
 
 # ---------------------------------------------------------------------------
@@ -968,15 +987,16 @@ class Ideal:
             engine = _Engine(self.ring)
             drive = (None if self._target is None else
                      _HilbertDrive(self.ring.nvars, self._target))
-            internal = engine.buchberger([_to_internal(g, engine.key)
-                                          for g in self.gens], drive=drive)
-            gb = self._keep(GroebnerBasis(self.ring, internal))
+            gens = [_to_internal(g, engine.key) for g in self.gens]
+            internal = engine.buchberger(gens, drive=drive)
+            gb = self._keep(GroebnerBasis(self.ring, internal), gens)
         return gb
 
-    def _keep(self, gb):
-        """Cache a basis once every generator reduces to zero against it."""
-        for g in self.gens:
-            if not gb.contains(g):
+    def _keep(self, gb, gens):
+        """Cache a basis once every generator reduces to zero against it;
+        `gens` are the generators in engine form."""
+        for terms in gens:
+            if gb._remainder(terms):
                 raise InvariantError(
                     "Groebner cache verification failed: generator does not "
                     "reduce to zero against its own basis")
@@ -1000,7 +1020,7 @@ class Ideal:
     def equals(self, other):
         if self.ring != other.ring:
             raise RingContextError("ideals in different rings")
-        return self.groebner().polys == other.groebner().polys
+        return self.groebner()._polys == other.groebner()._polys
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens[:6])

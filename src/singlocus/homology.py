@@ -9,17 +9,22 @@ The first step, on the ring level over F_p, reduces each S-polynomial as
 one int in the Kronecker layout of `polyring._slot`, where a monomial
 multiplier is a shift (`_ring_rows`); a size rule keeps rings whose rows
 would be too long, Q and the module levels on the engine's dividends.
-The resulting resolution is generally non-minimal.  Its graded Betti
-numbers are read from the ranks of its constant blocks, and its maps are
-pruned to the minimal ones, in one pass of pivots on the entries between
-generators of equal twist, only when a caller reads `Resolution.maps`.
+The resulting resolution is generally non-minimal, and it is kept as
+the steps left it, in engine form: each raw map is its list of syzygy
+vectors, and the first is the ring basis's own terms lists, not a copy.
+Its graded Betti numbers are read from the ranks of its constant blocks,
+the terms whose component has the column's twist.  Public polynomials
+are built only when a caller reads `Resolution.maps`: the raw maps are
+converted then, and pruned to the minimal ones in one pass of pivots on
+the entries between generators of equal twist.
 
 The deficiency (Rao) table of a curve in P^3 is the Hilbert function of
 Ext^3(R/I, R), up to the re-indexing t -> -t - 4, and one reader,
 `unmixed_deficiency`, takes it from the raw Schreyer maps.  When
 pd(R/I) <= 3, Ext^4 = 0, so the dual of the raw map into F_4 is onto,
 and Ext^3 is coker(d_3^dual: F_2^dual -> F_3^dual) less F_4^dual.  The
-columns of d_3^dual are completed to a reduced module Groebner basis by
+columns of d_3^dual, transposed term by term from the engine vectors of
+d_3, are completed to a reduced module Groebner basis by
 the one completion loop, `_Engine.buchberger`, on an engine built for
 F_3^dual (its twists are minus F_3's), so over F_p each degree is
 reduced as one F4 matrix, as for rings.  The cokernel's Hilbert series
@@ -62,7 +67,9 @@ from .polyring import (MAX_DEGREE, WIDTH, Polynomial, _degree_func,
 # first-divisor memo and quotient sink, and `_minimal_lcms` selects the
 # pairs within each component.  The key is the Schreyer one, which no
 # module engine owns: the ring engine's key of m times the leading term
-# of e_c's image, tagged by _CMAX - c.
+# of e_c's image, tagged by _CMAX - c.  Level 0, the ring basis, lives in
+# F_0 = R, whose one generator's tag would be the same on every term: it
+# is left out, so that level's vectors are the basis's own terms lists.
 
 
 class _SyzygyLevel:
@@ -81,27 +88,12 @@ class _SyzygyLevel:
         self.mult = mult
 
 
-def _module_vector(entries, engine):
-    """Engine form of sum_c p_c * e_c from (c, p_c) pairs, keyed by a
-    module `_Engine` (one built with twists): term over position, with
-    component c before c + 1 on a tie.  The terms come sorted by
-    descending key.
-    """
-    shift = WIDTH * engine.ring.nvars
-    terms = []
-    for c, poly in entries:
-        for e, co in poly.terms.items():
-            w = (c << shift) | _pack_plain(e)
-            terms.append((engine.key(w), w, co))
-    terms.sort(reverse=True)
-    return terms
-
-
 def _level_from_ring_gb(internal_gb, degrees):
-    """Wrap a reduced ring GB as vectors in F_0 = R (single component 0)."""
-    vectors = [[((k << _CB) | _CMAX, w, c) for k, w, c in terms]
-               for terms in internal_gb]
-    return _SyzygyLevel(vectors, list(degrees), mult=1 << _CB)
+    """A reduced ring GB as level 0, vectors in F_0 = R: its own terms
+    lists, not copied, with the ring keys as vkeys (mult 1).  The
+    Schreyer tag of F_0's one generator, a constant on every term, would
+    not change their order."""
+    return _SyzygyLevel(internal_gb, list(degrees), mult=1)
 
 
 #: the size rule of the Kronecker rows (`_ring_rows`).  A row step makes
@@ -393,7 +385,8 @@ class Resolution:
 
     `minimal_free_resolution` builds one with the twists of the minimal
     resolution and keeps the raw Schreyer resolution in `_raw` for its
-    whole lifetime; its maps are pruned from that when they are first
+    whole lifetime, in engine form (`_raw_resolution`).  Its maps are
+    built as public polynomials and pruned only when they are first
     read, and `modules` then takes the pruned order of the generators,
     so that `modules` and `maps` index the same generators.
     """
@@ -402,13 +395,15 @@ class Resolution:
         self.ring = ring
         self.modules = modules
         self._maps = maps
-        self._raw = None  # (twist_lists, raw map entries)
+        self._raw = None  # `_raw_resolution`'s (twists, columns, orders)
 
     @property
     def maps(self):
         if self._maps is None:
-            self.modules, self._maps = _pruned_maps(self.ring, self.modules,
-                                                    *self._raw)
+            twist_lists, columns, orders = self._raw
+            self.modules, self._maps = _pruned_maps(
+                self.ring, self.modules, twist_lists,
+                _public_maps(self.ring, columns, orders))
         return self._maps
 
     @property
@@ -620,10 +615,12 @@ def _trim(coeffs):
 # call minimalizes its words by `groebner._minimal` (a proper divisor is a
 # smaller packed int) and memoizes on them; pairwise coprime generators
 # give the product of the (1 - t^deg g); otherwise, on the variable x_v
-# that most generators use, the numerator of I is that of I + (x_v) plus
-# t times that of I : x_v, and both are arithmetic on the v-th WIDTH-bit
-# field: I + (x_v) keeps the words whose field is zero and adds x_v's
-# word, I : x_v takes one from every nonzero field.
+# that most generators use, and with e the least positive exponent of x_v
+# among them, the numerator of I is that of I + (x_v^e) plus t^e times
+# that of I : x_v^e.  Both are arithmetic on the v-th WIDTH-bit field:
+# I + (x_v^e) keeps the words whose field is zero and adds x_v^e's word,
+# I : x_v^e takes e from every nonzero field.  Pivoting on x_v^e, not x_v,
+# keeps the depth of the recursion off the size of the exponents.
 
 
 def _poly_mul_shift(a, k, sign):
@@ -659,12 +656,13 @@ def _series_numerator(words, nvars, memo):
                 num = _poly_add(num, _poly_mul_shift(num, degree(g), -1))
         else:
             field = max(fields, key=lambda f: sum(1 for g in gens if g & f))
-            x = field & -field  # the pivot variable's word
+            pivot = min(g & field for g in gens if g & field)  # x_v^e
             plus = [g for g in gens if not g & field]
-            plus.append(x)
-            quot = [g - x if g & field else g for g in gens]
+            plus.append(pivot)
+            quot = [g - pivot if g & field else g for g in gens]
             num = _poly_add(numerator(plus),
-                            _poly_mul_shift(numerator(quot), 1, 1))
+                            _poly_mul_shift(numerator(quot),
+                                            pivot // (field & -field), 1))
         memo[gens] = num
         return num
 
@@ -687,8 +685,9 @@ def hilbert(ideal):
     return data
 
 
-def _in_schreyer_order(level, entries, nvars):
-    """Relabel a level's generators, and the columns of the map into it.
+def _in_schreyer_order(level, nvars):
+    """The level with its generators relabelled, and the new index of
+    each old one.
 
     Generators are sorted by component, then by leading monomial in
     descending lex order with x_0 first.  For a pair i < j in one
@@ -705,50 +704,63 @@ def _in_schreyer_order(level, entries, nvars):
         return cw >> shift, tuple(-e for e in _unpack_plain(cw, nvars))
 
     perm = sorted(range(len(level.vectors)), key=key)
-    new_index = {old: new for new, old in enumerate(perm)}
+    new_index = [0] * len(perm)
+    for new, old in enumerate(perm):
+        new_index[old] = new
     ordered = _SyzygyLevel([level.vectors[i] for i in perm],
                            [level.degrees[i] for i in perm], level.mult)
-    return ordered, {(r, new_index[c]): p for (r, c), p in entries.items()}
+    return ordered, new_index
 
 
-def _schreyer_resolution(ideal):
-    """Non-minimal resolution of R/I via iterated syzygy steps.
+def _raw_resolution(ideal):
+    """Non-minimal resolution of R/I via iterated syzygy steps, in engine
+    form.
 
-    Returns (twist_lists, map_entry_dicts): twist_lists[k] are the
-    generator degrees of F_k (twist_lists[0] == [0]), and
-    map_entry_dicts[k] holds {(r, c): Polynomial} for F_{k+1} -> F_k.
-    Each level is put in Schreyer's order before its syzygies are taken,
-    which bounds the length by the number of variables.
+    Returns (twist_lists, columns, orders): twist_lists[k] are the
+    generator degrees of F_k (twist_lists[0] == [0]), and columns[k] are
+    the vectors of the map F_{k+1} -> F_k, one per generator of F_{k+1},
+    whose component c is the generator c of F_k.  columns[0] holds the
+    ring basis's own terms lists, in component 0.  Each level is put in
+    Schreyer's order before its syzygies are taken, which bounds the
+    length by the number of variables; orders[k] lists map k's columns
+    in the order that made them (the basis's, then each step's), which
+    is the order of the public maps' entries (`_public_maps`) and so of
+    the pivots that pruning picks on a tie.
     """
     ring = ideal.ring
     gb = ideal.groebner()
-    if not len(gb):
-        return [[0]], []
-    degrees = [p.total_degree() for p in gb.polys]
-    level = _level_from_ring_gb(gb._polys, degrees)
-    entries = {(0, c): p for c, p in enumerate(gb.polys)}
-
+    if not gb._polys:
+        return [[0]], [], []
+    degree_of = _degree_func(ring.nvars)
+    level = _level_from_ring_gb(gb._polys, map(degree_of, gb._lt_ws))
     twist_lists = [[0]]
-    maps = []
+    columns = []
+    orders = []
     for _ in range(ring.nvars + 1):
-        level, entries = _in_schreyer_order(level, entries, ring.nvars)
-        maps.append(entries)
+        level, new_index = _in_schreyer_order(level, ring.nvars)
+        columns.append(level.vectors)
+        orders.append(new_index)
         twist_lists.append(level.degrees)
         level = _schreyer_step(level, gb._engine)
         if level is None:
             break
-        entries = {(r, c): Polynomial(ring, terms)
-                   for c, vec in enumerate(level.vectors)
-                   for r, terms in _components(vec, ring.nvars).items()}
     else:
         raise InvariantError("resolution exceeded the variable-count bound")
-    return twist_lists, maps
+    return twist_lists, columns, orders
+
+
+def _public_maps(ring, columns, orders):
+    """The raw maps as {(r, c): Polynomial} dicts, from their columns,
+    each map's entries by column in its `orders` list."""
+    return [{(r, c): Polynomial(ring, terms)
+             for c in order
+             for r, terms in _components(vectors[c], ring.nvars).items()}
+            for vectors, order in zip(columns, orders)]
 
 
 def _prune_to_minimal(twist_lists, maps, field):
     """Cancel the constant entries of the complex in one pass over its
-    maps, last map first; the inputs, which a `Resolution` keeps as its
-    raw maps, are left as they are.
+    maps, last map first; the input dicts are left as they are.
 
     An entry is a nonzero constant exactly when its generators have equal
     twists, as in `_constant_ranks`.  Map k is pivoted while a constant is
@@ -807,22 +819,26 @@ def _prune_to_minimal(twist_lists, maps, field):
              for k in range(len(live) - 1)])
 
 
-def _constant_ranks(twist_lists, maps, field):
+def _constant_ranks(twist_lists, columns, ring):
     """{(k, j): rank} of the degree-j constant block of each raw map k.
 
-    An entry of maps[k] joins generators of equal degree exactly when it
-    is a nonzero constant, so the block from the degree-j generators of
-    F_{k+1} to those of F_k holds all the constants in degree j.
+    A term of columns[k][c] in component r is a constant exactly when
+    generator c of F_{k+1} and generator r of F_k have equal twists (the
+    vectors are homogeneous), so the block from the degree-j generators
+    of F_{k+1} to those of F_k holds all the constants in degree j.
     """
+    shift = WIDTH * ring.nvars
+    field = ring.field
     ranks = {}
-    for k, entries in enumerate(maps):
+    for k, vectors in enumerate(columns):
         src = twist_lists[k + 1]
         tgt = twist_lists[k]
         blocks = {}  # degree -> {source column: {target row: constant}}
-        for (r, c), p in entries.items():
-            if src[c] == tgt[r]:
-                blocks.setdefault(src[c], {}).setdefault(c, {})[r] = \
-                    p.constant_coefficient()
+        for c, vec in enumerate(vectors):
+            for _, cw, co in vec:
+                r = cw >> shift
+                if src[c] == tgt[r]:
+                    blocks.setdefault(src[c], {}).setdefault(c, {})[r] = co
         for j, block in blocks.items():
             rows = sorted({r for column in block.values() for r in column})
             ranks[k, j] = linalg.rank(
@@ -831,14 +847,14 @@ def _constant_ranks(twist_lists, maps, field):
     return ranks
 
 
-def _betti_twists(twist_lists, maps, field):
+def _betti_twists(twist_lists, columns, ring):
     """The twists of the minimal resolution, by degree within each level.
 
     beta_{k,j} = dim Tor_k(R/I, k)_j is the homology of F tensor k, whose
     maps are the constant blocks (Eisenbud, The Geometry of Syzygies,
     ch. 1): beta_{k,j} = n_{k,j} - r_{k,j} - r_{k-1,j}.
     """
-    ranks = _constant_ranks(twist_lists, maps, field)
+    ranks = _constant_ranks(twist_lists, columns, ring)
     levels = []
     for k, twists in enumerate(twist_lists):
         level = []
@@ -876,17 +892,18 @@ def minimal_free_resolution(ideal):
     """Minimal graded free resolution of R/I.
 
     The twists come from the ranks of the raw resolution's constant
-    blocks; the maps are pruned when they are first read.
+    blocks, read from its engine vectors; the maps are built and pruned
+    when they are first read.
     """
     cached = getattr(ideal, "_resolution_cache", None)
     if cached is not None:
         return cached
     if ideal.is_unit():
         raise ValidationError("resolution requires a proper ideal")
-    twist_lists, raw_maps = _schreyer_resolution(ideal)
-    levels = _betti_twists(twist_lists, raw_maps, ideal.ring.field)
+    twist_lists, columns, orders = _raw_resolution(ideal)
+    levels = _betti_twists(twist_lists, columns, ideal.ring)
     res = Resolution(ideal.ring, [GradedFreeModule(t) for t in levels], None)
-    res._raw = (twist_lists, raw_maps)
+    res._raw = (twist_lists, columns, orders)
     ideal._resolution_cache = res
     return res
 
@@ -971,37 +988,43 @@ def unmixed_deficiency(ideal):
     res = minimal_free_resolution(ideal)
     if res.length > 3:
         return None
-    twist_lists, maps = res._raw
-    if len(maps) < 3:
+    twist_lists, columns, _ = res._raw
+    if len(columns) < 3:
         return {}
     top = max(b for twists in twist_lists[3:] for b in twists)
-    num = _dual_cokernel_numerator(ring, maps[2], twist_lists[3], top)
+    num = _dual_cokernel_numerator(ring, columns[2], twist_lists[3], top)
     for b in (twist_lists[4] if len(twist_lists) > 4 else ()):
         num = _poly_add(num, _poly_mul_shift([1], top - b, -1))
     return _deficiency_table(num, top)
 
 
-def _dual_cokernel_numerator(ring, entries, source, top):
+def _dual_cokernel_numerator(ring, columns, source, top):
     """Hilbert series numerator of coker(d^dual: F_k^dual -> F_(k+1)^dual).
 
-    `entries` are d's {(r, c): Polynomial} from F_(k+1), of twists
-    `source`, to F_k.  Column r of d^dual is sum_c d(r, c) * e_c, with
-    e_c of degree -source[c], so it is homogeneous in the module
-    `_Engine` of twists -source, whose `buchberger` completes the columns
-    to a reduced module Groebner basis of the image.  Its standard
+    `columns` are d's engine vectors, one per generator of F_(k+1), of
+    twists `source`, with components in F_k.  Column r of d^dual is
+    sum_c d(r, c) * e_c, with e_c of degree -source[c], so it is
+    homogeneous in the module `_Engine` of twists -source: its terms are
+    those of component r of each columns[c], moved to component c and
+    keyed by that engine, whose `buchberger` completes the columns to a
+    reduced module Groebner basis of the image.  Its standard
     monomials are a basis of the cokernel (Eisenbud, Commutative Algebra,
     15.10), and its leading words are minimal, so the series is the sum
     over the components of their monomial quotients' series:
     t^(-top) * num(t) / (1 - t)^nvars, for a `top` at least max(source).
     """
     engine = _Engine(ring, twists=[-b for b in source])
+    key = engine.key
     shift = WIDTH * ring.nvars
     low = (1 << shift) - 1
-    columns = {}
-    for (r, c), p in sorted(entries.items()):
-        columns.setdefault(r, []).append((c, p))
-    basis = engine.buchberger([_module_vector(col, engine)
-                               for col in columns.values()])
+    dual = {}  # r -> the terms of column r of d^dual
+    for c, vec in enumerate(columns):
+        for _, cw, co in vec:
+            w = (c << shift) | (cw & low)
+            dual.setdefault(cw >> shift, []).append((key(w), w, co))
+    for terms in dual.values():
+        terms.sort(reverse=True)
+    basis = engine.buchberger([dual[r] for r in sorted(dual)])
     by_comp = {}
     for terms in basis:
         w = terms[0][1]

@@ -74,8 +74,8 @@ from singlocus.groebner import (_CB, _CMAX, GroebnerBasis, Ideal,
                                 _from_internal, _HilbertDrive, _minimal_lcms,
                                 _to_internal, intersect, intersect_many)
 from singlocus.homology import (_components, _in_schreyer_order,
-                                _level_from_ring_gb, _module_vector,
-                                _schreyer_resolution, _schreyer_step,
+                                _level_from_ring_gb, _public_maps,
+                                _raw_resolution, _schreyer_step,
                                 _SyzygyLevel, minimal_free_resolution)
 from singlocus.polyring import (GF, QQ, DEFAULT_PRIME, MAX_DEGREE, WIDTH,
                                 PolyRing, Polynomial, _pack_plain,
@@ -329,6 +329,32 @@ def radical_membership(f, a):
     return len(basis) == 1 and basis[0][0][1] == 0
 
 
+def schreyer_resolution(ideal):
+    """The raw Schreyer resolution with public maps: (twist_lists,
+    map_entry_dicts), map_entry_dicts[k] holding {(r, c): Polynomial}
+    for F_{k+1} -> F_k.  The library keeps these maps as engine vectors
+    (`homology._raw_resolution`) and builds this form only for
+    `Resolution.maps`; the tests read and compare it."""
+    twist_lists, columns, orders = _raw_resolution(ideal)
+    return twist_lists, _public_maps(ideal.ring, columns, orders)
+
+
+def module_vector(entries, engine):
+    """Engine form of sum_c p_c * e_c from (c, p_c) pairs, keyed by a
+    module `_Engine` (one built with twists): term over position, with
+    component c before c + 1 on a tie.  The terms come sorted by
+    descending key.
+    """
+    shift = WIDTH * engine.ring.nvars
+    terms = []
+    for c, poly in entries:
+        for e, co in poly.terms.items():
+            w = (c << shift) | _pack_plain(e)
+            terms.append((engine.key(w), w, co))
+    terms.sort(reverse=True)
+    return terms
+
+
 def schreyer_syzygies(gens, twists=None):
     """Syzygies of a Groebner basis sitting in a graded free module, by one
     `_schreyer_step`.
@@ -360,7 +386,7 @@ def schreyer_syzygies(gens, twists=None):
     for vec in vectors_in:
         if any(poly.ring != ring for poly in vec):
             raise ValidationError("vector entries in mixed rings")
-        terms = _module_vector(enumerate(vec), module)
+        terms = module_vector(enumerate(vec), module)
         if not terms:
             raise ValidationError("zero vector among the generators")
         inv = field.inv(terms[0][2])
@@ -467,7 +493,7 @@ def intersect_by_ideals(a, b):
     internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out)
-    result._keep(GroebnerBasis(ring, internal, out))
+    result._keep(GroebnerBasis(ring, internal, out), internal)
     return result
 
 
@@ -868,15 +894,17 @@ def _series_numerator_raw_by_tuples(gens, nvars, memo):
         return num
     counts = [sum(1 for g in gens if g[v]) for v in range(nvars)]
     v = max(range(nvars), key=lambda ix: counts[ix])
-    # I + (x_v)
+    # the pivot x_v^e, of the least positive exponent of x_v
+    e = min(g[v] for g in gens if g[v])
+    # I + (x_v^e)
     plus = [g for g in gens if g[v] == 0]
-    plus.append(tuple(1 if ix == v else 0 for ix in range(nvars)))
+    plus.append(tuple(e if ix == v else 0 for ix in range(nvars)))
     num_plus = series_numerator_by_tuples(plus, nvars, memo)
-    # I : x_v
-    quot = [g[:v] + (max(g[v] - 1, 0),) + g[v + 1:] for g in gens]
+    # I : x_v^e
+    quot = [g[:v] + (max(g[v] - e, 0),) + g[v + 1:] for g in gens]
     num_quot = series_numerator_by_tuples(quot, nvars, memo)
     return homology._poly_add(num_plus,
-                              homology._poly_mul_shift(num_quot, 1, 1))
+                              homology._poly_mul_shift(num_quot, e, 1))
 
 
 def minimalize_exps(gens):
@@ -911,7 +939,7 @@ def betti_by_strand_homology(ideal):
     computed over the constant parts only; independent of the pruning
     code in the library.
     """
-    twist_lists, maps = _schreyer_resolution(ideal)
+    twist_lists, maps = schreyer_resolution(ideal)
     field = ideal.ring.field
     out = {}
     for i, twists in enumerate(twist_lists):
@@ -966,7 +994,7 @@ def deficiency_by_ext(ideal):
                           - rank(d_3^dual)_t, re-indexed by t -> -t-4.
     Independent of both the pruning and the minimal-last-map route.
     """
-    twist_lists, maps = _schreyer_resolution(ideal)
+    twist_lists, maps = schreyer_resolution(ideal)
     field = ideal.ring.field
     if len(maps) <= 2:
         return {}
@@ -1023,7 +1051,7 @@ def module_leads_by_pairs(vectors, degrees, ring):
     by the pair-by-pair loop that the Ext^3 reader ran before its module
     basis came from `_Engine.buchberger`.
 
-    `vectors` are nonzero homogeneous `_module_vector`s and `degrees`
+    `vectors` are nonzero homogeneous `module_vector`s and `degrees`
     their degrees.  The generators are normal-formed in input order
     first; then each component's pairs are the ones `_minimal_lcms`
     keeps, taken one at a time by degree, and each S-vector is reduced
@@ -1158,7 +1186,7 @@ def schreyer_step_by_tuples(level, engine):
 
 
 def schreyer_resolution_by_tuples(ideal):
-    """`_schreyer_resolution`, with each step taken by the oracle step."""
+    """`schreyer_resolution`, with each step taken by the oracle step."""
     ring = ideal.ring
     gb = ideal.groebner()
     if not len(gb):
@@ -1169,7 +1197,8 @@ def schreyer_resolution_by_tuples(ideal):
     twist_lists = [[0]]
     maps = []
     for _ in range(ring.nvars + 1):
-        level, entries = _in_schreyer_order(level, entries, ring.nvars)
+        level, new_index = _in_schreyer_order(level, ring.nvars)
+        entries = {(r, new_index[c]): p for (r, c), p in entries.items()}
         maps.append(entries)
         twist_lists.append(level.degrees)
         level, columns = schreyer_step_by_tuples(level, gb._engine)

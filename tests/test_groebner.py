@@ -135,6 +135,60 @@ class TestIdealEquality:
         assert not Ideal(ring_p, (x,)).equals(Ideal(ring_p, (x * x,)))
 
 
+class TestEngineForm:
+    """A basis is held once, as engine terms: equality and membership are
+    answered from them, and the public polynomials are built on demand."""
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_answers_match_the_public_forms(self, field):
+        """On J, top and rad of the corpus, `equals` on engine bases agrees
+        with comparing the public bases, and `contains` on the engine
+        remainder with the public normal form; both answers occur."""
+        seen = Counter()
+        for name in arrangement_names():
+            if name == "thirty_one_planes":
+                continue
+            arr = load_arrangement(name, field)
+            x = arr.ring.variable(0)
+            ideals = (jacobian_ideal(arr), tree_top(arr), radical_comb(arr))
+            for a in ideals:
+                basis = a.groebner()
+                for b in ideals:
+                    same = a.equals(b)
+                    assert same == (basis.polys == b.groebner().polys)
+                    seen["equal", same] += 1
+                    for g in b.gens + tuple(x * g for g in b.gens[:3]):
+                        member = a.contains(g)
+                        assert member == basis.normal_form(g).is_zero()
+                        seen["member", member] += 1
+        assert set(seen) == {(kind, answer) for kind in ("equal", "member")
+                             for answer in (False, True)}
+
+    def test_public_forms_are_built_when_read(self, ring_p, vars_p,
+                                              monkeypatch):
+        x, y, z, w = vars_p
+        built = []
+        from_internal = groebner._from_internal
+
+        def counted(terms, ring):
+            built.append(terms)
+            return from_internal(terms, ring)
+
+        monkeypatch.setattr(groebner, "_from_internal", counted)
+        ideal = Ideal(ring_p, ((x + y) ** 2 * z, x * w - y * z, y * y * w))
+        basis = ideal.groebner()
+        assert len(basis) == 6
+        assert ideal.contains(x * w * z - y * z * z)
+        assert not ideal.contains(x ** 3)
+        assert ideal.equals(Ideal(ring_p, ideal.gens[::-1]))
+        hilbert(ideal)
+        assert not built
+        polys = basis.polys
+        assert len(built) == len(polys) == 6
+        assert basis.polys is polys and list(basis) == list(polys)
+        assert len(built) == 6  # read again, not built again
+
+
 class TestIntersection:
     def test_principal(self, ring_p, vars_p):
         x, y, z, w = vars_p

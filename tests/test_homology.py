@@ -1,5 +1,7 @@
 """Resolutions, Betti tables, Hilbert data, deficiency dimensions."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (LARGE_IDS, LARGE_PRIMES, betti_by_strand_homology,
-                      check_module_leads, deficiency_by_ext,
+                      check_module_leads, deficiency_by_ext, module_vector,
                       power_of_variables, rao_by_degree_scan,
-                      schreyer_resolution_by_tuples, schreyer_syzygies,
+                      schreyer_resolution, schreyer_resolution_by_tuples,
+                      schreyer_syzygies,
                       series_numerator_by_tuples, standard_monomial_count,
                       sweep_texts, tree_top)
-from singlocus import homology, linalg
+from singlocus import groebner, homology, linalg
 from singlocus.arrangement import (Arrangement, jacobian_ideal,
                                    parse_arrangement, radical_comb, top_comb)
 from singlocus.corpus import arrangement_names, load_arrangement
@@ -21,15 +24,15 @@ from singlocus.errors import (InternalLimitError, InvariantError,
 from singlocus.groebner import (Ideal, _Engine, _to_internal, intersect,
                                 intersect_many, saturate_irrelevant)
 from singlocus.homology import (BettiTable, GradedFreeModule, GradedMap,
-                                _level_from_ring_gb, _module_vector,
-                                _schreyer_resolution,
-                                _schreyer_step, betti_json, betti_of,
-                                betti_table, betti_text, dimensions, hilbert,
+                                _level_from_ring_gb, _schreyer_step,
+                                betti_json, betti_of, betti_table,
+                                betti_text, dimensions, hilbert,
                                 is_cm, is_saturated, minimal_free_resolution,
                                 rao_dimensions, unmixed_deficiency)
 from singlocus.liaison import (construct_lr, construct_lr_radical,
                                verify_construction)
-from singlocus.polyring import GF, MAX_DEGREE, QQ, WIDTH, PolyRing, _pack_plain
+from singlocus.polyring import (GF, MAX_DEGREE, QQ, WIDTH, PolyRing,
+                                Polynomial, _pack_plain)
 
 # Six planes from a random sweep: the Jacobian ideal has projective
 # dimension 4 (it is not saturated), and its resolution overran the
@@ -303,6 +306,78 @@ class TestBettiFromRanks:
             res.maps
 
 
+class TestEngineFormResolution:
+    """A resolution is kept in engine form: its raw maps are the syzygy
+    vectors, map 0 is the ring basis's own terms lists, and public
+    polynomials are built only when `Resolution.maps` is read."""
+
+    #: sha256 of the pruned maps of construct_lr_radical(2, seed=7) (its
+    #: Betti totals 1, 16, 17, 2) and of construct_lr(1, h=1, seed=7)
+    #: (1, 5, 5, 1), as the resolution built them when it kept its raw
+    #: maps as public polynomials
+    PRUNED = {
+        "lrrad2": "8679c65a67faeacf79e57ff475e84573"
+                  "fda161dc7268c59373e857d926f7941f",
+        "lr1_h1": "c46518ad3da091d8eb9530e96f3cd139"
+                  "12a746da6279d86b4fd89327e45666f9",
+    }
+
+    @staticmethod
+    def _digest(maps):
+        return hashlib.sha256(repr([
+            (m.source.twists, m.target.twists,
+             [(rc, list(p.terms.items())) for rc, p in m.entries.items()])
+            for m in maps]).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name,build", [
+        ("lrrad2", lambda: construct_lr_radical(2, seed=7)),
+        ("lr1_h1", lambda: construct_lr(1, h=1, seed=7))])
+    def test_invariants_build_no_polynomial(self, name, build, monkeypatch):
+        # a copy with no cached basis, so that its basis is computed and
+        # checked against its generators below too
+        gens = build().ideal.gens
+        ideal = Ideal(gens[0].ring, gens)
+        built = Counter()
+        for module, attr in ((groebner, "_from_internal"),
+                             (homology, "_components")):
+            def counted(*args, orig=getattr(module, attr), attr=attr):
+                built[attr] += 1
+                return orig(*args)
+
+            monkeypatch.setattr(module, attr, counted)
+        init = Polynomial.__init__
+
+        def counted_init(self, *args):
+            built["Polynomial"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        betti_of(ideal)
+        is_cm(ideal)
+        is_saturated(ideal)
+        dimensions(ideal)
+        rao_dimensions(ideal)
+        assert not built
+        res = minimal_free_resolution(ideal)
+        twist_lists, columns, orders = res._raw
+        basis = ideal.groebner()._polys
+        assert sorted(map(id, columns[0])) == sorted(map(id, basis))
+        assert all(type(v) is list and all(type(t) is tuple for t in v)
+                   for vectors in columns for v in vectors)
+        assert [len(t) for t in twist_lists[1:]] == list(map(len, columns)) \
+            == list(map(len, orders))
+        assert self._digest(res.maps) == self.PRUNED[name]
+        assert built["_components"] == sum(map(len, columns))
+        assert not built["_from_internal"]
+
+    def test_level_zero_is_the_basis(self, ring_p):
+        x, y, z, w = ring_p.variables()
+        basis = Ideal(ring_p, (x * y, x * z, y * z)).groebner()._polys
+        level = _level_from_ring_gb(basis, [2, 2, 2])
+        assert level.vectors is basis and level.mult == 1
+        assert level.lt_vkey == [t[0][0] for t in basis]
+
+
 class TestPrunedMaps:
     """The one-pass pruning leaves maps that compose to zero and hold no
     constant, on arrangement ideals whose raw resolutions have many
@@ -419,6 +494,19 @@ class TestHilbert:
         h = hilbert(Ideal(ring_p, (x * x, x * y, x * z, y * y, y * z, z * z)))
         assert h.dimension == 1
         assert h.degree() == 4
+
+    @pytest.mark.parametrize("a", [300, 1200, MAX_DEGREE - 2])
+    def test_high_powers_pivot_once(self, ring_p, a):
+        """x^a * (y, z) has numerator 1 - 2t^(a+1) + t^(a+2).  One pivot
+        on x^a reaches the coprime (y, z), where a pivot on x alone
+        recursed a levels deep."""
+        x, y, z, w = ring_p.variables()
+        want = [0] * (a + 3)
+        want[0], want[a + 1], want[a + 2] = 1, -2, 1
+        ideal = Ideal(ring_p, (x ** a * y, x ** a * z))
+        assert hilbert(ideal).numerator == tuple(want)
+        words = [_pack_plain((a, 1, 0, 0)), _pack_plain((a, 0, 1, 0))]
+        assert homology._series_numerator(words, 4, {}) == want
 
 
 @st.composite
@@ -543,9 +631,9 @@ class TestRaoDimensions:
         ring = request.getfixturevalue(ring_name)
         x, y, z, w = ring.variables()
         engine = _Engine(ring, twists=[0, 0])
-        basis = engine.buchberger([_module_vector([(0, x), (1, z)], engine),
-                                   _module_vector([(0, y), (1, w)], engine)])
-        assert basis == [_module_vector(col, engine) for col in (
+        basis = engine.buchberger([module_vector([(0, x), (1, z)], engine),
+                                   module_vector([(0, y), (1, w)], engine)])
+        assert basis == [module_vector(col, engine) for col in (
             [(0, y), (1, w)], [(0, x), (1, z)], [(1, y * z - x * w)])]
 
     @pytest.mark.parametrize("ring_name", ["ring_p", "ring_q"])
@@ -568,8 +656,8 @@ class TestRaoDimensions:
 
             monkeypatch.setattr(_Engine, name, recorded)
         engine = _Engine(ring, twists=[0, 1])
-        vectors = [_module_vector([(0, x)], engine),
-                   _module_vector([(1, x * y)], engine)]
+        vectors = [module_vector([(0, x)], engine),
+                   module_vector([(1, x * y)], engine)]
         assert engine.buchberger(vectors) == vectors
         assert not batches
         arr = load_arrangement("eleven_planes", ring.field)
@@ -735,7 +823,7 @@ class TestSchreyerStepOracle:
 
     @staticmethod
     def _check_ideal(ideal):
-        twists, maps = _schreyer_resolution(ideal)
+        twists, maps = schreyer_resolution(ideal)
         want_twists, want_maps = schreyer_resolution_by_tuples(ideal)
         assert twists == want_twists
         assert [list(m.items()) for m in maps] == \
@@ -857,7 +945,7 @@ class TestRingRows:
         ideal = Ideal(x.ring, (x ** 20000 - y ** 20000,
                                z ** 20000 - w ** 20000))
         TestSchreyerStepOracle._check_ideal(ideal)
-        assert _schreyer_resolution(ideal)[0] == [[0], [20000, 20000],
+        assert schreyer_resolution(ideal)[0] == [[0], [20000, 20000],
                                                   [40000]]
         assert ring_rows.count(True) == 0
 
@@ -866,7 +954,7 @@ class TestSchreyerOrder:
     @pytest.mark.parametrize("name", ["eleven_planes", "sweep_six"])
     def test_jacobian_resolves_within_the_bound(self, name):
         J = jacobian_ideal(_arrangement(name))
-        _, raw_maps = _schreyer_resolution(J)
+        _, raw_maps = schreyer_resolution(J)
         assert len(raw_maps) <= 4
         assert betti_of(J).entries == betti_by_strand_homology(J)
 
