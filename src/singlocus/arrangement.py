@@ -6,10 +6,13 @@ flats cut out by pairs of hyperplanes, each with its multiplicity (number
 of member hyperplanes) and a canonical reduced-echelon basis of its
 defining pair of linear forms.  Lattice isomorphism and the genericity
 of a section also read the flats of higher rank (`_flats_by_rank`).
+One span step (`_span_up`) builds every rank, and every change of
+coordinates is one product of coefficient rows with a matrix (`_times`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -92,17 +95,14 @@ class Arrangement:
         self._jacobian = None
 
     def _check_pairwise_independent(self):
-        """Two nonzero linear forms are dependent exactly when their
-        coefficient rows, scaled so that the first nonzero entry is 1,
-        are equal."""
-        field = self.ring.field
-        first = {}  # scaled row -> index of its first form
-        for j, f in enumerate(self.forms):
-            row = linear_coefficients(f)
-            inv = field.inv(next(c for c in row if c))
-            i = first.setdefault(tuple(field.mul(c, inv) for c in row), j)
-            if i != j:
-                raise _DependentForms(i, j, self.forms)
+        """Two nonzero linear forms are dependent exactly when they span
+        the same rank-1 flat: level 1 of `_span_up`.  The pair reported is
+        the smallest later duplicate and its first occurrence."""
+        level = _span_up({(): set()}, self.coefficient_rows(), self.ring.field)
+        pairs = [sorted(m)[:2] for m in level.values() if len(m) > 1]
+        if pairs:
+            i, j = min(pairs, key=lambda pair: pair[1])
+            raise _DependentForms(i, j, self.forms)
 
     @property
     def d(self):
@@ -238,6 +238,8 @@ def parse_graph(text):
                 vertices = int(line[len("vertices:"):].strip())
             except ValueError:
                 raise ParseError("vertex count is not an integer", lineno)
+            if vertices < 0:
+                raise ParseError(f"negative vertex count {vertices}", lineno)
             continue
         if not line.startswith("edge:"):
             raise ParseError(f"expected 'edge: i j', got {line!r}", lineno)
@@ -258,34 +260,53 @@ def parse_graph(text):
 
 
 # ---------------------------------------------------------------------------
-# the intersection lattice (codimension-2 stratum)
+# the intersection lattice
+
+
+def _span_up(level, rows, field):
+    """The flats of rank r + 1 from those of rank r.
+
+    `level` maps the reduced echelon basis of each rank-r flat to its
+    member set, the planes whose coefficient `rows` lie in its span.  Each
+    flat is spanned with each plane after its last member, and the spans
+    are grouped by reduced echelon basis.  From the whole space (rank 0,
+    the empty basis, no members) this gives the planes, grouped by their
+    rows up to scale, then the lines, the points and so on.
+
+    The restriction to later planes loses no flat and no member.  Let F
+    be a rank-(r + 1) flat, h its last member and j any other member.
+    Extend {j, h} to a basis of F from F's members, then drop h: this
+    spans a rank-r flat G through j that misses h.  G's members all lie
+    in F and are not h, so they come before h, and G spans F together
+    with h.  So F is found, with j and h among its members.
+    """
+    up = {}
+    for basis, members in level.items():
+        for h in range(max(members, default=-1) + 1, len(rows)):
+            ech, _ = linalg.rref([*basis, rows[h]], field)
+            up.setdefault(tuple(map(tuple, ech)), set()).update(members, (h,))
+    return up
 
 
 def intersection_flats(arr):
     """Distinct codimension-2 flats with members and multiplicities.
 
-    Groups the C(d,2) hyperplane pairs by the reduced echelon basis of
-    their span; the pair-counting identity sum C(e,2) = C(d,2) is
-    asserted on the way out.
+    Level 2 of `_span_up`: each plane is spanned with each later one, so
+    the C(d,2) pairs are grouped by the reduced echelon basis of their
+    span.  The flats come sorted by member list, and the pair-counting
+    identity sum C(e,2) = C(d,2) is asserted on the way out.
     """
     field = arr.ring.field
     rows = arr.coefficient_rows()
     d = len(rows)
     if d < 2:
         raise ValidationError("need at least two hyperplanes for a flat")
-    by_basis = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            ech, _ = linalg.rref([rows[i], rows[j]], field)
-            key = tuple(tuple(r) for r in ech)
-            by_basis.setdefault(key, set()).update((i, j))
-    flats = []
-    pair_count = 0
-    for basis, members in sorted(by_basis.items(), key=lambda kv: sorted(kv[1])):
-        mem = sorted(members)
-        flats.append(Flat(basis, mem))
-        pair_count += len(mem) * (len(mem) - 1) // 2
-    if pair_count != d * (d - 1) // 2:
+    level = _span_up(_span_up({(): set()}, rows, field), rows, field)
+    flats = sorted((Flat(basis, sorted(members))
+                    for basis, members in level.items()),
+                   key=lambda f: f.members)
+    if sum(f.multiplicity * (f.multiplicity - 1) // 2 for f in flats) \
+            != d * (d - 1) // 2:
         raise InvariantError("pair-counting identity failed on the flats")
     return flats
 
@@ -293,11 +314,8 @@ def intersection_flats(arr):
 def _flats_by_rank(arr):
     """The member sets of the flats of rank 2, 3, ..., one rank at a time.
 
-    A flat of rank r + 1 is the span of a rank-r flat and a plane outside
-    it, grouped by the reduced echelon basis of that span.  Its members
-    are the planes in the span: those of any rank-r flat G inside it, and
-    every plane outside G, which spans it with G.  Each rank comes as a
-    sorted tuple of sorted member tuples; the last is the whole
+    Starts from `arr.flats()` and climbs with `_span_up`.  Each rank comes
+    as a sorted tuple of sorted member tuples; the last is the whole
     arrangement's, at its rank.
     """
     field = arr.ring.field
@@ -305,14 +323,7 @@ def _flats_by_rank(arr):
     level = {f.basis: set(f.members) for f in arr.flats()}
     while level:
         yield tuple(sorted(tuple(sorted(m)) for m in level.values()))
-        up = {}
-        for basis, members in level.items():
-            for i, row in enumerate(rows):
-                if i not in members:
-                    ech, _ = linalg.rref(list(basis) + [row], field)
-                    up.setdefault(tuple(map(tuple, ech)), set()).update(
-                        members, (i,))
-        level = up
+        level = _span_up(level, rows, field)
 
 
 def combinatorial_degrees(arr):
@@ -597,10 +608,12 @@ def generic_section(arr, seed=0):
     """Cut an arrangement in P^n down to P^3 by a general linear section.
 
     The last n-3 variables are replaced by seeded random linear forms in
-    the first four.  Genericity is re-verified: the sectioned forms must
-    stay pairwise independent, and the member sets of the flats of rank 2
-    and 3 (`_flats_by_rank`) must match the original arrangement's, since
-    a special section can make new points without changing any line.
+    the first four: the coefficient rows are multiplied by the identity
+    on the first four variables stacked on the random rows (`_times`).
+    Genericity is re-verified: the sectioned forms must stay pairwise
+    independent, and the member sets of the flats of rank 2 and 3
+    (`_flats_by_rank`) must match the original arrangement's, since a
+    special section can make new points without changing any line.
     Retries with fresh randomness up to 32 times, then gives up loudly.
     """
     if arr.nvars < 4:
@@ -610,15 +623,15 @@ def generic_section(arr, seed=0):
     field = arr.ring.field
     target = PolyRing(tuple(arr.ring.names[:4]), field)
     reference = tuple(itertools.islice(_flats_by_rank(arr), 2))
+    identity = [[field.one if i == j else field.zero for j in range(4)]
+                for i in range(4)]
     rng = random.Random(seed)
     for _ in range(_SECTION_RETRIES):
-        images = [target.variable(i) for i in range(4)]
-        for _ in range(arr.nvars - 4):
-            images.append(target.linear_form(
-                [field.from_int(rng.randint(-999, 999)) for _ in range(4)]))
+        matrix = identity + [[field.from_int(rng.randint(-999, 999))
+                              for _ in range(4)]
+                             for _ in range(arr.nvars - 4)]
         try:
-            forms = [f.substitute(images) for f in arr.forms]
-            sectioned = Arrangement(target, forms)
+            sectioned = _times(arr, matrix, target)
         except ValidationError:
             continue
         if tuple(itertools.islice(_flats_by_rank(sectioned), 2)) == reference:
@@ -722,16 +735,18 @@ def random_coordinate_change(rng, field, size=4, bound=9):
 
 def apply_coordinate_change(arr, matrix):
     """New arrangement with every form composed with the matrix."""
-    ring = arr.ring
+    field = arr.ring.field
+    return _times(arr, [[field.from_int(c) for c in row] for row in matrix],
+                  arr.ring)
+
+
+def _times(arr, matrix, ring):
+    """The arrangement in `ring` whose coefficient rows are those of `arr`
+    times `matrix`, a list of rows of field elements: row i holds the
+    image of variable i in `ring`'s variables."""
     field = ring.field
-    out = []
-    for row in arr.coefficient_rows():
-        new = [field.zero] * ring.nvars
-        for jj in range(ring.nvars):
-            acc = field.zero
-            for ii in range(ring.nvars):
-                acc = field.add(acc, field.mul(row[ii],
-                                               field.from_int(matrix[ii][jj])))
-            new[jj] = acc
-        out.append(ring.linear_form(new))
-    return Arrangement(ring, out)
+    columns = list(zip(*matrix))
+    return Arrangement(ring, [
+        ring.linear_form([functools.reduce(field.add, map(field.mul, row, col))
+                          for col in columns])
+        for row in arr.coefficient_rows()])

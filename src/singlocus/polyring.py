@@ -731,6 +731,7 @@ def parse_linear_expr(ring, text, line=None):
     if expect_term and coeff is None and pending_var is None:
         raise ParseError(f"dangling operator in {text.strip()!r}", line)
     flush()
-    if all(c == 0 for c in acc):
+    coeffs = [ring.field.from_int(c) for c in acc]
+    if all(ring.field.is_zero(c) for c in coeffs):
         raise ParseError(f"{text.strip()!r} is the zero form", line)
-    return ring.linear_form([ring.field.from_int(c) for c in acc])
+    return ring.linear_form(coeffs)

@@ -43,7 +43,11 @@ intersected; ideal quotients and saturations by other ideals go through
 exact division of the generators of a ∩ (g).  Radical membership (the
 Rabinowitsch test) and single syzygy steps live here too, since only
 tests call them; symbolic intersections are checked against one
-prime-power leaf per flat.
+prime-power leaf per flat.  The flats of an arrangement are checked
+against the loops that found them before one span step built every
+rank: the pair loop for the lines (`intersection_flats_by_pairs`) and,
+above them, every flat spanned with every plane outside it
+(`flats_by_rank_by_all_planes`).
 
 Over F_p the engine reduces the pairs of every Buchberger run as
 batches of packed rows (`_Engine.reduce_batch`).  The oracles that must
@@ -65,7 +69,7 @@ from pathlib import Path
 import pytest
 
 from singlocus import groebner, homology, linalg
-from singlocus.arrangement import Arrangement, top_comb
+from singlocus.arrangement import Arrangement, Flat, top_comb
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (_CB, _CMAX, GroebnerBasis, Ideal,
@@ -405,6 +409,43 @@ def schreyer_syzygies(gens, twists=None):
         out.append([Polynomial(ring, {e: field.mul(co, inv_lcs[c])
                                       for e, co in comps.get(c, {}).items()})
                     for c in range(len(gens))])
+    return out
+
+
+def intersection_flats_by_pairs(arr):
+    """`intersection_flats` as it was before one span step built every
+    rank: the C(d,2) pairs of coefficient rows grouped by the reduced
+    echelon basis of their span, sorted by member list."""
+    field = arr.ring.field
+    rows = arr.coefficient_rows()
+    by_basis = {}
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        ech, _ = linalg.rref([rows[i], rows[j]], field)
+        by_basis.setdefault(tuple(map(tuple, ech)), set()).update((i, j))
+    return [Flat(basis, sorted(members)) for basis, members in
+            sorted(by_basis.items(), key=lambda kv: sorted(kv[1]))]
+
+
+def flats_by_rank_by_all_planes(arr):
+    """`_flats_by_rank` as it was before it spanned each flat only with the
+    planes after its last member: from `intersection_flats_by_pairs`,
+    every flat is spanned with every plane outside it, so each flat of
+    the next rank is found many times.  A list of the ranks, each a
+    sorted tuple of sorted member tuples."""
+    field = arr.ring.field
+    rows = arr.coefficient_rows()
+    level = {f.basis: set(f.members) for f in intersection_flats_by_pairs(arr)}
+    out = []
+    while level:
+        out.append(tuple(sorted(tuple(sorted(m)) for m in level.values())))
+        up = {}
+        for basis, members in level.items():
+            for i, row in enumerate(rows):
+                if i not in members:
+                    ech, _ = linalg.rref(list(basis) + [row], field)
+                    up.setdefault(tuple(map(tuple, ech)), set()).update(
+                        members, (i,))
+        level = up
     return out
 
 

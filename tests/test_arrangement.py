@@ -1,9 +1,11 @@
 """Arrangement layer: lattices, singular-locus ideals, graphs, sections."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from singlocus.arrangement import (Arrangement, Flat, Graph,
                                    apply_coordinate_change,
@@ -17,7 +19,8 @@ from singlocus.arrangement import (Arrangement, Flat, Graph,
                                    standard_ring, symbolic_intersection,
                                    top_comb, triangle_condition,
                                    uniform_powers)
-from conftest import (CORPUS_DIR, LARGEST_PRIME, intersect_many_by_ideals,
+from conftest import (CORPUS_DIR, LARGEST_PRIME, flats_by_rank_by_all_planes,
+                      intersect_many_by_ideals, intersection_flats_by_pairs,
                       pencil_component_by_pencil_ring, radical_by_flat_primes,
                       radical_membership, sweep_texts,
                       symbolic_by_flat_powers, top_by_flats, tree_top)
@@ -89,6 +92,36 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_graph("edge: 1 2\n")
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ParseError, match="^line 1: negative vertex count"):
+            parse_graph("vertices: -3\n")
+        assert parse_graph("vertices: 0\n").vertices == 0
+
+    def test_form_vanishing_mod_p_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_arrangement("vars: x y z\nx\n7y\ny\n", GF(7))
+        assert str(err.value) == "line 3: '7y' is the zero form"
+        assert parse_arrangement("vars: x y z\nx\n7y\n", QQ).d == 2
+
+    @pytest.mark.parametrize("text, field, message", [
+        ("vars: x y z\nx\ny\n2y\n-x\n", QQ,
+         "line 4: form duplicates line 3 up to scale"),
+        ("# head\nvars: x y z\n\nx + y\nz  # tail\n\n3z\n2x + 2y\n", QQ,
+         "line 7: form duplicates line 5 up to scale"),
+        ("vars: x y\nx\ny\n-y\n2y\n", QQ,
+         "line 4: form duplicates line 3 up to scale"),
+        ("vars: x y z\nx\ny\nz\n-z\n-y\n", GF(32003),
+         "line 5: form duplicates line 4 up to scale"),
+        ("vars: x y z\nx + y\nz\n8x + y\n", GF(7),
+         "line 4: form duplicates line 2 up to scale"),
+    ], ids=["pairs", "comments", "triple", "later-group", "mod-7"])
+    def test_dependent_pair_lines(self, text, field, message):
+        """The smallest later duplicate is reported, with the first
+        occurrence of its plane."""
+        with pytest.raises(ParseError) as err:
+            parse_arrangement(text, field)
+        assert str(err.value) == message
+
 
 class TestFlats:
     def test_generic_four(self):
@@ -118,6 +151,71 @@ class TestFlats:
             b = load_arrangement(name, field=QQ)
             assert sorted(f.members for f in a.flats()) == \
                 sorted(f.members for f in b.flats())
+
+
+def _lattice_by_subsets(rows, field):
+    """{rank: sorted member tuples} and {basis: members} of the span of
+    every nonempty set of planes, grouped by reduced echelon basis."""
+    spans = {}
+    for k in range(1, len(rows) + 1):
+        for subset in itertools.combinations(range(len(rows)), k):
+            ech, _ = linalg.rref([rows[i] for i in subset], field)
+            spans.setdefault(tuple(map(tuple, ech)), set()).update(subset)
+    ranks = {}
+    for basis, members in spans.items():
+        ranks.setdefault(len(basis), []).append(tuple(sorted(members)))
+    return {r: tuple(sorted(m)) for r, m in ranks.items()}, spans
+
+
+class TestSpanStep:
+    """`intersection_flats` and `_flats_by_rank` climb the lattice with one
+    span step, `_span_up`, that spans each flat only with the planes after
+    its last member."""
+
+    @pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), GF(37), QQ],
+                             ids=["p", "p37", "q"])
+    def test_corpus_matches_the_oracles(self, field):
+        for name in arrangement_names():
+            arr = load_arrangement(name, field=field)
+            got = [(f.basis, f.members) for f in arr.flats()]
+            want = [(f.basis, f.members)
+                    for f in intersection_flats_by_pairs(arr)]
+            assert got == want, name
+            assert list(arrangement._flats_by_rank(arr)) == \
+                flats_by_rank_by_all_planes(arr), name
+
+    @pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), GF(7), QQ],
+                             ids=["p", "p7", "q"])
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_rank_matches_all_subsets(self, field, data):
+        """3-7 planes in 3-5 variables with small coefficients, so that
+        coincident lines and points are common."""
+        nvars = data.draw(st.integers(3, 5))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
+            .filter(lambda r: any(r)), min_size=3, max_size=7))
+        rows = [[field.from_int(c) for c in r] for r in rows]
+        ring = PolyRing(("x", "y", "z", "w", "v")[:nvars], field)
+        forms = [ring.linear_form(r) for r in rows]
+        dependent = [(i, j) for i, j in itertools.combinations(
+            range(len(rows)), 2) if linalg.rank([rows[i], rows[j]], field) < 2]
+        if dependent:
+            j = min(j for _, j in dependent)
+            i = min(i for i, jj in dependent if jj == j)
+            with pytest.raises(ValidationError) as err:
+                Arrangement(ring, forms)
+            assert err.value.pair == (i, j)
+        assume(not dependent)
+        arr = Arrangement(ring, forms)
+        ranks, spans = _lattice_by_subsets(rows, field)
+        assert ranks[1] == tuple((i,) for i in range(len(rows)))
+        assert list(arrangement._flats_by_rank(arr)) == \
+            [ranks[r] for r in range(2, max(ranks) + 1)]
+        assert [(f.basis, f.members) for f in arr.flats()] == sorted(
+            ((basis, tuple(sorted(members)))
+             for basis, members in spans.items() if len(basis) == 2),
+            key=lambda flat: flat[1])
 
 
 class TestJacobian:

@@ -289,6 +289,31 @@ class TestErrorPaths:
         assert code == 1
         assert "line 3" in err
 
+    def test_form_vanishing_mod_p_names_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.arr"
+        bad.write_text("vars: x y z\nx\n7y\ny\n")
+        code, _, err = run_cli(capsys, "lattice", "--field", "p:7", str(bad))
+        assert code == 1
+        assert err == "error: line 3: '7y' is the zero form\n"
+
+    @pytest.mark.parametrize("form, field", [("0x", "p:32003"), ("7x", "p:7")])
+    def test_link_form_vanishing_is_named(self, capsys, arr_dir, form, field):
+        code, _, err = run_cli(capsys, "bdl", "--form", form, "--field", field,
+                               str(arr_dir / "star_four.arr"))
+        assert code == 1
+        assert err == f"error: '{form}' is the zero form\n"
+
+    def test_negative_vertex_count(self, capsys, tmp_path):
+        bad = tmp_path / "bad.graph"
+        bad.write_text("vertices: -3\n")
+        code, out, err = run_cli(capsys, "triangles", str(bad))
+        assert code == 1 and not out
+        assert err == "error: line 1: negative vertex count -3\n"
+        bad.write_text("vertices: 0\n")
+        code, out, _ = run_cli(capsys, "triangles", str(bad))
+        assert code == 0
+        assert "no two 3-cycles share an edge: True" in out
+
     def test_bad_field(self, capsys, arr_dir):
         code, _, err = run_cli(capsys, "lattice", "--field", "zzz",
                                str(arr_dir / "star_four.arr"))

@@ -62,3 +62,23 @@ def test_one_completion_loop():
                   or isinstance(node, ast.Attribute)
                   and node.attr == "heappop"]
     assert not found
+
+
+def test_one_span_step():
+    """`arrangement.py` reads `linalg.rref` at one site, `_span_up`: the
+    planes, the lines and every higher rank of the lattice come from one
+    span step, so no second grouping loop grows beside it."""
+    found = [f"arrangement.py:{node.lineno}"
+             for name, tree in _modules() if name == "arrangement.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "rref"]
+    assert len(found) == 1, found
+
+
+def test_no_library_substitution():
+    """No module calls `Polynomial.substitute`: a change of coordinates is
+    one product of coefficient rows with a matrix."""
+    found = [f"{name}:{node.lineno}" for name, tree in _modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "substitute"]
+    assert not found
