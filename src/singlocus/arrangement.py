@@ -26,7 +26,6 @@ from .polyring import (GF, DEFAULT_PRIME, PolyRing, expand_product,
                        gradient, linear_coefficients, parse_linear_expr,
                        validate_linear_form)
 
-_MAX_FILE_VARS = 8
 _SECTION_RETRIES = 32
 
 
@@ -166,10 +165,6 @@ def parse_arrangement(text, field=None):
             names = line[len("vars:"):].split()
             if not names:
                 raise ParseError("no variable names after 'vars:'", lineno)
-            if len(names) > _MAX_FILE_VARS:
-                raise ParseError(
-                    f"at most {_MAX_FILE_VARS} variables supported, got {len(names)}",
-                    lineno)
             ring = PolyRing(tuple(names), field)
             continue
         forms.append(parse_linear_expr(ring, line, line=lineno))
@@ -447,10 +442,11 @@ def top_comb(arr):
     unmixed when pd(R/J) <= 3 and Ext^3(R/J, R) has finite length
     (Eisenbud, Huneke and Vasconcelos 1992, "Direct methods for primary
     decomposition", Invent. Math. 110), read by `unmixed_deficiency` from
-    J's resolution, which is cached on J.  Then J's reduced basis is
-    returned, with J's Hilbert data and resolution; it is the basis the
-    intersection would give, since an elimination key orders words free
-    of the auxiliary variable as grevlex does.
+    J's resolution, which is cached on J.  Then an ideal made from J's
+    own `GroebnerBasis` object is returned, with J's Hilbert data and
+    resolution; its basis is the one the intersection would give, since
+    an elimination key orders words free of the auxiliary variable as
+    grevlex does.
 
     Otherwise the intersection is computed with one leaf per plane H:
     the plane group (H, L_1 * ... * L_k) of H's double flats
@@ -469,7 +465,7 @@ def top_comb(arr):
     ring = arr.ring
     J = arr._jacobian
     if J is not None and ring.nvars == 4 and unmixed_deficiency(J) is not None:
-        top = _ideal_from_basis(ring, J.groebner()._polys)
+        top = _ideal_from_basis(J.groebner())
         top._hilbert_cache = hilbert(J)
         top._resolution_cache = J._resolution_cache
         return top

@@ -101,6 +101,22 @@ def _load_arrangement(path, field):
     return arr
 
 
+# the widest file that a command building an ideal accepts; `lattice`,
+# `section` and `hypothesis` read files of any width
+_MAX_FILE_VARS = 8
+
+
+def _load_for_ideal(path, field):
+    """`_load_arrangement` for the commands that build an ideal: a file
+    of more than `_MAX_FILE_VARS` variables is a `ValidationError`."""
+    arr = _load_arrangement(path, field)
+    if arr.nvars > _MAX_FILE_VARS:
+        raise ValidationError(
+            f"{path} has {arr.nvars} variables; commands that build an ideal "
+            f"take at most {_MAX_FILE_VARS}: cut it down with 'sing section'")
+    return arr
+
+
 _IDEAL_CHOICES = ("jacobian", "radical", "top", "saturation")
 
 
@@ -217,7 +233,7 @@ def _cmd_lattice(args, field, report):
 
 def _cmd_ideal(which):
     def run(args, field, report):
-        arr = _load_arrangement(args.file, field)
+        arr = _load_for_ideal(args.file, field)
         ideal = _build_ideal(arr, which)
         asked = _ideal_report(report, ideal, which, args)
         if which == "jacobian" and "cm" in asked:
@@ -234,7 +250,7 @@ def _cmd_ideal(which):
 
 
 def _cmd_symbolic(args, field, report):
-    arr = _load_arrangement(args.file, field)
+    arr = _load_for_ideal(args.file, field)
     if args.uniform is not None:
         powers = uniform_powers(arr, args.uniform)
     else:
@@ -245,7 +261,7 @@ def _cmd_symbolic(args, field, report):
 
 def _cmd_selector(kind):
     def run(args, field, report):
-        arr = _load_arrangement(args.file, field)
+        arr = _load_for_ideal(args.file, field)
         _SECTIONS[kind](report, _build_ideal(arr, args.ideal))
     return run
 
@@ -357,8 +373,8 @@ def _verify_step(report, step):
 
 
 def _cmd_liaison_add(args, field, report):
-    a = _load_arrangement(args.file1, field)
-    b = _load_arrangement(args.file2, field)
+    a = _load_for_ideal(args.file1, field)
+    b = _load_for_ideal(args.file2, field)
     if a.ring != b.ring:
         raise ValidationError("the two arrangements use different variables")
     ok, witnesses = arrangement_product_hypotheses(a, b)
@@ -381,7 +397,7 @@ def _cmd_liaison_add(args, field, report):
 
 
 def _cmd_bdl(args, field, report):
-    arr = _load_arrangement(args.file, field)
+    arr = _load_for_ideal(args.file, field)
     ideal = _curve_of(arr, args.ideal)
     f1 = arr.defining_polynomial()
     if args.form:

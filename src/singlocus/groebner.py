@@ -69,13 +69,15 @@ input does.  The rest are returned as they are, and the basis is not
 copied.  Inputs that are already Groebner bases can be fed as blocks,
 whose internal pairs are never formed.
 `_intersect_bases` maps two internal reduced grevlex bases to that of
-their intersection: it builds t*G_a and (1-t)*G_b this way, with G_a the
+their intersection: it builds t*G_a and (1+t)*G_b this way, with G_a the
 basis whose highest leading degree is lower (the first on a tie), since
 that orientation subtracts fewer terms for the same answer.  `intersect`
 is the two-ideal case of `intersect_many`, which folds its balanced tree
 on internal bases, drops each pair as soon as it is intersected, checks
 only that each intermediate basis has minimal leading terms, and builds
-one public `Ideal`, checked against its basis, at the end.
+one public `Ideal` at the end (`_ideal_from_basis`).  Such an ideal
+holds its basis once: its generators are the basis, made public when
+first read, and its zero and unit tests read the basis.
 
 Every `Ideal` is homogeneous, so the intersection is Hilbert-driven
 (Traverso 1996, "Hilbert functions and the Buchberger algorithm"): with
@@ -100,8 +102,9 @@ into one int with a slot per column in key order.  A slot is
 bytes: a row starts with coefficients below p and takes at most one
 product below p^2 per pivot column, so no slot carries into the next.
 The S-rows are reduced in the order their pairs left the heap; each
-nonzero remainder joins the basis and becomes a pivot at once, and a
-driven batch stops when the degree is full.  The batch then
+nonzero remainder is scaled to lead with 1 as it is read back, so no
+element is copied to make it monic, and joins the basis as a pivot at
+once; a driven batch stops when the degree is full.  The batch then
 back-substitutes its new elements, from the last to the first, so that
 no tail keeps the leading word of a later one: every F_p element leaves
 its batch reduced against every other element of the run so far, and
@@ -566,10 +569,11 @@ class _Engine:
         one int, with one slot per column in key order, so the leading term
         sits in the highest slot; a pivot's tail is kept from its lowest
         column up, with that column's shift.  The S-rows are reduced in heap
-        order, and each nonzero remainder joins the basis through `add` and
-        becomes the pivot of its leading column at once.  With a `drive`,
-        the batch stops as soon as `drive.full` holds for its degree, and
-        the S-rows it skips count as dropped.
+        order.  Each nonzero remainder is read back with its values scaled
+        to lead with 1, so that `monic` keeps the list; it joins the basis
+        through `add` and becomes the pivot of its leading column at once.
+        With a `drive`, the batch stops as soon as `drive.full` holds for
+        its degree, and the S-rows it skips count as dropped.
 
         Each new element's tail then misses every column with a pivot, so
         the leading words of the new elements before it, but may hold
@@ -674,7 +678,9 @@ class _Engine:
                 drive.zero_rows += not out
             if not out:
                 continue
-            add([(keys[c], words[keys[c]], v) for c, v in out])
+            # monic as built, so that `add` keeps this list
+            inv = self.ring.field.inv(out[0][1])
+            add([(keys[c], words[keys[c]], v * inv % p) for c, v in out])
             tails[out[0][0]] = _pack_row(polys[-1], 0, 1, col, nbytes)
             new.append((len(polys) - 1, out[0][0]))
             filled = drive is not None and drive.full(degree)
@@ -906,8 +912,7 @@ class GroebnerBasis:
     when first read and then kept.
     """
 
-    def __init__(self, ring, internal, polys=None):
-        """`polys`, when given, are the public forms of `internal`."""
+    def __init__(self, ring, internal):
         self.ring = ring
         self._engine = _Engine(ring)
         self._polys = internal
@@ -917,7 +922,7 @@ class GroebnerBasis:
         # exact, the basis is fixed
         self._memo = {}
         self._reducers = self._engine.reducers(internal)
-        self._public = None if polys is None else tuple(polys)
+        self._public = None
 
     @property
     def polys(self):
@@ -962,7 +967,9 @@ class Ideal:
     `_target` is None, or a function d -> (an upper bound for dim I_d),
     set by the code that built the ideal; `groebner` then drives the
     basis with a `_HilbertDrive` that asks it for each degree in
-    increasing order.
+    increasing order.  An ideal made from a basis (`_ideal_from_basis`)
+    has no generators of its own until `gens` is first read: then they
+    are its basis's public polynomials, `gens is groebner().polys`.
     """
 
     def __init__(self, ring, gens):
@@ -973,9 +980,15 @@ class Ideal:
             if not g.is_homogeneous():
                 raise ValidationError(f"inhomogeneous generator: {g}")
         self.ring = ring
-        self.gens = gens
+        self._gens = gens
         self._target = None
         self._cache = {}
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            self._gens = self.groebner().polys
+        return self._gens
 
     # -- Groebner machinery -------------------------------------------------
     def groebner(self, order=GREVLEX):
@@ -1010,12 +1023,18 @@ class Ideal:
         return self.groebner().contains(f)
 
     def is_zero(self):
-        return not self.gens
+        if self._gens is None:
+            return not len(self.groebner())
+        return not self._gens
 
     def is_unit(self):
         """A graded ideal's degree-0 part is spanned by its constant
-        generators: it is the unit ideal exactly when one is nonzero."""
-        return any(g.is_constant() for g in self.gens)
+        generators: it is the unit ideal exactly when one is nonzero.
+        Before its generators are read, an ideal made from a basis is
+        the unit ideal when a leading word is 0, the word of 1."""
+        if self._gens is None:
+            return 0 in self.groebner()._lt_ws
+        return any(g.is_constant() for g in self._gens)
 
     def equals(self, other):
         if self.ring != other.ring:
@@ -1106,9 +1125,11 @@ class _HilbertDrive:
       monomial.
     - the elimination in `intersect` (`eliminate=True`).  Give t weight
       0.  Every element met while eliminating t from
-      t * G_a + (1 - t) * G_b has the form A * t + B, and these elements
-      form the graded module N = {A * t + B : B in b, A + B in a}, which
-      is isomorphic to a + b as a vector space in each degree:
+      t * G_a + (1 + t) * G_b has the form A * t + B: t * alpha +
+      (1 + t) * beta, with alpha in a and beta in b, has A = alpha + beta
+      and B = beta.  So these elements form the graded module
+      N = {A * t + B : B in b, A - B in a}, which is isomorphic to a + b
+      as a vector space in each degree (A * t + B -> (A - B, B)):
       dim N_d = dim a_d + dim b_d, the target, which two
       `_DegreeCounter`s count from the inputs' leading monomials.  The
       leading terms of the basis so far span t * T_d + O_d, where T is
@@ -1191,8 +1212,14 @@ def _elimination_key(nvars):
 def _intersect_bases(ring, pa, pb):
     """The internal reduced grevlex basis of a ∩ b, from those of a and b.
 
-    The elimination starts from t * G_a and (1 - t) * G_b, fed as two
-    blocks.  The basis whose highest leading degree is lower goes into
+    The elimination starts from t * G_a and (1 + t) * G_b, fed as two
+    blocks.  Both lead with coefficient 1 (t times a monic leading
+    term), so `_Engine.monic` keeps their lists as built.  The t-free
+    part of the ideal they generate is a ∩ b: with u = -t and v = 1 + t,
+    u + v = 1, and the ideal is u * a + v * b.  If f in k[x] lies in it,
+    setting t = -1 (u = 1, v = 0) puts f in a, and setting t = 0 (u = 0,
+    v = 1) puts f in b; conversely f = u * f + v * f for f in a ∩ b.
+    The basis whose highest leading degree is lower goes into
     the t-block (the first one on a tie): the answer is the same, but its
     reductions subtract fewer terms.  A `_HilbertDrive` drops the pairs
     that the inputs' Hilbert functions prove redundant.  Only the t-free
@@ -1208,11 +1235,10 @@ def _intersect_bases(ring, pa, pb):
     # monomial is its grevlex key in `ring`, and t * m has key
     # key(t) + key(m), above every t-free key
     t_key = engine.key(1)
-    neg = ring.field.neg
     t_block = [[(k + t_key, (w << WIDTH) | 1, c) for k, w, c in terms]
                for terms in pa]
-    one_minus_t_block = [
-        [(k + t_key, (w << WIDTH) | 1, neg(c)) for k, w, c in terms]
+    one_plus_t_block = [
+        [(k + t_key, (w << WIDTH) | 1, c) for k, w, c in terms]
         + [(k, w << WIDTH, c) for k, w, c in terms]
         for terms in pb]
     # dim N_d = dim a_d + dim b_d
@@ -1222,7 +1248,7 @@ def _intersect_bases(ring, pa, pb):
                           eliminate=True)
     # an element with a t-free leading term is t-free
     t_mask = (1 << WIDTH) - 1
-    basis = engine.buchberger([], blocks=(t_block, one_minus_t_block),
+    basis = engine.buchberger([], blocks=(t_block, one_plus_t_block),
                               drive=drive, eliminate=t_mask)
     return [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
 
@@ -1237,17 +1263,18 @@ def _check_minimal(basis, nvars):
                              "divides another")
 
 
-def _ideal_from_basis(ring, internal):
-    """The public ideal generated by, and caching, an internal grevlex
-    basis with minimal leading terms.
+def _ideal_from_basis(gb):
+    """The public ideal generated by, and caching, `gb`, a reduced
+    grevlex `GroebnerBasis`.
 
-    The basis is cached without `Ideal._keep`'s check, which would only
-    reduce each generator, a basis element, against the basis: no other
-    leading term divides its own, which is therefore its first divisor,
-    and the monic element goes to zero in one step."""
-    out = [_from_internal(terms, ring) for terms in internal]
-    result = Ideal(ring, out)
-    result._cache[GREVLEX.tag] = GroebnerBasis(ring, internal, out)
+    It builds no polynomial: its `gens` are read from `gb` when first
+    asked for.  The basis is cached without `Ideal._keep`'s check, which
+    would only reduce each generator, a basis element, against the
+    basis: no other leading term divides its own, which is therefore its
+    first divisor, and the monic element goes to zero in one step."""
+    result = Ideal(gb.ring, ())
+    result._gens = None
+    result._cache[GREVLEX.tag] = gb
     return result
 
 
@@ -1260,11 +1287,12 @@ def intersect(a, b):
 def intersect_many(ideals):
     """Balanced pairwise intersection of a nonempty list of ideals.
 
-    A single ideal comes back as it is; a zero ideal makes the answer
-    zero, and unit ideals are dropped.  The tree is folded on internal
+    A single ideal comes back as it is, as does the one ideal left once
+    unit ideals are dropped; a zero ideal makes the answer zero.  The tree is folded on internal
     bases: a pair leaves the fold as soon as it is intersected, and each
     intermediate basis only has its leading terms checked for
-    minimality; the answer alone becomes a public `Ideal`.
+    minimality; the answer alone becomes a public `Ideal`, made from
+    its basis (`_ideal_from_basis`).
     """
     items = list(ideals)
     if not items:
@@ -1278,7 +1306,7 @@ def intersect_many(ideals):
         return Ideal(ring, ())
     proper = [ideal for ideal in items if not ideal.is_unit()]
     if len(proper) < 2:
-        return Ideal(ring, (proper or items)[0].gens)
+        return (proper or items)[0]
     level = [ideal.groebner()._polys for ideal in proper]
     while len(level) > 1:
         level.reverse()  # pop the pairs in list order
@@ -1288,7 +1316,7 @@ def intersect_many(ideals):
             _check_minimal(basis, ring.nvars)
             nxt.append(basis)
         level = nxt + level
-    return _ideal_from_basis(ring, level[0])
+    return _ideal_from_basis(GroebnerBasis(ring, level[0]))
 
 
 def _shift_last(terms, coeffs, engine):
@@ -1361,7 +1389,8 @@ def saturate_irrelevant(a):
         back = [_shift_last(divided[n], [-c for c in coeffs], engine)
                 for n in _minimal([t[0][1] for t in divided], engine.guard,
                                   engine.guard)]
-        result = _ideal_from_basis(ring, engine.buchberger(back))
+        result = _ideal_from_basis(GroebnerBasis(ring,
+                                                 engine.buchberger(back)))
         if hilbert(result).hp_coeffs == target:
             return result
     raise InternalLimitError(

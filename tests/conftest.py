@@ -534,7 +534,7 @@ def intersect_by_ideals(a, b):
     internal = [[(k, w >> WIDTH, c) for k, w, c in terms] for terms in basis]
     out = [_from_internal(terms, ring) for terms in internal]
     result = Ideal(ring, out)
-    result._keep(GroebnerBasis(ring, internal, out), internal)
+    result._keep(GroebnerBasis(ring, internal), internal)
     return result
 
 

@@ -64,9 +64,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_arrangement("x\ny\n")
 
-    def test_too_many_variables(self):
-        with pytest.raises(ParseError):
-            parse_arrangement("vars: a b c d e f g h i\na\nb\n")
+    def test_any_width(self):
+        """The parser reads a file of any width; only the CLI commands
+        that build an ideal refuse wide files."""
+        names = [f"x{i}" for i in range(1, 21)]
+        text = f"vars: {' '.join(names)}\n" + "".join(
+            f"{a} - {b}\n" for a, b in zip(names, names[1:]))
+        arr = parse_arrangement(text)
+        assert arr.nvars == 20 and arr.d == 19
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:
@@ -396,10 +401,8 @@ class TestIntersectionTree:
     degree; the Ideal-by-Ideal tree with the first input always in the
     t-block is its oracle."""
 
-    @pytest.mark.parametrize("name", [n for n in arrangement_names()
-                                      if n != "thirty_one_planes"])
-    def test_corpus(self, name, monkeypatch):
-        arr = load_arrangement(name)
+    @staticmethod
+    def _check(arr, monkeypatch):
         builds = (top_comb, radical_comb,
                   lambda a: symbolic_intersection(a, rule_powers(a, 2)))
         got = [build(arr) for build in builds]
@@ -409,6 +412,21 @@ class TestIntersectionTree:
             want = build(arr)
             assert ideal.gens == want.gens
             assert ideal.groebner()._polys == want.groebner()._polys
+        monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", [n for n in arrangement_names()
+                                      if n != "thirty_one_planes"])
+    def test_corpus(self, name, monkeypatch):
+        self._check(load_arrangement(name), monkeypatch)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2**61 - 1)], ids=["q", "p61"])
+    @pytest.mark.parametrize("name", ["seven_planes", "eight_planes",
+                                      "top_block"])
+    def test_other_fields(self, name, field, monkeypatch):
+        """The oracle eliminates from (1 - t) * G_b where `intersect_many`
+        takes (1 + t) * G_b; the answers agree over Q and in slots wider
+        than 64 bits too."""
+        self._check(load_arrangement(name, field), monkeypatch)
 
 
 class TestTopComb:
@@ -520,8 +538,8 @@ class TestTopCombFastPath:
         assert calls
         assert got.groebner()._polys == want.groebner()._polys
         assert fast == J.equals(want)
-        if fast:  # J's Hilbert data and resolution come along
-            assert got is not J
+        if fast:  # J's basis object, Hilbert data and resolution come along
+            assert got is not J and got.groebner() is J.groebner()
             assert hilbert(got) is hilbert(J)
             assert got._resolution_cache is J._resolution_cache is not None
         return fast

@@ -184,6 +184,22 @@ class TestGraphCommands:
         assert "multiplicity 3: 8 flats" in out
         assert "multiplicity 2: 42 flats" in out
 
+    def test_dodecahedron_section_pipeline(self, capsys, arr_dir, tmp_path):
+        """`section` reads the 20-variable file that `graphic` writes."""
+        dodeca = tmp_path / "dodeca.arr"
+        code, _, _ = run_cli(capsys, "graphic",
+                             str(arr_dir / "dodecahedron.graph"),
+                             "-o", str(dodeca))
+        assert code == 0
+        cut = tmp_path / "cut.arr"
+        code, _, err = run_cli(capsys, "section", str(dodeca), "-o", str(cut))
+        assert code == 0, err
+        lines = cut.read_text().splitlines()
+        assert lines[0] == "vars: x1 x2 x3 x4" and len(lines) == 31
+        code, out, _ = run_cli(capsys, "lattice", "--json", str(cut))
+        assert code == 0
+        assert json.loads(out)["artifact"]["counts"] == {"2": 435}
+
     @pytest.mark.parametrize("command, graph",
                              [("graphic", "octahedron.graph"),
                               ("triangles", "dodecahedron.graph")])
@@ -313,6 +329,38 @@ class TestErrorPaths:
         code, out, _ = run_cli(capsys, "triangles", str(bad))
         assert code == 0
         assert "no two 3-cycles share an edge: True" in out
+
+    def test_too_many_variables(self, capsys, arr_dir, tmp_path):
+        """The commands that build an ideal refuse a file wider than 8
+        variables and point to `sing section`; the lattice commands read
+        it."""
+        wide = tmp_path / "dodeca.arr"
+        run_cli(capsys, "graphic", str(arr_dir / "dodecahedron.graph"),
+                "-o", str(wide))
+        path = str(wide)
+        for argv in (["top", path], ["radical", "--json", path],
+                     ["symbolic", path], ["hilbert", "--ideal", "jacobian", path],
+                     ["bdl", path], ["liaison-add", path, path]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert "at most 8" in err and "sing section" in err, argv
+            assert "Hilbert" not in out
+        for argv in (["lattice", path], ["hypothesis", path]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+
+    @pytest.mark.parametrize("field, code, message", [
+        ("p:7", 1, "error: field characteristic 7 is too small for degree 12"),
+        ("p:13", 2, "internal limit: no generic section found")],
+        ids=["p7", "p13"])
+    def test_corpus_graphic_small_prime(self, capsys, field, code, message):
+        """At p <= 12 the graphic entry names the field, as `sing section`
+        does, before it sections the octahedron's 12 planes; p = 13 is a
+        legal field, where the section's reseed cap is the real failure."""
+        got, out, err = run_cli(capsys, "corpus", "--entry", "graphic",
+                                "--field", field)
+        assert got == code
+        assert err.startswith(message)
 
     def test_bad_field(self, capsys, arr_dir):
         code, _, err = run_cli(capsys, "lattice", "--field", "zzz",

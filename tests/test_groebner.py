@@ -26,7 +26,8 @@ from singlocus.arrangement import (generic_section, graphic_arrangement,
                                    jacobian_ideal, parse_arrangement,
                                    radical_comb, rule_powers,
                                    symbolic_intersection, top_comb)
-from singlocus.corpus import arrangement_names, load_arrangement, load_graph
+from singlocus.corpus import (arrangement_names, load_arrangement, load_graph,
+                              run_regressions)
 from singlocus.errors import (InternalLimitError, InvariantError,
                               RingContextError, ValidationError)
 from singlocus.groebner import (Ideal, _DegreeCounter, _Dividend,
@@ -187,6 +188,114 @@ class TestEngineForm:
         assert len(built) == len(polys) == 6
         assert basis.polys is polys and list(basis) == list(polys)
         assert len(built) == 6  # read again, not built again
+
+
+class TestIdealsFromBases:
+    """An ideal made from a basis holds it once: its invariants, its
+    membership and its zero and unit tests build no polynomial, and its
+    generators are that basis's public forms, built on first read."""
+
+    @staticmethod
+    def _outputs(field):
+        """(name, ideal) for each kind of output made from a basis:
+        `intersect`, top by the tree and by J's certificate, rad, the
+        rule-power square and `saturate_irrelevant`."""
+        arr = load_arrangement("seven_planes", field)
+        x, y, z, w = arr.ring.variables()
+        J = jacobian_ideal(arr)
+        return [
+            ("intersect", intersect(Ideal(arr.ring, (x, y)),
+                                    Ideal(arr.ring, (z * x, w * w)))),
+            ("tree top", tree_top(arr)),
+            ("certified top", top_comb(arr)),
+            ("rad", radical_comb(arr)),
+            ("square", symbolic_intersection(arr, rule_powers(arr, 2))),
+            ("saturation", saturate_irrelevant(J)),
+        ]
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_invariants_build_no_polynomial(self, field, monkeypatch):
+        # the same ideals computed apart, given by their generators
+        twins = [Ideal(ideal.ring, ideal.gens)
+                 for _, ideal in self._outputs(field)]
+        built = []
+        from_internal = groebner._from_internal
+
+        def counted(terms, ring):
+            built.append(terms)
+            return from_internal(terms, ring)
+
+        monkeypatch.setattr(groebner, "_from_internal", counted)
+        outputs = self._outputs(field)
+        for (name, ideal), twin in zip(outputs, twins):
+            x = ideal.ring.variable(0)
+            hilbert(ideal)
+            homology.betti_of(ideal)
+            homology.is_cm(ideal)
+            assert ideal.equals(twin)
+            assert ideal.contains(x * twin.gens[0])
+            assert not ideal.contains(x)
+            assert not ideal.is_zero() and not ideal.is_unit()
+            assert not built, name
+        for name, ideal in outputs:
+            basis = ideal.groebner()
+            gens = ideal.gens
+            assert gens is basis.polys, name
+            assert len(built) == len(basis) == len(gens), name
+            assert ideal.gens is gens and len(built) == len(gens)
+            assert not ideal.is_zero() and not ideal.is_unit()
+            built.clear()
+
+    def test_certified_top_shares_j_basis(self):
+        arr = load_arrangement("seven_planes")
+        J = jacobian_ideal(arr)
+        top = top_comb(arr)
+        assert top is not J and top.groebner() is J.groebner()
+        assert top.gens is J.groebner().polys
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["p", "q"])
+    def test_zero_and_unit(self, field, monkeypatch):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        key = _Engine(ring).key
+        zero = groebner._ideal_from_basis(groebner.GroebnerBasis(ring, []))
+        unit = groebner._ideal_from_basis(groebner.GroebnerBasis(
+            ring, [_to_internal(ring.one(), key)]))
+        # the irrelevant ideal saturates to the unit ideal
+        saturated = saturate_irrelevant(Ideal(ring, ring.variables()))
+        monkeypatch.setattr(groebner, "_from_internal", None)
+        answers = [(i.is_zero(), i.is_unit()) for i in (zero, unit, saturated)]
+        assert answers == [(True, False), (False, True), (False, True)]
+        monkeypatch.undo()
+        assert zero.gens == () and unit.gens == saturated.gens == (ring.one(),)
+        assert [(i.is_zero(), i.is_unit())
+                for i in (zero, unit, saturated)] == answers
+
+    def test_monic_copies_only_generator_normal_forms(self, monkeypatch):
+        """On a `corpus` cycle at F_32003, every block element of an
+        elimination and every F4 new element reaches `monic` already
+        monic: the lists it copies are all generators' normal forms."""
+        monic, normal_form = _Engine.monic, _Engine.normal_form
+        last = [None]  # the normal form returned last
+        kept = []
+        copied = []
+
+        def note_form(self, *args):
+            last[0] = normal_form(self, *args)
+            return last[0]
+
+        def counted(self, terms):
+            out = monic(self, terms)
+            if out is terms:
+                kept.append(len(terms))
+            else:
+                copied.append(terms is last[0])
+            return out
+
+        monkeypatch.setattr(_Engine, "normal_form", note_form)
+        monkeypatch.setattr(_Engine, "monic", counted)
+        results = run_regressions(field=GF(32003))
+        assert results and all(r.ok for r in results)
+        assert all(copied) and len(kept) > 1000
 
 
 class TestIntersection:
@@ -890,6 +999,9 @@ class TestIntersectMany:
         assert intersect_many([a, unit, b]).gens == both.gens
         assert intersect_many([unit, a, b, unit]).gens == both.gens
         assert intersect_many([unit, unit]).gens == unit.gens
+        # the ideal left comes back with its cached basis, not rebuilt
+        assert intersect_many([unit, both]) is both
+        assert intersect_many([a, unit]) is a
 
     def test_mixed_rings(self, ring_p, ring_q, vars_p):
         x, y, z, w = vars_p
